@@ -224,3 +224,55 @@ func TestShutdownClusterStopsExecutors(t *testing.T) {
 		}
 	}
 }
+
+func init() {
+	// oversize-result: a job whose every reduce partition is one byte
+	// too large for a TaskDone frame.
+	RegisterJob(Job{
+		Name: "oversize-result",
+		Map: func(spec JobSpec, part int) (MapOutput, error) {
+			return MapOutput{Buckets: make([]any, spec.ReduceParts)}, nil
+		},
+		Reduce: func(spec JobSpec, part int, chunks []any) ([]byte, error) {
+			return make([]byte, DefaultMaxFrame-taskDoneEnvelope+1), nil
+		},
+		Merge: func(spec JobSpec, parts [][]byte) ([]byte, error) {
+			return bytes.Join(parts, nil), nil
+		},
+	})
+}
+
+// TestOversizeResultFailsJobPromptly: a reduce result that cannot fit
+// a frame used to be dropped by the executor with a log line, leaving
+// the driver waiting on a TaskDone that never came. It must fail the
+// job with the size in the error, and cost no executor.
+func TestOversizeResultFailsJobPromptly(t *testing.T) {
+	lc, err := StartLocal(LocalConfig{Executors: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := lc.Run(JobSpec{Job: "oversize-result", MapParts: 2, ReduceParts: 1})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "exceeds frame limit") {
+			t.Fatalf("got %v, want a result-exceeds-frame-limit error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("job with an oversize reduce result hung")
+	}
+	if alive := lc.Driver.Runtime().AliveExecutors(); alive != 2 {
+		t.Errorf("alive executors after the failed job: got %d, want 2", alive)
+	}
+	// The cluster is intact: the next job runs.
+	spec := testSpec()
+	out, err := lc.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkKeyedSum(t, out, spec.Records, spec.Keys)
+}

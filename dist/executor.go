@@ -211,15 +211,31 @@ func (e *Executor) heartbeat(done chan struct{}) {
 	}
 }
 
+// taskDoneEnvelope bounds everything in a successful TaskDone frame
+// except its Result: the fixed fields plus the type descriptors a
+// connection's first TaskDone carries (a few hundred bytes in all).
+const taskDoneEnvelope = 4 << 10
+
 // runTask executes one dispatched attempt and reports TaskDone. It runs
 // on its own goroutine: the engine's executor workers already bound
 // per-executor parallelism driver-side, so dispatch order is the only
 // contract here.
+//
+// A result too large for one frame is reported as the attempt's error
+// rather than sent: an over-limit Send would poison the codec and turn
+// a deterministic job failure into the loss of every executor that
+// tries it. Any Send that does fail has closed the control connection
+// (Codec), so the driver sees this executor as lost and requeues.
 func (e *Executor) runTask(t *RunTask) {
 	done := e.execute(t)
 	done.Seq = t.Seq
+	if limit := e.codec.max - taskDoneEnvelope; len(done.Result) > limit {
+		done = &TaskDone{Seq: t.Seq, MissMapPart: -1, UnreachableExec: -1,
+			Err: fmt.Sprintf("dist: %s task %d of job %q: result of %d bytes exceeds frame limit %d",
+				t.Kind, t.Part, t.Spec.Job, len(done.Result), limit)}
+	}
 	if err := e.codec.Send(done); err != nil {
-		e.logf("executor %d task seq=%d report failed: %v", e.cfg.ID, t.Seq, err)
+		e.logf("executor %d task seq=%d report failed, control connection closed: %v", e.cfg.ID, t.Seq, err)
 	}
 }
 

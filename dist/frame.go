@@ -12,6 +12,10 @@ import (
 // of an allocation.
 const DefaultMaxFrame = 64 << 20
 
+// frameHeaderLen is the big-endian payload length that precedes every
+// frame.
+const frameHeaderLen = 4
+
 // frameGrowStep caps how much ReadFrame allocates ahead of the bytes
 // actually arriving: a truncated stream whose prefix claims a huge
 // payload costs one step of memory, not the claim.
@@ -31,7 +35,7 @@ func (e *ErrFrameTooLarge) Error() string {
 // WriteFrame writes one length-prefixed frame: a 4-byte big-endian
 // payload length followed by the payload.
 func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
+	var hdr [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
@@ -54,7 +58,7 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	var hdr [4]byte
+	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, io.ErrUnexpectedEOF

@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"runtime"
@@ -95,10 +94,10 @@ func TestFrameCorruptPrefixNoOverAllocation(t *testing.T) {
 	}
 }
 
-// allocBytes measures heap bytes allocated while f runs.
+// allocBytes measures heap bytes allocated while f runs (TotalAlloc is
+// cumulative, so no collection is needed around f).
 func allocBytes(f func()) uint64 {
 	var before, after runtime.MemStats
-	runtime.GC()
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
@@ -146,20 +145,54 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzCodecRecv feeds arbitrary frames through the gob codec's decode
-// path: corrupt payloads must error, never panic.
+// FuzzCodecRecv pushes arbitrary bytes through a real Codec as a
+// multi-frame stream, so mutated frames meet a decoder that already
+// holds type state from the frames before them — the position hostile
+// peer input is in on a live connection. Seeds are valid streams (types
+// defined once, then reused). Recv must never panic; the first error
+// must close the connection and be returned by every later Recv; and
+// allocation must stay bounded by the input, not by what the input
+// claims.
 func FuzzCodecRecv(f *testing.F) {
-	var hello bytes.Buffer
-	WriteFrame(&hello, []byte{1, 2, 3})
-	f.Add(hello.Bytes())
+	const limit = 1 << 20
+	kvs := make([]KV, 300)
+	for i := range kvs {
+		kvs[i] = KV{K: int64(i), V: int64(i) * 3}
+	}
+	f.Add(encodeStream(f, &Hello{ID: 1, ShuffleAddr: "127.0.0.1:4000"},
+		sampleRunTask(1), sampleTaskDone(1), sampleTaskDone(2)))
+	f.Add(encodeStream(f, &ShuffleReq{Shuffle: 1, ReducePart: 2, MapParts: []int{0, 1}},
+		&ShuffleResp{MissMapPart: -1, Chunks: []any{kvs, nil}}))
+	f.Add([]byte{0, 0, 0, 3, 1, 2, 3})
+	f.Add([]byte{0, 0, 0, 0})
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := ReadFrame(bytes.NewReader(data), 1<<20)
-		if err != nil || len(payload) == 0 {
-			return
+		conn := &memConn{}
+		conn.buf.Write(data)
+		c := NewCodec(conn, limit)
+		var first error
+		allocated := allocBytes(func() {
+			for first == nil { // ends: the stream is finite and even a clean EOF is an error
+				_, first = c.Recv()
+			}
+		})
+
+		// Two terms. Per frame, ReadFrame allocates what arrived and gob
+		// decodes it into values at most a few dozen times larger (a
+		// zero-valued Loc is 1 byte on the wire, 32 in memory). Once per
+		// stream, gob may trust a message-length prefix inside a frame
+		// for up to its 10 MiB read chunk before finding the frame short.
+		if bound := uint64(16*limit + 64*len(data)); allocated > bound {
+			t.Fatalf("%d-byte stream allocated %d bytes, bound %d", len(data), allocated, bound)
 		}
-		// Decoding garbage must fail cleanly, not panic.
-		var w wireMsg
-		_ = gob.NewDecoder(bytes.NewReader(payload)).Decode(&w)
+		if !conn.closed {
+			t.Fatal("connection left open after a Recv error")
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := c.Recv(); err != first {
+				t.Fatalf("Recv %d after the first error: got %v, want %v", i, err, first)
+			}
+		}
 	})
 }
 

@@ -13,19 +13,24 @@
 // provenance exactly as in the local runtime, and lineage recovery
 // re-executes only the invalidated map partitions.
 //
-// Transport is a hand-rolled length-prefixed framed codec carrying gob
-// payloads (frame.go); liveness is registration plus periodic
-// heartbeats with a timeout-driven monitor (liveness.go); jobs are
-// named two-stage map/reduce computations both binaries compile in
-// (job.go), since closures cannot cross a process boundary.
+// Transport is one gob stream per connection, cut into length-prefixed
+// frames of one message each (Codec, frame.go): gob's per-type set-up
+// is paid once per connection, not once per message. Liveness is
+// registration plus periodic heartbeats with a timeout-driven monitor
+// (liveness.go); jobs are named two-stage map/reduce computations both
+// binaries compile in (job.go), since closures cannot cross a process
+// boundary.
 package dist
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
+	"reflect"
 	"sync"
 )
 
@@ -181,22 +186,11 @@ type SKV struct {
 }
 
 func init() {
-	// Control and data messages travel as a gob interface value inside
-	// wireMsg; every concrete type must be registered, including the
-	// chunk element types the built-in jobs shuffle and the primitive
-	// types record-boxed compat chunks may carry.
-	gob.Register(&Hello{})
-	gob.Register(&HelloAck{})
-	gob.Register(&Heartbeat{})
-	gob.Register(&RunTask{})
-	gob.Register(&TaskDone{})
-	gob.Register(&DropShuffle{})
-	gob.Register(&SubmitJob{})
-	gob.Register(&JobResult{})
-	gob.Register(&ShutdownReq{})
-	gob.Register(&ShutdownAck{})
-	gob.Register(&ShuffleReq{})
-	gob.Register(&ShuffleResp{})
+	// Chunks travel as gob interface values inside ShuffleResp.Chunks,
+	// so every concrete chunk type must be registered: the element
+	// types the built-in jobs shuffle and the primitive types
+	// record-boxed compat chunks may carry. (Messages themselves are
+	// not interface values — see messageTypes.)
 	gob.Register([]KV(nil))
 	gob.Register([]SKV(nil))
 	gob.Register([]any(nil))
@@ -209,25 +203,85 @@ func init() {
 	gob.Register(bool(false))
 }
 
-// wireMsg wraps every message so gob carries the concrete type.
-type wireMsg struct {
-	M any
+// messageTypes lists every message a Codec carries. A message's index
+// is the tag byte that opens its frame and tells the receiver which
+// struct to decode the rest into. Sending the concrete struct, rather
+// than wrapping it in an interface-typed field for gob to name, spares
+// every message its type-name string and — the reason it is done — one
+// whole extra copy of the payload, which gob makes when it encodes an
+// interface value. Driver and executors are one binary, so the order
+// carries no compatibility burden.
+var messageTypes = [...]reflect.Type{
+	reflect.TypeOf(Hello{}),
+	reflect.TypeOf(HelloAck{}),
+	reflect.TypeOf(Heartbeat{}),
+	reflect.TypeOf(RunTask{}),
+	reflect.TypeOf(TaskDone{}),
+	reflect.TypeOf(DropShuffle{}),
+	reflect.TypeOf(SubmitJob{}),
+	reflect.TypeOf(JobResult{}),
+	reflect.TypeOf(ShutdownReq{}),
+	reflect.TypeOf(ShutdownAck{}),
+	reflect.TypeOf(ShuffleReq{}),
+	reflect.TypeOf(ShuffleResp{}),
 }
 
-// Codec frames gob-encoded messages over a connection. Each frame is a
-// self-contained gob stream (encoder state is not shared across
-// frames), so a frame can be decoded in isolation and a dropped frame
-// cannot corrupt its successors. Sends are serialized by an internal
-// mutex — heartbeats, task results, and shuffle responses may share one
-// connection from several goroutines; Recv must be called from a single
-// reader goroutine.
+// messageTags maps a message's pointer type (what Send is given and
+// Recv returns) to its tag.
+var messageTags = func() map[reflect.Type]byte {
+	tags := make(map[reflect.Type]byte, len(messageTypes))
+	for i, t := range messageTypes {
+		tags[reflect.PointerTo(t)] = byte(i)
+	}
+	return tags
+}()
+
+// Codec carries messages over one connection as a single gob stream
+// cut into length-prefixed frames.
+//
+// The gob encoder and decoder live as long as the connection: a type's
+// descriptor crosses the wire once, on the first message that uses it,
+// and the decode engine for it is compiled once. Every frame holds
+// exactly one message: its tag byte (messageTypes), whatever type
+// descriptors it introduces, and its value. A frame with bytes left
+// over after its message, or a message that runs past the end of its
+// frame, is a protocol error. Send builds header and payload in one
+// buffer and hands the connection one Write per frame; Recv decodes
+// straight out of the frame's bytes, which are dropped as soon as the
+// message is decoded.
+//
+// The frame layer stays under the stream for two reasons. It bounds
+// allocation: the length prefix is checked against the limit before a
+// byte of body is read, and the body buffer grows only as bytes arrive
+// (ReadFrame), so gob never sees more than one bounded frame of peer
+// input. And it detects a desynchronised stream without trying to
+// resynchronise: gob must consume each frame exactly.
+//
+// Because gob state is shared between frames, a failure cannot be
+// skipped over. Any Send or Recv error — an unencodable value and an
+// over-limit message included, since the encoder may already have
+// advanced past type descriptors the peer never saw — poisons the
+// Codec: the connection is closed and every later Send and Recv returns
+// that first error. Callers treat it as the loss of the peer (driver:
+// executorGone; executor: Run returns; peer fetch: the retry redials).
+//
+// Sends are serialized by an internal mutex — heartbeats and task
+// results share the control connection from several goroutines; Recv
+// must be called from a single reader goroutine.
 type Codec struct {
 	conn net.Conn
-	r    *bufio.Reader
 	max  int
 
 	wmu sync.Mutex
-	wb  bytes.Buffer
+	wb  bytes.Buffer // the frame being built: header, tag, gob bytes
+	enc *gob.Encoder // writes into wb
+
+	r   *bufio.Reader
+	fr  bytes.Reader // the frame being decoded; an io.ByteReader, so gob reads it unbuffered
+	dec *gob.Decoder // reads from fr
+
+	emu sync.Mutex
+	err error
 }
 
 // NewCodec wraps a connection; maxFrame <= 0 uses DefaultMaxFrame.
@@ -235,34 +289,103 @@ func NewCodec(conn net.Conn, maxFrame int) *Codec {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	return &Codec{conn: conn, r: bufio.NewReader(conn), max: maxFrame}
+	c := &Codec{conn: conn, max: maxFrame, r: bufio.NewReader(conn)}
+	c.enc = gob.NewEncoder(&c.wb)
+	c.dec = gob.NewDecoder(&c.fr)
+	return c
 }
 
-// Send gob-encodes m into one frame and writes it.
+// failed returns the error that poisoned the codec, nil while healthy.
+func (c *Codec) failed() error {
+	c.emu.Lock()
+	defer c.emu.Unlock()
+	return c.err
+}
+
+// poison records the codec's first error, closes the connection and
+// returns that first error.
+func (c *Codec) poison(err error) error {
+	c.emu.Lock()
+	if c.err == nil {
+		c.err = err
+	}
+	err = c.err
+	c.emu.Unlock()
+	c.conn.Close()
+	return err
+}
+
+// Send encodes m — a pointer to one of messageTypes — as the stream's
+// next message, in one frame written with one Write. An error poisons
+// the codec.
 func (c *Codec) Send(m any) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if err := c.failed(); err != nil {
+		return err
+	}
+	tag, ok := messageTags[reflect.TypeOf(m)]
+	if !ok {
+		return c.poison(fmt.Errorf("dist: encode %T: not a message type", m))
+	}
+	var head [frameHeaderLen + 1]byte
+	head[frameHeaderLen] = tag
 	c.wb.Reset()
-	if err := gob.NewEncoder(&c.wb).Encode(wireMsg{M: m}); err != nil {
-		return fmt.Errorf("dist: encode %T: %w", m, err)
+	c.wb.Write(head[:])
+	if err := c.enc.Encode(m); err != nil {
+		return c.poison(fmt.Errorf("dist: encode %T: %w", m, err))
 	}
-	if c.wb.Len() > c.max {
-		return &ErrFrameTooLarge{Length: c.wb.Len(), Max: c.max}
+	frame := c.wb.Bytes()
+	n := len(frame) - frameHeaderLen
+	if n > c.max {
+		return c.poison(&ErrFrameTooLarge{Length: n, Max: c.max})
 	}
-	return WriteFrame(c.conn, c.wb.Bytes())
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := c.conn.Write(frame)
+	if c.wb.Cap() > frameGrowStep {
+		// Do not keep a buffer grown for a large frame. gob's encoder
+		// never shrinks its own buffer, so the connection already
+		// retains one copy of its largest message; holding a second
+		// here cost +6 % peak RSS on the shuffle-wide benchmark.
+		c.wb = bytes.Buffer{}
+	}
+	if err != nil {
+		return c.poison(fmt.Errorf("dist: send %T: %w", m, err))
+	}
+	return nil
 }
 
-// Recv reads and decodes the next frame.
+// Recv reads the next frame and decodes the one message it holds,
+// returning a pointer to one of messageTypes. An error — a clean
+// io.EOF between frames included — poisons the codec.
 func (c *Codec) Recv() (any, error) {
-	payload, err := ReadFrame(c.r, c.max)
-	if err != nil {
+	if err := c.failed(); err != nil {
 		return nil, err
 	}
-	var w wireMsg
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&w); err != nil {
-		return nil, fmt.Errorf("dist: decode frame: %w", err)
+	payload, err := ReadFrame(c.r, c.max)
+	if err != nil {
+		return nil, c.poison(err)
 	}
-	return w.M, nil
+	if len(payload) == 0 || int(payload[0]) >= len(messageTypes) {
+		return nil, c.poison(fmt.Errorf("dist: decode frame: %d-byte frame opens with no known message tag", len(payload)))
+	}
+	m := reflect.New(messageTypes[payload[0]]).Interface()
+	c.fr.Reset(payload[1:])
+	err = c.dec.Decode(m)
+	left := c.fr.Len()
+	c.fr.Reset(nil) // the frame's bytes are garbage from here on
+	if err == io.EOF {
+		// A tag and nothing else. gob calls that a clean end of stream;
+		// here a frame without its message is a truncated one.
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, c.poison(fmt.Errorf("dist: decode frame: %w", err))
+	}
+	if left > 0 {
+		return nil, c.poison(fmt.Errorf("dist: decode frame: %d bytes after the message", left))
+	}
+	return m, nil
 }
 
 // Close closes the underlying connection.

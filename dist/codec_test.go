@@ -86,7 +86,7 @@ func replay(limit int, payloads ...[]byte) (*Codec, *memConn) {
 
 func sampleRunTask(seq uint64) *RunTask {
 	return &RunTask{
-		Seq: seq, Kind: KindMap, Shuffle: 3, Part: int(seq), Attempt: 1,
+		Seq: seq, Kind: KindMap, Put: 3, Part: int(seq), Attempt: 1,
 		Spec: JobSpec{Job: "keyed-sum", MapParts: 2000, ReduceParts: 4, Records: 500_000, Keys: 64},
 	}
 }
@@ -113,6 +113,12 @@ func TestCodecDescriptorsCrossOnce(t *testing.T) {
 	t.Logf("RunTask frame bytes: first %d, then %d", sizes[0], sizes[1])
 	if sizes[1]*3 >= sizes[0] {
 		t.Errorf("second RunTask frame is %d bytes, first %d: want under a third", sizes[1], sizes[0])
+	}
+	// A warm map RunTask is 49 bytes (first frame 334): 2000 of them
+	// cross the wire in the dispatch-fine benchmark, so a field that
+	// costs every task bytes shows up there as job_s.
+	if sizes[1] > 49+8 {
+		t.Errorf("warm map RunTask frame is %d bytes, want within 8 of 49", sizes[1])
 	}
 	if sizes[2] != sizes[1] {
 		t.Errorf("steady-state RunTask frames differ: %d vs %d bytes", sizes[1], sizes[2])

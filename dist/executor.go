@@ -239,134 +239,100 @@ func (e *Executor) runTask(t *RunTask) {
 	}
 }
 
+// execute runs one attempt under the executor's transient fault plan
+// and folds whatever went wrong into the TaskDone: every failure —
+// injected, a missing map output found by the gather, a job function's
+// error or panic — leaves through the one translation at the bottom.
 func (e *Executor) execute(t *RunTask) *TaskDone {
+	done := &TaskDone{MissMapPart: -1, UnreachableExec: -1}
 	now := e.elapsed()
+	var err error
 	if e.inj != nil {
 		if d := e.inj.HangDuration(e.cfg.ID, now); d > 0 {
 			time.Sleep(time.Duration(d * float64(time.Second)))
 		}
-		if err := e.inj.TaskFailure(e.cfg.ID, t.Part, now); err != nil {
-			return &TaskDone{Err: err.Error(), MissMapPart: -1, UnreachableExec: -1}
+		err = e.inj.TaskFailure(e.cfg.ID, t.Part, now)
+	}
+	if err == nil {
+		started := time.Now()
+		err = e.runBody(t, done)
+		if e.inj != nil {
+			if f := e.inj.SlowFactor(e.cfg.ID, now); f > 1 {
+				// The injector's slow factor divides effective speed; stretch
+				// the attempt's wall time to match.
+				time.Sleep(time.Duration(float64(time.Since(started)) * (f - 1)))
+			}
 		}
 	}
-	started := time.Now()
-	var done *TaskDone
-	switch t.Kind {
-	case KindMap:
-		done = e.runMap(t)
-	case KindReduce:
-		done = e.runReduce(t)
-	case KindStep:
-		done = e.runStep(t)
+	if err != nil {
+		var miss *engine.MapOutputMissingError
+		if errors.As(err, &miss) {
+			done.Miss, done.MissShuffle, done.MissMapPart = true, miss.Shuffle, miss.MapPart
+		}
+		done.Err = err.Error()
+	}
+	return done
+}
+
+// runBody is the one task body, gather → call → put. The fetch phase
+// pulls the task's reduce partition of the gathered generation
+// (zero-copy for self-owned partitions, network for the rest — under
+// the stable partitioner and locality placement nearly everything is
+// self-owned); the store phase writes the call's buckets into the local
+// store as the task's map partition of the next generation. A map task
+// has no fetch phase and a reduce task no store phase.
+func (e *Executor) runBody(t *RunTask, done *TaskDone) error {
+	job, err := LookupJob(t.Spec.Job)
+	if err != nil {
+		return err
+	}
+	var chunks []any
+	if t.Gather != noShuffle {
+		fetchStart := time.Now()
+		chunks, err = e.gather(t.Gather, t.Locations, t.Part, done)
+		done.FetchSeconds = time.Since(fetchStart).Seconds()
+		if err != nil {
+			return err
+		}
+	}
+	var out MapOutput
+	out, done.Result, err = call(job, t, chunks)
+	if err != nil || t.Put == noShuffle {
+		return err
+	}
+	if err := e.store.RegisterWithID(t.Put, t.Spec.stageParts(t.Step), t.Spec.ReduceParts); err != nil {
+		return err
+	}
+	if err := e.store.PutChunksFrom(t.Put, t.Part, e.cfg.ID, out.Buckets); err != nil {
+		return err
+	}
+	done.Records, done.Bytes = out.Records, out.Bytes
+	done.BucketBytes = bucketVolumes(out.Buckets)
+	return nil
+}
+
+// call invokes the job function t.Kind names — the only place job code
+// runs on an executor. A panic there is the attempt's failure, in the
+// engine's wording for in-process tasks: unrecovered it would kill the
+// executor process, the driver would requeue the task as a loss, and a
+// deterministic bug in one job would take down every executor in turn.
+func call(job Job, t *RunTask, chunks []any) (out MapOutput, result []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("task panic: %v", r)
+		}
+	}()
+	switch {
+	case t.Kind == KindMap:
+		out, err = job.Map(t.Spec, t.Part)
+	case t.Kind == KindStep && job.Step != nil:
+		out, err = job.Step(t.Spec, t.Step, t.Part, chunks)
+	case t.Kind == KindReduce:
+		result, err = job.Reduce(t.Spec, t.Part, chunks)
 	default:
-		done = &TaskDone{Err: fmt.Sprintf("dist: unknown task kind %q", t.Kind),
-			MissMapPart: -1, UnreachableExec: -1}
+		err = fmt.Errorf("dist: job %q has no %q function", t.Spec.Job, t.Kind)
 	}
-	if e.inj != nil {
-		if f := e.inj.SlowFactor(e.cfg.ID, now); f > 1 {
-			// The injector's slow factor divides effective speed; stretch
-			// the attempt's wall time to match.
-			time.Sleep(time.Duration(float64(time.Since(started)) * (f - 1)))
-		}
-	}
-	return done
-}
-
-func (e *Executor) runMap(t *RunTask) *TaskDone {
-	done := &TaskDone{MissMapPart: -1, UnreachableExec: -1}
-	job, err := LookupJob(t.Spec.Job)
-	if err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	if err := e.store.RegisterWithID(t.Shuffle, t.Spec.MapParts, t.Spec.ReduceParts); err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	out, err := job.Map(t.Spec, t.Part)
-	if err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	if err := e.store.PutChunksFrom(t.Shuffle, t.Part, e.cfg.ID, out.Buckets); err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	done.Records, done.Bytes = out.Records, out.Bytes
-	done.BucketBytes = bucketVolumes(out.Buckets)
-	return done
-}
-
-// runStep executes one superstep of an iterative job: gather the
-// previous generation's shuffle (zero-copy for self-owned partitions,
-// network for the rest — under the stable partitioner and locality
-// placement nearly everything is self-owned), apply Job.Step, and
-// write the next generation into the local store.
-func (e *Executor) runStep(t *RunTask) *TaskDone {
-	done := &TaskDone{MissMapPart: -1, UnreachableExec: -1}
-	job, err := LookupJob(t.Spec.Job)
-	if err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	if job.Step == nil {
-		done.Err = fmt.Sprintf("dist: job %q has no step function", t.Spec.Job)
-		return done
-	}
-	fetchStart := time.Now()
-	chunks, err := e.gather(t.GatherShuffle, t.Locations, t.Part, done)
-	done.FetchSeconds = time.Since(fetchStart).Seconds()
-	if err != nil {
-		var miss *engine.MapOutputMissingError
-		if errors.As(err, &miss) {
-			done.Miss, done.MissShuffle, done.MissMapPart = true, miss.Shuffle, miss.MapPart
-		}
-		done.Err = err.Error()
-		return done
-	}
-	out, err := job.Step(t.Spec, t.Step, t.Part, chunks)
-	if err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	if err := e.store.RegisterWithID(t.Shuffle, t.Spec.ReduceParts, t.Spec.ReduceParts); err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	if err := e.store.PutChunksFrom(t.Shuffle, t.Part, e.cfg.ID, out.Buckets); err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	done.Records, done.Bytes = out.Records, out.Bytes
-	done.BucketBytes = bucketVolumes(out.Buckets)
-	return done
-}
-
-func (e *Executor) runReduce(t *RunTask) *TaskDone {
-	done := &TaskDone{MissMapPart: -1, UnreachableExec: -1}
-	job, err := LookupJob(t.Spec.Job)
-	if err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	fetchStart := time.Now()
-	chunks, err := e.gather(t.Shuffle, t.Locations, t.Part, done)
-	done.FetchSeconds = time.Since(fetchStart).Seconds()
-	if err != nil {
-		var miss *engine.MapOutputMissingError
-		if errors.As(err, &miss) {
-			done.Miss, done.MissShuffle, done.MissMapPart = true, miss.Shuffle, miss.MapPart
-		}
-		done.Err = err.Error()
-		return done
-	}
-	result, err := job.Reduce(t.Spec, t.Part, chunks)
-	if err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	done.Result = result
-	return done
+	return out, result, err
 }
 
 // gather pulls every map partition's chunk of reduce partition part

@@ -272,6 +272,16 @@ func init() {
 	RegisterJob(Job{Name: "wordcount", Map: wordcountMap, Reduce: wordcountReduce, Merge: wordcountMerge})
 }
 
+// stageParts is the task count of stage g of the job's chain, and so
+// the map-side width of the generation that stage writes: MapParts for
+// the map stage, ReduceParts for every superstep and the reduce.
+func (s JobSpec) stageParts(g int) int {
+	if g == 0 {
+		return s.MapParts
+	}
+	return s.ReduceParts
+}
+
 // withDefaults resolves a spec's open parameters against the cluster
 // size and validates it.
 func (s JobSpec) withDefaults(executors int) (JobSpec, error) {

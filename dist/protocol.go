@@ -17,7 +17,7 @@
 // frames of one message each (Codec, frame.go): gob's per-type set-up
 // is paid once per connection, not once per message. Liveness is
 // registration plus periodic heartbeats with a timeout-driven monitor
-// (liveness.go); jobs are named two-stage map/reduce computations both
+// (liveness.go); jobs are named map/step/reduce computations both
 // binaries compile in (job.go), since closures cannot cross a process
 // boundary.
 package dist
@@ -61,39 +61,44 @@ type Heartbeat struct {
 	Seq uint64
 }
 
-// Loc tells a reduce task where one map partition's output lives.
+// Loc tells a gathering task where one map partition's output lives.
 type Loc struct {
 	MapPart int
 	Exec    int
 	Addr    string
 }
 
-// RunTask dispatches one task attempt to an executor. Kind is "map",
-// "reduce", or "step"; Locations is set for reduce and step tasks and
-// lists every gathered map partition's owner as of dispatch time. Step
-// tasks additionally carry the superstep index and the shuffle they
-// gather from (GatherShuffle, the previous generation), while Shuffle
-// names the one they write into.
+// RunTask dispatches one task attempt to an executor. Every task is
+// gather → call → put, and the fields name each phase outright. Gather
+// is the shuffle whose reduce partition Part is fetched before the
+// call (noShuffle: none, a map task), with Locations listing every
+// gathered map partition's owner as of dispatch time. Put is the
+// shuffle the call's buckets are stored into as map partition Part
+// (noShuffle: none, a reduce task — its output is TaskDone.Result).
+// Step is the stage's position in the job's chain: 0 the map stage, g
+// superstep g, one past the last superstep the reduce. Kind only
+// selects the job function called between the two phases.
 type RunTask struct {
-	Seq           uint64
-	Kind          string
-	Spec          JobSpec
-	Shuffle       int
-	Part          int
-	Attempt       int
-	Step          int
-	GatherShuffle int
-	Locations     []Loc
+	Seq       uint64
+	Kind      string
+	Spec      JobSpec
+	Gather    int
+	Put       int
+	Part      int
+	Attempt   int
+	Step      int
+	Locations []Loc
 }
 
-// Task kinds.
+// noShuffle is the Gather or Put of a task without that phase; real
+// IDs start at 1 (engine.ShuffleStore.Register).
+const noShuffle = 0
+
+// Task kinds: which job function a task calls.
 const (
 	KindMap    = "map"
 	KindReduce = "reduce"
-	// KindStep is one superstep task of an iterative job: gather the
-	// previous generation's shuffle, apply Job.Step, write the next
-	// generation.
-	KindStep = "step"
+	KindStep   = "step"
 )
 
 // TaskDone reports one task attempt's outcome back to the driver.
@@ -101,8 +106,8 @@ type TaskDone struct {
 	Seq uint64
 	// Err is the attempt's failure, "" on success.
 	Err string
-	// Miss is set when the failure was missing map output: the reduce
-	// task's fetch found an invalidated partition. The driver surfaces
+	// Miss is set when the failure was missing map output: the task's
+	// gather found an invalidated partition. The driver surfaces
 	// it as an engine.MapOutputMissingError so lineage recovery engages.
 	Miss        bool
 	MissShuffle int
@@ -111,19 +116,19 @@ type TaskDone struct {
 	// could not be reached after bounded retries — the fetch-failure
 	// signal the driver treats as an executor loss.
 	UnreachableExec int
-	// Records/Bytes are the shuffle volume a map or step task wrote.
+	// Records/Bytes are the shuffle volume a task put.
 	Records int64
 	Bytes   int64
 	// BucketBytes is the written volume per reduce bucket — the weights
 	// the driver records against its placeholder ownership row so
 	// locality scoring can rank owners without holding the data.
 	BucketBytes []int64
-	// Local*/Remote* split a reduce task's fetched volume by path: local
+	// Local*/Remote* split a task's gathered volume by path: local
 	// chunks came zero-copy from the executor's own store, remote ones
 	// over the network shuffle service.
 	LocalRecords, LocalBytes   int64
 	RemoteRecords, RemoteBytes int64
-	// FetchSeconds is the reduce task's total fetch wall time.
+	// FetchSeconds is the task's total gather wall time.
 	FetchSeconds float64
 	// Result is a reduce task's encoded output partition.
 	Result []byte

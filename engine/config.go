@@ -110,10 +110,10 @@ type Config struct {
 	// FaultCheckIntervalSeconds is the period of the time-based
 	// crash-trigger poll while a stage runs (default 0.01 s).
 	FaultCheckIntervalSeconds float64
-	// MaxFetchRetries is how many attempts FetchShuffle makes against
+	// MaxFetchRetries is how many attempts FetchShuffleChunks makes against
 	// transient fetch faults before giving up (default 3).
 	MaxFetchRetries int
-	// FetchRetryBackoffSeconds is FetchShuffle's initial retry backoff;
+	// FetchRetryBackoffSeconds is FetchShuffleChunks' initial retry backoff;
 	// it doubles per attempt (default 0.002 s).
 	FetchRetryBackoffSeconds float64
 	// RunQueueDepth bounds each executor's persistent-worker run queue

@@ -171,11 +171,11 @@ func TestFetchShuffleRetriesTransientLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := &TaskContext{Executor: 0}
-	out, err := rt.FetchShuffle(tc, id, 0)
+	out, err := rt.FetchShuffleChunks(tc, id, 0)
 	if err != nil {
-		t.Fatalf("FetchShuffle: %v", err)
+		t.Fatalf("FetchShuffleChunks: %v", err)
 	}
-	if len(out) != 1 || len(out[0]) != 1 || out[0][0] != "v" {
+	if ch, _ := out[0].([]any); len(out) != 1 || len(ch) != 1 || ch[0] != "v" {
 		t.Fatalf("out = %v, want [[v]]", out)
 	}
 	if got := atomic.LoadInt64(&retries); got != 2 {
@@ -200,7 +200,7 @@ func TestFetchShuffleExhaustsRetries(t *testing.T) {
 	if err := rt.Shuffle().Put(id, 0, [][]any{{"v"}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = rt.FetchShuffle(&TaskContext{Executor: 0}, id, 0)
+	_, err = rt.FetchShuffleChunks(&TaskContext{Executor: 0}, id, 0)
 	var inj *fault.InjectedError
 	if !errors.As(err, &inj) || inj.Kind != fault.KindFetchLoss {
 		t.Fatalf("err = %v, want wrapped fetch-loss InjectedError", err)
@@ -208,7 +208,7 @@ func TestFetchShuffleExhaustsRetries(t *testing.T) {
 }
 
 // TestFetchShuffleMissingOutputNotRetried: a missing map output is not
-// transient — FetchShuffle must return MapOutputMissingError immediately
+// transient — FetchShuffleChunks must return MapOutputMissingError immediately
 // so the caller recovers through lineage, not by spinning.
 func TestFetchShuffleMissingOutputNotRetried(t *testing.T) {
 	rt, err := New(Config{Executors: 2, CoresPerExecutor: 1})
@@ -219,7 +219,7 @@ func TestFetchShuffleMissingOutputNotRetried(t *testing.T) {
 	if err := rt.Shuffle().Put(id, 0, [][]any{{"v"}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = rt.FetchShuffle(&TaskContext{Executor: 0}, id, 0)
+	_, err = rt.FetchShuffleChunks(&TaskContext{Executor: 0}, id, 0)
 	var miss *MapOutputMissingError
 	if !errors.As(err, &miss) {
 		t.Fatalf("err = %v, want MapOutputMissingError", err)

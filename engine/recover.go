@@ -8,7 +8,7 @@ import (
 
 // RetryFetch runs fetch with bounded retry and doubling backoff — the
 // shuffle-fetch retry discipline shared by the local runtime
-// (FetchShuffle/FetchShuffleChunks) and the distributed executor's
+// (FetchShuffleChunks) and the distributed executor's
 // network fetches. A *MapOutputMissingError returns immediately: missing
 // map output is not transient, lineage must repair it. Any other error
 // is treated as transient; onRetry (may be nil) observes each retry

@@ -300,39 +300,14 @@ func (rt *Runtime) fetchRetrying(tc *TaskContext, shuffleID, reducePart int, fet
 		shuffleID, reducePart, rt.cfg.MaxFetchRetries, err)
 }
 
-// FetchShuffle fetches one reduce partition in the record-boxed [][]any
-// compatibility form, with bounded retry-and-backoff against transient
-// fetch faults. Missing map output (executor loss or stage-ordering
-// bugs) is returned immediately as a MapOutputMissingError — that is
-// not transient; the caller must re-execute the missing partitions
-// through lineage. Task bodies should use this (or FetchShuffleChunks)
-// instead of Shuffle().Fetch.
-func (rt *Runtime) FetchShuffle(tc *TaskContext, shuffleID, reducePart int) ([][]any, error) {
-	start := time.Now()
-	var out [][]any
-	err := rt.fetchRetrying(tc, shuffleID, reducePart, func() error {
-		var ferr error
-		out, ferr = rt.shuffle.Fetch(shuffleID, reducePart)
-		return ferr
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rt.listeners.active() {
-		var records, bytes int64
-		for _, b := range out {
-			r, by := chunkVolume(b)
-			records, bytes = records+r, bytes+by
-		}
-		rt.notifyFetch(tc, shuffleID, reducePart, start, records, bytes)
-	}
-	return out, nil
-}
-
 // FetchShuffleChunks fetches one reduce partition as stored chunks (one
-// boxed typed slice per map partition, nil where empty) with the same
-// retry and missing-output semantics as FetchShuffle. This is the hot
-// path the rdd reduce side uses — and the co-located zero-copy path:
+// boxed typed slice per map partition, nil where empty), with bounded
+// retry-and-backoff against transient fetch faults. Missing map output
+// (executor loss or stage-ordering bugs) is returned immediately as a
+// MapOutputMissingError — that is not transient; the caller must
+// re-execute the missing partitions through lineage. Task bodies should
+// use this instead of Shuffle().FetchChunks. It is the hot path the rdd
+// reduce side uses — and the co-located zero-copy path:
 // the stored typed slices are handed back directly, no gob box, no
 // copy, under the chunk immutability contract (a chunk sunk into the
 // store is never mutated, so aliasing it out is safe).
@@ -390,30 +365,13 @@ func (rt *Runtime) FetchShuffleChunks(tc *TaskContext, shuffleID, reducePart int
 
 // EmitFetch publishes an externally-observed shuffle fetch to the
 // runtime's listeners. The local runtime's own fetch paths report
-// through FetchShuffle/FetchShuffleChunks; this hook exists for the
+// through FetchShuffleChunks; this hook exists for the
 // distributed driver, whose reduce-side fetches happen on remote
 // executor processes and are reported back over the control channel.
 func (rt *Runtime) EmitFetch(e FetchEvent) {
 	if rt.listeners.active() {
 		rt.listeners.fetch(e)
 	}
-}
-
-// notifyFetch fans one completed shuffle fetch out to the listeners.
-// Volume is only tallied when a listener is subscribed, so untraced runs
-// pay nothing on the fetch path.
-func (rt *Runtime) notifyFetch(tc *TaskContext, shuffleID, reducePart int, start time.Time, records, bytes int64) {
-	rt.listeners.fetch(FetchEvent{
-		Shuffle:    shuffleID,
-		ReducePart: reducePart,
-		TaskID:     tc.TaskID,
-		Attempt:    tc.Attempt,
-		Executor:   tc.Executor,
-		Start:      start,
-		Duration:   time.Since(start).Seconds(),
-		Records:    records,
-		Bytes:      float64(bytes),
-	})
 }
 
 // ---- persistent executor workers ----

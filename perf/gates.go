@@ -84,57 +84,94 @@ func CheckCoverage(pct, floor float64) error {
 	return nil
 }
 
-// TraceOverheadReport is the JSON contract of cmd/tracebench, consumed
-// by the trace-overhead gate.
-type TraceOverheadReport struct {
-	Tasks           int     `json:"tasks"`
-	Reps            int     `json:"reps"`
-	WorkUS          int     `json:"work_us"`
-	UntracedSeconds float64 `json:"untraced_seconds"`
-	TracedSeconds   float64 `json:"traced_seconds"`
-	Overhead        float64 `json:"overhead"`
-	Events          int     `json:"events"`
+// The kernel and trace-overhead gates read a mrperf report: the
+// scenarios they compare are already in the registry, so a gate is
+// arithmetic over two ScenarioResults rather than a benchmark of its
+// own. A report that lacks a scenario (or an extra) a gate needs is an
+// error from these functions, which cigate treats as bad usage — a
+// gate must never pass because its input was not measured.
+
+// gateScenarios looks up the named scenarios of a report, in order.
+func gateScenarios(r *Report, names ...string) ([]*ScenarioResult, error) {
+	out := make([]*ScenarioResult, len(names))
+	for i, name := range names {
+		if out[i] = r.Scenario(name); out[i] == nil {
+			return nil, fmt.Errorf("perf: report has no scenario %q (run mrperf with it selected)", name)
+		}
+	}
+	return out, nil
+}
+
+// gateExtra reads one extra a gate depends on.
+func gateExtra(s *ScenarioResult, key string) (float64, error) {
+	v, ok := s.Extra[key]
+	if !ok {
+		return 0, fmt.Errorf("perf: scenario %q reports no %q extra", s.Name, key)
+	}
+	return v, nil
+}
+
+// TraceOverhead computes trace capture's relative cost from a report
+// holding engine/many-short-tasks and trace/capture — the same workload
+// untraced and traced. It compares the minimum sample of each, the
+// standard way to strip scheduler noise from a microbenchmark, and
+// returns the traced run's event and task counts alongside.
+func TraceOverhead(r *Report) (overhead float64, events, tasks int, err error) {
+	sc, err := gateScenarios(r, "engine/many-short-tasks", "trace/capture")
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	untraced, traced := sc[0], sc[1]
+	ev, err := gateExtra(traced, "events")
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	ta, err := gateExtra(traced, "tasks")
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return traced.Stats.MinNs/untraced.Stats.MinNs - 1, int(ev), int(ta), nil
 }
 
 // CheckTraceOverhead enforces the capture-overhead budget: tracing may
 // not slow the engine by more than maxOverhead, and the traced run must
 // have captured at least one event per task.
-func CheckTraceOverhead(r TraceOverheadReport, maxOverhead float64) error {
-	if r.Overhead > maxOverhead {
+func CheckTraceOverhead(overhead float64, events, tasks int, maxOverhead float64) error {
+	if overhead > maxOverhead {
 		return fmt.Errorf("trace capture overhead %+.2f%% exceeds the %.0f%% budget",
-			r.Overhead*100, maxOverhead*100)
+			overhead*100, maxOverhead*100)
 	}
-	if r.Events < r.Tasks {
-		return fmt.Errorf("traced run captured %d events for %d tasks", r.Events, r.Tasks)
+	if events < tasks {
+		return fmt.Errorf("traced run captured %d events for %d tasks", events, tasks)
 	}
 	return nil
 }
 
-// KernelBaseline is the JSON contract of cmd/kernelbench
-// (BENCH_kernel.json), consumed by the kernel-speedup gate.
-type KernelBaseline struct {
-	Scenario  string `json:"scenario"`
-	Resources int    `json:"resources"`
-	Flows     int    `json:"flows"`
-	CapEvents int    `json:"cap_events"`
-	PeakFlows int    `json:"peak_concurrent_flows"`
-	Completed int    `json:"completed_flows"`
-	// NsPerOp is one full scenario run (tens of thousands of events).
-	IncrementalNsPerOp int64   `json:"incremental_ns_per_op"`
-	BruteNsPerOp       int64   `json:"brute_ns_per_op"`
-	Speedup            float64 `json:"speedup"`
-	GoVersion          string  `json:"go_version"`
-	GOARCH             string  `json:"goarch"`
+// KernelSpeedup computes the incremental fluid kernel's margin over the
+// brute-force oracle from a report holding both kernel/churn scenarios
+// — median brute time over median incremental time — and returns the
+// incremental run's peak concurrent flow count alongside.
+func KernelSpeedup(r *Report) (speedup float64, peakFlows int, err error) {
+	sc, err := gateScenarios(r, "kernel/churn-brute", "kernel/churn-incremental")
+	if err != nil {
+		return 0, 0, err
+	}
+	brute, inc := sc[0], sc[1]
+	peak, err := gateExtra(inc, "peak_concurrent_flows")
+	if err != nil {
+		return 0, 0, err
+	}
+	return brute.Stats.MedianNs / inc.Stats.MedianNs, int(peak), nil
 }
 
 // CheckKernel enforces the incremental kernel's margin over the
 // brute-force oracle and the scenario's concurrency floor.
-func CheckKernel(b KernelBaseline, minSpeedup float64, minPeak int) error {
-	if b.Speedup < minSpeedup {
-		return fmt.Errorf("incremental kernel speedup %.2fx below the %.1fx margin", b.Speedup, minSpeedup)
+func CheckKernel(speedup float64, peakFlows int, minSpeedup float64, minPeak int) error {
+	if speedup < minSpeedup {
+		return fmt.Errorf("incremental kernel speedup %.2fx below the %.1fx margin", speedup, minSpeedup)
 	}
-	if b.PeakFlows < minPeak {
-		return fmt.Errorf("churn scenario peaked at %d concurrent flows, want >= %d", b.PeakFlows, minPeak)
+	if peakFlows < minPeak {
+		return fmt.Errorf("churn scenario peaked at %d concurrent flows, want >= %d", peakFlows, minPeak)
 	}
 	return nil
 }

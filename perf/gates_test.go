@@ -65,30 +65,89 @@ func TestCheckCoverage(t *testing.T) {
 	}
 }
 
-func TestCheckTraceOverhead(t *testing.T) {
-	ok := TraceOverheadReport{Tasks: 512, Events: 1030, Overhead: 0.03}
-	if err := CheckTraceOverhead(ok, 0.05); err != nil {
-		t.Errorf("within budget failed: %v", err)
+// gateReport is a fixture mrperf report holding the four scenarios the
+// kernel and trace-overhead gates read: brute 5x the incremental
+// median, traced 3% over the untraced minimum.
+func gateReport(t *testing.T) *Report {
+	t.Helper()
+	r := report(t, map[string][]float64{
+		"kernel/churn-incremental": baseSamples,
+		"kernel/churn-brute":       scaled(baseSamples, 5),
+		"engine/many-short-tasks":  baseSamples,
+		"trace/capture":            scaled(baseSamples, 1.03),
+	})
+	r.Scenario("kernel/churn-incremental").Extra = Extras{"peak_concurrent_flows": 4709}
+	r.Scenario("trace/capture").Extra = Extras{"tasks": 1024, "events": 2060}
+	return r
+}
+
+// without returns the fixture minus one scenario.
+func without(r *Report, name string) *Report {
+	out := *r
+	out.Scenarios = nil
+	for _, s := range r.Scenarios {
+		if s.Name != name {
+			out.Scenarios = append(out.Scenarios, s)
+		}
 	}
-	slow := TraceOverheadReport{Tasks: 512, Events: 1030, Overhead: 0.09}
-	if err := CheckTraceOverhead(slow, 0.05); err == nil {
-		t.Error("9% overhead passed a 5% budget")
+	return &out
+}
+
+func TestTraceOverheadGate(t *testing.T) {
+	rep := gateReport(t)
+	overhead, events, tasks, err := TraceOverhead(rep)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lossy := TraceOverheadReport{Tasks: 512, Events: 100, Overhead: 0.01}
-	if err := CheckTraceOverhead(lossy, 0.05); err == nil {
+	// Minimum over minimum, not median over median: 98e6*1.03 / 98e6.
+	if math.Abs(overhead-0.03) > 1e-9 || events != 2060 || tasks != 1024 {
+		t.Fatalf("got overhead %.4f, %d events, %d tasks; want 0.03, 2060, 1024", overhead, events, tasks)
+	}
+	if err := CheckTraceOverhead(overhead, events, tasks, 0.05); err != nil {
+		t.Errorf("3%% overhead failed a 5%% budget: %v", err)
+	}
+	if err := CheckTraceOverhead(overhead, events, tasks, 0.02); err == nil {
+		t.Error("3% overhead passed a 2% budget")
+	}
+	if err := CheckTraceOverhead(0.01, 100, 1024, 0.05); err == nil {
 		t.Error("fewer events than tasks passed")
+	}
+	for _, name := range []string{"engine/many-short-tasks", "trace/capture"} {
+		if _, _, _, err := TraceOverhead(without(rep, name)); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("report without %s: err = %v, want it named", name, err)
+		}
+	}
+	rep.Scenario("trace/capture").Extra = Extras{"tasks": 1024}
+	if _, _, _, err := TraceOverhead(rep); err == nil {
+		t.Error("report without the events extra computed an overhead")
 	}
 }
 
-func TestCheckKernel(t *testing.T) {
-	ok := KernelBaseline{Speedup: 5.5, PeakFlows: 4700}
-	if err := CheckKernel(ok, 3, 4000); err != nil {
+func TestKernelSpeedupGate(t *testing.T) {
+	rep := gateReport(t)
+	speedup, peak, err := KernelSpeedup(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(speedup-5) > 1e-9 || peak != 4709 {
+		t.Fatalf("got speedup %.3f, peak %d; want 5, 4709", speedup, peak)
+	}
+	if err := CheckKernel(speedup, peak, 3, 4000); err != nil {
 		t.Errorf("healthy kernel failed: %v", err)
 	}
-	if err := CheckKernel(KernelBaseline{Speedup: 2.9, PeakFlows: 4700}, 3, 4000); err == nil {
-		t.Error("lost speedup margin passed")
+	if err := CheckKernel(speedup, peak, 5.5, 4000); err == nil {
+		t.Error("5x speedup passed a 5.5x margin")
 	}
-	if err := CheckKernel(KernelBaseline{Speedup: 5.5, PeakFlows: 100}, 3, 4000); err == nil {
+	if err := CheckKernel(speedup, 100, 3, 4000); err == nil {
 		t.Error("under-scaled churn passed")
+	}
+	for _, name := range []string{"kernel/churn-brute", "kernel/churn-incremental"} {
+		if _, _, err := KernelSpeedup(without(rep, name)); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("report without %s: err = %v, want it named", name, err)
+		}
+	}
+	rep.Scenario("kernel/churn-incremental").Extra = nil
+	if _, _, err := KernelSpeedup(rep); err == nil {
+		t.Error("report without the peak extra computed a speedup")
 	}
 }

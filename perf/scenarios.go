@@ -18,8 +18,8 @@ import (
 )
 
 // kernelScale sizes the simclock churn scenario: full is the headline
-// BENCH_kernel scale (peak >4000 concurrent flows), short a quarter of
-// it so the brute-force oracle stays affordable in CI.
+// scale `cigate kernel` gates (peak >4000 concurrent flows), short a
+// quarter of it so the brute-force oracle stays affordable in CI.
 func kernelScale(sc Scale) simclock.ChurnScale {
 	if sc.Short {
 		return simclock.ChurnScale{NRes: 100, NFlows: 2000, CapEvts: 200}

@@ -9,8 +9,7 @@ import (
 )
 
 // EngineWorkloadSpec sizes the many-short-tasks engine workload shared
-// by the runtime-throughput and trace-overhead scenarios (and by the
-// tracebench shim).
+// by the runtime-throughput and trace-overhead scenarios.
 type EngineWorkloadSpec struct {
 	Tasks     int
 	Executors int
@@ -31,10 +30,11 @@ func RunEngineWorkload(spec EngineWorkloadSpec) (seconds float64, events int, er
 	if spec.Traced {
 		// Size the rings to the workload instead of the 32k-events
 		// default: ring allocation is inside the timed region when perf
-		// scenarios run this, and tens of MB of zeroing would swamp the
-		// capture cost being measured. These workloads emit a few events
-		// per task over a handful of nodes, so 8k/shard never drops.
-		tr = trace.NewWall(trace.Options{ShardCapacity: 8192})
+		// scenarios run this, and the trace-overhead gate compares those
+		// times, so megabytes of zeroing would be charged to capture. The
+		// workload emits one event per task plus one per stage; twice the
+		// task count per shard never drops even if one node ran them all.
+		tr = trace.NewWall(trace.Options{ShardCapacity: 2 * spec.Tasks})
 		cfg.SchedAudit = trace.SchedAudit(tr)
 	}
 	ctx, err := rdd.NewContext(cfg)

@@ -28,7 +28,7 @@ func init() {
 		Name:   "rotate-sum",
 		Map:    keyedSumMap,
 		Reduce: keyedSumReduce,
-		Merge:  keyedSumMerge,
+		Merge:  mergeKVRuns,
 		Step: func(spec JobSpec, step, part int, chunks []any) (MapOutput, error) {
 			sums := make(map[int64]int64)
 			for _, ch := range chunks {
@@ -164,11 +164,7 @@ func rotateSumReference(t *testing.T, spec JobSpec) []byte {
 		}
 		sums = next
 	}
-	out, err := gobEncode(sortedKVs(sums))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return refKVRun(sums)
 }
 
 // TestDegenerateChain: a job with a Step function is the same chain at
@@ -320,4 +316,70 @@ func TestEmptyReduceOutputIsAResult(t *testing.T) {
 	if string(out) != "a,,c" {
 		t.Fatalf("got %q, want %q", out, "a,,c")
 	}
+}
+
+// TestLossWindowCannotBurnRecoveries forces the interleaving behind the
+// TestPagerankChaosSweep livelock: a gather stage runs while the driver
+// is in the middle of an executor's loss path — the test parks that
+// path on its first log line and runs the reduce stage before letting
+// it go. Whatever runTask refuses as a dead owner must by then be
+// missing in the shuffle store; otherwise the repair finds nothing to
+// re-run and the stage spends every recovery round in microseconds.
+func TestLossWindowCannotBurnRecoveries(t *testing.T) {
+	const victim = 2
+	parked, release := make(chan struct{}), make(chan struct{})
+	var park, unpark sync.Once
+	lc, err := StartLocal(LocalConfig{Executors: 3, Logf: func(format string, args ...any) {
+		t.Logf(format, args...)
+		if strings.HasPrefix(format, "executor %d lost") {
+			park.Do(func() { close(parked); <-release })
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	defer unpark.Do(func() { close(release) })
+	d := lc.Driver
+
+	spec := JobSpec{Job: "keyed-sum", MapParts: 12, ReduceParts: 3, Records: 20_000, Keys: 32}
+	gens := []int{d.rt.Shuffle().Register(spec.MapParts, spec.ReduceParts)}
+	parts := func(n int) []int {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
+		}
+		return p
+	}
+	if _, err := d.runStage(spec, gens, 0, parts(spec.MapParts)); err != nil {
+		t.Fatal(err)
+	}
+	owned := 0
+	for _, o := range d.rt.Shuffle().Owners(gens[0]) {
+		if o == victim {
+			owned++
+		}
+	}
+	if owned == 0 {
+		t.Fatal("victim owns no map partition; the test cannot open the window")
+	}
+
+	gone := make(chan struct{})
+	go func() {
+		defer close(gone)
+		d.executorGone(victim, "test")
+	}()
+	<-parked
+	results, err := d.runStage(spec, gens, 1, parts(spec.ReduceParts))
+	unpark.Do(func() { close(release) })
+	<-gone
+	if err != nil {
+		t.Fatalf("reduce stage inside the loss window: %v", err)
+	}
+	job, _ := LookupJob(spec.Job)
+	out, err := job.Merge(spec, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkKeyedSum(t, out, spec.Records, spec.Keys)
 }

@@ -59,6 +59,8 @@ type Driver struct {
 
 	transientPlan []byte
 
+	goneMu sync.Mutex // orders ownership invalidation before the dead mark
+
 	mu         sync.Mutex
 	execs      map[int]*execConn
 	pending    map[uint64]*pendingTask
@@ -312,30 +314,31 @@ func (d *Driver) monitor() {
 		case <-d.done:
 			return
 		case now := <-t.C:
-			for _, id := range d.live.Expire(now) {
-				d.onDead(id, "heartbeat timeout")
+			for _, id := range d.live.Expired(now) {
+				d.executorGone(id, "heartbeat timeout")
 			}
 		}
 	}
 }
 
-// executorGone marks an executor dead if it was alive and runs the loss
-// path.
+// executorGone runs the loss path for an executor, once. Order matters
+// twice. FailExecutor, which invalidates the executor's map outputs,
+// runs BEFORE the dead mark and under one lock with it: runTask refuses
+// a dead owner as a missing map output and the repair re-runs what
+// MissingParts reports, so no task may see the mark while the store
+// still lists the partitions as present. And both precede failing the
+// in-flight dispatches, so that the engine's dead-executor check
+// classifies those attempts as losses to requeue — not failures that
+// burn the task's retry budget.
 func (d *Driver) executorGone(id int, reason string) {
-	if d.live.MarkDead(id) {
-		d.onDead(id, reason)
-	}
-}
-
-// onDead runs the loss path for an executor already in the dead set.
-// Order matters: the engine's FailExecutor must run FIRST, so that by
-// the time in-flight dispatches are failed (and their task bodies
-// return errors), the engine's dead-executor check classifies those
-// attempts as losses to requeue — not failures that burn the task's
-// retry budget.
-func (d *Driver) onDead(id int, reason string) {
-	d.logf("executor %d lost: %s", id, reason)
+	d.goneMu.Lock()
 	lost := d.rt.FailExecutor(id)
+	fresh := d.live.MarkDead(id)
+	d.goneMu.Unlock()
+	if !fresh {
+		return
+	}
+	d.logf("executor %d lost: %s", id, reason)
 	if len(lost) > 0 {
 		d.logf("executor %d took %d map outputs; lineage will rebuild them", id, len(lost))
 	}
@@ -584,8 +587,12 @@ type stage struct {
 // 0..upto in dependency order — the job's lineage recovery. Re-running
 // a later generation's partitions may itself trip over a lost earlier
 // one; each repaired stage recovers recursively through runStage,
-// bounded by maxJobRecoveries per stage.
+// bounded by maxJobRecoveries per stage. A repair that finds nothing
+// missing answers a miss the driver's store does not show yet (an
+// executor's view of a peer): it waits a moment for the loss path to
+// catch up, so the recovery rounds are not all spent in one microsecond.
 func (d *Driver) repairChain(spec JobSpec, gens []int, upto int) error {
+	reran := false
 	for g := 0; g <= upto; g++ {
 		missing := d.rt.Shuffle().MissingParts(gens[g])
 		if len(missing) == 0 {
@@ -595,6 +602,10 @@ func (d *Driver) repairChain(spec JobSpec, gens []int, upto int) error {
 		if _, err := d.runStage(spec, gens, g, missing); err != nil {
 			return err
 		}
+		reran = true
+	}
+	if !reran {
+		time.Sleep(20 * time.Millisecond)
 	}
 	return nil
 }

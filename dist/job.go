@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -42,9 +40,10 @@ type MapOutput struct {
 // Job is a named two-stage computation. Map produces one map
 // partition's shuffle buckets; Reduce merges one reduce partition's
 // fetched chunks into an encoded output; Merge combines the encoded
-// reduce outputs into the job's final result bytes (driver side). All
-// three must be deterministic: the chaos harness asserts byte-identical
-// results across fault-free and recovered runs.
+// reduce outputs into the job's final result bytes (driver side). The
+// built-in jobs encode both as runs (run.go), read with DecodeKVs or
+// DecodeSKVs. All three must be deterministic: the chaos harness asserts
+// byte-identical results across fault-free and recovered runs.
 type Job struct {
 	Name   string
 	Map    func(spec JobSpec, part int) (MapOutput, error)
@@ -81,41 +80,13 @@ func LookupJob(name string) (Job, error) {
 	return j, nil
 }
 
-// gobEncode serializes v deterministically (gob field order is fixed by
-// the struct definition).
-func gobEncode(v any) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// DecodeKVs decodes a []KV result produced by the integer-keyed jobs.
-func DecodeKVs(data []byte) ([]KV, error) {
-	var out []KV
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&out); err != nil {
-		return nil, fmt.Errorf("dist: decode KV result: %w", err)
-	}
-	return out, nil
-}
-
-// DecodeSKVs decodes a []SKV result produced by the string-keyed jobs.
-func DecodeSKVs(data []byte) ([]SKV, error) {
-	var out []SKV
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&out); err != nil {
-		return nil, fmt.Errorf("dist: decode SKV result: %w", err)
-	}
-	return out, nil
-}
-
 // ---- keyed-sum: the chaos and perf workhorse ----
 //
 // Key k sums every i in [0, Records) with i % Keys == k. The map side
 // combines (one record per distinct key per partition), buckets by
-// key % ReduceParts, and emits each bucket sorted by key; reduce and
-// merge keep everything sorted, so the final []KV encoding is
-// byte-identical run to run.
+// key % ReduceParts, and emits each bucket sorted by key; reduce emits
+// its sums as a sorted run and merge only merges sorted runs, so the
+// result is byte-identical run to run.
 
 func keyedSumMap(spec JobSpec, part int) (MapOutput, error) {
 	lo := spec.Records * int64(part) / int64(spec.MapParts)
@@ -156,29 +127,12 @@ func keyedSumReduce(_ JobSpec, _ int, chunks []any) ([]byte, error) {
 			sums[kv.K] += kv.V
 		}
 	}
-	return gobEncode(sortedKVs(sums))
-}
-
-func keyedSumMerge(_ JobSpec, parts [][]byte) ([]byte, error) {
-	var all []KV
-	for _, p := range parts {
-		kvs, err := DecodeKVs(p)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, kvs...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].K < all[j].K })
-	return gobEncode(all)
-}
-
-func sortedKVs(m map[int64]int64) []KV {
-	out := make([]KV, 0, len(m))
-	for k, v := range m {
+	out := make([]KV, 0, len(sums))
+	for k, v := range sums {
 		out = append(out, KV{K: k, V: v})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].K < out[j].K })
-	return out
+	return encodeRun(&intKeys, out, kvRec), nil
 }
 
 // ---- wordcount: the mrrun-facing job ----
@@ -251,25 +205,12 @@ func wordcountReduce(_ JobSpec, _ int, chunks []any) ([]byte, error) {
 		out = append(out, SKV{K: k, V: v})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].K < out[j].K })
-	return gobEncode(out)
-}
-
-func wordcountMerge(_ JobSpec, parts [][]byte) ([]byte, error) {
-	var all []SKV
-	for _, p := range parts {
-		kvs, err := DecodeSKVs(p)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, kvs...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].K < all[j].K })
-	return gobEncode(all)
+	return encodeRun(&strKeys, out, skvRec), nil
 }
 
 func init() {
-	RegisterJob(Job{Name: "keyed-sum", Map: keyedSumMap, Reduce: keyedSumReduce, Merge: keyedSumMerge})
-	RegisterJob(Job{Name: "wordcount", Map: wordcountMap, Reduce: wordcountReduce, Merge: wordcountMerge})
+	RegisterJob(Job{Name: "keyed-sum", Map: keyedSumMap, Reduce: keyedSumReduce, Merge: mergeKVRuns})
+	RegisterJob(Job{Name: "wordcount", Map: wordcountMap, Reduce: wordcountReduce, Merge: mergeSKVRuns})
 }
 
 // stageParts is the task count of stage g of the job's chain, and so

@@ -61,28 +61,25 @@ func (l *liveness) Beat(id int, now time.Time) bool {
 	return true
 }
 
-// Expire declares dead every live executor whose last beat is at least
+// Expired returns every live executor whose last beat is at least
 // timeout old — an executor exactly at the boundary (now == last +
-// timeout) is dead — and returns the newly dead IDs.
-func (l *liveness) Expire(now time.Time) []int {
+// timeout) has expired. It declares nothing: the caller runs the loss
+// path, which invalidates the executor's outputs before MarkDead.
+func (l *liveness) Expired(now time.Time) []int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var newlyDead []int
+	var expired []int
 	for id, last := range l.last {
-		if l.dead[id] {
-			continue
-		}
-		if now.Sub(last) >= l.timeout {
-			l.dead[id] = true
-			newlyDead = append(newlyDead, id)
+		if !l.dead[id] && now.Sub(last) >= l.timeout {
+			expired = append(expired, id)
 		}
 	}
-	return newlyDead
+	return expired
 }
 
-// MarkDead force-declares an executor dead (process kill observed, or
-// peers reported its shuffle server unreachable). Reports whether the
-// executor was alive.
+// MarkDead declares an executor dead (heartbeats expired, process kill
+// observed, or peers reported its shuffle server unreachable). Reports
+// whether the executor was alive.
 func (l *liveness) MarkDead(id int) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()

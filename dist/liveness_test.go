@@ -17,24 +17,25 @@ func TestLivenessBoundary(t *testing.T) {
 	}
 
 	// One nanosecond short of the timeout: still alive.
-	if dead := l.Expire(base.Add(timeout - time.Nanosecond)); len(dead) != 0 {
+	if dead := l.Expired(base.Add(timeout - time.Nanosecond)); len(dead) != 0 {
 		t.Fatalf("expired %v before the timeout elapsed", dead)
 	}
 	// A beat resets executor 1's clock.
 	if !l.Beat(1, base.Add(500*time.Millisecond)) {
 		t.Fatal("beat from live executor rejected")
 	}
-	// Exactly at the boundary: executor 0 (quiet since base) is dead;
-	// executor 1 (beat at +500ms) survives.
-	dead := l.Expire(base.Add(timeout))
+	// Exactly at the boundary: executor 0 (quiet since base) has
+	// expired; executor 1 (beat at +500ms) survives. Expired only
+	// reports — the loss path declares the death.
+	dead := l.Expired(base.Add(timeout))
 	if len(dead) != 1 || dead[0] != 0 {
 		t.Fatalf("at boundary: expired %v, want [0]", dead)
 	}
-	if !l.Dead(0) || l.Dead(1) {
-		t.Fatalf("dead set: 0=%v 1=%v, want true/false", l.Dead(0), l.Dead(1))
+	if l.Dead(0) || !l.MarkDead(0) || !l.Dead(0) || l.Dead(1) {
+		t.Fatalf("dead set after MarkDead(0): 0=%v 1=%v, want true/false", l.Dead(0), l.Dead(1))
 	}
-	// Expire is not re-entrant for the same corpse.
-	if dead := l.Expire(base.Add(10 * timeout)); len(dead) != 1 || dead[0] != 1 {
+	// A corpse does not expire again.
+	if dead := l.Expired(base.Add(10 * timeout)); len(dead) != 1 || dead[0] != 1 {
 		t.Fatalf("second expire: %v, want [1]", dead)
 	}
 }
@@ -45,7 +46,7 @@ func TestLivenessNoZombieResurrection(t *testing.T) {
 	if err := l.Register(0, base); err != nil {
 		t.Fatal(err)
 	}
-	if dead := l.Expire(base.Add(2 * time.Second)); len(dead) != 1 {
+	if dead := l.Expired(base.Add(2 * time.Second)); len(dead) != 1 || !l.MarkDead(0) {
 		t.Fatalf("expire: %v", dead)
 	}
 	// A late heartbeat from the declared-dead executor must be ignored.
@@ -55,7 +56,7 @@ func TestLivenessNoZombieResurrection(t *testing.T) {
 	if !l.Dead(0) {
 		t.Fatal("executor resurrected")
 	}
-	if dead := l.Expire(base.Add(time.Hour)); len(dead) != 0 {
+	if dead := l.Expired(base.Add(time.Hour)); len(dead) != 0 {
 		t.Fatalf("dead executor expired again: %v", dead)
 	}
 	// Its identity stays burned: re-registration is rejected.

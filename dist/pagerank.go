@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
-	"sort"
 
 	"hpcmr/engine"
 )
@@ -175,20 +174,7 @@ func pagerankReduce(spec JobSpec, part int, chunks []any) ([]byte, error) {
 		rank := base + prDamping*contrib[n]
 		out = append(out, KV{K: n, V: int64(math.Round(rank * 1e12))})
 	}
-	return gobEncode(out)
-}
-
-func pagerankMerge(_ JobSpec, parts [][]byte) ([]byte, error) {
-	var all []KV
-	for _, p := range parts {
-		kvs, err := DecodeKVs(p)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, kvs...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].K < all[j].K })
-	return gobEncode(all)
+	return encodeRun(&intKeys, out, kvRec), nil
 }
 
 func init() {
@@ -197,7 +183,7 @@ func init() {
 		Name:   "pagerank",
 		Map:    pagerankMap,
 		Reduce: pagerankReduce,
-		Merge:  pagerankMerge,
+		Merge:  mergeKVRuns,
 		Step:   pagerankStep,
 	})
 }

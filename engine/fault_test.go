@@ -258,3 +258,47 @@ func TestInjectedTaskFailuresDriveRetryBudget(t *testing.T) {
 		t.Fatalf("body ran %d times, want 1 (injected failures precede the body)", ran)
 	}
 }
+
+// TestPutRacingInvalidateNeverLeavesDeadOwner: a put from an executor
+// and that executor's invalidation may interleave any way they like,
+// but afterwards the partition must not be recorded as written by the
+// dead executor — MissingParts would not list it, so lineage repair
+// would re-run nothing while every fetch of it keeps failing (the
+// recovery livelock dist's pagerank chaos sweep hit about once in a
+// hundred runs). The put either lands before the sweep and is swept,
+// or is refused.
+func TestPutRacingInvalidateNeverLeavesDeadOwner(t *testing.T) {
+	for _, meta := range []bool{false, true} {
+		for i := 0; i < 3000; i++ {
+			s := NewShuffleStore()
+			id := s.Register(1, 1)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			var putErr error
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				<-start
+				if meta {
+					putErr = s.PutChunkMetaFrom(id, 0, 1, nil)
+				} else {
+					putErr = s.PutChunksFrom(id, 0, 1, []any{[]int{1}})
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				<-start
+				s.InvalidateOwner(1)
+			}()
+			close(start)
+			wg.Wait()
+			if putErr != nil && !errors.Is(putErr, ErrExecutorLost) {
+				t.Fatal(putErr)
+			}
+			if owner := s.Owners(id)[0]; owner == 1 || s.Complete(id) {
+				t.Fatalf("meta=%v round %d: put error %v, yet partition 0 is recorded as written by the invalidated executor (owner %d)",
+					meta, i, putErr, owner)
+			}
+		}
+	}
+}

@@ -253,14 +253,32 @@ func (s *ShuffleStore) RegisterWithID(id, mapParts, reduceParts int) error {
 	return nil
 }
 
-// get looks a shuffle up under the shared registry lock, also reporting
-// whether owner is banned from writing.
-func (s *ShuffleStore) get(shuffleID, owner int) (*shuffleData, bool, bool) {
+// get looks a shuffle up under the shared registry lock.
+func (s *ShuffleStore) get(shuffleID int) (*shuffleData, bool) {
 	s.mu.RLock()
 	d, ok := s.shuffles[shuffleID]
+	s.mu.RUnlock()
+	return d, ok
+}
+
+// lockPut takes d's lock for a write by owner, refusing a banned owner
+// with ErrExecutorLost. The ban is read under the lock on purpose:
+// InvalidateOwner sets it and then sweeps every shuffle under that
+// shuffle's lock, so a put either is written before the sweep reaches
+// it (and swept) or sees the ban. Read before the lock, a put could
+// land after the sweep and leave its partition owned by a dead
+// executor: written, so MissingParts never reports it and no repair
+// re-runs it, yet unfetchable.
+func (s *ShuffleStore) lockPut(d *shuffleData, shuffleID, owner int) error {
+	d.mu.Lock()
+	s.mu.RLock()
 	banned := owner >= 0 && s.lost[owner]
 	s.mu.RUnlock()
-	return d, ok, banned
+	if banned {
+		d.mu.Unlock()
+		return fmt.Errorf("engine: shuffle %d: write from executor %d: %w", shuffleID, owner, ErrExecutorLost)
+	}
+	return nil
 }
 
 // PutChunksFrom stores a map partition's output produced by owner: one
@@ -270,12 +288,9 @@ func (s *ShuffleStore) get(shuffleID, owner int) (*shuffleData, bool, bool) {
 // executor's loss cannot resurrect dropped output. Re-puts (task
 // retries) overwrite the previous attempt.
 func (s *ShuffleStore) PutChunksFrom(shuffleID, mapPart, owner int, chunks []any) error {
-	d, ok, banned := s.get(shuffleID, owner)
+	d, ok := s.get(shuffleID)
 	if !ok {
 		return fmt.Errorf("engine: unknown shuffle %d", shuffleID)
-	}
-	if banned {
-		return fmt.Errorf("engine: shuffle %d: write from executor %d: %w", shuffleID, owner, ErrExecutorLost)
 	}
 	if mapPart < 0 || mapPart >= d.mapParts {
 		return fmt.Errorf("engine: shuffle %d: map partition %d out of range", shuffleID, mapPart)
@@ -288,7 +303,9 @@ func (s *ShuffleStore) PutChunksFrom(shuffleID, mapPart, owner int, chunks []any
 		r, b := chunkVolume(ch)
 		records, bytes = records+r, bytes+b
 	}
-	d.mu.Lock()
+	if err := s.lockPut(d, shuffleID, owner); err != nil {
+		return err
+	}
 	if s.spill != nil {
 		// A re-put (task retry, recovery) supersedes the previous
 		// attempt wherever it lives: drop its spill file, retire its
@@ -328,7 +345,7 @@ func (s *ShuffleStore) PutChunksFrom(shuffleID, mapPart, owner int, chunks []any
 // from the resident count, so it reports success without writing.
 func (s *ShuffleStore) evictFunc(shuffleID, mapPart int, gen uint64) func() bool {
 	return func() bool {
-		d, ok, _ := s.get(shuffleID, -1)
+		d, ok := s.get(shuffleID)
 		if !ok {
 			return true
 		}
@@ -397,7 +414,7 @@ func (s *ShuffleStore) dropCorruptSpill(d *shuffleData, shuffleID, mapPart int, 
 // ShuffleVolume returns the cumulative movement through one shuffle
 // (zero Volume for unknown IDs).
 func (s *ShuffleStore) ShuffleVolume(shuffleID int) Volume {
-	d, ok, _ := s.get(shuffleID, -1)
+	d, ok := s.get(shuffleID)
 	if !ok {
 		return Volume{}
 	}
@@ -439,12 +456,9 @@ func (s *ShuffleStore) PutFrom(shuffleID, mapPart, owner int, buckets [][]any) e
 // rows contribute nothing to the store's movement counters — the data
 // never moved through this store.
 func (s *ShuffleStore) PutChunkMetaFrom(shuffleID, mapPart, owner int, bucketBytes []int64) error {
-	d, ok, banned := s.get(shuffleID, owner)
+	d, ok := s.get(shuffleID)
 	if !ok {
 		return fmt.Errorf("engine: unknown shuffle %d", shuffleID)
-	}
-	if banned {
-		return fmt.Errorf("engine: shuffle %d: write from executor %d: %w", shuffleID, owner, ErrExecutorLost)
 	}
 	if mapPart < 0 || mapPart >= d.mapParts {
 		return fmt.Errorf("engine: shuffle %d: map partition %d out of range", shuffleID, mapPart)
@@ -452,7 +466,9 @@ func (s *ShuffleStore) PutChunkMetaFrom(shuffleID, mapPart, owner int, bucketByt
 	if bucketBytes != nil && len(bucketBytes) != d.reduceParts {
 		return fmt.Errorf("engine: shuffle %d: got %d bucket weights, want %d", shuffleID, len(bucketBytes), d.reduceParts)
 	}
-	d.mu.Lock()
+	if err := s.lockPut(d, shuffleID, owner); err != nil {
+		return err
+	}
 	d.chunks[mapPart] = make([]any, d.reduceParts)
 	d.written[mapPart] = true
 	d.owners[mapPart] = owner
@@ -475,7 +491,7 @@ func (s *ShuffleStore) PutChunkMetaFrom(shuffleID, mapPart, owner int, bucketByt
 // unwritten partitions contribute nothing. The result is
 // [reducePart][executor].
 func (s *ShuffleStore) OwnerReduceBytes(shuffleID, executors int, spillDiscount float64) [][]float64 {
-	d, ok, _ := s.get(shuffleID, -1)
+	d, ok := s.get(shuffleID)
 	if !ok || executors <= 0 {
 		return nil
 	}
@@ -545,7 +561,7 @@ func anyChunkWritten(row []any) bool {
 // partition reported missing, which sends the caller down the existing
 // third level: lineage re-execution.
 func (s *ShuffleStore) FetchChunks(shuffleID, reducePart int) ([]any, error) {
-	d, ok, _ := s.get(shuffleID, -1)
+	d, ok := s.get(shuffleID)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown shuffle %d", shuffleID)
 	}
@@ -589,7 +605,7 @@ func (s *ShuffleStore) FetchChunks(shuffleID, reducePart int) ([]any, error) {
 // serves at: a remote reducer asks an executor only for the map
 // partitions that executor owns.
 func (s *ShuffleStore) FetchChunk(shuffleID, mapPart, reducePart int) (any, error) {
-	d, ok, _ := s.get(shuffleID, -1)
+	d, ok := s.get(shuffleID)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown shuffle %d", shuffleID)
 	}
@@ -627,7 +643,7 @@ func (s *ShuffleStore) FetchChunk(shuffleID, mapPart, reducePart int) (any, erro
 // executor loss). The distributed driver builds reduce-task fetch
 // locations from this.
 func (s *ShuffleStore) Owners(shuffleID int) []int {
-	d, ok, _ := s.get(shuffleID, -1)
+	d, ok := s.get(shuffleID)
 	if !ok {
 		return nil
 	}
@@ -695,7 +711,7 @@ func (s *ShuffleStore) InvalidateOwner(owner int) []LostPart {
 
 	var lost []LostPart
 	for _, id := range ids {
-		d, ok, _ := s.get(id, -1)
+		d, ok := s.get(id)
 		if !ok {
 			continue
 		}
@@ -731,7 +747,7 @@ func (s *ShuffleStore) InvalidateOwner(owner int) []LostPart {
 // MissingParts returns the map partitions of a shuffle that are not
 // currently materialized, ascending.
 func (s *ShuffleStore) MissingParts(shuffleID int) []int {
-	d, ok, _ := s.get(shuffleID, -1)
+	d, ok := s.get(shuffleID)
 	if !ok {
 		return nil
 	}
@@ -748,7 +764,7 @@ func (s *ShuffleStore) MissingParts(shuffleID int) []int {
 
 // Complete reports whether every map partition has been written.
 func (s *ShuffleStore) Complete(shuffleID int) bool {
-	d, ok, _ := s.get(shuffleID, -1)
+	d, ok := s.get(shuffleID)
 	if !ok {
 		return false
 	}

@@ -56,10 +56,20 @@ func TestMapSideCombineABGate(t *testing.T) {
 
 // TestPagerankLocalityABGate is the acceptance A/B for shuffle-locality
 // placement: the iterative pagerank scenario with placement on must
-// resolve >= 90% of its gather bytes through the co-located zero-copy
-// path and move strictly fewer remote bytes than the locality-disabled
-// twin, which pays gob encode/decode and loopback TCP for almost every
-// gather.
+// move strictly fewer remote bytes than the locality-disabled twin,
+// which pays gob encode/decode and loopback TCP for almost every
+// gather, and must resolve most of its gather bytes through the
+// co-located zero-copy path.
+//
+// Only the first of those is a fact of the code. The ratio depends on
+// which executor slot frees first, so it moves with whatever else the
+// machine is running: an idle host gives 0.95-0.97, sibling test
+// packages competing for two CPUs have produced 0.88. Tier-1 therefore
+// asserts a floor with real margin (0.75; placement that stopped
+// working collapses toward 1/executors = 0.25). The 0.9 figure belongs
+// to runs that have the machine to themselves: the CI perf job, where
+// shuffle_local_fetch_ratio is a gated extra of this scenario against
+// BENCH_perf.json, and e2ebench's iter-local workload.
 func TestPagerankLocalityABGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full A/B measurement in -short")
@@ -70,8 +80,8 @@ func TestPagerankLocalityABGate(t *testing.T) {
 	if !ok {
 		t.Fatalf("locality scenario reported no shuffle_local_fetch_ratio: %v", local.Extra)
 	}
-	if ratio < 0.9 {
-		t.Fatalf("local fetch ratio %.4f, want >= 0.9", ratio)
+	if ratio < 0.75 {
+		t.Fatalf("local fetch ratio %.4f, want >= 0.75", ratio)
 	}
 	if lb, rb := local.Extra["remote_fetch_bytes"], remote.Extra["remote_fetch_bytes"]; lb >= rb {
 		t.Fatalf("locality-on moved %.0f remote bytes, not below locality-off's %.0f", lb, rb)

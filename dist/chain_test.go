@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -56,6 +57,40 @@ func init() {
 			return out, nil
 		},
 	})
+	// echo-order: buckets whose records are in no order at all, and a
+	// reduce that holds every chunk it gathers against Map itself.
+	RegisterJob(Job{
+		Name: "echo-order",
+		Map:  echoOrderMap,
+		Reduce: func(spec JobSpec, part int, chunks []any) ([]byte, error) {
+			if len(chunks) != spec.MapParts {
+				return nil, fmt.Errorf("gathered %d chunks from %d map partitions", len(chunks), spec.MapParts)
+			}
+			for m, ch := range chunks {
+				if put, _ := echoOrderMap(spec, m); !reflect.DeepEqual(ch, put.Buckets[part]) {
+					return nil, fmt.Errorf("reduce %d: chunk %d is not what map partition %d put:\n got %v\nwant %v", part, m, m, ch, put.Buckets[part])
+				}
+			}
+			return []byte{'0' + byte(part)}, nil
+		},
+		Merge: func(_ JobSpec, parts [][]byte) ([]byte, error) { return bytes.Join(parts, nil), nil },
+	})
+	// descending-bucket: a job that breaks the built-in reduce's
+	// contract — map partition 2 emits its buckets in descending order.
+	RegisterJob(Job{
+		Name: "descending-bucket",
+		Map: func(spec JobSpec, part int) (MapOutput, error) {
+			out := MapOutput{Buckets: make([]any, spec.ReduceParts), Records: 2 * int64(spec.ReduceParts)}
+			for r := range out.Buckets {
+				if out.Buckets[r] = []KV{{4, 1}, {9, 1}}; part == 2 {
+					out.Buckets[r] = []KV{{9, 1}, {4, 1}}
+				}
+			}
+			return out, nil
+		},
+		Reduce: keyedSumReduce,
+		Merge:  mergeKVRuns,
+	})
 	// panic-map: a job with a deterministic bug in one map partition.
 	RegisterJob(Job{
 		Name: "panic-map",
@@ -88,6 +123,26 @@ func init() {
 			return bytes.Join(parts, []byte{','}), nil
 		},
 	})
+}
+
+// echoOrderMap puts, per bucket, up to 200 records with keys repeating
+// and in random order; one bucket in four is nil.
+func echoOrderMap(spec JobSpec, part int) (MapOutput, error) {
+	out := MapOutput{Buckets: make([]any, spec.ReduceParts)}
+	rng := rand.New(rand.NewSource(int64(part)))
+	for r := range out.Buckets {
+		if (part+r)%4 == 0 {
+			continue
+		}
+		b := make([]KV, 1+rng.Intn(200))
+		for i := range b {
+			b[i] = KV{K: rng.Int63n(50) - 25, V: rng.Int63()}
+		}
+		out.Buckets[r] = b
+		out.Records += int64(len(b))
+		out.Bytes += int64(len(b)) * 16
+	}
+	return out, nil
 }
 
 // stageLog records, through the driver runtime's listener, every stage
@@ -298,6 +353,82 @@ func TestJobPanicFailsAttemptNotCluster(t *testing.T) {
 		t.Fatalf("job after the panicking one: %v", err)
 	}
 	checkKeyedSum(t, out, spec.Records, spec.Keys)
+}
+
+// TestBucketOrderSurvivesShuffle: what a reduce task gathers is, chunk
+// by chunk in map-partition order, what Map put — across peer fetches,
+// and with every chunk evicted to a spill file and restored. The
+// built-in reduces merge on the strength of this; here it is tested
+// where it could break.
+func TestBucketOrderSurvivesShuffle(t *testing.T) {
+	spec := JobSpec{Job: "echo-order", MapParts: 7, ReduceParts: 5}
+	for _, budget := range []int64{0, 1} {
+		lc, err := StartLocal(LocalConfig{Executors: 3, MemoryBudget: budget, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var remote int64
+		lc.Driver.Runtime().AddListener(engine.FuncListener{Fetch: func(e engine.FetchEvent) {
+			if e.Remote {
+				mu.Lock()
+				remote += e.Records
+				mu.Unlock()
+			}
+		}})
+		out, err := lc.Run(spec)
+		if err != nil || string(out) != "01234" {
+			t.Errorf("budget %d: got %q, %v", budget, out, err)
+		}
+		var restores int64
+		for _, e := range lc.execs {
+			st, _ := e.store.SpillStats()
+			restores += st.Restores
+		}
+		lc.Close()
+		if remote == 0 || (budget > 0) != (restores > 0) {
+			t.Errorf("budget %d: %d records fetched from peers, %d spill restores: the path under test did not run", budget, remote, restores)
+		}
+	}
+}
+
+// TestUnorderedBucketFailsJobPromptly: a Map that hands the built-in
+// reduce a bucket out of order is a deterministic bug in the job; the
+// job fails with the error naming the map partition and the two keys,
+// without a round of lineage recovery, and costs no executor.
+func TestUnorderedBucketFailsJobPromptly(t *testing.T) {
+	var mu sync.Mutex
+	repairs := 0
+	lc, err := StartLocal(LocalConfig{Executors: 3, Logf: func(format string, args ...any) {
+		if strings.Contains(format, "repairing") {
+			mu.Lock()
+			repairs++
+			mu.Unlock()
+		}
+		t.Logf(format, args...)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := Submit(lc.Driver.ClientAddr(), JobSpec{Job: "descending-bucket", MapParts: 4, ReduceParts: 2})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "chunk 2 is not strictly ascending by key: 9 then 4") {
+			t.Fatalf("got %v, want the reduce's error naming chunk 2", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("job with a descending bucket hung")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if alive := lc.Driver.Runtime().AliveExecutors(); alive != 3 || repairs != 0 {
+		t.Errorf("after the failed job: %d of 3 executors alive, %d lineage repairs", alive, repairs)
+	}
 }
 
 // TestEmptyReduceOutputIsAResult: gob drops a zero-length

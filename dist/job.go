@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"hash/fnv"
 	"os"
 	"sort"
 	"strings"
@@ -32,6 +31,11 @@ type JobSpec struct {
 // MapOutput is one map task's result: exactly ReduceParts bucket
 // chunks (nil where empty) plus the shuffle volume they represent.
 type MapOutput struct {
+	// Buckets[r] is the chunk reduce partition r gathers from this map
+	// partition. The runtime hands every chunk back element for element
+	// as it was put (store, spill, restore, peer fetch), indexed by map
+	// partition, so Reduce can rely on the order Map gave it. Gathered
+	// chunks are read-only: a co-located one is the store's own slice.
 	Buckets []any
 	Records int64
 	Bytes   int64
@@ -83,10 +87,11 @@ func LookupJob(name string) (Job, error) {
 // ---- keyed-sum: the chaos and perf workhorse ----
 //
 // Key k sums every i in [0, Records) with i % Keys == k. The map side
-// combines (one record per distinct key per partition), buckets by
-// key % ReduceParts, and emits each bucket sorted by key; reduce emits
-// its sums as a sorted run and merge only merges sorted runs, so the
-// result is byte-identical run to run.
+// combines and buckets by key % ReduceParts; every bucket it emits is
+// strictly ascending by key (one record per key — what "combined"
+// means). Reduce merges the buckets it gathers into a sorted run
+// (reduceRuns, which fails on a bucket that is not) and merge only
+// merges sorted runs, so the result is byte-identical run to run.
 
 func keyedSumMap(spec JobSpec, part int) (MapOutput, error) {
 	lo := spec.Records * int64(part) / int64(spec.MapParts)
@@ -114,32 +119,14 @@ func keyedSumMap(spec JobSpec, part int) (MapOutput, error) {
 }
 
 func keyedSumReduce(_ JobSpec, _ int, chunks []any) ([]byte, error) {
-	sums := make(map[int64]int64)
-	for _, ch := range chunks {
-		if ch == nil {
-			continue
-		}
-		kvs, ok := ch.([]KV)
-		if !ok {
-			return nil, fmt.Errorf("dist: keyed-sum reduce got chunk %T, want []KV", ch)
-		}
-		for _, kv := range kvs {
-			sums[kv.K] += kv.V
-		}
-	}
-	out := make([]KV, 0, len(sums))
-	for k, v := range sums {
-		out = append(out, KV{K: k, V: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].K < out[j].K })
-	return encodeRun(&intKeys, out, kvRec), nil
+	return reduceRuns(&intKeys, chunks, kvRec, mkKV)
 }
 
 // ---- wordcount: the mrrun-facing job ----
 //
 // Each map partition takes a contiguous range of the file's lines,
-// counts words (whitespace-split, lowercased), and buckets by
-// fnv32(word) % ReduceParts.
+// counts words (whitespace-split, lowercased), and buckets by fnv32a(word)
+// % ReduceParts; as in keyed-sum, a bucket is strictly ascending by key.
 
 func wordcountLines(spec JobSpec, part int) ([]string, error) {
 	data, err := os.ReadFile(spec.Path)
@@ -151,6 +138,15 @@ func wordcountLines(spec JobSpec, part int) ([]string, error) {
 	lo := n * int64(part) / int64(spec.MapParts)
 	hi := n * int64(part+1) / int64(spec.MapParts)
 	return lines[lo:hi], nil
+}
+
+// fnv32a is hash/fnv's New32a().Sum32() of s without a hasher or a copy.
+func fnv32a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
 }
 
 func wordcountMap(spec JobSpec, part int) (MapOutput, error) {
@@ -167,9 +163,7 @@ func wordcountMap(spec JobSpec, part int) (MapOutput, error) {
 	buckets := make([][]SKV, spec.ReduceParts)
 	out := MapOutput{Buckets: make([]any, spec.ReduceParts)}
 	for w, c := range counts {
-		h := fnv.New32a()
-		h.Write([]byte(w))
-		r := int(h.Sum32() % uint32(spec.ReduceParts))
+		r := int(fnv32a(w) % uint32(spec.ReduceParts))
 		buckets[r] = append(buckets[r], SKV{K: w, V: c})
 	}
 	for r, b := range buckets {
@@ -187,25 +181,7 @@ func wordcountMap(spec JobSpec, part int) (MapOutput, error) {
 }
 
 func wordcountReduce(_ JobSpec, _ int, chunks []any) ([]byte, error) {
-	counts := make(map[string]int64)
-	for _, ch := range chunks {
-		if ch == nil {
-			continue
-		}
-		kvs, ok := ch.([]SKV)
-		if !ok {
-			return nil, fmt.Errorf("dist: wordcount reduce got chunk %T, want []SKV", ch)
-		}
-		for _, kv := range kvs {
-			counts[kv.K] += kv.V
-		}
-	}
-	out := make([]SKV, 0, len(counts))
-	for k, v := range counts {
-		out = append(out, SKV{K: k, V: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].K < out[j].K })
-	return encodeRun(&strKeys, out, skvRec), nil
+	return reduceRuns(&strKeys, chunks, skvRec, mkSKV)
 }
 
 func init() {

@@ -96,14 +96,10 @@ func decodeRun[T any, K cmp.Ordered](kc *keyCodec[K], data []byte, mk func(K, in
 }
 
 // DecodeKVs decodes the result of the integer-keyed jobs.
-func DecodeKVs(data []byte) ([]KV, error) {
-	return decodeRun(&intKeys, data, func(k, v int64) KV { return KV{K: k, V: v} })
-}
+func DecodeKVs(data []byte) ([]KV, error) { return decodeRun(&intKeys, data, mkKV) }
 
 // DecodeSKVs decodes the result of the string-keyed jobs.
-func DecodeSKVs(data []byte) ([]SKV, error) {
-	return decodeRun(&strKeys, data, func(k string, v int64) SKV { return SKV{K: k, V: v} })
-}
+func DecodeSKVs(data []byte) ([]SKV, error) { return decodeRun(&strKeys, data, mkSKV) }
 
 // encodeRun encodes records already sorted by key, as every Reduce has
 // them, as a run.
@@ -115,6 +111,70 @@ func encodeRun[T any, K cmp.Ordered](kc *keyCodec[K], recs []T, rec func(T) (K, 
 		out, prev = binary.AppendVarint(kc.put(out, prev, k), v), k
 	}
 	return out
+}
+
+// reduceRuns is the Reduce of the combining built-in jobs. A gathered
+// chunk is a map partition's combined bucket, strictly ascending by key,
+// so the partition's run is a merge, not a hash and a sort: chunk 0 is
+// merged with 1, 2 with 3, ..., equal keys summed, and the merged runs
+// pairwise again until one is left. A level reads and writes memory in
+// order and collapses repeated keys at once; the levels ping-pong between
+// two buffers and the chunks are only read (DESIGN §7). A chunk of the
+// wrong type or out of order is an error naming its index — the map
+// partition that wrote it — never a wrong result.
+func reduceRuns[T any, K cmp.Ordered](kc *keyCodec[K], chunks []any, rec func(T) (K, int64), mk func(K, int64) T) ([]byte, error) {
+	runs := make([][]T, 0, len(chunks))
+	n := 0
+	for i, ch := range chunks {
+		run, ok := ch.([]T)
+		if !ok && ch != nil {
+			return nil, fmt.Errorf("dist: reduce: chunk %d is %T, want %T", i, ch, run)
+		}
+		var prev K
+		for j, r := range run {
+			k, _ := rec(r)
+			if j > 0 && k <= prev {
+				return nil, fmt.Errorf("dist: reduce: chunk %d is not strictly ascending by key: %v then %v", i, prev, k)
+			}
+			prev = k
+		}
+		if len(run) > 0 {
+			runs, n = append(runs, run), n+len(run)
+		}
+	}
+	var dst, src []T // a level's runs lie in src (the first level's are the chunks) and merge into dst
+	for ; len(runs) > 1; dst, src = src, dst {
+		if cap(dst) < n {
+			dst = make([]T, 0, n)
+		}
+		dst = dst[:0]
+		for i := 0; i < len(runs); i += 2 {
+			at, a, b, x, y := len(dst), runs[i], []T(nil), 0, 0
+			if i+1 < len(runs) {
+				b = runs[i+1]
+			}
+			for x < len(a) && y < len(b) {
+				ka, va := rec(a[x])
+				kb, vb := rec(b[y])
+				switch {
+				case ka < kb:
+					dst, x = append(dst, a[x]), x+1
+				case kb < ka:
+					dst, y = append(dst, b[y]), y+1
+				default:
+					dst, x, y = append(dst, mk(ka, va+vb)), x+1, y+1
+				}
+			}
+			dst = append(append(dst, a[x:]...), b[y:]...)
+			runs[i/2] = dst[at:]
+		}
+		runs, n = runs[:(len(runs)+1)/2], len(dst)
+	}
+	var out []T
+	if len(runs) == 1 {
+		out = runs[0]
+	}
+	return encodeRun(kc, out, rec), nil
 }
 
 // mergeRuns is the Merge of every built-in job: a k-way merge of the
@@ -188,6 +248,8 @@ func mergeRuns[K cmp.Ordered](kc *keyCodec[K], parts [][]byte) ([]byte, error) {
 
 func kvRec(r KV) (int64, int64)    { return r.K, r.V }
 func skvRec(r SKV) (string, int64) { return r.K, r.V }
+func mkKV(k, v int64) KV           { return KV{K: k, V: v} }
+func mkSKV(k string, v int64) SKV  { return SKV{K: k, V: v} }
 
 func mergeKVRuns(_ JobSpec, parts [][]byte) ([]byte, error)  { return mergeRuns(&intKeys, parts) }
 func mergeSKVRuns(_ JobSpec, parts [][]byte) ([]byte, error) { return mergeRuns(&strKeys, parts) }

@@ -49,25 +49,37 @@ func refSKVRun(counts map[string]int64) []byte {
 	return out
 }
 
+// gatherSerially runs a job's Map over every map partition and hands
+// back what each reduce partition gathers: bucket r of every map
+// partition, in map order.
+func gatherSerially(tb testing.TB, spec JobSpec) [][]any {
+	tb.Helper()
+	job, err := LookupJob(spec.Job)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gathered := make([][]any, spec.ReduceParts)
+	for m := 0; m < spec.MapParts; m++ {
+		mo, err := job.Map(spec, m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for r, b := range mo.Buckets {
+			gathered[r] = append(gathered[r], b)
+		}
+	}
+	return gathered
+}
+
 // runJobSerially drives a job's Map, Reduce and Merge the way the
-// cluster does (reduce partition r gathers bucket r of every map
-// partition, in map order), without one.
+// cluster does, without one.
 func runJobSerially(t *testing.T, spec JobSpec) []byte {
 	t.Helper()
 	job, err := LookupJob(spec.Job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gathered := make([][]any, spec.ReduceParts)
-	for m := 0; m < spec.MapParts; m++ {
-		mo, err := job.Map(spec, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r, b := range mo.Buckets {
-			gathered[r] = append(gathered[r], b)
-		}
-	}
+	gathered := gatherSerially(t, spec)
 	parts := make([][]byte, spec.ReduceParts)
 	for r := range parts {
 		if parts[r], err = job.Reduce(spec, r, gathered[r]); err != nil {
@@ -163,10 +175,12 @@ func TestWordcountMatchesReference(t *testing.T) {
 }
 
 // TestMergeRejectsUnsortedPart: the merge trusts each part to be
-// key-sorted; one that is not must fail the job, naming the part, rather
-// than yield a result that is silently out of order. (An int64 run
-// cannot encode disorder at all — TestDecodeRunRejectsDamage.) Reduce
-// itself takes its chunks in any order and sums a repeated key.
+// key-sorted, and the reduce each chunk to be strictly ascending by key;
+// one that is not must fail the job, naming the part or the chunk,
+// rather than yield a result that is silently out of order or short of
+// a record. (An int64 run cannot encode disorder at all —
+// TestDecodeRunRejectsDamage.) The order of the chunks relative to each
+// other is free, and so are nil and empty ones.
 func TestMergeRejectsUnsortedPart(t *testing.T) {
 	good := refSKVRun(map[string]int64{"a": 1, "c": 2})
 	bad := append(binary.AppendUvarint(nil, 2), 1, 'b', 2, 1, 'a', 2) // b, then a
@@ -174,12 +188,24 @@ func TestMergeRejectsUnsortedPart(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "part 2: not key-sorted: a after b") {
 		t.Fatalf("unsorted SKV part: got %v", err)
 	}
-	if _, err = keyedSumReduce(JobSpec{}, 0, []any{[]SKV{{"a", 1}}}); err == nil {
-		t.Fatal("a chunk of the wrong record type was accepted")
+	for _, tc := range []struct {
+		reduce func(JobSpec, int, []any) ([]byte, error)
+		chunks []any
+		want   string
+	}{
+		{keyedSumReduce, []any{nil, []SKV{{"a", 1}}}, "chunk 1 is []dist.SKV, want []dist.KV"},
+		{wordcountReduce, []any{[]KV{{1, 1}}}, "chunk 0 is []dist.KV, want []dist.SKV"},
+		{keyedSumReduce, []any{[]KV{{9, 1}, {4, 1}, {4, 2}}, nil, []KV{{4, 4}}}, "chunk 0 is not strictly ascending by key: 9 then 4"},
+		{keyedSumReduce, []any{[]KV{{4, 4}}, []KV{}, []KV{{4, 1}, {4, 2}, {9, 1}}}, "chunk 2 is not strictly ascending by key: 4 then 4"},
+		{wordcountReduce, []any{nil, []SKV{{"a", 1}, {"b", 1}, {"ab", 1}}}, "chunk 1 is not strictly ascending by key: b then ab"},
+	} {
+		if run, err := tc.reduce(JobSpec{}, 0, tc.chunks); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: got % x, %v; want an error with %q", tc.chunks, run, err, tc.want)
+		}
 	}
-	run, err := keyedSumReduce(JobSpec{}, 0, []any{[]KV{{9, 1}, {4, 1}, {4, 2}}, nil, []KV{{4, 4}}})
-	if err != nil || !bytes.Equal(run, refKVRun(map[int64]int64{4: 7, 9: 1})) {
-		t.Fatalf("unordered chunks, repeated key: got % x, %v", run, err)
+	run, err := keyedSumReduce(JobSpec{}, 0, []any{[]KV{{9, 1}}, nil, []KV{{4, 4}, {9, 2}}, []KV{}, []KV{{-3, 1}, {4, 3}}})
+	if err != nil || !bytes.Equal(run, refKVRun(map[int64]int64{-3: 1, 4: 7, 9: 3})) {
+		t.Fatalf("chunks in any order, repeated keys: got % x, %v", run, err)
 	}
 }
 
@@ -350,16 +376,7 @@ func FuzzDecodeRun(f *testing.F) {
 // four reduce partitions of eight sorted chunks each, then the merge.
 func BenchmarkResultPath(b *testing.B) {
 	spec := JobSpec{Job: "keyed-sum", Records: 250_000, Keys: 250_000, MapParts: 8, ReduceParts: 4}
-	gathered := make([][]any, spec.ReduceParts)
-	for m := 0; m < spec.MapParts; m++ {
-		mo, err := keyedSumMap(spec, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for r, bk := range mo.Buckets {
-			gathered[r] = append(gathered[r], bk)
-		}
-	}
+	gathered := gatherSerially(b, spec)
 	parts := make([][]byte, spec.ReduceParts)
 	reduce := func() {
 		for r := range parts {

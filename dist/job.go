@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 )
 
@@ -12,7 +11,7 @@ import (
 // both the driver and executor binaries compile in; the spec is the
 // only state that travels.
 type JobSpec struct {
-	// Job names the registered job ("keyed-sum", "wordcount").
+	// Job names the registered job ("keyed-sum", "wordcount", "pagerank").
 	Job string
 	// MapParts/ReduceParts shape the shuffle (defaults: 2x executors
 	// and executors, resolved by the driver).
@@ -36,6 +35,7 @@ type MapOutput struct {
 	// as it was put (store, spill, restore, peer fetch), indexed by map
 	// partition, so Reduce can rely on the order Map gave it. Gathered
 	// chunks are read-only: a co-located one is the store's own slice.
+	// bucketRuns makes the buckets reduceRuns accepts.
 	Buckets []any
 	Records int64
 	Bytes   int64
@@ -96,26 +96,14 @@ func LookupJob(name string) (Job, error) {
 func keyedSumMap(spec JobSpec, part int) (MapOutput, error) {
 	lo := spec.Records * int64(part) / int64(spec.MapParts)
 	hi := spec.Records * int64(part+1) / int64(spec.MapParts)
-	sums := make(map[int64]int64, spec.Keys)
+	// The partition holds hi-lo records, so at most that many keys: the
+	// table is sized by what the task sees, never by the key space.
+	sums := make(map[int64]int64, min(spec.Keys, hi-lo))
 	for i := lo; i < hi; i++ {
 		sums[i%spec.Keys] += i
 	}
-	buckets := make([][]KV, spec.ReduceParts)
-	for k, v := range sums {
-		r := int(k % int64(spec.ReduceParts))
-		buckets[r] = append(buckets[r], KV{K: k, V: v})
-	}
-	out := MapOutput{Buckets: make([]any, spec.ReduceParts)}
-	for r, b := range buckets {
-		if len(b) == 0 {
-			continue
-		}
-		sort.Slice(b, func(i, j int) bool { return b[i].K < b[j].K })
-		out.Buckets[r] = b
-		out.Records += int64(len(b))
-		out.Bytes += int64(len(b)) * 16
-	}
-	return out, nil
+	bucket := func(k int64) int { return int(k % int64(spec.ReduceParts)) }
+	return bucketRuns(sums, spec.ReduceParts, bucket, mkKV, kvRec, func(int64) int64 { return 16 }), nil
 }
 
 func keyedSumReduce(_ JobSpec, _ int, chunks []any) ([]byte, error) {
@@ -160,24 +148,8 @@ func wordcountMap(spec JobSpec, part int) (MapOutput, error) {
 			counts[strings.ToLower(w)]++
 		}
 	}
-	buckets := make([][]SKV, spec.ReduceParts)
-	out := MapOutput{Buckets: make([]any, spec.ReduceParts)}
-	for w, c := range counts {
-		r := int(fnv32a(w) % uint32(spec.ReduceParts))
-		buckets[r] = append(buckets[r], SKV{K: w, V: c})
-	}
-	for r, b := range buckets {
-		if len(b) == 0 {
-			continue
-		}
-		sort.Slice(b, func(i, j int) bool { return b[i].K < b[j].K })
-		out.Buckets[r] = b
-		out.Records += int64(len(b))
-		for _, kv := range b {
-			out.Bytes += int64(len(kv.K)) + 8
-		}
-	}
-	return out, nil
+	bucket := func(w string) int { return int(fnv32a(w) % uint32(spec.ReduceParts)) }
+	return bucketRuns(counts, spec.ReduceParts, bucket, mkSKV, skvRec, func(w string) int64 { return int64(len(w)) + 8 }), nil
 }
 
 func wordcountReduce(_ JobSpec, _ int, chunks []any) ([]byte, error) {

@@ -169,6 +169,41 @@ func TestReduceAllocsIndependentOfChunkCount(t *testing.T) {
 	}
 }
 
+// BenchmarkMap: map partition 0 of the same two jobs — shuffle-wide's
+// 31 250 records of as many keys, dispatch-fine's 250 records over 64.
+func BenchmarkMap(b *testing.B) {
+	for _, shape := range reduceShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := keyedSumMap(shape.spec, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestMapAllocsBoundedByInput: a map task allocates for the keys its
+// partition holds — a table and one slice per bucket — not for the key
+// space. The wide task took 11.5 MB when the table was sized by Keys (eight
+// times what the partition holds); the fine task's 64 keys are its key
+// space, and 4936 bytes is what it took then.
+func TestMapAllocsBoundedByInput(t *testing.T) {
+	for i, limit := range []uint64{2_500_000, 4936} {
+		shape := reduceShapes[i]
+		got := allocBytes(func() {
+			if _, err := keyedSumMap(shape.spec, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d bytes", shape.name, got)
+		if got > limit {
+			t.Errorf("%s: %d bytes per map task, want <= %d", shape.name, got, limit)
+		}
+	}
+}
+
 // TestWordBucketMatchesHashFNV: the inlined hash assigns every word the
 // bucket hash/fnv did, so bucket ownership and the recorded shuffle
 // volumes stay where they were.

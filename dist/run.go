@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // A run is a key-sorted sequence of (key, int64) records, the one shape
@@ -109,6 +110,42 @@ func encodeRun[T any, K cmp.Ordered](kc *keyCodec[K], recs []T, rec func(T) (K, 
 	for _, r := range recs {
 		k, v := rec(r)
 		out, prev = binary.AppendVarint(kc.put(out, prev, k), v), k
+	}
+	return out
+}
+
+// bucketRuns is the tail of the combining built-in Maps, reduceRuns'
+// counterpart: a task's combined sums become its MapOutput, key k in
+// bucket bucket(k), each strictly ascending by key. A counting pass
+// comes first, so a bucket is allocated once, at its length — each its own
+// allocation, because the store decides how long each one lives — then
+// filled and sorted on its concrete type (DESIGN §7). size is what one
+// record of key k adds to MapOutput.Bytes.
+func bucketRuns[T any, K cmp.Ordered](sums map[K]int64, parts int, bucket func(K) int, mk func(K, int64) T, rec func(T) (K, int64), size func(K) int64) MapOutput {
+	counts := make([]int, parts)
+	for k := range sums {
+		counts[bucket(k)]++
+	}
+	buckets := make([][]T, parts)
+	for r, n := range counts {
+		buckets[r] = make([]T, 0, n)
+	}
+	out := MapOutput{Buckets: make([]any, parts), Records: int64(len(sums))}
+	for k, v := range sums {
+		r := bucket(k)
+		buckets[r] = append(buckets[r], mk(k, v))
+		out.Bytes += size(k)
+	}
+	byKey := func(x, y T) int {
+		kx, _ := rec(x)
+		ky, _ := rec(y)
+		return cmp.Compare(kx, ky)
+	}
+	for r, b := range buckets {
+		if len(b) > 0 {
+			slices.SortFunc(b, byKey)
+			out.Buckets[r] = b
+		}
 	}
 	return out
 }

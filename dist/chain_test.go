@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -513,4 +515,98 @@ func TestLossWindowCannotBurnRecoveries(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkKeyedSum(t, out, spec.Records, spec.Keys)
+}
+
+// TestCorruptSpillOnLiveExecutorRecomputes: the third level of the read
+// path — memory → spill file → lineage — must hold on a cluster too. A
+// spill file damaged after the map stage makes its (live) owner drop
+// the partition and answer the gather with a miss; the driver's
+// placeholder row still names that owner, so unless the miss takes the
+// row with it the repair finds nothing to re-run and the job dies after
+// maxJobRecoveries empty rounds. Truncated, bit-flipped or deleted, the
+// job must return the unbudgeted run's bytes, re-run exactly the one
+// map task, and the owner must log exactly one spill-corrupt.
+func TestCorruptSpillOnLiveExecutorRecomputes(t *testing.T) {
+	spec := JobSpec{Job: "keyed-sum", MapParts: 4, ReduceParts: 2, Records: 20_000, Keys: 32}
+	clean, err := StartLocal(LocalConfig{Executors: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := clean.Run(spec)
+	clean.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, damage := range map[string]func(path string) error{
+		"truncate": func(path string) error { return os.Truncate(path, 10) },
+		"bit-flip": func(path string) error {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			raw[len(raw)-1] ^= 0x10 // inside the last bucket's frame
+			return os.WriteFile(path, raw, 0o644)
+		},
+		"delete": os.Remove,
+	} {
+		t.Run(name, func(t *testing.T) {
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp) // executors make their spill dirs under it
+			var mu sync.Mutex
+			corrupt := 0
+			lc, err := StartLocal(LocalConfig{Executors: 2, MemoryBudget: 1, Logf: func(format string, args ...any) {
+				t.Logf(format, args...)
+				if strings.Contains(fmt.Sprintf(format, args...), "spill-corrupt") {
+					mu.Lock()
+					corrupt++
+					mu.Unlock()
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lc.Close()
+			log := watchStages(lc)
+			var once sync.Once
+			lc.Driver.Runtime().AddListener(engine.FuncListener{StageEnd: func(m engine.StageMetrics) {
+				if !strings.Contains(m.Name, "-map-") {
+					return
+				}
+				once.Do(func() {
+					files, _ := filepath.Glob(filepath.Join(tmp, "hpcmr-exec*-spill-*", "*.spill"))
+					if len(files) != spec.MapParts {
+						t.Errorf("found %d spill files after the map stage, want %d", len(files), spec.MapParts)
+						return
+					}
+					if err := damage(files[0]); err != nil {
+						t.Error(err)
+					}
+				})
+			}})
+			got, err := lc.Run(spec)
+			if err != nil {
+				t.Fatalf("job over a damaged spill file: %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("recovered output differs from the unbudgeted run: %d vs %d bytes", len(got), len(want))
+			}
+			log.mu.Lock()
+			defer log.mu.Unlock()
+			var reruns []int
+			for i, stage := range log.stages[1:] {
+				if strings.Contains(stage, "-map-") {
+					reruns = append(reruns, log.tasks[i+1])
+				}
+			}
+			if !reflect.DeepEqual(reruns, []int{1}) {
+				t.Errorf("map re-runs (tasks per repair stage): got %v, want one stage of one task (stages %v)", reruns, log.stages)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if corrupt != 1 {
+				t.Errorf("%d spill-corrupt audit lines, want 1", corrupt)
+			}
+		})
+	}
 }

@@ -92,14 +92,23 @@ func TestLocalClusterWordcount(t *testing.T) {
 	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lc, err := StartLocal(LocalConfig{Executors: 2, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	out, err := lc.Run(JobSpec{Job: "wordcount", Path: path, MapParts: 3, ReduceParts: 2})
-	if err != nil {
-		t.Fatal(err)
+	// The second run spills every map output: string-keyed chunks take
+	// the spill file's gob fallback, and must come back the same.
+	var out []byte
+	for _, budget := range []int64{0, 1} {
+		lc, err := StartLocal(LocalConfig{Executors: 2, MemoryBudget: budget, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := lc.Run(JobSpec{Job: "wordcount", Path: path, MapParts: 3, ReduceParts: 2})
+		lc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if budget > 0 && !bytes.Equal(got, out) {
+			t.Fatalf("1-byte budget output diverged: %d vs %d bytes", len(got), len(out))
+		}
+		out = got
 	}
 	kvs, err := DecodeSKVs(out)
 	if err != nil {

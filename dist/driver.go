@@ -652,6 +652,15 @@ func (d *Driver) runTask(spec JobSpec, st stage, part int, tc *engine.TaskContex
 		d.executorGone(done.UnreachableExec, fmt.Sprintf("shuffle server unreachable (reported by executor %d)", tc.Executor))
 	}
 	if done.Miss {
+		// The owner this attempt was sent to does not have the partition.
+		// A dead owner's rows are swept by the loss path; a live one has
+		// dropped a corrupt spill file, and the driver's row would go on
+		// crediting it — the repair would find nothing missing — unless
+		// the miss takes the row with it.
+		if m := done.MissMapPart; done.MissShuffle == st.gather && m >= 0 && m < len(locs) &&
+			d.rt.Shuffle().InvalidatePart(st.gather, m, locs[m].Exec) {
+			d.logf("executor %d no longer holds shuffle %d map partition %d; lineage will rebuild it", locs[m].Exec, st.gather, m)
+		}
 		return nil, &engine.MapOutputMissingError{Shuffle: done.MissShuffle, MapPart: done.MissMapPart}
 	}
 	if done.Err != "" {

@@ -375,21 +375,20 @@ func (s *ShuffleStore) evictFunc(shuffleID, mapPart int, gen uint64) func() bool
 	}
 }
 
-// loadSpilled reads one spilled map partition back, validating
-// provenance and geometry. Called with d.mu held (read or write).
-func (s *ShuffleStore) loadSpilled(d *shuffleData, shuffleID, mapPart int) (*spill.Entry, error) {
-	e, err := spill.ReadEntryFile(s.spillPath(shuffleID, mapPart), "shuffle", shuffleID, mapPart)
+// loadSpilled reads one bucket of a spilled map partition back — the
+// file's header and that bucket's frame, nothing of the other buckets —
+// validating provenance. Every read counts one restore, of the bytes of
+// the bucket it returned. Called with d.mu held (read or write).
+func (s *ShuffleStore) loadSpilled(shuffleID, mapPart, reducePart int) (any, error) {
+	ch, err := spill.ReadChunkFile(s.spillPath(shuffleID, mapPart), "shuffle", shuffleID, mapPart, reducePart)
 	if err != nil {
 		return nil, err
 	}
-	if len(e.Chunks) != d.reduceParts {
-		return nil, fmt.Errorf("engine: spill of shuffle %d map %d holds %d buckets, want %d",
-			shuffleID, mapPart, len(e.Chunks), d.reduceParts)
-	}
-	s.spill.acct.NoteRestore(d.bytes[mapPart])
-	s.spill.auditf("restore", float64(d.bytes[mapPart]),
-		fmt.Sprintf("shuffle=%d map=%d", shuffleID, mapPart))
-	return e, nil
+	_, bytes := chunkVolume(ch)
+	s.spill.acct.NoteRestore(bytes)
+	s.spill.auditf("restore", float64(bytes),
+		fmt.Sprintf("shuffle=%d map=%d bucket=%d", shuffleID, mapPart, reducePart))
+	return ch, nil
 }
 
 // dropCorruptSpill reacts to an unreadable spill file: if the partition
@@ -402,11 +401,7 @@ func (s *ShuffleStore) dropCorruptSpill(d *shuffleData, shuffleID, mapPart int, 
 	if d.gen[mapPart] != gen || !d.written[mapPart] || !d.spilled[mapPart] {
 		return
 	}
-	os.Remove(s.spillPath(shuffleID, mapPart))
-	d.spilled[mapPart] = false
-	d.written[mapPart] = false
-	d.owners[mapPart] = -1
-	d.gen[mapPart]++
+	s.invalidateRow(d, shuffleID, mapPart)
 	s.spill.auditf("spill-corrupt", float64(d.bytes[mapPart]),
 		fmt.Sprintf("shuffle=%d map=%d dropped for lineage recompute: %v", shuffleID, mapPart, cause))
 }
@@ -555,11 +550,12 @@ func anyChunkWritten(row []any) bool {
 //
 // On a budgeted store this is the two-level read path: resident
 // partitions are served from memory (and touched most-recently-used),
-// spilled ones are decoded from their spill files read-through — they
-// stay on disk, so restores never push the store back over budget. A
-// spill file that fails to decode (disk corruption) is dropped and the
-// partition reported missing, which sends the caller down the existing
-// third level: lineage re-execution.
+// spilled ones are read through from their spill files, one bucket at a
+// time — they stay on disk, so restores never push the store back over
+// budget. A spill file whose header or requested bucket fails to read
+// (disk corruption) is dropped and the partition reported missing,
+// which sends the caller down the existing third level: lineage
+// re-execution.
 func (s *ShuffleStore) FetchChunks(shuffleID, reducePart int) ([]any, error) {
 	d, ok := s.get(shuffleID)
 	if !ok {
@@ -578,12 +574,12 @@ func (s *ShuffleStore) FetchChunks(shuffleID, reducePart int) ([]any, error) {
 			return nil, &MapOutputMissingError{Shuffle: shuffleID, MapPart: m}
 		}
 		if s.spill != nil && d.spilled[m] {
-			e, err := s.loadSpilled(d, shuffleID, m)
+			ch, err := s.loadSpilled(shuffleID, m, reducePart)
 			if err != nil {
 				corrupt, corruptPart, corruptGen = err, m, d.gen[m]
 				break
 			}
-			out[m] = e.Chunks[reducePart]
+			out[m] = ch
 			continue
 		}
 		out[m] = d.chunks[m][reducePart]
@@ -621,14 +617,14 @@ func (s *ShuffleStore) FetchChunk(shuffleID, mapPart, reducePart int) (any, erro
 		return nil, &MapOutputMissingError{Shuffle: shuffleID, MapPart: mapPart}
 	}
 	if s.spill != nil && d.spilled[mapPart] {
-		e, err := s.loadSpilled(d, shuffleID, mapPart)
+		ch, err := s.loadSpilled(shuffleID, mapPart, reducePart)
 		gen := d.gen[mapPart]
 		d.mu.RUnlock()
 		if err != nil {
 			s.dropCorruptSpill(d, shuffleID, mapPart, gen, err)
 			return nil, &MapOutputMissingError{Shuffle: shuffleID, MapPart: mapPart}
 		}
-		return e.Chunks[reducePart], nil
+		return ch, nil
 	}
 	ch := d.chunks[mapPart][reducePart]
 	if s.spill != nil {
@@ -718,30 +714,58 @@ func (s *ShuffleStore) InvalidateOwner(owner int) []LostPart {
 		d.mu.Lock()
 		for m := 0; m < d.mapParts; m++ {
 			if d.written[m] && d.owners[m] == owner {
-				d.written[m] = false
-				d.chunks[m] = make([]any, d.reduceParts)
-				d.owners[m] = -1
-				if d.metaBytes != nil {
-					d.metaBytes[m] = nil
-				}
-				if s.spill != nil {
-					// A spilled partition dies with its owner too: the
-					// spill file is the executor's local disk, and a
-					// crashed executor's disk is gone.
-					s.spill.acct.Release(d.handles[m])
-					d.handles[m] = nil
-					if d.spilled[m] {
-						os.Remove(s.spillPath(id, m))
-						d.spilled[m] = false
-					}
-					d.gen[m]++
-				}
+				s.invalidateRow(d, id, m)
 				lost = append(lost, LostPart{Shuffle: id, MapPart: m})
 			}
 		}
 		d.mu.Unlock()
 	}
 	return lost
+}
+
+// invalidateRow marks one written map partition unwritten and releases
+// whatever held its data. Called with d.mu held for writing.
+func (s *ShuffleStore) invalidateRow(d *shuffleData, shuffleID, m int) {
+	d.written[m] = false
+	d.chunks[m] = make([]any, d.reduceParts)
+	d.owners[m] = -1
+	if d.metaBytes != nil {
+		d.metaBytes[m] = nil
+	}
+	if s.spill != nil {
+		// The spill file goes with the row: it is the owner's local disk,
+		// and a crashed executor's disk is gone; a file that failed a
+		// read is not trusted with the next one.
+		s.spill.acct.Release(d.handles[m])
+		d.handles[m] = nil
+		if d.spilled[m] {
+			os.Remove(s.spillPath(shuffleID, m))
+			d.spilled[m] = false
+		}
+		d.gen[m]++
+	}
+}
+
+// InvalidatePart drops one map partition if owner still holds it, so
+// that MissingParts lists it and lineage re-executes it: the
+// distributed driver's answer to a live executor reporting that it no
+// longer has a partition the driver's placeholder row credits it with
+// (its spill file turned out corrupt). The owner guard makes a stale
+// report harmless — a row since repaired by another executor, or swept
+// by InvalidateOwner, is left alone. Reports whether the row was
+// dropped.
+func (s *ShuffleStore) InvalidatePart(shuffleID, mapPart, owner int) bool {
+	d, ok := s.get(shuffleID)
+	if !ok || mapPart < 0 || mapPart >= d.mapParts || owner < 0 {
+		return false
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.written[mapPart] || d.owners[mapPart] != owner {
+		return false
+	}
+	s.invalidateRow(d, shuffleID, mapPart)
+	return true
 }
 
 // MissingParts returns the map partitions of a shuffle that are not

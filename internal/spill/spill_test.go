@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -16,6 +19,22 @@ type kv struct {
 	V int64
 }
 
+// skv is a string-keyed record: it holds a pointer, so its chunks take
+// the gob fallback.
+type skv struct {
+	K string
+	V int64
+}
+
+// padded mirrors dist.PRRec: seven bytes of padding after Kind, which a
+// slab carries along uninterpreted.
+type padded struct {
+	Kind uint8
+	Node int64
+	Val  float64
+	Load [2]float64
+}
+
 func sampleEntry() *Entry {
 	return &Entry{
 		Space: "shuffle", ID: 7, Part: 3, Owner: 2,
@@ -25,28 +44,80 @@ func sampleEntry() *Entry {
 			[]int64{5, 6, 7},
 			[]any{int64(9), "mixed"},
 			nil,
+			[]skv{{"a", 1}, {"bb", 2}},
+			[]padded{{Kind: 1, Node: 4, Val: 0.5, Load: [2]float64{1, 2}}},
 		},
 	}
 }
 
-func encodeEntry(t *testing.T, e *Entry) []byte {
+func encodeEntry(t testing.TB, e *Entry) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, e); err != nil {
+	n, err := Encode(&buf, e)
+	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
+	if n != int64(buf.Len()) {
+		t.Fatalf("Encode reports %d bytes, wrote %d", n, buf.Len())
+	}
 	return buf.Bytes()
+}
+
+func decodeBytes(raw []byte) (*Entry, error) {
+	return Decode(bytes.NewReader(raw), int64(len(raw)))
+}
+
+// craft lays a file out from a hand-built header and frames, for index
+// claims Encode would never write.
+func craft(t testing.TB, h header, frames ...[]byte) []byte {
+	t.Helper()
+	raw := encodeHeader(&h)
+	for _, f := range frames {
+		raw = append(raw, f...)
+	}
+	return raw
 }
 
 func TestEntryRoundTrip(t *testing.T) {
 	e := sampleEntry()
 	raw := encodeEntry(t, e)
-	got, err := Decode(bytes.NewReader(raw))
+	got, err := decodeBytes(raw)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(got, e) {
 		t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, e)
+	}
+	if again := encodeEntry(t, got); !bytes.Equal(again, raw) {
+		t.Fatal("re-encoding the decoded entry changed its bytes")
+	}
+}
+
+// TestSlabChosenByType pins which chunk types are written as raw memory
+// and which fall back to gob: the choice is the element type's, nothing
+// else's.
+func TestSlabChosenByType(t *testing.T) {
+	for _, c := range []struct {
+		chunk any
+		slab  bool
+	}{
+		{[]kv{}, true},
+		{[]padded{}, true},
+		{[]int64{}, true},
+		{[][2]float32{}, true},
+		{[]struct{ a, b uint16 }{}, true}, // unexported fields are memory like any other
+		{[]skv{}, false},
+		{[]any{}, false},
+		{[]string{}, false},
+		{[]*int64{}, false},
+		{[]bool{}, false}, // not every byte is a valid bool
+		{[]struct{}{}, false},
+		{[][]int64{}, false},
+		{map[int64]int64{}, false},
+	} {
+		if got := slabTypeOf(reflect.TypeOf(c.chunk)) != nil; got != c.slab {
+			t.Errorf("%T: slab = %v, want %v", c.chunk, got, c.slab)
+		}
 	}
 }
 
@@ -57,8 +128,8 @@ func TestEntryFileRoundTripAndProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if n <= 0 {
-		t.Fatalf("wrote %d bytes", n)
+	if st, err := os.Stat(path); err != nil || st.Size() != n {
+		t.Fatalf("wrote %d bytes, file: %v %v", n, st, err)
 	}
 	got, err := ReadEntryFile(path, "shuffle", 7, 3)
 	if err != nil {
@@ -66,6 +137,20 @@ func TestEntryFileRoundTripAndProvenance(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, e) {
 		t.Fatal("file round trip mismatch")
+	}
+	for i, want := range e.Chunks {
+		ch, err := ReadChunkFile(path, "shuffle", 7, 3, i)
+		if err != nil {
+			t.Fatalf("bucket %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(ch, want) {
+			t.Fatalf("bucket %d: got %#v, want %#v", i, ch, want)
+		}
+	}
+	for _, bucket := range []int{-1, len(e.Chunks)} {
+		if _, err := ReadChunkFile(path, "shuffle", 7, 3, bucket); err == nil {
+			t.Fatalf("bucket %d of %d accepted", bucket, len(e.Chunks))
+		}
 	}
 	// Provenance mismatches are errors: the wrong file must never serve
 	// a fetch.
@@ -75,6 +160,56 @@ func TestEntryFileRoundTripAndProvenance(t *testing.T) {
 	if _, err := ReadEntryFile(path, "cache", 7, 3); err == nil {
 		t.Fatal("wrong space accepted")
 	}
+	if _, err := ReadChunkFile(path, "shuffle", 8, 3, 0); err == nil {
+		t.Fatal("wrong id accepted by a bucket read")
+	}
+}
+
+// TestCorruptionDetectedByTheBucketThatReadsIt flips one byte inside
+// each frame in turn: a read of that bucket and a whole-entry read
+// fail with ErrChecksum, reads of the other buckets do not notice.
+func TestCorruptionDetectedByTheBucketThatReadsIt(t *testing.T) {
+	e := sampleEntry()
+	raw := encodeEntry(t, e)
+	h, off, err := readHeader(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "s.spill")
+	for _, hit := range h.Index {
+		mut := bytes.Clone(raw)
+		mut[off+hit.Len/2] ^= 0x40
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadEntryFile(path, "shuffle", 7, 3); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("frame %d damaged: whole read got %v, want ErrChecksum", hit.Bucket, err)
+		}
+		for i, want := range e.Chunks {
+			ch, err := ReadChunkFile(path, "shuffle", 7, 3, i)
+			if i == hit.Bucket {
+				if !errors.Is(err, ErrChecksum) {
+					t.Fatalf("frame %d damaged: its read got %v, want ErrChecksum", i, err)
+				}
+				continue
+			}
+			if err != nil || !reflect.DeepEqual(ch, want) {
+				t.Fatalf("frame %d damaged: read of bucket %d got %#v, %v", hit.Bucket, i, ch, err)
+			}
+		}
+		off += hit.Len
+	}
+	// Damage to the header is every bucket's damage.
+	mut := bytes.Clone(raw)
+	mut[prefixLen+3] ^= 0x01
+	if err := os.WriteFile(path, mut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := range e.Chunks {
+		if _, err := ReadChunkFile(path, "shuffle", 7, 3, i); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("header damaged: bucket %d got %v, want ErrChecksum", i, err)
+		}
+	}
 }
 
 func TestEntryEmptyChunks(t *testing.T) {
@@ -83,7 +218,7 @@ func TestEntryEmptyChunks(t *testing.T) {
 		{Space: "cache", ID: 1, Part: 0, Owner: -1, Chunks: []any{nil, nil, nil}},
 	} {
 		raw := encodeEntry(t, e)
-		got, err := Decode(bytes.NewReader(raw))
+		got, err := decodeBytes(raw)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -96,6 +231,13 @@ func TestEntryEmptyChunks(t *testing.T) {
 			}
 		}
 	}
+	// A chunk of no records is not an empty bucket: it comes back as the
+	// empty slice of its type.
+	raw := encodeEntry(t, &Entry{Space: "cache", Chunks: []any{[]kv{}}})
+	got, err := decodeBytes(raw)
+	if err != nil || !reflect.DeepEqual(got.Chunks, []any{[]kv{}}) {
+		t.Fatalf("0-length slab: got %#v, %v", got, err)
+	}
 }
 
 func TestDecodeTruncated(t *testing.T) {
@@ -103,7 +245,7 @@ func TestDecodeTruncated(t *testing.T) {
 	// Every proper prefix must error, never panic; no prefix may decode
 	// as a complete entry.
 	for cut := 0; cut < len(raw); cut++ {
-		if _, err := Decode(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := decodeBytes(raw[:cut]); err == nil {
 			t.Fatalf("cut=%d: truncated entry decoded cleanly", cut)
 		}
 	}
@@ -112,14 +254,13 @@ func TestDecodeTruncated(t *testing.T) {
 func TestDecodeBitFlips(t *testing.T) {
 	raw := encodeEntry(t, sampleEntry())
 	orig := sampleEntry()
-	// Flipping any single bit must yield an error or (for length-prefix
-	// flips that still frame validly — impossible here since the CRC
-	// covers the payload bytes the new length selects) never silently
-	// corrupt data.
+	// Flipping any single bit must yield an error, never silently
+	// different data: the header's CRC covers the index (and with it
+	// every frame's length and CRC), each frame's CRC its bytes.
 	for i := 0; i < len(raw)*8; i++ {
 		mut := bytes.Clone(raw)
 		mut[i/8] ^= 1 << (i % 8)
-		got, err := Decode(bytes.NewReader(mut))
+		got, err := decodeBytes(mut)
 		if err != nil {
 			continue
 		}
@@ -130,21 +271,15 @@ func TestDecodeBitFlips(t *testing.T) {
 }
 
 func TestDecodeTrailingGarbage(t *testing.T) {
-	raw := encodeEntry(t, sampleEntry())
-	var extra bytes.Buffer
-	extra.Write(raw)
-	if err := writeFrame(&extra, []byte("stowaway")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(bytes.NewReader(extra.Bytes())); err == nil {
-		t.Fatal("trailing frame accepted")
+	raw := append(encodeEntry(t, sampleEntry()), "stowaway"...)
+	if _, err := decodeBytes(raw); err == nil {
+		t.Fatal("trailing bytes accepted")
 	}
 }
 
 func TestDecodeCorruptPrefixNoOverAllocation(t *testing.T) {
 	// A header frame claiming a huge under-limit payload against a short
-	// stream must fail without allocating near the claim (the dist frame
-	// guarantee, inherited).
+	// file must fail without allocating near the claim.
 	var buf bytes.Buffer
 	var hdr [8]byte
 	binary.BigEndian.PutUint32(hdr[:4], 48<<20)
@@ -152,7 +287,7 @@ func TestDecodeCorruptPrefixNoOverAllocation(t *testing.T) {
 	buf.WriteString("short")
 
 	allocated := allocBytes(func() {
-		if _, err := Decode(bytes.NewReader(buf.Bytes())); err != io.ErrUnexpectedEOF {
+		if _, err := decodeBytes(buf.Bytes()); err != io.ErrUnexpectedEOF {
 			t.Errorf("got %v, want io.ErrUnexpectedEOF", err)
 		}
 	})
@@ -161,26 +296,60 @@ func TestDecodeCorruptPrefixNoOverAllocation(t *testing.T) {
 	}
 }
 
-func TestDecodeFrameTooLarge(t *testing.T) {
-	var buf bytes.Buffer
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], MaxFrame+1)
-	buf.Write(hdr[:])
-	var tooBig *ErrFrameTooLarge
-	if _, err := Decode(bytes.NewReader(buf.Bytes())); !errors.As(err, &tooBig) {
-		t.Fatalf("got %v, want ErrFrameTooLarge", err)
+// TestIndexClaimsCheckedBeforeAllocation hands Decode well-formed
+// headers (valid CRC, every field parses) whose index lies about what follows.
+// Each is an error, and none allocates by the claim.
+func TestIndexClaimsCheckedBeforeAllocation(t *testing.T) {
+	slab := slabTypeOf(reflect.TypeOf([]kv{}))
+	body := make([]byte, 32) // two kv records
+	ok := frameInfo{Bucket: 1, Len: 32, Count: 2, Sum: crc32.ChecksumIEEE(body), Slab: slab.name, Elem: 16}
+	if _, err := decodeBytes(craft(t, header{NChunks: 3, Index: []frameInfo{ok}}, body)); err != nil {
+		t.Fatalf("the honest index is rejected: %v", err)
+	}
+	with := func(f func(*frameInfo)) frameInfo { fi := ok; f(&fi); return fi }
+	for name, raw := range map[string][]byte{
+		"frame past the file": craft(t, header{NChunks: 3, Index: []frameInfo{
+			with(func(fi *frameInfo) { fi.Len, fi.Count = 48<<20, 3<<20 })}}, body),
+		"gob frame past the file": craft(t, header{NChunks: 3, Index: []frameInfo{
+			{Bucket: 1, Len: 48 << 20}}}, body),
+		"count x size past the frame": craft(t, header{NChunks: 3, Index: []frameInfo{
+			with(func(fi *frameInfo) { fi.Count = 3 << 20 })}}, body),
+		"count x size short of the frame": craft(t, header{NChunks: 3, Index: []frameInfo{
+			with(func(fi *frameInfo) { fi.Count = 1 })}}, body),
+		"element size of another type": craft(t, header{NChunks: 3, Index: []frameInfo{
+			with(func(fi *frameInfo) { fi.Elem, fi.Count = 8, 4 })}}, body),
+		"zero element size": craft(t, header{NChunks: 3, Index: []frameInfo{
+			with(func(fi *frameInfo) { fi.Elem = 0 })}}, body),
+		"unknown slab type": craft(t, header{NChunks: 3, Index: []frameInfo{
+			with(func(fi *frameInfo) { fi.Slab = "no/such|[]pkg.T" })}}, body),
+		"negative length": craft(t, header{NChunks: 3, Index: []frameInfo{
+			with(func(fi *frameInfo) { fi.Len = -32 })}}, body),
+		"bucket out of range": craft(t, header{NChunks: 3, Index: []frameInfo{
+			with(func(fi *frameInfo) { fi.Bucket = 3 })}}, body),
+		"buckets out of order": craft(t, header{NChunks: 3, Index: []frameInfo{
+			with(func(fi *frameInfo) { fi.Bucket = 2 }), ok}}, body, body),
+		"duplicate bucket":          craft(t, header{NChunks: 3, Index: []frameInfo{ok, ok}}, body, body),
+		"more frames than buckets":  craft(t, header{NChunks: 1, Index: []frameInfo{ok, ok}}, body, body),
+		"bucket count past the cap": craft(t, header{NChunks: MaxChunks + 1}),
+		"unindexed bytes":           craft(t, header{NChunks: 3, Index: []frameInfo{ok}}, body, body),
+	} {
+		var err error
+		allocated := allocBytes(func() { _, err = decodeBytes(raw) })
+		if err == nil {
+			t.Errorf("%s: decoded cleanly", name)
+		}
+		if allocated > 1<<20 {
+			t.Errorf("%s: allocated %d bytes", name, allocated)
+		}
 	}
 }
 
-func TestDecodeChecksum(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[len(raw)-1] ^= 0x01 // corrupt the body, keep the length
-	if _, err := readFrame(bytes.NewReader(raw)); err != ErrChecksum {
-		t.Fatalf("got %v, want ErrChecksum", err)
+func TestDecodeFrameTooLarge(t *testing.T) {
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[:4], MaxFrame+1)
+	var tooBig *ErrFrameTooLarge
+	if _, err := decodeBytes(hdr[:]); !errors.As(err, &tooBig) {
+		t.Fatalf("got %v, want ErrFrameTooLarge", err)
 	}
 }
 
@@ -189,6 +358,102 @@ func TestEncodeUnencodableChunk(t *testing.T) {
 		Chunks: []any{[]func(){func() {}}}}
 	if _, err := Encode(io.Discard, e); err == nil {
 		t.Fatal("function chunk encoded cleanly")
+	}
+}
+
+// benchEntry is one map partition of spill-tight's shape — 15 700
+// records over 4 buckets — as {int64,int64} slabs or as its string-keyed
+// twin, which takes the gob fallback.
+func benchEntry(strings bool) *Entry {
+	const records, buckets = 15700, 4
+	e := &Entry{Space: "shuffle", ID: 1, Part: 0, Owner: 0, Chunks: make([]any, buckets)}
+	for b := range e.Chunks {
+		if strings {
+			ch := make([]skv, records/buckets)
+			for i := range ch {
+				ch[i] = skv{K: fmt.Sprintf("key-%07d", i*buckets+b), V: int64(i)}
+			}
+			e.Chunks[b] = ch
+		} else {
+			ch := make([]kv, records/buckets)
+			for i := range ch {
+				ch[i] = kv{K: int64(i*buckets + b), V: int64(i)}
+			}
+			e.Chunks[b] = ch
+		}
+	}
+	return e
+}
+
+// TestReadChunkAllocsBoundedByBucket pins what the slab path may
+// allocate: reading one bucket, that bucket's bytes and a little for
+// the header; writing an entry, nothing the size of a chunk — the file
+// is written from the slices themselves.
+func TestReadChunkAllocsBoundedByBucket(t *testing.T) {
+	const slack = 4 << 10
+	e := benchEntry(false)
+	path := filepath.Join(t.TempDir(), "s.spill")
+	write := func() {
+		if _, err := WriteEntryFile(path, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // registers the type, off the books
+	if got := allocBytes(write); got > slack {
+		t.Errorf("writing a slab entry allocated %d bytes, want <= %d", got, slack)
+	}
+	bucket := uint64(len(e.Chunks[2].([]kv)) * 16)
+	got := allocBytes(func() {
+		if _, err := ReadChunkFile(path, "shuffle", 1, 0, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > bucket+slack {
+		t.Errorf("reading one bucket of %d bytes allocated %d, want <= %d", bucket, got, bucket+slack)
+	}
+}
+
+// BenchmarkSpillEntry times a spill file out and back — whole and one
+// bucket of it — for a slab entry and its gob-fallback twin. The file
+// stays in the page cache: this is encode, syscall and decode cost.
+func BenchmarkSpillEntry(b *testing.B) {
+	for _, shape := range []struct {
+		name    string
+		strings bool
+	}{{"slab", false}, {"gob", true}} {
+		e := benchEntry(shape.strings)
+		path := filepath.Join(b.TempDir(), shape.name+".spill")
+		size, err := WriteEntryFile(path, e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(shape.name+"/write", func(b *testing.B) {
+			b.SetBytes(size)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := WriteEntryFile(path, e); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(shape.name+"/read-whole", func(b *testing.B) {
+			b.SetBytes(size)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadEntryFile(path, "shuffle", 1, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(shape.name+"/read-bucket", func(b *testing.B) {
+			b.SetBytes(size / int64(len(e.Chunks)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadChunkFile(path, "shuffle", 1, 0, i%len(e.Chunks)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

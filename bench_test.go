@@ -180,7 +180,7 @@ func BenchmarkSimFluidFlows(b *testing.B) {
 // (8,000 flows over 200 resources, >4,000 concurrent) end to end on the
 // incremental kernel; internal/simclock's BenchmarkKernel* suite holds
 // the side-by-side comparison against the recompute-the-world oracle,
-// and mrperf's kernel/churn-* scenarios the pair `cigate kernel` gates.
+// and mrperf's kernel/churn-* scenarios the pair `mrperf gate kernel` gates.
 func BenchmarkSimFluidChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		done, peak := simclock.RunKernelChurn(false, simclock.KernelChurnScale)

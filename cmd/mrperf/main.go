@@ -2,8 +2,8 @@
 // scenario registry spanning the fluid kernel, the real engine
 // runtime, the sharded shuffle store, trace capture, chaos recovery,
 // and end-to-end experiment figures, behind a single JSON schema with
-// robust statistics and an environment fingerprint. CI's kernel-speedup
-// and trace-overhead gates (cmd/cigate) read its report.
+// robust statistics and an environment fingerprint. It also runs CI's
+// quantitative gates, so the same checks run locally and in CI.
 //
 // Run scenarios and write the versioned report:
 //
@@ -17,6 +17,13 @@
 //
 //	mrperf compare -baseline BENCH_perf.json -current /tmp/bench_perf.json
 //	mrperf compare -baseline BENCH_perf.json -short   # runs the suite now
+//
+// Run one CI gate (exit 1: failed; 2: usage or IO error, or a report
+// without a scenario the gate compares):
+//
+//	mrperf gate coverage -profile /tmp/cover.out -floor 70
+//	mrperf gate trace-overhead -report /tmp/bench_gates.json -max 0.05
+//	mrperf gate kernel -report /tmp/bench_gates.json -min-speedup 3 -min-peak 4000
 package main
 
 import (
@@ -30,6 +37,10 @@ import (
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "compare" {
 		compareMain(os.Args[2:])
+		return
+	}
+	if len(os.Args) > 1 && os.Args[1] == "gate" {
+		gateMain(os.Args[2:])
 		return
 	}
 	args := os.Args[1:]

@@ -1,11 +1,13 @@
 // Command mrrun executes real MapReduce jobs on local files with the
-// RDD engine: wordcount, grep, and distinct-count.
+// RDD engine: wordcount, grep, and distinct-count. `mrrun gen` writes
+// synthetic input for them.
 //
 // Usage:
 //
 //	mrrun [-top N] wordcount <file>
 //	mrrun grep <pattern> <file>
 //	mrrun distinct <file>
+//	mrrun gen -kind text|log -lines N -out <file>
 //
 // Flags -executors, -cores, and -policy select the runtime shape.
 // -trace FILE captures a wall-clock Chrome trace of the run (stage,
@@ -48,7 +50,7 @@ var (
 var tracer *trace.Tracer
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: mrrun [flags] wordcount|grep|distinct ...\n")
+	fmt.Fprintf(os.Stderr, "usage: mrrun [flags] wordcount|grep|distinct ...\n       mrrun gen [gen flags]\n")
 	flag.PrintDefaults()
 	os.Exit(2)
 }
@@ -119,6 +121,10 @@ func flushTrace() {
 }
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "gen" {
+		genMain(os.Args[2:])
+		return
+	}
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()

@@ -33,8 +33,6 @@ type LocalConfig struct {
 	// MemoryBudget bounds each executor's resident shuffle bytes
 	// (spilling LRU map outputs to a private temp dir); 0 = unbounded.
 	MemoryBudget int64
-	// HeartbeatTimeout overrides the driver's liveness timeout.
-	HeartbeatTimeout time.Duration
 	// DisableLocality reverts the driver to FIFO placement — the A/B
 	// toggle against the default shuffle-locality policy.
 	DisableLocality bool
@@ -55,7 +53,6 @@ func StartLocal(cfg LocalConfig) (*LocalCluster, error) {
 	d, err := NewDriver(DriverConfig{
 		Executors:        cfg.Executors,
 		CoresPerExecutor: cfg.CoresPerExecutor,
-		HeartbeatTimeout: cfg.HeartbeatTimeout,
 		Plan:             cfg.Plan,
 		Killer:           lc.KillExecutor,
 		DisableLocality:  cfg.DisableLocality,

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hpcmr/internal/spill"
 )
 
 // memConn is an in-memory net.Conn for single-goroutine tests: writes
@@ -79,7 +81,7 @@ func splitFrames(t testing.TB, stream []byte) [][]byte {
 func replay(limit int, payloads ...[]byte) (*Codec, *memConn) {
 	conn := &memConn{}
 	for _, p := range payloads {
-		WriteFrame(&conn.buf, p)
+		conn.buf.Write(frame(p))
 	}
 	return NewCodec(conn, limit), conn
 }
@@ -284,7 +286,7 @@ func TestCodecSendErrorPoisons(t *testing.T) {
 		conn := &memConn{}
 		c := NewCodec(conn, 1024)
 		err := c.Send(&TaskDone{Result: make([]byte, 4096)})
-		var tooBig *ErrFrameTooLarge
+		var tooBig *spill.ErrFrameTooLarge
 		if !errors.As(err, &tooBig) || tooBig.Max != 1024 || tooBig.Length <= 4096 {
 			t.Fatalf("got %v, want ErrFrameTooLarge over 4096/1024", err)
 		}

@@ -2,14 +2,18 @@ package dist
 
 import (
 	"bytes"
+	"errors"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"hpcmr/engine"
 	"hpcmr/fault"
 	"hpcmr/fault/chaostest"
+	"hpcmr/internal/spill"
 )
 
 func testSpec() JobSpec {
@@ -243,7 +247,7 @@ func init() {
 			return MapOutput{Buckets: make([]any, spec.ReduceParts)}, nil
 		},
 		Reduce: func(spec JobSpec, part int, chunks []any) ([]byte, error) {
-			return make([]byte, DefaultMaxFrame-taskDoneEnvelope+1), nil
+			return make([]byte, spill.MaxFrame-taskDoneEnvelope+1), nil
 		},
 		Merge: func(spec JobSpec, parts [][]byte) ([]byte, error) {
 			return bytes.Join(parts, nil), nil
@@ -284,4 +288,63 @@ func TestOversizeResultFailsJobPromptly(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkKeyedSum(t, out, spec.Records, spec.Keys)
+}
+
+// TestRemoteFetchMissingMatchesLocal pins the contract the recovery path
+// depends on: a fetch of unmaterialized map output yields the same
+// *engine.MapOutputMissingError whether the store is read locally or
+// across the network from a live ShuffleServer.
+func TestRemoteFetchMissingMatchesLocal(t *testing.T) {
+	s := engine.NewShuffleStore()
+	id := s.Register(2, 1)
+	if err := s.PutChunksFrom(id, 0, -1, []any{[]KV{{K: 1, V: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+
+	_, localErr := s.FetchChunks(id, 0)
+	var localMiss *engine.MapOutputMissingError
+	if !errors.As(localErr, &localMiss) {
+		t.Fatalf("local err = %v, want MapOutputMissingError", localErr)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewShuffleServer(s)
+	go srv.Serve(ln)
+	defer srv.Close()
+	_, remoteErr := FetchPeerChunks(ln.Addr().String(), id, 0, []int{0, 1})
+	var remoteMiss *engine.MapOutputMissingError
+	if !errors.As(remoteErr, &remoteMiss) {
+		t.Fatalf("remote err = %v, want MapOutputMissingError", remoteErr)
+	}
+	if *remoteMiss != *localMiss {
+		t.Fatalf("remote miss %+v != local miss %+v", *remoteMiss, *localMiss)
+	}
+	if remoteMiss.Shuffle != id || remoteMiss.MapPart != 1 {
+		t.Fatalf("remote miss fields %+v, want shuffle %d map part 1", *remoteMiss, id)
+	}
+}
+
+// TestChunkVolume pins what each chunk type measures as — records, and
+// bytes as records × element size — the numbers every shuffle volume
+// counter and locality weight is built from.
+func TestChunkVolume(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		ch             any
+		records, bytes int64
+	}{
+		{"nil", nil, 0, 0},
+		{"[]KV", make([]KV, 3), 3, 48},
+		{"[]SKV", []SKV{{K: "a much longer key than sixteen bytes", V: 1}, {}}, 2, 48},
+		{"[]PRRec", make([]PRRec, 2), 2, 176},
+		{"[]any", []any{1, "x", nil}, 3, 48},
+	} {
+		r, b := engine.ChunkVolume(c.ch)
+		if r != c.records || b != c.bytes {
+			t.Errorf("%s: ChunkVolume = (%d, %d), want (%d, %d)", c.name, r, b, c.records, c.bytes)
+		}
+	}
 }

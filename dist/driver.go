@@ -25,11 +25,6 @@ type DriverConfig struct {
 	// ControlAddr/ClientAddr are the listen addresses; "" picks an
 	// ephemeral loopback port.
 	ControlAddr, ClientAddr string
-	// HeartbeatTimeout declares an executor dead when its last beat is
-	// at least this old (DefaultHeartbeatTimeout when 0). Connection
-	// loss is detected immediately; the timeout is the backstop for
-	// hung-but-connected executors.
-	HeartbeatTimeout time.Duration
 	// Plan is the fault plan: crash events execute driver-side as real
 	// executor kills (via Killer), transient events ship to executors in
 	// the HelloAck and replay in-process.
@@ -97,12 +92,9 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 	if cfg.Executors <= 0 {
 		return nil, fmt.Errorf("dist: driver needs at least one executor, got %d", cfg.Executors)
 	}
-	if cfg.HeartbeatTimeout <= 0 {
-		cfg.HeartbeatTimeout = DefaultHeartbeatTimeout
-	}
 	d := &Driver{
 		cfg:     cfg,
-		live:    newLiveness(cfg.HeartbeatTimeout),
+		live:    newLiveness(heartbeatTimeout),
 		execs:   make(map[int]*execConn),
 		pending: make(map[uint64]*pendingTask),
 		ready:   make(chan struct{}),
@@ -303,11 +295,7 @@ func (d *Driver) readLoop(ec *execConn) {
 
 // monitor expires executors whose heartbeats went quiet.
 func (d *Driver) monitor() {
-	interval := d.cfg.HeartbeatTimeout / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(heartbeatCheck)
 	defer t.Stop()
 	for {
 		select {

@@ -15,12 +15,6 @@ import (
 	"hpcmr/internal/spill"
 )
 
-// Heartbeat cadence and the driver-side liveness timeout it must beat.
-const (
-	DefaultHeartbeatInterval = 100 * time.Millisecond
-	DefaultHeartbeatTimeout  = 1 * time.Second
-)
-
 // ExecutorConfig configures one executor process (or in-process
 // executor, for tests).
 type ExecutorConfig struct {
@@ -28,8 +22,6 @@ type ExecutorConfig struct {
 	ID int
 	// DriverAddr is the driver's control listener.
 	DriverAddr string
-	// HeartbeatInterval defaults to DefaultHeartbeatInterval.
-	HeartbeatInterval time.Duration
 	// MemoryBudget bounds the executor's resident shuffle bytes; above
 	// it, least-recently-used map outputs spill to local disk. 0 keeps
 	// everything resident.
@@ -89,9 +81,6 @@ func (e *Executor) Kill() {
 
 // NewExecutor prepares an executor; Run drives it to completion.
 func NewExecutor(cfg ExecutorConfig) *Executor {
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = DefaultHeartbeatInterval
-	}
 	return &Executor{
 		cfg:    cfg,
 		store:  engine.NewShuffleStore(),
@@ -193,7 +182,7 @@ func (e *Executor) Run() error {
 }
 
 func (e *Executor) heartbeat(done chan struct{}) {
-	t := time.NewTicker(e.cfg.HeartbeatInterval)
+	t := time.NewTicker(heartbeatInterval)
 	defer t.Stop()
 	var seq uint64
 	for {
@@ -377,7 +366,7 @@ func (e *Executor) gather(shuffle int, locations []Loc, part int, done *TaskDone
 		}
 		addr := locs[0].Addr
 		var fetched []any
-		err := engine.RetryFetch(defaultFetchRetries, defaultFetchBackoff,
+		err := engine.RetryFetch(defaultFetchRetries,
 			func(attempt int, backoff time.Duration, last error) {
 				e.logf("executor %d fetch retry %d against executor %d (%s): %v",
 					e.cfg.ID, attempt, owner, addr, last)
@@ -409,12 +398,9 @@ func (e *Executor) gather(shuffle int, locations []Loc, part int, done *TaskDone
 	return chunks, nil
 }
 
-// Executor-side fetch retry bounds, mirroring the engine's config
-// defaults (MaxFetchRetries 3, backoff 2ms doubling).
-const (
-	defaultFetchRetries = 3
-	defaultFetchBackoff = 2 * time.Millisecond
-)
+// defaultFetchRetries bounds an executor's peer-fetch attempts,
+// mirroring the engine's MaxFetchRetries default.
+const defaultFetchRetries = 3
 
 // bucketVolumes measures each bucket chunk's in-memory volume — the
 // per-reduce-bucket weights the driver records against its placeholder
@@ -422,11 +408,7 @@ const (
 func bucketVolumes(buckets []any) []int64 {
 	out := make([]int64, len(buckets))
 	for i, ch := range buckets {
-		if ch == nil {
-			continue
-		}
-		_, b := engine.ChunkVolume(ch)
-		out[i] = b
+		_, out[i] = engine.ChunkVolume(ch)
 	}
 	return out
 }

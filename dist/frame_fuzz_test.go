@@ -7,7 +7,15 @@ import (
 	"io"
 	"runtime"
 	"testing"
+
+	"hpcmr/internal/spill"
 )
+
+// frame builds one length-prefixed frame: the 4-byte big-endian payload
+// length, then the payload — what Codec.Send puts on the wire.
+func frame(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{
@@ -21,9 +29,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatalf("write: %v", err)
-		}
+		buf.Write(frame(p))
 	}
 	for i, p := range payloads {
 		got, err := ReadFrame(&buf, 0)
@@ -46,11 +52,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameTruncated(t *testing.T) {
-	var full bytes.Buffer
-	if err := WriteFrame(&full, bytes.Repeat([]byte("q"), 500)); err != nil {
-		t.Fatal(err)
-	}
-	raw := full.Bytes()
+	raw := frame(bytes.Repeat([]byte("q"), 500))
 	// Every proper prefix except the empty one must error with
 	// ErrUnexpectedEOF (the empty prefix is a clean end-of-stream).
 	for cut := 1; cut < len(raw); cut++ {
@@ -65,7 +67,7 @@ func TestFrameTooLarge(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 1<<30)
 	_, err := ReadFrame(bytes.NewReader(hdr[:]), 1<<20)
-	var tooBig *ErrFrameTooLarge
+	var tooBig *spill.ErrFrameTooLarge
 	if !errors.As(err, &tooBig) {
 		t.Fatalf("got %v, want ErrFrameTooLarge", err)
 	}
@@ -106,11 +108,9 @@ func allocBytes(f func()) uint64 {
 
 // FuzzReadFrame feeds arbitrary byte streams through ReadFrame: it must
 // never panic, never over-allocate past the stream, and any payload it
-// does return must round-trip back through WriteFrame.
+// does return must round-trip back through a fresh frame.
 func FuzzReadFrame(f *testing.F) {
-	var seedFrame bytes.Buffer
-	WriteFrame(&seedFrame, []byte("seed payload"))
-	f.Add(seedFrame.Bytes())
+	f.Add(frame([]byte("seed payload")))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
@@ -121,7 +121,7 @@ func FuzzReadFrame(f *testing.F) {
 		for {
 			payload, err := ReadFrame(r, 1<<20)
 			if err != nil {
-				var tooBig *ErrFrameTooLarge
+				var tooBig *spill.ErrFrameTooLarge
 				if err != io.EOF && err != io.ErrUnexpectedEOF && !errors.As(err, &tooBig) {
 					t.Fatalf("unexpected error class: %v", err)
 				}
@@ -130,11 +130,7 @@ func FuzzReadFrame(f *testing.F) {
 			if len(payload) > len(data) {
 				t.Fatalf("payload %d bytes from a %d-byte stream", len(payload), len(data))
 			}
-			var back bytes.Buffer
-			if werr := WriteFrame(&back, payload); werr != nil {
-				t.Fatalf("re-encode: %v", werr)
-			}
-			got, rerr := ReadFrame(bytes.NewReader(back.Bytes()), 1<<20)
+			got, rerr := ReadFrame(bytes.NewReader(frame(payload)), 1<<20)
 			if rerr != nil {
 				t.Fatalf("round-trip read: %v", rerr)
 			}
@@ -196,8 +192,8 @@ func FuzzCodecRecv(f *testing.F) {
 	})
 }
 
-// FuzzFrameRoundTrip drives the forward direction: any payload written
-// by WriteFrame must come back byte-identical through ReadFrame —
+// FuzzFrameRoundTrip drives the forward direction: any payload framed
+// with its length prefix must come back byte-identical through ReadFrame —
 // including back-to-back frames on one stream — and must be rejected
 // with ErrFrameTooLarge (never a panic or short read) when the
 // reader's limit is below the payload size.
@@ -207,17 +203,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte("payload"), []byte(nil))
 	f.Add(bytes.Repeat([]byte{0xa5}, frameGrowStep+3), []byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, a); err != nil {
-			t.Fatalf("write a: %v", err)
-		}
-		if err := WriteFrame(&buf, b); err != nil {
-			t.Fatalf("write b: %v", err)
-		}
-		stream := append([]byte(nil), buf.Bytes()...)
+		stream := append(frame(a), frame(b)...)
+		buf := bytes.NewBuffer(append([]byte(nil), stream...))
 
 		for i, want := range [][]byte{a, b} {
-			got, err := ReadFrame(&buf, 0)
+			got, err := ReadFrame(buf, 0)
 			if err != nil {
 				t.Fatalf("read frame %d: %v", i, err)
 			}
@@ -231,14 +221,14 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				t.Fatalf("frame %d: round-trip mismatch (%d vs %d bytes)", i, len(got), len(want))
 			}
 		}
-		if _, err := ReadFrame(&buf, 0); err != io.EOF {
+		if _, err := ReadFrame(buf, 0); err != io.EOF {
 			t.Fatalf("stream end: got %v, want io.EOF", err)
 		}
 
 		// An undersized reader limit must reject frame a cleanly.
 		if len(a) > 1 {
 			_, err := ReadFrame(bytes.NewReader(stream), len(a)-1)
-			var tooBig *ErrFrameTooLarge
+			var tooBig *spill.ErrFrameTooLarge
 			if !errors.As(err, &tooBig) {
 				t.Fatalf("limit %d on %d-byte payload: got %v, want ErrFrameTooLarge", len(a)-1, len(a), err)
 			}

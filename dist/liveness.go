@@ -6,6 +6,17 @@ import (
 	"time"
 )
 
+// Heartbeat cadence and the driver-side liveness timeout it must beat:
+// ten missed beats declare an executor dead. Connection loss is detected
+// immediately; the timeout is the backstop for hung-but-connected
+// executors. The driver checks for expired executors four times per
+// timeout.
+const (
+	heartbeatInterval = 100 * time.Millisecond
+	heartbeatTimeout  = 1 * time.Second
+	heartbeatCheck    = heartbeatTimeout / 4
+)
+
 // liveness tracks executor heartbeats under a sticky dead set: an
 // executor registers once, beats periodically, and is declared dead
 // when its last beat is at least timeout old. Death is permanent —

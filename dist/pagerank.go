@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math"
 
@@ -178,7 +177,6 @@ func pagerankReduce(spec JobSpec, part int, chunks []any) ([]byte, error) {
 }
 
 func init() {
-	gob.Register([]PRRec(nil))
 	RegisterJob(Job{
 		Name:   "pagerank",
 		Map:    pagerankMap,

@@ -60,8 +60,6 @@ type ProcConfig struct {
 	LogDir string
 	// Plan is the fault plan; crash events SIGKILL the executor process.
 	Plan fault.Plan
-	// HeartbeatTimeout overrides the driver's liveness timeout.
-	HeartbeatTimeout time.Duration
 	// ControlAddr/ClientAddr pin the driver's listen addresses.
 	ControlAddr, ClientAddr string
 	// Logf receives driver progress lines.
@@ -94,7 +92,6 @@ func StartProc(cfg ProcConfig) (*ProcCluster, error) {
 	d, err := NewDriver(DriverConfig{
 		Executors:        cfg.Executors,
 		CoresPerExecutor: cfg.CoresPerExecutor,
-		HeartbeatTimeout: cfg.HeartbeatTimeout,
 		ControlAddr:      cfg.ControlAddr,
 		ClientAddr:       cfg.ClientAddr,
 		Plan:             cfg.Plan,

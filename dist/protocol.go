@@ -32,6 +32,8 @@ import (
 	"net"
 	"reflect"
 	"sync"
+
+	"hpcmr/internal/spill"
 )
 
 // ---- control-plane messages (driver <-> executor, client -> driver) ----
@@ -192,20 +194,12 @@ type SKV struct {
 
 func init() {
 	// Chunks travel as gob interface values inside ShuffleResp.Chunks,
-	// so every concrete chunk type must be registered: the element
-	// types the built-in jobs shuffle and the primitive types
-	// record-boxed compat chunks may carry. (Messages themselves are
-	// not interface values — see messageTypes.)
+	// so every concrete chunk type must be registered: the ones the
+	// built-in jobs put. (Messages themselves are not interface values —
+	// see messageTypes.)
 	gob.Register([]KV(nil))
 	gob.Register([]SKV(nil))
-	gob.Register([]any(nil))
-	gob.Register([]int64(nil))
-	gob.Register([]string(nil))
-	gob.Register(int(0))
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register(string(""))
-	gob.Register(bool(false))
+	gob.Register([]PRRec(nil))
 }
 
 // messageTypes lists every message a Codec carries. A message's index
@@ -289,10 +283,10 @@ type Codec struct {
 	err error
 }
 
-// NewCodec wraps a connection; maxFrame <= 0 uses DefaultMaxFrame.
+// NewCodec wraps a connection; maxFrame <= 0 uses spill.MaxFrame.
 func NewCodec(conn net.Conn, maxFrame int) *Codec {
 	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
+		maxFrame = spill.MaxFrame
 	}
 	c := &Codec{conn: conn, max: maxFrame, r: bufio.NewReader(conn)}
 	c.enc = gob.NewEncoder(&c.wb)
@@ -343,7 +337,7 @@ func (c *Codec) Send(m any) error {
 	frame := c.wb.Bytes()
 	n := len(frame) - frameHeaderLen
 	if n > c.max {
-		return c.poison(&ErrFrameTooLarge{Length: n, Max: c.max})
+		return c.poison(&spill.ErrFrameTooLarge{Length: n, Max: c.max})
 	}
 	binary.BigEndian.PutUint32(frame, uint32(n))
 	_, err := c.conn.Write(frame)

@@ -14,6 +14,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"time"
 
 	"hpcmr/internal/sched"
 )
@@ -28,7 +29,7 @@ const (
 	FIFO PolicyKind = iota
 	// Locality prefers slot-local tasks but never waits.
 	Locality
-	// DelayScheduling waits up to LocalityWait for a local slot
+	// DelayScheduling waits up to localityWaitSeconds for a local slot
 	// (Spark's default, shown harmful on HPC).
 	DelayScheduling
 	// ELB is the paper's Enhanced Load Balancer.
@@ -61,6 +62,36 @@ func (k PolicyKind) String() string {
 	}
 }
 
+// Fixed runtime settings: one value serves every caller. The values are
+// the paper's and Spark's.
+const (
+	// localityWaitSeconds is delay scheduling's wait for a local slot:
+	// Spark's spark.locality.wait, the default the paper argues against.
+	localityWaitSeconds = 3.0
+	// elbThreshold is the load balancer's pause threshold: a node 25 %
+	// above the average intermediate volume stops taking tasks.
+	elbThreshold = 0.25
+	// Speculation starts once speculationQuantile of a stage's tasks have
+	// completed; a task running longer than speculationMultiplier times
+	// the median completed duration then gets a second copy. Stragglers
+	// are looked for every speculationInterval.
+	speculationQuantile   = 0.75
+	speculationMultiplier = 1.5
+	speculationInterval   = 50 * time.Millisecond
+	// faultCheckInterval is the period of the time-based crash-trigger
+	// poll while a stage runs under a fault injector.
+	faultCheckInterval = 10 * time.Millisecond
+	// fetchRetryBackoff is RetryFetch's first backoff; it doubles per
+	// attempt.
+	fetchRetryBackoff = 2 * time.Millisecond
+	// runQueuePerCore sizes each executor's persistent-worker run queue
+	// (runQueuePerCore x CoresPerExecutor). Dispatch never blocks on a
+	// full queue; overflow attempts fall back to a dedicated goroutine,
+	// so the depth only sets how much goroutine-spawn traffic the
+	// workers absorb under concurrent stages.
+	runQueuePerCore = 2
+)
+
 // Config parameterizes a Runtime.
 type Config struct {
 	// Executors is the number of simulated worker processes; 0 uses
@@ -70,30 +101,16 @@ type Config struct {
 	CoresPerExecutor int
 	// Policy selects task placement.
 	Policy PolicyKind
-	// LocalityWaitSeconds is the delay-scheduling wait (default 3 s,
-	// Spark's spark.locality.wait).
-	LocalityWaitSeconds float64
-	// ELBThreshold is the load-balancer pause threshold (default 0.25).
-	ELBThreshold float64
 	// MaxTaskFailures is how many attempts a task gets before the stage
 	// fails (default 4, as in Spark).
 	MaxTaskFailures int
 	// Speculation enables speculative re-execution of stragglers (the
 	// LATE/Mantri family the paper's related work discusses): once
-	// SpeculationQuantile of a stage's tasks have completed, a task
-	// running longer than SpeculationMultiplier times the median
+	// speculationQuantile of a stage's tasks have completed, a task
+	// running longer than speculationMultiplier times the median
 	// completed duration gets a second copy on another slot; the first
 	// finisher wins.
 	Speculation bool
-	// SpeculationQuantile is the completed fraction required before
-	// speculation starts (default 0.75).
-	SpeculationQuantile float64
-	// SpeculationMultiplier is the straggler threshold over the median
-	// completed task duration (default 1.5).
-	SpeculationMultiplier float64
-	// SpeculationIntervalSeconds is the straggler-check period
-	// (default 0.05 s).
-	SpeculationIntervalSeconds float64
 	// SchedAudit, when set, receives scheduler decision events (ELB
 	// pause/resume, CAD throttle adjustments, delay-scheduling waits)
 	// from every stage's policy, plus the runtime's fault/recovery
@@ -107,21 +124,9 @@ type Config struct {
 	// periodic crash-trigger check). Pass a *fault.Injector to replay a
 	// deterministic fault plan against the runtime.
 	Faults FaultInjector
-	// FaultCheckIntervalSeconds is the period of the time-based
-	// crash-trigger poll while a stage runs (default 0.01 s).
-	FaultCheckIntervalSeconds float64
 	// MaxFetchRetries is how many attempts FetchShuffleChunks makes against
 	// transient fetch faults before giving up (default 3).
 	MaxFetchRetries int
-	// FetchRetryBackoffSeconds is FetchShuffleChunks' initial retry backoff;
-	// it doubles per attempt (default 0.002 s).
-	FetchRetryBackoffSeconds float64
-	// RunQueueDepth bounds each executor's persistent-worker run queue
-	// (default 2 x CoresPerExecutor). Dispatch never blocks on a full
-	// queue; overflow attempts fall back to a dedicated goroutine, so
-	// the depth only tunes how much goroutine-spawn traffic the workers
-	// absorb under concurrent stages.
-	RunQueueDepth int
 	// MemoryBudget caps the accounted resident bytes of shuffle output
 	// and cached partitions, in bytes; 0 means unbounded (everything
 	// stays in RAM, the pre-budget behavior). Over budget, the runtime
@@ -143,35 +148,11 @@ func (c Config) withDefaults() Config {
 	if c.CoresPerExecutor <= 0 {
 		c.CoresPerExecutor = 1
 	}
-	if c.LocalityWaitSeconds <= 0 {
-		c.LocalityWaitSeconds = 3
-	}
-	if c.ELBThreshold <= 0 {
-		c.ELBThreshold = 0.25
-	}
 	if c.MaxTaskFailures <= 0 {
 		c.MaxTaskFailures = 4
 	}
-	if c.SpeculationQuantile <= 0 || c.SpeculationQuantile > 1 {
-		c.SpeculationQuantile = 0.75
-	}
-	if c.SpeculationMultiplier <= 1 {
-		c.SpeculationMultiplier = 1.5
-	}
-	if c.SpeculationIntervalSeconds <= 0 {
-		c.SpeculationIntervalSeconds = 0.05
-	}
-	if c.FaultCheckIntervalSeconds <= 0 {
-		c.FaultCheckIntervalSeconds = 0.01
-	}
 	if c.MaxFetchRetries <= 0 {
 		c.MaxFetchRetries = 3
-	}
-	if c.FetchRetryBackoffSeconds <= 0 {
-		c.FetchRetryBackoffSeconds = 0.002
-	}
-	if c.RunQueueDepth <= 0 {
-		c.RunQueueDepth = 2 * c.CoresPerExecutor
 	}
 	return c
 }
@@ -182,11 +163,11 @@ func (c Config) newPolicy() sched.Policy {
 	case Locality:
 		return sched.NewLocalityPreferring()
 	case DelayScheduling:
-		p := sched.NewDelay(c.LocalityWaitSeconds)
+		p := sched.NewDelay(localityWaitSeconds)
 		p.Audit = c.SchedAudit
 		return p
 	case ELB:
-		p := sched.NewELB(c.Executors, c.ELBThreshold)
+		p := sched.NewELB(c.Executors, elbThreshold)
 		p.Audit = c.SchedAudit
 		return p
 	case CADThrottled:
@@ -194,7 +175,7 @@ func (c Config) newPolicy() sched.Policy {
 		p.Audit = c.SchedAudit
 		return p
 	case ShuffleLocality:
-		p := sched.NewShuffleLocality(c.Executors, c.ELBThreshold)
+		p := sched.NewShuffleLocality(c.Executors, elbThreshold)
 		p.Audit = c.SchedAudit
 		return p
 	default:

@@ -174,7 +174,6 @@ func TestPolicyKinds(t *testing.T) {
 	for _, k := range []PolicyKind{FIFO, Locality, DelayScheduling, ELB, CADThrottled} {
 		cfg := testCfg()
 		cfg.Policy = k
-		cfg.LocalityWaitSeconds = 0.01
 		rt, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -218,44 +217,127 @@ func TestMetricsAccumulate(t *testing.T) {
 func TestShuffleStoreRoundTrip(t *testing.T) {
 	s := NewShuffleStore()
 	id := s.Register(2, 3)
-	if err := s.Put(id, 0, [][]any{{1}, {2}, {3}}); err != nil {
+	if err := s.PutChunksFrom(id, 0, -1, []any{[]int{1}, []int{2}, []int{3}}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Complete(id) {
 		t.Fatal("incomplete shuffle reported complete")
 	}
-	if err := s.Put(id, 1, [][]any{{4}, nil, {5, 6}}); err != nil {
+	if err := s.PutChunksFrom(id, 1, -1, []any{[]int{4}, nil, []int{5, 6}}); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Complete(id) {
 		t.Fatal("complete shuffle reported incomplete")
 	}
-	chunks, err := s.Fetch(id, 2)
+	chunks, err := s.FetchChunks(id, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(chunks) != 2 || chunks[0][0] != 3 || chunks[1][1] != 6 {
-		t.Fatalf("Fetch = %v", chunks)
+	if len(chunks) != 2 || chunks[0].([]int)[0] != 3 || chunks[1].([]int)[1] != 6 {
+		t.Fatalf("FetchChunks = %v", chunks)
+	}
+	if ch, err := s.FetchChunk(id, 1, 2); err != nil || ch.([]int)[0] != 5 {
+		t.Fatalf("FetchChunk = %v, %v", ch, err)
+	}
+}
+
+// TestFetchChunksReturnsPutBucketsAsStored: a chunk comes back as the
+// very slice that was put, and an empty bucket (nil) comes back nil, not
+// as an empty slice, from both fetch paths.
+func TestFetchChunksReturnsPutBucketsAsStored(t *testing.T) {
+	s := NewShuffleStore()
+	id := s.Register(1, 2)
+	put := []int64{7, 8}
+	if err := s.PutChunksFrom(id, 0, -1, []any{put, nil}); err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := s.FetchChunks(id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := chunks[0].([]int64); !ok || len(got) != 2 || &got[0] != &put[0] {
+		t.Fatalf("chunk = %#v, want the []int64 as stored", chunks[0])
+	}
+	chunks, err = s.FetchChunks(id, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunks[0] != nil {
+		t.Fatalf("empty bucket fetched as %#v, want nil", chunks[0])
+	}
+	if ch, err := s.FetchChunk(id, 0, 1); err != nil || ch != nil {
+		t.Fatalf("FetchChunk of the empty bucket = %#v, %v; want nil", ch, err)
 	}
 }
 
 func TestShuffleStoreErrors(t *testing.T) {
 	s := NewShuffleStore()
-	id := s.Register(1, 1)
-	if err := s.Put(99, 0, [][]any{{}}); err == nil {
+	id := s.Register(2, 1)
+	if err := s.PutChunksFrom(99, 0, -1, []any{nil}); err == nil {
 		t.Fatal("unknown shuffle accepted")
 	}
-	if err := s.Put(id, 5, [][]any{{}}); err == nil {
+	if err := s.PutChunksFrom(id, 5, -1, []any{nil}); err == nil {
 		t.Fatal("out-of-range map partition accepted")
 	}
-	if err := s.Put(id, 0, [][]any{{}, {}}); err == nil {
+	if err := s.PutChunksFrom(id, 0, -1, []any{nil, nil}); err == nil {
 		t.Fatal("wrong bucket count accepted")
 	}
-	if _, err := s.Fetch(id, 0); err == nil {
-		t.Fatal("fetch of unmaterialized shuffle succeeded")
-	}
-	if _, err := s.Fetch(99, 0); err == nil {
+	if _, err := s.FetchChunks(99, 0); err == nil {
 		t.Fatal("fetch of unknown shuffle succeeded")
+	}
+	if _, err := s.FetchChunk(id, 0, 1); err == nil {
+		t.Fatal("fetch of an out-of-range reduce partition succeeded")
+	}
+	if err := s.PutChunksFrom(id, 0, -1, []any{[]int{1}}); err != nil {
+		t.Fatal(err)
+	}
+	// Map partition 1 was never written: both fetch paths name it.
+	var miss *MapOutputMissingError
+	if _, err := s.FetchChunks(id, 0); !errors.As(err, &miss) || miss.MapPart != 1 {
+		t.Fatalf("FetchChunks err = %v, want MapOutputMissingError for map part 1", err)
+	}
+	if _, err := s.FetchChunk(id, 1, 0); !errors.As(err, &miss) || miss.MapPart != 1 {
+		t.Fatalf("FetchChunk err = %v, want MapOutputMissingError for map part 1", err)
+	}
+}
+
+func TestShuffleVolumeAccounting(t *testing.T) {
+	s := NewShuffleStore()
+	id := s.Register(2, 2)
+	// Typed chunks: 3 int64 records = 24 bytes.
+	if err := s.PutChunksFrom(id, 0, 0, []any{[]int64{1, 2}, []int64{3}}); err != nil {
+		t.Fatal(err)
+	}
+	v := s.ShuffleVolume(id)
+	if v.Records != 3 || v.Bytes != 24 {
+		t.Fatalf("volume after put = %+v, want 3 records / 24 bytes", v)
+	}
+	// A record-boxed chunk counts one interface header (16 B) per record.
+	if err := s.PutChunksFrom(id, 1, 1, []any{[]any{1}, nil}); err != nil {
+		t.Fatal(err)
+	}
+	v = s.ShuffleVolume(id)
+	if v.Records != 4 || v.Bytes != 24+16 {
+		t.Fatalf("volume after boxed put = %+v", v)
+	}
+	// A re-put (task retry) is movement too: counters are cumulative.
+	if err := s.PutChunksFrom(id, 0, 2, []any{[]int64{1, 2}, []int64{3}}); err != nil {
+		t.Fatal(err)
+	}
+	v = s.ShuffleVolume(id)
+	if v.Records != 7 || v.Bytes != 48+16 {
+		t.Fatalf("volume after re-put = %+v, want cumulative movement", v)
+	}
+	// Store totals mirror the shuffle counters and survive Drop.
+	if tv := s.TotalVolume(); tv != v {
+		t.Fatalf("total volume %+v != shuffle volume %+v", tv, v)
+	}
+	s.Drop(id)
+	if tv := s.TotalVolume(); tv.Records != 7 {
+		t.Fatalf("total volume lost on Drop: %+v", tv)
+	}
+	if v := s.ShuffleVolume(id); v.Records != 0 {
+		t.Fatalf("dropped shuffle reports volume %+v", v)
 	}
 }
 
@@ -289,10 +371,7 @@ func TestManyStagesSequential(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Executors < 1 || c.CoresPerExecutor != 1 || c.MaxTaskFailures != 4 {
+	if c.Executors < 1 || c.CoresPerExecutor != 1 || c.MaxTaskFailures != 4 || c.MaxFetchRetries != 3 {
 		t.Fatalf("defaults: %+v", c)
-	}
-	if c.LocalityWaitSeconds != 3 {
-		t.Fatalf("LocalityWait default = %v", c.LocalityWaitSeconds)
 	}
 }

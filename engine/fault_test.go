@@ -24,8 +24,8 @@ func TestFailExecutorInvalidatesShuffleOutput(t *testing.T) {
 	id := s.Register(4, 2)
 	for m := 0; m < 4; m++ {
 		owner := m % 4
-		buckets := [][]any{{fmt.Sprintf("m%d-r0", m)}, {fmt.Sprintf("m%d-r1", m)}}
-		if err := s.PutFrom(id, m, owner, buckets); err != nil {
+		chunks := []any{[]string{fmt.Sprintf("m%d-r0", m)}, []string{fmt.Sprintf("m%d-r1", m)}}
+		if err := s.PutChunksFrom(id, m, owner, chunks); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,25 +45,25 @@ func TestFailExecutorInvalidatesShuffleOutput(t *testing.T) {
 	}
 
 	// Fetch now reports the hole with lineage-recovery detail.
-	_, err = s.Fetch(id, 0)
+	_, err = s.FetchChunks(id, 0)
 	var miss *MapOutputMissingError
 	if !errors.As(err, &miss) {
-		t.Fatalf("Fetch error = %v, want MapOutputMissingError", err)
+		t.Fatalf("FetchChunks error = %v, want MapOutputMissingError", err)
 	}
 	if miss.Shuffle != id || miss.MapPart != 1 {
 		t.Fatalf("miss = %+v, want shuffle %d part 1", miss, id)
 	}
 
 	// A zombie attempt on the dead executor cannot resurrect the output.
-	if err := s.PutFrom(id, 1, 1, [][]any{{"z"}, {"z"}}); !errors.Is(err, ErrExecutorLost) {
-		t.Fatalf("zombie PutFrom error = %v, want ErrExecutorLost", err)
+	if err := s.PutChunksFrom(id, 1, 1, []any{[]string{"z"}, []string{"z"}}); !errors.Is(err, ErrExecutorLost) {
+		t.Fatalf("zombie PutChunksFrom error = %v, want ErrExecutorLost", err)
 	}
 	// Re-execution from a healthy executor heals it.
-	if err := s.PutFrom(id, 1, 2, [][]any{{"m1-r0"}, {"m1-r1"}}); err != nil {
+	if err := s.PutChunksFrom(id, 1, 2, []any{[]string{"m1-r0"}, []string{"m1-r1"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Fetch(id, 0); err != nil {
-		t.Fatalf("Fetch after re-execution: %v", err)
+	if _, err := s.FetchChunks(id, 0); err != nil {
+		t.Fatalf("FetchChunks after re-execution: %v", err)
 	}
 	// Failing the same executor twice is a no-op.
 	if again := rt.FailExecutor(1); again != nil {
@@ -167,7 +167,7 @@ func TestFetchShuffleRetriesTransientLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := rt.Shuffle().Register(1, 1)
-	if err := rt.Shuffle().Put(id, 0, [][]any{{"v"}}); err != nil {
+	if err := rt.Shuffle().PutChunksFrom(id, 0, -1, []any{[]string{"v"}}); err != nil {
 		t.Fatal(err)
 	}
 	tc := &TaskContext{Executor: 0}
@@ -175,7 +175,7 @@ func TestFetchShuffleRetriesTransientLoss(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FetchShuffleChunks: %v", err)
 	}
-	if ch, _ := out[0].([]any); len(out) != 1 || len(ch) != 1 || ch[0] != "v" {
+	if ch, _ := out[0].([]string); len(out) != 1 || len(ch) != 1 || ch[0] != "v" {
 		t.Fatalf("out = %v, want [[v]]", out)
 	}
 	if got := atomic.LoadInt64(&retries); got != 2 {
@@ -197,7 +197,7 @@ func TestFetchShuffleExhaustsRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := rt.Shuffle().Register(1, 1)
-	if err := rt.Shuffle().Put(id, 0, [][]any{{"v"}}); err != nil {
+	if err := rt.Shuffle().PutChunksFrom(id, 0, -1, []any{[]string{"v"}}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = rt.FetchShuffleChunks(&TaskContext{Executor: 0}, id, 0)
@@ -216,7 +216,7 @@ func TestFetchShuffleMissingOutputNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := rt.Shuffle().Register(2, 1)
-	if err := rt.Shuffle().Put(id, 0, [][]any{{"v"}}); err != nil {
+	if err := rt.Shuffle().PutChunksFrom(id, 0, -1, []any{[]string{"v"}}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = rt.FetchShuffleChunks(&TaskContext{Executor: 0}, id, 0)

@@ -6,18 +6,19 @@ import (
 	"time"
 )
 
-// RetryFetch runs fetch with bounded retry and doubling backoff — the
-// shuffle-fetch retry discipline shared by the local runtime
+// RetryFetch runs fetch with bounded retry and doubling backoff from
+// 2 ms — the shuffle-fetch retry discipline shared by the local runtime
 // (FetchShuffleChunks) and the distributed executor's
 // network fetches. A *MapOutputMissingError returns immediately: missing
 // map output is not transient, lineage must repair it. Any other error
 // is treated as transient; onRetry (may be nil) observes each retry
 // before its backoff sleep. After attempts failures the last error is
 // returned unwrapped so callers can add their own context.
-func RetryFetch(attempts int, backoff time.Duration, onRetry func(attempt int, backoff time.Duration, last error), fetch func() error) error {
+func RetryFetch(attempts int, onRetry func(attempt int, backoff time.Duration, last error), fetch func() error) error {
 	if attempts < 1 {
 		attempts = 1
 	}
+	backoff := fetchRetryBackoff
 	var last error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {

@@ -24,39 +24,37 @@ import (
 // attempts (liveOn), and exits a failed stage once in-flight work
 // drains.
 
+// withFastTasks appends four 2 ms tasks to a straggler: they complete
+// on the second slot while the straggler holds the first, taking the
+// stage past speculation's 75 % quantile and setting the median.
+func withFastTasks(straggler TaskSpec) []TaskSpec {
+	tasks := []TaskSpec{straggler}
+	for i := 0; i < 4; i++ {
+		tasks = append(tasks, TaskSpec{Run: func(tc *TaskContext) error { time.Sleep(2 * time.Millisecond); return nil }})
+	}
+	return tasks
+}
+
 // TestSpeculatedCopyFailureDoesNotKillTask: the original attempt is
 // slow but succeeds; the speculative copy fails immediately. With
 // MaxTaskFailures=2 the single copy failure must not terminally fail
 // the task — the stage must succeed once the original finishes.
 func TestSpeculatedCopyFailureDoesNotKillTask(t *testing.T) {
-	cfg := Config{
-		Executors:                  2,
-		CoresPerExecutor:           1,
-		MaxTaskFailures:            2,
-		Speculation:                true,
-		SpeculationQuantile:        0.5,
-		SpeculationMultiplier:      1.5,
-		SpeculationIntervalSeconds: 0.005,
-	}
+	cfg := Config{Executors: 2, CoresPerExecutor: 1, MaxTaskFailures: 2, Speculation: true}
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var launches int64
-	tasks := []TaskSpec{
-		// Fast tasks establish the median duration.
-		{Run: func(tc *TaskContext) error { time.Sleep(2 * time.Millisecond); return nil }},
-		{Run: func(tc *TaskContext) error { time.Sleep(2 * time.Millisecond); return nil }},
-		// The straggler: first launch is slow but succeeds; the
-		// speculative second launch errors instantly.
-		{Run: func(tc *TaskContext) error {
-			if atomic.AddInt64(&launches, 1) == 1 {
-				time.Sleep(120 * time.Millisecond)
-				return nil
-			}
-			return errors.New("speculated copy dies")
-		}},
-	}
+	// The straggler: first launch is slow but succeeds; the speculative
+	// second launch errors instantly.
+	tasks := withFastTasks(TaskSpec{Run: func(tc *TaskContext) error {
+		if atomic.AddInt64(&launches, 1) == 1 {
+			time.Sleep(120 * time.Millisecond)
+			return nil
+		}
+		return errors.New("speculated copy dies")
+	}})
 	if err := rt.RunStage("spec-fail", tasks); err != nil {
 		t.Fatalf("stage failed though the original attempt succeeded: %v", err)
 	}
@@ -126,34 +124,23 @@ func TestFailureBudgetIsPerRealFailure(t *testing.T) {
 // live sibling (a speculated copy), the failure must not enqueue a
 // third run — the sibling's own completion settles the task.
 func TestRequeueDefersToLiveSibling(t *testing.T) {
-	cfg := Config{
-		Executors:                  2,
-		CoresPerExecutor:           1,
-		MaxTaskFailures:            4,
-		Speculation:                true,
-		SpeculationQuantile:        0.5,
-		SpeculationMultiplier:      1.5,
-		SpeculationIntervalSeconds: 0.005,
-	}
+	cfg := Config{Executors: 2, CoresPerExecutor: 1, MaxTaskFailures: 4, Speculation: true}
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var launches int64
-	tasks := []TaskSpec{
-		{Run: func(tc *TaskContext) error { time.Sleep(2 * time.Millisecond); return nil }},
-		{Run: func(tc *TaskContext) error { time.Sleep(2 * time.Millisecond); return nil }},
-		{Run: func(tc *TaskContext) error {
-			if atomic.AddInt64(&launches, 1) == 1 {
-				// Original straggles long enough for a copy to spawn,
-				// then fails while the copy is still running.
-				time.Sleep(60 * time.Millisecond)
-				return errors.New("original dies late")
-			}
-			time.Sleep(150 * time.Millisecond)
-			return nil
-		}},
-	}
+	tasks := withFastTasks(TaskSpec{Run: func(tc *TaskContext) error {
+		if atomic.AddInt64(&launches, 1) == 1 {
+			// Original straggles long enough for a copy to spawn (the
+			// first scan is 50 ms in), then fails while the copy is
+			// still running.
+			time.Sleep(120 * time.Millisecond)
+			return errors.New("original dies late")
+		}
+		time.Sleep(150 * time.Millisecond)
+		return nil
+	}})
 	if err := rt.RunStage("sibling", tasks); err != nil {
 		t.Fatalf("stage failed: %v", err)
 	}

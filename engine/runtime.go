@@ -112,7 +112,7 @@ func New(cfg Config) (*Runtime, error) {
 		rt.shuffle = NewShuffleStore()
 	}
 	for e := range rt.workers {
-		rt.workers[e] = newExecWorkers(e, cfg.CoresPerExecutor, cfg.RunQueueDepth)
+		rt.workers[e] = newExecWorkers(e, cfg.CoresPerExecutor, runQueuePerCore*cfg.CoresPerExecutor)
 	}
 	return rt, nil
 }
@@ -275,8 +275,7 @@ func (rt *Runtime) checkTimeCrashes() {
 // against transient injected fetch faults. Missing map output is
 // returned immediately (not transient; lineage must repair it).
 func (rt *Runtime) fetchRetrying(tc *TaskContext, shuffleID, reducePart int, fetch func() error) error {
-	backoff := time.Duration(rt.cfg.FetchRetryBackoffSeconds * float64(time.Second))
-	err := RetryFetch(rt.cfg.MaxFetchRetries, backoff,
+	err := RetryFetch(rt.cfg.MaxFetchRetries,
 		func(attempt int, backoff time.Duration, last error) {
 			rt.auditFault("fetch-retry", tc.Executor, float64(attempt),
 				fmt.Sprintf("shuffle=%d part=%d backoff=%s: %v", shuffleID, reducePart, backoff, last))
@@ -333,7 +332,7 @@ func (rt *Runtime) FetchShuffleChunks(tc *TaskContext, shuffleID, reducePart int
 		owners := rt.shuffle.Owners(shuffleID)
 		var lr, lb, rr, rb int64
 		for m, ch := range out {
-			r, by := chunkVolume(ch)
+			r, by := ChunkVolume(ch)
 			if m < len(owners) && owners[m] == tc.Executor {
 				lr, lb = lr+r, lb+by
 			} else {
@@ -839,8 +838,7 @@ func (st *stageState) scheduleRetry(after float64) {
 
 // scheduleSpeculationCheck arms the periodic straggler scan.
 func (st *stageState) scheduleSpeculationCheck() {
-	interval := time.Duration(st.rt.cfg.SpeculationIntervalSeconds * float64(time.Second))
-	time.AfterFunc(interval, func() {
+	time.AfterFunc(speculationInterval, func() {
 		st.mu.Lock()
 		if st.finished || st.remaining == 0 || st.failed != nil {
 			st.mu.Unlock()
@@ -856,8 +854,7 @@ func (st *stageState) scheduleSpeculationCheck() {
 
 // scheduleFaultCheck arms the periodic time-based crash-trigger poll.
 func (st *stageState) scheduleFaultCheck() {
-	interval := time.Duration(st.rt.cfg.FaultCheckIntervalSeconds * float64(time.Second))
-	time.AfterFunc(interval, func() {
+	time.AfterFunc(faultCheckInterval, func() {
 		st.mu.Lock()
 		fin := st.finished || st.remaining == 0
 		st.mu.Unlock()
@@ -883,10 +880,10 @@ func (st *stageState) recordCompletedDurLocked(dur float64) {
 // st.mu held; completedDurs is already sorted.
 func (st *stageState) speculateLocked() {
 	total := len(st.tasks)
-	if float64(len(st.completedDurs)) < st.rt.cfg.SpeculationQuantile*float64(total) {
+	if float64(len(st.completedDurs)) < speculationQuantile*float64(total) {
 		return
 	}
-	threshold := st.completedDurs[len(st.completedDurs)/2] * st.rt.cfg.SpeculationMultiplier
+	threshold := st.completedDurs[len(st.completedDurs)/2] * speculationMultiplier
 	now := time.Now()
 	for id, since := range st.running {
 		if st.done[id] || st.speculated[id] || st.queued[id] {

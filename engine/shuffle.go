@@ -15,13 +15,11 @@ import (
 // ShuffleStore is the in-memory shuffle service connecting map-side
 // output buckets to reduce-side fetches.
 //
-// The native unit of storage is the *chunk*: one bucket's records as a
-// typed slice (e.g. []Pair[K,V]) boxed in a single interface value. Map
-// tasks publish one chunk per reduce partition with PutChunksFrom, and
-// FetchChunks hands the stored chunks back without flattening or
-// copying — the rdd layer restores their static types. The older
-// record-boxed [][]any API (Put/PutFrom/Fetch) remains as a thin
-// compatibility wrapper: a []any bucket is itself a valid chunk.
+// The unit of storage is the *chunk*: one bucket's records as a typed
+// slice (e.g. []Pair[K,V]) boxed in a single interface value. Map tasks
+// publish one chunk per reduce partition with PutChunksFrom, and
+// FetchChunks/FetchChunk hand the stored chunks back without flattening
+// or copying — the rdd layer restores their static types.
 //
 // Locking is sharded: the store-level RWMutex only guards the shuffle
 // registry and the lost-executor set (Register/Drop/InvalidateOwner
@@ -30,8 +28,8 @@ import (
 // shuffles, and reduce fetches against an already-written shuffle, do
 // not serialize on one global lock.
 //
-// For fault recovery the store tracks provenance: PutFrom records which
-// executor produced each map partition, InvalidateOwner drops every
+// For fault recovery the store tracks provenance: PutChunksFrom records
+// which executor produced each map partition, InvalidateOwner drops every
 // partition a lost executor produced (and bans late writes from its
 // zombie attempts), and MissingParts lists what lineage re-execution
 // must rebuild.
@@ -116,28 +114,18 @@ type Volume struct {
 	Bytes   int64
 }
 
-// chunkVolume measures one stored chunk: its record count and
-// approximate bytes (element size times length; record-boxed []any
-// chunks count one interface header per record).
-func chunkVolume(ch any) (records, bytes int64) {
-	switch c := ch.(type) {
-	case nil:
+// ChunkVolume measures one chunk with the store's own accounting, so
+// external shuffle paths (the distributed runtime's network fetches)
+// report volume consistently with local fetches: its record count and
+// approximate bytes (element size times length; a []any chunk counts
+// one 16-byte interface header per record).
+func ChunkVolume(ch any) (records, bytes int64) {
+	if ch == nil {
 		return 0, 0
-	case []any:
-		n := int64(len(c))
-		return n, n * 16
 	}
 	v := reflect.ValueOf(ch)
 	n := int64(v.Len())
 	return n, n * int64(v.Type().Elem().Size())
-}
-
-// ChunkVolume measures one chunk with the store's own accounting —
-// record count and approximate bytes — so external shuffle paths (the
-// distributed runtime's network fetches) report volume consistently
-// with local fetches.
-func ChunkVolume(ch any) (records, bytes int64) {
-	return chunkVolume(ch)
 }
 
 // LostPart identifies one invalidated map output.
@@ -300,7 +288,7 @@ func (s *ShuffleStore) PutChunksFrom(shuffleID, mapPart, owner int, chunks []any
 	}
 	var records, bytes int64
 	for _, ch := range chunks {
-		r, b := chunkVolume(ch)
+		r, b := ChunkVolume(ch)
 		records, bytes = records+r, bytes+b
 	}
 	if err := s.lockPut(d, shuffleID, owner); err != nil {
@@ -384,26 +372,68 @@ func (s *ShuffleStore) loadSpilled(shuffleID, mapPart, reducePart int) (any, err
 	if err != nil {
 		return nil, err
 	}
-	_, bytes := chunkVolume(ch)
+	_, bytes := ChunkVolume(ch)
 	s.spill.acct.NoteRestore(bytes)
 	s.spill.auditf("restore", float64(bytes),
 		fmt.Sprintf("shuffle=%d map=%d bucket=%d", shuffleID, mapPart, reducePart))
 	return ch, nil
 }
 
-// dropCorruptSpill reacts to an unreadable spill file: if the partition
-// is still the generation that failed, it is marked unwritten so the
-// recovery machinery re-executes it through lineage — the third level
-// of the read path (memory → spill dir → recompute).
-func (s *ShuffleStore) dropCorruptSpill(d *shuffleData, shuffleID, mapPart int, gen uint64, cause error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.gen[mapPart] != gen || !d.written[mapPart] || !d.spilled[mapPart] {
-		return
+// corruptSpill is readPart's report of a spill file that failed to
+// read, carrying the generation that failed.
+type corruptSpill struct {
+	gen   uint64
+	cause error
+}
+
+func (c *corruptSpill) Error() string { return c.cause.Error() }
+
+// readPart is the one per-partition read FetchChunks and FetchChunk
+// share, called with d.mu read-held. It returns map partition m's chunk
+// for reduce partition r: resident chunks from memory (touched
+// most-recently-used on a budgeted store), spilled ones read through
+// from their spill file one bucket at a time — they stay on disk, so
+// restores never push the store back over budget. An unwritten
+// partition is a *MapOutputMissingError; a spill file that fails to
+// read is a *corruptSpill, which the caller hands to readFailed once it
+// has released d.mu.
+func (s *ShuffleStore) readPart(d *shuffleData, shuffleID, m, r int) (any, error) {
+	if !d.written[m] {
+		return nil, &MapOutputMissingError{Shuffle: shuffleID, MapPart: m}
 	}
-	s.invalidateRow(d, shuffleID, mapPart)
-	s.spill.auditf("spill-corrupt", float64(d.bytes[mapPart]),
-		fmt.Sprintf("shuffle=%d map=%d dropped for lineage recompute: %v", shuffleID, mapPart, cause))
+	if s.spill == nil {
+		return d.chunks[m][r], nil
+	}
+	if d.spilled[m] {
+		ch, err := s.loadSpilled(shuffleID, m, r)
+		if err != nil {
+			return nil, &corruptSpill{gen: d.gen[m], cause: err}
+		}
+		return ch, nil
+	}
+	s.spill.acct.Touch(d.handles[m])
+	return d.chunks[m][r], nil
+}
+
+// readFailed turns a failed readPart into the fetch's error, with d.mu
+// released. A corrupt spill file is dropped — if the partition is still
+// the generation that failed, it is marked unwritten so the recovery
+// machinery re-executes it through lineage, the third level of the read
+// path (memory → spill dir → recompute) — and reported missing like any
+// unwritten partition.
+func (s *ShuffleStore) readFailed(d *shuffleData, shuffleID, m int, err error) error {
+	c, ok := err.(*corruptSpill)
+	if !ok {
+		return err
+	}
+	d.mu.Lock()
+	if d.gen[m] == c.gen && d.written[m] && d.spilled[m] {
+		s.invalidateRow(d, shuffleID, m)
+		s.spill.auditf("spill-corrupt", float64(d.bytes[m]),
+			fmt.Sprintf("shuffle=%d map=%d dropped for lineage recompute: %v", shuffleID, m, c.cause))
+	}
+	d.mu.Unlock()
+	return &MapOutputMissingError{Shuffle: shuffleID, MapPart: m}
 }
 
 // ShuffleVolume returns the cumulative movement through one shuffle
@@ -420,25 +450,6 @@ func (s *ShuffleStore) ShuffleVolume(shuffleID int) Volume {
 // store has ever held, including dropped ones.
 func (s *ShuffleStore) TotalVolume() Volume {
 	return Volume{Records: s.totalRecords.Load(), Bytes: s.totalBytes.Load()}
-}
-
-// Put stores a map partition's output buckets with no provenance (the
-// partition survives executor failures). Record-boxed compatibility
-// form of PutChunksFrom.
-func (s *ShuffleStore) Put(shuffleID, mapPart int, buckets [][]any) error {
-	return s.PutFrom(shuffleID, mapPart, -1, buckets)
-}
-
-// PutFrom stores a map partition's record-boxed output buckets produced
-// by owner. Each []any bucket is stored as one chunk.
-func (s *ShuffleStore) PutFrom(shuffleID, mapPart, owner int, buckets [][]any) error {
-	chunks := make([]any, len(buckets))
-	for i, b := range buckets {
-		if len(b) > 0 {
-			chunks[i] = b
-		}
-	}
-	return s.PutChunksFrom(shuffleID, mapPart, owner, chunks)
 }
 
 // PutChunkMetaFrom records ownership of a map partition without
@@ -524,7 +535,7 @@ func (s *ShuffleStore) OwnerReduceBytes(shuffleID, executors int, spillDiscount 
 			continue
 		}
 		for r, ch := range d.chunks[m] {
-			if _, b := chunkVolume(ch); b > 0 {
+			if _, b := ChunkVolume(ch); b > 0 {
 				out[r][o] += float64(b)
 			}
 		}
@@ -548,11 +559,9 @@ func anyChunkWritten(row []any) bool {
 // A map partition that has not been written — never materialized, or
 // invalidated by executor loss — yields a MapOutputMissingError.
 //
-// On a budgeted store this is the two-level read path: resident
-// partitions are served from memory (and touched most-recently-used),
-// spilled ones are read through from their spill files, one bucket at a
-// time — they stay on disk, so restores never push the store back over
-// budget. A spill file whose header or requested bucket fails to read
+// On a budgeted store this is the two-level read path (readPart):
+// resident partitions come from memory, spilled ones from their spill
+// files. A spill file whose header or requested bucket fails to read
 // (disk corruption) is dropped and the partition reported missing,
 // which sends the caller down the existing third level: lineage
 // re-execution.
@@ -566,32 +575,15 @@ func (s *ShuffleStore) FetchChunks(shuffleID, reducePart int) ([]any, error) {
 	}
 	d.mu.RLock()
 	out := make([]any, d.mapParts)
-	var corrupt error
-	corruptPart, corruptGen := -1, uint64(0)
-	for m := 0; m < d.mapParts; m++ {
-		if !d.written[m] {
+	for m := range out {
+		ch, err := s.readPart(d, shuffleID, m, reducePart)
+		if err != nil {
 			d.mu.RUnlock()
-			return nil, &MapOutputMissingError{Shuffle: shuffleID, MapPart: m}
+			return nil, s.readFailed(d, shuffleID, m, err)
 		}
-		if s.spill != nil && d.spilled[m] {
-			ch, err := s.loadSpilled(shuffleID, m, reducePart)
-			if err != nil {
-				corrupt, corruptPart, corruptGen = err, m, d.gen[m]
-				break
-			}
-			out[m] = ch
-			continue
-		}
-		out[m] = d.chunks[m][reducePart]
-		if s.spill != nil {
-			s.spill.acct.Touch(d.handles[m])
-		}
+		out[m] = ch
 	}
 	d.mu.RUnlock()
-	if corrupt != nil {
-		s.dropCorruptSpill(d, shuffleID, corruptPart, corruptGen, corrupt)
-		return nil, &MapOutputMissingError{Shuffle: shuffleID, MapPart: corruptPart}
-	}
 	return out, nil
 }
 
@@ -612,25 +604,11 @@ func (s *ShuffleStore) FetchChunk(shuffleID, mapPart, reducePart int) (any, erro
 		return nil, fmt.Errorf("engine: shuffle %d: reduce partition %d out of range", shuffleID, reducePart)
 	}
 	d.mu.RLock()
-	if !d.written[mapPart] {
-		d.mu.RUnlock()
-		return nil, &MapOutputMissingError{Shuffle: shuffleID, MapPart: mapPart}
-	}
-	if s.spill != nil && d.spilled[mapPart] {
-		ch, err := s.loadSpilled(shuffleID, mapPart, reducePart)
-		gen := d.gen[mapPart]
-		d.mu.RUnlock()
-		if err != nil {
-			s.dropCorruptSpill(d, shuffleID, mapPart, gen, err)
-			return nil, &MapOutputMissingError{Shuffle: shuffleID, MapPart: mapPart}
-		}
-		return ch, nil
-	}
-	ch := d.chunks[mapPart][reducePart]
-	if s.spill != nil {
-		s.spill.acct.Touch(d.handles[mapPart])
-	}
+	ch, err := s.readPart(d, shuffleID, mapPart, reducePart)
 	d.mu.RUnlock()
+	if err != nil {
+		return nil, s.readFailed(d, shuffleID, mapPart, err)
+	}
 	return ch, nil
 }
 
@@ -652,38 +630,6 @@ func (s *ShuffleStore) Owners(shuffleID int) []int {
 		} else {
 			out[m] = -1
 		}
-	}
-	return out
-}
-
-// Fetch returns all map-side buckets for one reduce partition in the
-// record-boxed [][]any compatibility form. Chunks written through the
-// typed path are flattened (reflectively) into boxed records; chunks
-// written through Put/PutFrom are returned as stored.
-func (s *ShuffleStore) Fetch(shuffleID, reducePart int) ([][]any, error) {
-	chunks, err := s.FetchChunks(shuffleID, reducePart)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]any, len(chunks))
-	for m, ch := range chunks {
-		out[m] = boxChunk(ch)
-	}
-	return out, nil
-}
-
-// boxChunk converts one stored chunk to boxed records.
-func boxChunk(ch any) []any {
-	switch c := ch.(type) {
-	case nil:
-		return nil
-	case []any:
-		return c
-	}
-	v := reflect.ValueOf(ch)
-	out := make([]any, v.Len())
-	for i := range out {
-		out[i] = v.Index(i).Interface()
 	}
 	return out
 }

@@ -133,6 +133,63 @@ func TestSpilledBucketReadPath(t *testing.T) {
 	if ch, err := s.FetchChunk(id, 1, 2); err != nil || !reflect.DeepEqual(ch, put(1)[2]) {
 		t.Fatalf("bucket 2 after the re-put: %#v, %v", ch, err)
 	}
+
+	// The same through FetchChunks: a flipped byte in partition 2's
+	// bucket 3 (int64s of value 23) fails the whole reduce partition's
+	// fetch as partition 2 missing, and drops that partition only.
+	path = s.spillPath(id, 2)
+	if raw, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if at = strings.Index(string(raw), "\x17\x00\x00\x00\x00\x00\x00\x00"); at < 0 {
+		t.Fatal("bucket 3's records not found in the spill file")
+	}
+	raw[at] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.FetchChunks(id, 3); !errors.As(err, &miss) || miss.MapPart != 2 {
+		t.Fatalf("FetchChunks over a damaged bucket: %v, want MapOutputMissingError for partition 2", err)
+	}
+	if got := s.MissingParts(id); !slices.Equal(got, []int{2}) {
+		t.Fatalf("missing parts %v, want [2]", got)
+	}
+	if len(corrupt) != 2 || !strings.Contains(corrupt[1], "map=2") {
+		t.Fatalf("spill-corrupt audits: %q", corrupt)
+	}
+}
+
+// TestResidentFetchAllocs pins what a fetch of resident chunks costs:
+// FetchChunk hands the stored chunk back without allocating, and
+// FetchChunks allocates only the slice it returns — on an unbudgeted
+// store and on a budgeted one whose partitions stay resident.
+func TestResidentFetchAllocs(t *testing.T) {
+	budgeted, err := NewSpillingShuffleStore(spill.NewAccountant(1<<20), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*ShuffleStore{"unbudgeted": NewShuffleStore(), "budgeted": budgeted} {
+		id := s.Register(4, 2)
+		for m := 0; m < 4; m++ {
+			if err := s.PutChunksFrom(id, m, m, []any{[]int64{1, 2}, []int64{3}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := s.FetchChunk(id, 2, 1); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: FetchChunk allocates %.0f times, want 0", name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := s.FetchChunks(id, 1); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("%s: FetchChunks allocates %.0f times, want 1", name, n)
+		}
+	}
 }
 
 // TestInvalidatePartIsGuardedByOwner: the driver's answer to a live
@@ -171,5 +228,43 @@ func TestInvalidatePartIsGuardedByOwner(t *testing.T) {
 	}
 	if s.InvalidatePart(id, 0, 0) || !s.Complete(id) {
 		t.Fatal("a stale report undid a repair")
+	}
+}
+
+// TestFetchTouchesResidentChunks: both fetch paths mark the resident
+// partitions they read most-recently-used, so the next eviction takes a
+// partition nobody has read since.
+func TestFetchTouchesResidentChunks(t *testing.T) {
+	for _, viaChunks := range []bool{false, true} {
+		// Each partition accounts 24 bytes: the budget holds two.
+		s, err := NewSpillingShuffleStore(spill.NewAccountant(48), t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := s.Register(2, 2), s.Register(1, 2)
+		put := func(id, m int) {
+			t.Helper()
+			if err := s.PutChunksFrom(id, m, 0, []any{[]int64{1, 2}, []int64{3}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		put(a, 1)
+		put(a, 0)
+		// Put order leaves 1 least recently used; the read makes it 0:
+		// FetchChunk reads partition 1, FetchChunks reads 0 and then 1.
+		if viaChunks {
+			_, err = s.FetchChunks(a, 1)
+		} else {
+			_, err = s.FetchChunk(a, 1, 1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(b, 0) // over budget: one partition of a goes to disk
+		for m := 0; m < 2; m++ {
+			if _, err := os.Stat(s.spillPath(a, m)); (err == nil) != (m == 0) {
+				t.Errorf("viaChunks=%v: partition %d spilled=%v, want only 0 spilled", viaChunks, m, err == nil)
+			}
+		}
 	}
 }

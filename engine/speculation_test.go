@@ -6,28 +6,22 @@ import (
 	"time"
 )
 
-// specCfg builds a runtime with fast speculation checks.
+// specCfg builds a runtime of 8 slots.
 func specCfg(on bool) Config {
-	return Config{
-		Executors:                  4,
-		CoresPerExecutor:           2,
-		Speculation:                on,
-		SpeculationQuantile:        0.5,
-		SpeculationMultiplier:      1.5,
-		SpeculationIntervalSeconds: 0.005,
-	}
+	return Config{Executors: 4, CoresPerExecutor: 2, Speculation: on}
 }
 
-// stragglerStage builds tasks where the first attempt of task 0 hangs
-// far beyond the rest; a speculative copy returns quickly.
-func stragglerStage(release chan struct{}) []TaskSpec {
+// stragglerStage builds 16 tasks where the first attempts of tasks
+// 0..parked-1 hang far beyond the rest; a speculative copy returns
+// quickly.
+func stragglerStage(release chan struct{}, parked int) []TaskSpec {
 	tasks := make([]TaskSpec, 16)
-	var first int32
+	first := make([]atomic.Int32, len(tasks))
 	for i := range tasks {
 		i := i
 		tasks[i] = TaskSpec{Run: func(tc *TaskContext) error {
-			if i == 0 && atomic.AddInt32(&first, 1) == 1 {
-				// The straggling original: parks until released.
+			if i < parked && first[i].Add(1) == 1 {
+				// A straggling original: parks until released.
 				<-release
 				return nil
 			}
@@ -46,7 +40,7 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	done := make(chan error, 1)
-	go func() { done <- rt.RunStage("straggler", stragglerStage(release)) }()
+	go func() { done <- rt.RunStage("straggler", stragglerStage(release, 1)) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -67,7 +61,7 @@ func TestNoSpeculationWhenDisabled(t *testing.T) {
 	}
 	release := make(chan struct{})
 	done := make(chan error, 1)
-	go func() { done <- rt.RunStage("straggler", stragglerStage(release)) }()
+	go func() { done <- rt.RunStage("straggler", stragglerStage(release, 1)) }()
 	select {
 	case <-done:
 		t.Fatal("stage completed although the straggler was never released")
@@ -89,7 +83,7 @@ func TestDuplicateCompletionCountedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	if err := rt.RunStage("dup", stragglerStage(release)); err != nil {
+	if err := rt.RunStage("dup", stragglerStage(release, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Release the parked original after the stage completed; its late
@@ -103,22 +97,22 @@ func TestDuplicateCompletionCountedOnce(t *testing.T) {
 	}
 }
 
+// TestSpeculationQuantileGate: speculation starts only once 75 % of a
+// stage's tasks have completed. With five of sixteen originals parked,
+// eleven can complete (under 75 %), so nothing is speculated and the
+// stragglers block the stage.
 func TestSpeculationQuantileGate(t *testing.T) {
-	// With quantile 1.0 speculation can never start (all tasks must
-	// finish first), so the straggler blocks the stage.
-	cfg := specCfg(true)
-	cfg.SpeculationQuantile = 1.0
-	rt, err := New(cfg)
+	rt, err := New(specCfg(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
 	done := make(chan error, 1)
-	go func() { done <- rt.RunStage("gated", stragglerStage(release)) }()
+	go func() { done <- rt.RunStage("gated", stragglerStage(release, 5)) }()
 	select {
 	case <-done:
 		t.Fatal("stage completed but speculation should have been gated off")
-	case <-time.After(100 * time.Millisecond):
+	case <-time.After(150 * time.Millisecond):
 	}
 	close(release)
 	if err := <-done; err != nil {
@@ -126,12 +120,27 @@ func TestSpeculationQuantileGate(t *testing.T) {
 	}
 }
 
+// TestSpeculationDefaults: at exactly the 75 % quantile — four of
+// sixteen originals parked, twelve completed — speculation starts and
+// rescues every straggler.
 func TestSpeculationDefaults(t *testing.T) {
-	c := Config{Speculation: true}.withDefaults()
-	if c.SpeculationQuantile != 0.75 || c.SpeculationMultiplier != 1.5 {
-		t.Fatalf("defaults: %+v", c)
+	rt, err := New(specCfg(true))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.SpeculationIntervalSeconds != 0.05 {
-		t.Fatalf("interval default = %v", c.SpeculationIntervalSeconds)
+	release := make(chan struct{})
+	defer close(release)
+	done := make(chan error, 1)
+	go func() { done <- rt.RunStage("at-quantile", stragglerStage(release, 4)) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stage did not complete: speculation failed to start at the quantile")
+	}
+	if n := rt.Metrics().Speculations(); n != 4 {
+		t.Fatalf("speculations = %d, want 4 (one per straggler)", n)
 	}
 }

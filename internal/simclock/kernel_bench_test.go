@@ -10,7 +10,7 @@ import (
 // start/finish/capacity churn. The /brute sub-benchmark runs the same
 // scenario on the recompute-the-world oracle; the incremental kernel must
 // beat it by >=3x (CI measures the pair as mrperf's kernel/churn-*
-// scenarios and gates the ratio with `cigate kernel`).
+// scenarios and gates the ratio with `mrperf gate kernel`).
 func BenchmarkKernelChurn(b *testing.B) {
 	for _, k := range []struct {
 		name  string

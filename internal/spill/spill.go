@@ -59,7 +59,8 @@ const (
 	// MaxFrame bounds the header frame and every gob frame (64 MiB): the
 	// ceiling that turns a corrupt length into an error instead of an
 	// allocation, enforced on a gob frame's way out too so that a chunk
-	// no reader would accept is never written.
+	// no reader would accept is never written. The distributed
+	// runtime's wire frames share it.
 	MaxFrame = 64 << 20
 	// MaxChunks bounds an entry's bucket count (reduce partitions), so a
 	// corrupt header cannot force a large chunk-slice allocation.
@@ -68,13 +69,14 @@ const (
 	prefixLen = 8
 )
 
-// ErrFrameTooLarge rejects a frame whose length exceeds MaxFrame.
+// ErrFrameTooLarge rejects a frame — a spill-file frame or a wire frame
+// — whose length exceeds the reader's limit (MaxFrame for spill files).
 type ErrFrameTooLarge struct {
 	Length, Max int
 }
 
 func (e *ErrFrameTooLarge) Error() string {
-	return fmt.Sprintf("spill: frame of %d bytes exceeds limit %d", e.Length, e.Max)
+	return fmt.Sprintf("frame of %d bytes exceeds limit %d", e.Length, e.Max)
 }
 
 // ErrChecksum reports a header or frame whose bytes do not match their

@@ -10,7 +10,7 @@ import (
 // with sibling test packages, and a significance test on wall time
 // under that contention fails on some machine shapes and not others.
 // The wall comparison is judged where it runs alone — both twins of
-// each pair are in the CI mrperf suite behind `cigate perf`.
+// each pair are in the CI mrperf suite behind `mrperf compare`.
 func runAB(t *testing.T, a, b string) (ra, rb *ScenarioResult) {
 	t.Helper()
 	scens, err := Select(a + "," + b)

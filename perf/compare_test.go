@@ -227,7 +227,7 @@ func TestCommittedAllocGate(t *testing.T) {
 }
 
 // TestCommittedBaselineGate exercises the committed BENCH_perf.json
-// exactly the way cigate does: compared against itself it passes, and
+// exactly the way CI does: compared against itself it passes, and
 // with an injected 2x slowdown on every scenario it fails.
 func TestCommittedBaselineGate(t *testing.T) {
 	base, err := LoadReport("../BENCH_perf.json")

@@ -8,10 +8,9 @@ import (
 	"strings"
 )
 
-// This file holds the CI gate logic that cmd/cigate fronts, so the
-// exact same checks run locally (`go run ./cmd/cigate ...`) and in the
-// workflow — replacing the inline python heredocs the workflow used to
-// carry.
+// This file holds the CI gate logic that `mrperf gate` fronts, so the
+// exact same checks run locally (`go run ./cmd/mrperf gate ...`) and in
+// the workflow.
 
 // CoverageFromProfile computes total statement coverage (percent) from
 // a `go test -coverprofile` file, the same number `go tool cover
@@ -88,7 +87,7 @@ func CheckCoverage(pct, floor float64) error {
 // scenarios they compare are already in the registry, so a gate is
 // arithmetic over two ScenarioResults rather than a benchmark of its
 // own. A report that lacks a scenario (or an extra) a gate needs is an
-// error from these functions, which cigate treats as bad usage — a
+// error from these functions, which `mrperf gate` treats as bad usage — a
 // gate must never pass because its input was not measured.
 
 // gateScenarios looks up the named scenarios of a report, in order.

@@ -9,8 +9,8 @@
 //
 // The compare side loads a baseline report and judges each scenario
 // with a Mann-Whitney U test plus a median-delta threshold — the
-// statistical gate every perf-sensitive PR runs against, locally via
-// `mrperf compare` and in CI via `cigate perf`.
+// statistical gate every perf-sensitive PR runs against, locally and
+// in CI via `mrperf compare`.
 package perf
 
 import (

@@ -77,7 +77,7 @@ func (c *Context) depByEngineID(id int) *shuffleDep {
 
 // shuffleMapTasks builds the map tasks that (re)materialize the given
 // map partitions of a dependency into engine shuffle id. Output is
-// written with PutFrom so the store records which executor owns each
+// written with PutChunksFrom so the store records which executor owns each
 // partition — the provenance executor-loss invalidation keys on.
 func (c *Context) shuffleMapTasks(d *shuffleDep, id int, parts []int) []engine.TaskSpec {
 	parent := d.parent

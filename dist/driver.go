@@ -455,10 +455,22 @@ func (d *Driver) shuffleAddrOf(exec int) string {
 // gathers generation g-1 and writes generation g, and the reduce stage
 // gathers the last one. A map task is a task with an empty fetch phase,
 // a reduce task one with an empty store phase, and a job without a Step
-// function is the chain of length one. All generations stay registered
-// until the job ends, so lineage repair after an executor loss re-runs
-// only the missing partitions of earlier generations, in dependency
-// order.
+// function is the chain of length one.
+//
+// The chain holds a rolling window of two generations. Each generation
+// is registered as the stage writing it starts, and generation g-1 is
+// released — on the driver and on every live executor — as soon as
+// stage g has completed, before stage g+1 starts; the last one goes
+// after the reduce. Stage g therefore finds exactly the generation it
+// gathers and the one it writes resident. A loss that takes part of the
+// gathered generation is repaired from lineage by recomputation
+// (repairChain): the chain is rebuilt from the newest generation still
+// complete, which after the window has moved on is the map stage's
+// inputs. A loss late in a long chain therefore re-runs every superstep
+// below it: a SIGKILL in superstep 6 of 8 re-runs 50-58 tasks where
+// retaining every generation re-ran 20, at the same wall time on a
+// 2-vCPU host (DESIGN §7) — the cost, paid only after a loss, of
+// holding two generations instead of all of them.
 func (d *Driver) RunJob(spec JobSpec) ([]byte, error) {
 	spec, err := spec.withDefaults(d.cfg.Executors)
 	if err != nil {
@@ -476,83 +488,85 @@ func (d *Driver) RunJob(spec JobSpec) ([]byte, error) {
 		steps = spec.Steps
 	}
 	gens := make([]int, steps+1)
-	for g := range gens {
-		gens[g] = d.rt.Shuffle().Register(spec.stageParts(g), spec.ReduceParts)
-	}
 	defer func() {
 		for _, id := range gens {
 			d.dropShuffle(id)
 		}
 	}()
-	d.logf("job %s: steps=%d generations=%v mapParts=%d reduceParts=%d",
-		spec.Job, steps, gens, spec.MapParts, spec.ReduceParts)
+	d.logf("job %s: steps=%d mapParts=%d reduceParts=%d", spec.Job, steps, spec.MapParts, spec.ReduceParts)
 
 	var results [][]byte
 	for g := 0; g <= len(gens); g++ {
-		parts := make([]int, spec.stageParts(g))
-		for i := range parts {
-			parts[i] = i
-		}
-		if results, err = d.runStage(spec, gens, g, parts); err != nil {
+		if results, err = d.runStage(spec, gens, g, allParts(spec.stageParts(g))); err != nil {
 			return nil, err
+		}
+		if g > 0 {
+			d.dropShuffle(gens[g-1])
 		}
 	}
 	return job.Merge(spec, results)
 }
 
+// allParts is the partition list 0..n-1: a whole stage.
+func allParts(n int) []int {
+	parts := make([]int, n)
+	for i := range parts {
+		parts[i] = i
+	}
+	return parts
+}
+
 // runStage runs (or, under repair, re-runs) the given partitions of
 // chain stage g: stage 0 is the map stage, stages 1..len(gens)-1 the
-// supersteps, stage len(gens) the reduce. A stage that gathers prefers,
-// per partition, the executors owning most of the gathered generation
-// (Runtime.ReducePreferences), so under the shuffle-locality policy a
-// bucket stays where its data already is and the fetch phase is the
-// executor-local zero-copy path. A missing-map-output failure repairs
-// generations 0..g-1 and retries. The reduce stage returns its tasks'
-// encoded outputs by partition — RunStage returning nil means every
-// task succeeded, so an empty output is a result, not a task that never
+// supersteps, stage len(gens) the reduce. The generation the stage
+// writes is registered when its first attempt starts — and registered
+// afresh, under a new ID, when it is not registered any more. A stage
+// that gathers prefers, per partition, the executors owning most of the
+// gathered generation (Runtime.ReducePreferences), so under the
+// shuffle-locality policy a bucket stays where its data already is and
+// the fetch phase is the executor-local zero-copy path. A
+// missing-map-output failure repairs generation g-1 from lineage and
+// retries; a whole stage first releases what it wrote, because every
+// partition runs again. The reduce stage returns its tasks' encoded
+// outputs by partition — RunStage returning nil means every task
+// succeeded, so an empty output is a result, not a task that never
 // ran; every other stage returns nil.
 func (d *Driver) runStage(spec JobSpec, gens []int, g int, parts []int) ([][]byte, error) {
-	st := stage{kind: KindStep, index: g}
-	switch {
-	case g == 0:
-		st.kind, st.put = KindMap, gens[0]
-		st.name = fmt.Sprintf("%s-map-%d", spec.Job, st.put)
-	case g == len(gens):
-		st.kind, st.gather = KindReduce, gens[g-1]
-		st.name = fmt.Sprintf("%s-reduce-%d", spec.Job, st.gather)
-	default:
-		st.gather, st.put = gens[g-1], gens[g]
-		st.name = fmt.Sprintf("%s-step%d-%d", spec.Job, g, st.put)
-	}
-	var prefs [][]int
-	if st.gather != noShuffle {
-		prefs = d.rt.ReducePreferences([]int{st.gather}, spec.ReduceParts)
-	}
 	var results [][]byte
-	if st.put == noShuffle {
+	if g == len(gens) {
 		results = make([][]byte, spec.ReduceParts)
 	}
 	var resMu sync.Mutex
-	tasks := make([]engine.TaskSpec, len(parts))
-	for i, p := range parts {
-		if p < len(prefs) {
-			tasks[i].Preferred = prefs[p]
-		}
-		tasks[i].Run = func(tc *engine.TaskContext) error {
-			res, err := d.runTask(spec, st, p, tc)
-			if err != nil || results == nil {
-				return err
-			}
-			resMu.Lock()
-			results[p] = res
-			resMu.Unlock()
-			return nil
-		}
-	}
 	err := engine.RunStageRecovering(maxJobRecoveries,
-		func() error { return d.rt.RunStage(st.name, tasks) },
+		func() error {
+			st := d.chainStage(spec, gens, g)
+			var prefs [][]int
+			if st.gather != noShuffle {
+				prefs = d.rt.ReducePreferences([]int{st.gather}, spec.ReduceParts)
+			}
+			tasks := make([]engine.TaskSpec, len(parts))
+			for i, p := range parts {
+				if p < len(prefs) {
+					tasks[i].Preferred = prefs[p]
+				}
+				tasks[i].Run = func(tc *engine.TaskContext) error {
+					res, err := d.runTask(spec, st, p, tc)
+					if err != nil || results == nil {
+						return err
+					}
+					resMu.Lock()
+					results[p] = res
+					resMu.Unlock()
+					return nil
+				}
+			}
+			return d.rt.RunStage(st.name, tasks)
+		},
 		func(miss *engine.MapOutputMissingError) error {
-			d.logf("stage %s missing shuffle %d map partition %d; repairing generation chain", st.name, miss.Shuffle, miss.MapPart)
+			d.logf("stage %d of job %s missing shuffle %d map partition %d; repairing generation chain", g, spec.Job, miss.Shuffle, miss.MapPart)
+			if g < len(gens) && len(parts) == spec.stageParts(g) {
+				d.dropShuffle(gens[g])
+			}
 			return d.repairChain(spec, gens, g-1)
 		})
 	if err != nil {
@@ -571,29 +585,65 @@ type stage struct {
 	put    int
 }
 
-// repairChain re-executes the missing partitions of generations
-// 0..upto in dependency order — the job's lineage recovery. Re-running
-// a later generation's partitions may itself trip over a lost earlier
-// one; each repaired stage recovers recursively through runStage,
-// bounded by maxJobRecoveries per stage. A repair that finds nothing
-// missing answers a miss the driver's store does not show yet (an
-// executor's view of a peer): it waits a moment for the loss path to
-// catch up, so the recovery rounds are not all spent in one microsecond.
+// chainStage builds stage g of the chain from the generations as they
+// are now, registering the one it writes if that is not registered.
+func (d *Driver) chainStage(spec JobSpec, gens []int, g int) stage {
+	st := stage{kind: KindStep, index: g}
+	if g < len(gens) && d.rt.Shuffle().Owners(gens[g]) == nil {
+		gens[g] = d.rt.Shuffle().Register(spec.stageParts(g), spec.ReduceParts)
+	}
+	switch {
+	case g == 0:
+		st.kind, st.put = KindMap, gens[0]
+		st.name = fmt.Sprintf("%s-map-%d", spec.Job, st.put)
+	case g == len(gens):
+		st.kind, st.gather = KindReduce, gens[g-1]
+		st.name = fmt.Sprintf("%s-reduce-%d", spec.Job, st.gather)
+	default:
+		st.gather, st.put = gens[g-1], gens[g]
+		st.name = fmt.Sprintf("%s-step%d-%d", spec.Job, g, st.put)
+	}
+	return st
+}
+
+// repairChain rebuilds the missing partitions of generation upto from
+// lineage, by recomputation. They need every partition of generation
+// upto-1, which the rolling window has usually released, so the repair
+// starts from the newest generation at or below upto that is still
+// registered and complete — or, with none, from the map stage, which
+// recomputes from the spec alone. Above that base it rebuilds forward:
+// a released generation is registered afresh and all of its partitions
+// re-run (a step gathers every map partition), a registered one re-runs
+// only what is missing, and each rebuilt generation releases the one
+// below it, so the repair holds no more generations than the forward
+// pass. Re-running may itself trip over a further loss; each repaired
+// stage recovers recursively through runStage, bounded by
+// maxJobRecoveries per stage. A repair that finds nothing missing
+// answers a miss the driver's store does not show yet (an executor's
+// view of a peer): it waits a moment for the loss path to catch up, so
+// the recovery rounds are not all spent in one microsecond.
 func (d *Driver) repairChain(spec JobSpec, gens []int, upto int) error {
-	reran := false
-	for g := 0; g <= upto; g++ {
-		missing := d.rt.Shuffle().MissingParts(gens[g])
-		if len(missing) == 0 {
-			continue
+	base := upto
+	for base >= 0 && !d.rt.Shuffle().Complete(gens[base]) {
+		base--
+	}
+	if base == upto {
+		time.Sleep(20 * time.Millisecond)
+		return nil
+	}
+	d.logf("job %s: rebuilding generations %d..%d from generation %d (-1: the map inputs)", spec.Job, base+1, upto, base)
+	for g := base + 1; g <= upto; g++ {
+		parts := d.rt.Shuffle().MissingParts(gens[g])
+		if d.rt.Shuffle().Owners(gens[g]) == nil {
+			parts = allParts(spec.stageParts(g))
 		}
-		d.logf("repairing generation %d (shuffle %d): partitions %v", g, gens[g], missing)
-		if _, err := d.runStage(spec, gens, g, missing); err != nil {
+		d.logf("repairing generation %d (shuffle %d): partitions %v", g, gens[g], parts)
+		if _, err := d.runStage(spec, gens, g, parts); err != nil {
 			return err
 		}
-		reran = true
-	}
-	if !reran {
-		time.Sleep(20 * time.Millisecond)
+		if g > 0 {
+			d.dropShuffle(gens[g-1])
+		}
 	}
 	return nil
 }
@@ -616,6 +666,11 @@ func (d *Driver) runTask(spec JobSpec, st stage, part int, tc *engine.TaskContex
 	var locs []Loc
 	if st.gather != noShuffle {
 		owners := d.rt.Shuffle().Owners(st.gather)
+		if owners == nil {
+			// Released, or never registered: every partition is missing,
+			// and a gather with no locations would compute from nothing.
+			return nil, &engine.MapOutputMissingError{Shuffle: st.gather, MapPart: 0}
+		}
 		locs = make([]Loc, len(owners))
 		for m, o := range owners {
 			if o < 0 || d.live.Dead(o) {
@@ -692,9 +747,13 @@ func (d *Driver) emitFetches(id, part int, tc *engine.TaskContext, start time.Ti
 	}
 }
 
-// dropShuffle releases a finished job's shuffle everywhere.
+// dropShuffle releases a shuffle on the driver and every live
+// executor; one not (or no longer) registered is left alone. An
+// executor applies the drop before any task dispatched after it.
 func (d *Driver) dropShuffle(id int) {
-	d.rt.Shuffle().Drop(id)
+	if !d.rt.Shuffle().Drop(id) {
+		return
+	}
 	d.mu.Lock()
 	execs := make([]*execConn, 0, len(d.execs))
 	for eid, ec := range d.execs {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -94,6 +95,7 @@ func pagerankMap(spec JobSpec, part int) (MapOutput, error) {
 	nodes := spec.Records
 	parts := spec.ReduceParts
 	buckets := make([][]PRRec, parts)
+	buckets[part] = make([]PRRec, 0, prBucketLen(nodes, parts, part))
 	init := 1 / float64(nodes)
 	for n := int64(part); n < nodes; n += int64(parts) {
 		buckets[part] = append(buckets[part], PRRec{Kind: prState, Node: n, Val: init})
@@ -101,25 +103,47 @@ func pagerankMap(spec JobSpec, part int) (MapOutput, error) {
 	return prOutput(buckets), nil
 }
 
-// prGather splits gathered chunks into per-node rank state and
-// accumulated flow contributions, in chunk order.
-func prGather(chunks []any) (rank, contrib map[int64]float64, err error) {
-	rank = make(map[int64]float64)
-	contrib = make(map[int64]float64)
-	for _, ch := range chunks {
+// prBucketLen is how many nodes bucket part holds: every n < nodes with
+// n % parts == part. Node n sits at index (n-part)/parts of the
+// bucket's dense per-node slices.
+func prBucketLen(nodes int64, parts, part int) int {
+	if int64(part) >= nodes {
+		return 0
+	}
+	return int((nodes - int64(part) + int64(parts) - 1) / int64(parts))
+}
+
+// errForeignNode is a gathered record of a node bucket part does not
+// hold: a chunk routed to the wrong partition, never an index panic.
+var errForeignNode = errors.New("dist: pagerank record outside its bucket")
+
+// prGather splits bucket part's gathered chunks into per-node rank
+// state and accumulated flow contributions, dense by node index. Flows
+// add up in chunk order, then record order — the summation order
+// prReference replays.
+func prGather(spec JobSpec, part int, chunks []any) (rank, contrib []float64, err error) {
+	parts := int64(spec.ReduceParts)
+	size := prBucketLen(spec.Records, spec.ReduceParts, part)
+	rank = make([]float64, size)
+	contrib = make([]float64, size)
+	for i, ch := range chunks {
 		if ch == nil {
 			continue
 		}
 		recs, ok := ch.([]PRRec)
 		if !ok {
-			return nil, nil, fmt.Errorf("dist: pagerank got chunk %T, want []PRRec", ch)
+			return nil, nil, fmt.Errorf("dist: pagerank chunk %d is %T, want []PRRec", i, ch)
 		}
 		for _, rec := range recs {
+			if rec.Node < 0 || rec.Node >= spec.Records || rec.Node%parts != int64(part) {
+				return nil, nil, fmt.Errorf("%w: node %d in chunk %d of bucket %d", errForeignNode, rec.Node, i, part)
+			}
+			at := (rec.Node - int64(part)) / parts
 			switch rec.Kind {
 			case prState:
-				rank[rec.Node] = rec.Val
+				rank[at] = rec.Val
 			case prFlow:
-				contrib[rec.Node] += rec.Val
+				contrib[at] += rec.Val
 			default:
 				return nil, nil, fmt.Errorf("dist: pagerank record kind %d", rec.Kind)
 			}
@@ -131,27 +155,41 @@ func prGather(chunks []any) (rank, contrib map[int64]float64, err error) {
 // pagerankStep runs one superstep for bucket part: update each owned
 // node's rank from the gathered state and flows, emit the new state to
 // the own bucket and one flow per out-edge to the neighbors' buckets.
+// A counting pass over the edges sizes every bucket first — an edge
+// that wraps around N leaves the bucket when N % parts != 0 — so each
+// is allocated once, at its length, and a stored chunk carries no
+// append slack (DESIGN §7).
 func pagerankStep(spec JobSpec, step, part int, chunks []any) (MapOutput, error) {
 	nodes := spec.Records
 	parts := spec.ReduceParts
-	rank, contrib, err := prGather(chunks)
+	rank, contrib, err := prGather(spec, part, chunks)
 	if err != nil {
 		return MapOutput{}, err
 	}
-	buckets := make([][]PRRec, parts)
-	base := (1 - prDamping) / float64(nodes)
+	counts := make([]int, parts)
+	counts[part] = len(rank)
 	for n := int64(part); n < nodes; n += int64(parts) {
-		newRank := base + prDamping*contrib[n]
+		prNeighbors(n, nodes, parts, func(m int64) { counts[m%int64(parts)]++ })
+	}
+	buckets := make([][]PRRec, parts)
+	for r, c := range counts {
+		if c > 0 {
+			buckets[r] = make([]PRRec, 0, c)
+		}
+	}
+	base := (1 - prDamping) / float64(nodes)
+	for i, n := 0, int64(part); n < nodes; i, n = i+1, n+int64(parts) {
+		newRank := base + prDamping*contrib[i]
 		if step == 1 {
 			// The first superstep has no inbound flows yet: it fans the
 			// initial ranks out.
-			newRank = rank[n]
+			newRank = rank[i]
 		}
 		buckets[part] = append(buckets[part], PRRec{Kind: prState, Node: n, Val: newRank})
 		share := newRank / prDegree(n)
 		prNeighbors(n, nodes, parts, func(m int64) {
-			buckets[m%int64(parts)] = append(buckets[m%int64(parts)],
-				PRRec{Kind: prFlow, Node: m, Val: share})
+			r := m % int64(parts)
+			buckets[r] = append(buckets[r], PRRec{Kind: prFlow, Node: m, Val: share})
 		})
 	}
 	return prOutput(buckets), nil
@@ -163,14 +201,14 @@ func pagerankStep(spec JobSpec, step, part int, chunks []any) (MapOutput, error)
 func pagerankReduce(spec JobSpec, part int, chunks []any) ([]byte, error) {
 	nodes := spec.Records
 	parts := spec.ReduceParts
-	_, contrib, err := prGather(chunks)
+	_, contrib, err := prGather(spec, part, chunks)
 	if err != nil {
 		return nil, err
 	}
 	base := (1 - prDamping) / float64(nodes)
-	out := make([]KV, 0, int(nodes)/parts+1)
-	for n := int64(part); n < nodes; n += int64(parts) {
-		rank := base + prDamping*contrib[n]
+	out := make([]KV, 0, len(contrib))
+	for i, n := 0, int64(part); n < nodes; i, n = i+1, n+int64(parts) {
+		rank := base + prDamping*contrib[i]
 		out = append(out, KV{K: n, V: int64(math.Round(rank * 1e12))})
 	}
 	return encodeRun(&intKeys, out, kvRec), nil

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -225,5 +226,76 @@ func TestPagerankChaosSweep(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// prStepInput is what superstep 2's task for bucket part gathers:
+// bucket part of every superstep-1 output, in map partition order.
+func prStepInput(tb testing.TB, spec JobSpec, part int) []any {
+	tb.Helper()
+	chunks := make([]any, spec.ReduceParts)
+	for p := range chunks {
+		gen0, err := pagerankMap(spec, p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		gen1, err := pagerankStep(spec, 1, p, []any{gen0.Buckets[p]})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		chunks[p] = gen1.Buckets[part]
+	}
+	return chunks
+}
+
+// TestPagerankStepBucketsExactlySized: every emitted bucket is
+// allocated at its length — no append slack rides into the store —
+// including when N % parts != 0 and edges wrap around N into other
+// buckets than the intra-bucket rule predicts.
+func TestPagerankStepBucketsExactlySized(t *testing.T) {
+	for _, nodes := range []int64{2048, 2045} {
+		spec := JobSpec{Job: "pagerank", ReduceParts: 8, Records: nodes}
+		for part := 0; part < spec.ReduceParts; part++ {
+			out, err := pagerankStep(spec, 2, part, prStepInput(t, spec, part))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, ch := range out.Buckets {
+				if b, _ := ch.([]PRRec); len(b) != cap(b) {
+					t.Errorf("N=%d part %d bucket %d: len %d cap %d", nodes, part, r, len(b), cap(b))
+				}
+			}
+		}
+	}
+}
+
+// TestPagerankRejectsForeignNode: a gathered record of a node the
+// bucket does not hold is a named error, not an index panic or a rank
+// silently credited to the wrong node.
+func TestPagerankRejectsForeignNode(t *testing.T) {
+	spec := JobSpec{Job: "pagerank", ReduceParts: 4, Records: 64}
+	for _, node := range []int64{1, 64, -4} {
+		chunks := []any{[]PRRec{{Kind: prFlow, Node: node, Val: 1}}}
+		if _, err := pagerankStep(spec, 2, 0, chunks); !errors.Is(err, errForeignNode) {
+			t.Errorf("step over node %d in bucket 0: err %v, want errForeignNode", node, err)
+		}
+		if _, err := pagerankReduce(spec, 0, chunks); !errors.Is(err, errForeignNode) {
+			t.Errorf("reduce over node %d in bucket 0: err %v, want errForeignNode", node, err)
+		}
+	}
+}
+
+// BenchmarkPagerankStep is one iter-local superstep task: bucket 0 of a
+// 20 000-node graph in 8 buckets, 2 500 nodes gathered from eight
+// superstep-1 outputs.
+func BenchmarkPagerankStep(b *testing.B) {
+	spec := JobSpec{Job: "pagerank", ReduceParts: 8, Records: 20_000}
+	chunks := prStepInput(b, spec, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pagerankStep(spec, 2, 0, chunks); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -353,6 +353,32 @@ func TestShuffleStoreDrop(t *testing.T) {
 	}
 }
 
+// TestRegisterWithIDRefusesDropped: a late attempt writing a shuffle
+// the driver has released must not bring it back — nothing would ever
+// drop it again. Tombstones dropped out of order fold into the
+// watermark once the gap below them closes.
+func TestRegisterWithIDRefusesDropped(t *testing.T) {
+	s := NewShuffleStore()
+	for _, id := range []int{3, 1} {
+		s.Drop(id)
+	}
+	for _, id := range []int{1, 3} {
+		if err := s.RegisterWithID(id, 1, 1); err == nil {
+			t.Fatalf("RegisterWithID(%d) after Drop succeeded", id)
+		}
+	}
+	if err := s.RegisterWithID(2, 1, 1); err != nil {
+		t.Fatalf("RegisterWithID(2), never dropped: %v", err)
+	}
+	s.Drop(2)
+	if s.Len() != 0 || s.droppedThrough != 3 || len(s.dropped) != 0 {
+		t.Fatalf("after dropping 1..3: Len %d, watermark %d, tombstones %v", s.Len(), s.droppedThrough, s.dropped)
+	}
+	if err := s.RegisterWithID(4, 1, 1); err != nil {
+		t.Fatalf("RegisterWithID(4): %v", err)
+	}
+}
+
 func TestManyStagesSequential(t *testing.T) {
 	rt, _ := New(testCfg())
 	for s := 0; s < 20; s++ {

@@ -39,6 +39,12 @@ type ShuffleStore struct {
 	nextID   int
 	lost     map[int]bool // executors whose writes are no longer accepted
 
+	// Drop's tombstones, which RegisterWithID refuses: every ID at or
+	// below droppedThrough has been dropped, and dropped holds the
+	// dropped IDs above it until the gaps below them close.
+	dropped        map[int]bool
+	droppedThrough int
+
 	// spill, when non-nil, makes the store memory-budgeted: map outputs
 	// are admitted to the accountant and evicted LRU into spill files
 	// when resident bytes exceed the budget. nil = the classic
@@ -136,7 +142,7 @@ type LostPart struct {
 
 // NewShuffleStore returns an empty store.
 func NewShuffleStore() *ShuffleStore {
-	return &ShuffleStore{shuffles: make(map[int]*shuffleData), lost: make(map[int]bool)}
+	return &ShuffleStore{shuffles: make(map[int]*shuffleData), lost: make(map[int]bool), dropped: make(map[int]bool)}
 }
 
 // NewSpillingShuffleStore returns a store that keeps its accounted
@@ -220,13 +226,19 @@ func (s *ShuffleStore) Register(mapParts, reduceParts int) int {
 // them in task descriptors, and each executor lazily registers the same
 // ID on first touch. Registering an existing ID with the same geometry
 // is a no-op; a geometry mismatch is an error. nextID advances past id
-// so a later Register never collides.
+// so a later Register never collides. A dropped ID is refused: IDs are
+// never reused, so the only writer still holding one is a late attempt
+// (a speculative loser, a zombie), and registering it again would leave
+// a shuffle nothing ever drops.
 func (s *ShuffleStore) RegisterWithID(id, mapParts, reduceParts int) error {
 	if id <= 0 {
 		return fmt.Errorf("engine: RegisterWithID: invalid shuffle id %d", id)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if id <= s.droppedThrough || s.dropped[id] {
+		return fmt.Errorf("engine: RegisterWithID: shuffle %d was dropped", id)
+	}
 	if d, ok := s.shuffles[id]; ok {
 		if d.mapParts != mapParts || d.reduceParts != reduceParts {
 			return fmt.Errorf("engine: shuffle %d already registered as %dx%d, want %dx%d",
@@ -591,11 +603,14 @@ func (s *ShuffleStore) FetchChunks(shuffleID, reducePart int) ([]any, error) {
 // partition pair, with the same MapOutputMissingError semantics as
 // FetchChunks. This is the granularity the distributed shuffle service
 // serves at: a remote reducer asks an executor only for the map
-// partitions that executor owns.
+// partitions that executor owns. A shuffle the store does not hold is
+// missing output too — the driver released it while a late attempt
+// still gathers it — not a failure to retry and then blame on the
+// executor serving the fetch.
 func (s *ShuffleStore) FetchChunk(shuffleID, mapPart, reducePart int) (any, error) {
 	d, ok := s.get(shuffleID)
 	if !ok {
-		return nil, fmt.Errorf("engine: unknown shuffle %d", shuffleID)
+		return nil, &MapOutputMissingError{Shuffle: shuffleID, MapPart: mapPart}
 	}
 	if mapPart < 0 || mapPart >= d.mapParts {
 		return nil, fmt.Errorf("engine: shuffle %d: map partition %d out of range", shuffleID, mapPart)
@@ -749,14 +764,23 @@ func (s *ShuffleStore) Complete(shuffleID int) bool {
 }
 
 // Drop releases a shuffle's buckets, retiring its accountant tickets
-// and spill files on a budgeted store.
-func (s *ShuffleStore) Drop(shuffleID int) {
+// and spill files on a budgeted store, and leaves a tombstone so the ID
+// cannot be registered again. It reports whether the shuffle was
+// registered.
+func (s *ShuffleStore) Drop(shuffleID int) bool {
 	s.mu.Lock()
 	d, ok := s.shuffles[shuffleID]
 	delete(s.shuffles, shuffleID)
+	if shuffleID > s.droppedThrough {
+		s.dropped[shuffleID] = true
+		for s.dropped[s.droppedThrough+1] {
+			delete(s.dropped, s.droppedThrough+1)
+			s.droppedThrough++
+		}
+	}
 	s.mu.Unlock()
 	if !ok || s.spill == nil {
-		return
+		return ok
 	}
 	d.mu.Lock()
 	for m := 0; m < d.mapParts; m++ {
@@ -769,6 +793,7 @@ func (s *ShuffleStore) Drop(shuffleID int) {
 		d.gen[m]++
 	}
 	d.mu.Unlock()
+	return true
 }
 
 // Len returns the number of registered shuffles.

@@ -248,6 +248,12 @@ func (d *Driver) handleControl(conn net.Conn) {
 		reject(fmt.Sprintf("executor ID %d outside cluster of %d", hello.ID, d.cfg.Executors))
 		return
 	}
+	if hello.WireLayout != wireLayout {
+		// Refused before it counts as registered: the executor never
+		// joins, so a permanent mismatch cannot become a loss to recover.
+		reject(fmt.Sprintf("wire slab layout %#x differs from the driver's %#x (byte order or chunk types)", hello.WireLayout, wireLayout))
+		return
+	}
 	if err := d.live.Register(hello.ID, time.Now()); err != nil {
 		reject(err.Error())
 		return

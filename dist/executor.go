@@ -46,6 +46,7 @@ type Executor struct {
 	shuffleL net.Listener
 
 	codec *Codec
+	peers peerPool
 	inj   *fault.Injector
 	start time.Time
 
@@ -64,9 +65,10 @@ func (e *Executor) logf(format string, args ...any) {
 // replays on roughly the timeline its author wrote.
 func (e *Executor) elapsed() float64 { return time.Since(e.start).Seconds() }
 
-// Kill abruptly terminates an in-process executor: connections and the
-// shuffle server drop immediately, no goodbye. It is the goroutine
-// analogue of SIGKILL for tests that cannot spawn processes.
+// Kill abruptly terminates an in-process executor: connections — the
+// control connection, the shuffle server's, the pooled ones to peers —
+// drop immediately, no goodbye. It is the goroutine analogue of SIGKILL
+// for tests that cannot spawn processes.
 func (e *Executor) Kill() {
 	e.killOnce.Do(func() {
 		close(e.killed)
@@ -76,6 +78,7 @@ func (e *Executor) Kill() {
 		if e.server != nil {
 			e.server.Close()
 		}
+		e.peers.close()
 	})
 }
 
@@ -121,6 +124,7 @@ func (e *Executor) Run() error {
 	e.server = NewShuffleServer(e.store)
 	go e.server.Serve(ln)
 	defer e.server.Close()
+	defer e.peers.close()
 
 	conn, err := net.DialTimeout("tcp", e.cfg.DriverAddr, 5*time.Second)
 	if err != nil {
@@ -130,7 +134,7 @@ func (e *Executor) Run() error {
 	defer e.codec.Close()
 	e.start = time.Now()
 
-	if err := e.codec.Send(&Hello{ID: e.cfg.ID, ShuffleAddr: ln.Addr().String()}); err != nil {
+	if err := e.codec.Send(&Hello{ID: e.cfg.ID, ShuffleAddr: ln.Addr().String(), WireLayout: wireLayout}); err != nil {
 		return err
 	}
 	m, err := e.codec.Recv()
@@ -327,10 +331,12 @@ func call(job Job, t *RunTask, chunks []any) (out MapOutput, result []byte, err 
 // gather pulls every map partition's chunk of reduce partition part
 // from the given shuffle: the executor's own partitions come zero-copy
 // from the local store; each remote peer is asked once for all of its
-// partitions in one batched request, under the engine's bounded
-// retry/backoff. locations must cover map partitions 0..len-1. A peer
-// unreachable after retries is reported via done.UnreachableExec so
-// the driver can treat the fetch failure as executor loss.
+// partitions in one batched request over a pooled connection, under the
+// engine's bounded retry/backoff — a pooled connection the peer has
+// dropped fails its attempt, and the retry takes another or redials.
+// locations must cover map partitions 0..len-1. A peer unreachable
+// after retries is reported via done.UnreachableExec so the driver can
+// treat the fetch failure as executor loss.
 func (e *Executor) gather(shuffle int, locations []Loc, part int, done *TaskDone) ([]any, error) {
 	chunks := make([]any, len(locations))
 	byOwner := make(map[int][]Loc)
@@ -378,7 +384,7 @@ func (e *Executor) gather(shuffle int, locations []Loc, part int, done *TaskDone
 					}
 				}
 				var ferr error
-				fetched, ferr = FetchPeerChunks(addr, shuffle, part, parts)
+				fetched, ferr = e.peers.fetch(addr, shuffle, part, parts)
 				return ferr
 			})
 		if err != nil {

@@ -3,8 +3,10 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"io"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -190,6 +192,105 @@ func FuzzCodecRecv(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzShuffleRecv pushes arbitrary bytes, as the answer to a request
+// for parts%8 map partitions, through the client's receive path: a
+// ShuffleResp frame and the raw slab frames it announces. Seeds are
+// real server answers. recvChunks must never panic; allocation must
+// stay bounded by the input, not by any count it claims (the codec's
+// limit is the real 64 MiB, so a slab allocated on its word would
+// show); an error that is not the server's own miss or failure must
+// poison the codec, stick and be returned again; and for every answer
+// the client accepts, the chunks must be what a gob round trip of them
+// gives, and cutting the stream anywhere inside what was read must be
+// io.ErrUnexpectedEOF.
+func FuzzShuffleRecv(f *testing.F) {
+	answer := func(chunks []any) []byte {
+		store, id := storeWith(f, chunks)
+		resp, raw := NewShuffleServer(store).answer(&ShuffleReq{Shuffle: id, MapParts: allParts(len(chunks))})
+		return respStream(f, resp, raw...)
+	}
+	f.Add(uint8(5), answer(sampleChunks()))
+	f.Add(uint8(2), answer([]any{[]KV{{K: 7, V: 8}}, make([]PRRec, 3)}))
+	f.Add(uint8(1), respStream(f, &ShuffleResp{Miss: true, MissMapPart: 0}))
+	f.Add(uint8(1), respStream(f, &ShuffleResp{Err: "store failed", MissMapPart: -1}))
+	f.Add(uint8(0), []byte{})
+
+	recv := func(data []byte, n int) (*Codec, *memConn, []any, error) {
+		conn := &memConn{}
+		conn.buf.Write(data)
+		c := NewCodec(conn, 0)
+		chunks, err := recvChunks(c, 1, n)
+		return c, conn, chunks, err
+	}
+	f.Fuzz(func(t *testing.T, parts uint8, data []byte) {
+		n := int(parts % 8)
+		var c *Codec
+		var conn *memConn
+		var chunks []any
+		var err error
+		allocated := allocBytes(func() { c, conn, chunks, err = recv(data, n) })
+		// As FuzzCodecRecv: gob may trust a length inside a frame for one
+		// 10 MiB read chunk, and decodes what arrived into values a few
+		// dozen times larger. A slab grows at most fourfold past what
+		// arrived.
+		if bound := uint64(16<<20 + 64*len(data)); allocated > bound {
+			t.Fatalf("%d-byte stream allocated %d bytes, bound %d", len(data), allocated, bound)
+		}
+		if first := c.failed(); first != nil {
+			if err != first || !conn.closed {
+				t.Fatalf("poisoned by %v but returned %v (connection closed: %v)", first, err, conn.closed)
+			}
+			if _, again := c.Recv(); again != first {
+				t.Fatalf("Recv after the first error: got %v, want %v", again, first)
+			}
+			if _, again := c.recvSlab("", 1, 1); again != first {
+				t.Fatalf("recvSlab after the first error: got %v, want %v", again, first)
+			}
+			return
+		}
+		// Accepted: the chunks, a miss or the server's error, with the
+		// connection in step.
+		if err == nil && !sameChunks(t, chunks, gobRoundTrip(t, chunks)) {
+			t.Fatalf("received %#v, a gob round trip gives %#v", chunks, gobRoundTrip(t, chunks))
+		}
+		read := len(data) - conn.buf.Len() - c.r.Buffered()
+		for _, cut := range []int{1, read / 2, read - 1} {
+			if cut <= 0 || cut >= read {
+				continue
+			}
+			if _, _, _, err := recv(data[:cut], n); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("stream cut at %d of %d: got %v, want io.ErrUnexpectedEOF", cut, read, err)
+			}
+		}
+	})
+}
+
+// sameChunks compares chunk lists by type, nil-ness and gob encoding,
+// which reads each field's value: unlike reflect.DeepEqual it holds a
+// NaN equal to itself, and unlike the slabs' memory it ignores padding.
+func sameChunks(tb testing.TB, a, b []any) bool {
+	tb.Helper()
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if reflect.TypeOf(a[i]) != reflect.TypeOf(b[i]) {
+			return false
+		}
+		if va, vb := reflect.ValueOf(a[i]), reflect.ValueOf(b[i]); va.Kind() == reflect.Slice && va.IsNil() != vb.IsNil() {
+			return false
+		}
+	}
+	encode := func(chunks []any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&ShuffleResp{Chunks: chunks}); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	return bytes.Equal(encode(a), encode(b))
 }
 
 // FuzzFrameRoundTrip drives the forward direction: any payload framed

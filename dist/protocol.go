@@ -15,7 +15,10 @@
 //
 // Transport is one gob stream per connection, cut into length-prefixed
 // frames of one message each (Codec, frame.go): gob's per-type set-up
-// is paid once per connection, not once per message. Liveness is
+// is paid once per connection, not once per message. A shuffle answer
+// carries fixed-width chunks outside the gob stream, as raw frames of
+// their memory, and executors keep their peer connections warm in a
+// pool (shuffle.go). Liveness is
 // registration plus periodic heartbeats with a timeout-driven monitor
 // (liveness.go); jobs are named map/step/reduce computations both
 // binaries compile in (job.go), since closures cannot cross a process
@@ -27,8 +30,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"math"
 	"net"
 	"reflect"
 	"sync"
@@ -38,11 +44,15 @@ import (
 
 // ---- control-plane messages (driver <-> executor, client -> driver) ----
 
-// Hello registers an executor with the driver: its claimed ID and the
-// address its shuffle server listens on.
+// Hello registers an executor with the driver: its claimed ID, the
+// address its shuffle server listens on, and the fingerprint of the
+// memory layout its raw slab frames assume (wireLayout) — the driver
+// refuses an executor whose layout differs from its own, so peers that
+// could misread each other's slabs never share a cluster.
 type Hello struct {
 	ID          int
 	ShuffleAddr string
+	WireLayout  uint64
 }
 
 // HelloAck accepts or rejects a registration. On acceptance it carries
@@ -174,11 +184,26 @@ type ShuffleReq struct {
 // MapParts (nil entries are empty buckets). Miss reports the first
 // requested map partition the server does not hold — the remote form of
 // engine.MapOutputMissingError. Err covers every other failure.
+//
+// Slabs lists, by ascending chunk index, the chunks that do not ride in
+// Chunks (their entry there is nil) but follow the response as raw
+// frames, one each, in that order (ShuffleServer, recvChunks).
 type ShuffleResp struct {
 	Err         string
 	Miss        bool
 	MissMapPart int
 	Chunks      []any
+	Slabs       []SlabHead
+}
+
+// SlabHead describes one chunk that crosses the wire as its memory: a
+// non-empty slice of a wire slab type (wireSlabs), Count elements of
+// Elem bytes each.
+type SlabHead struct {
+	Chunk int    // index into ShuffleResp.Chunks
+	Name  string // spill.SlabType.Name
+	Elem  int
+	Count int
 }
 
 // KV is the chunk record of integer-keyed built-in jobs (keyed-sum).
@@ -196,10 +221,62 @@ func init() {
 	// Chunks travel as gob interface values inside ShuffleResp.Chunks,
 	// so every concrete chunk type must be registered: the ones the
 	// built-in jobs put. (Messages themselves are not interface values —
-	// see messageTypes.)
+	// see messageTypes.) The fixed-width ones usually cross as raw slabs
+	// instead, but an empty one still goes by gob.
 	gob.Register([]KV(nil))
 	gob.Register([]SKV(nil))
 	gob.Register([]PRRec(nil))
+}
+
+// wireSlabTypes are the chunk types that cross the shuffle wire as raw
+// memory; every other type, and an empty chunk of these, is gob. Only
+// these may be slabs: a receiver resolves a slab's name in its own
+// spill registry, and a name its process never classified would be
+// refused — a healthy peer declared lost on every fetch.
+var wireSlabTypes = []any{[]KV(nil), []PRRec(nil)}
+
+// wireSlabs is wireSlabTypes by slab name, registered at start-up.
+var wireSlabs = func() map[string]bool {
+	names := map[string]bool{}
+	for _, ch := range wireSlabTypes {
+		st, _ := spill.SlabOf(ch)
+		names[st.Name] = true
+	}
+	return names
+}()
+
+// wireLayout fingerprints what a raw slab frame assumes both ends
+// share: the byte order, and for each wire slab type its name and the
+// kind, size and offset of every field. Executors report it in Hello
+// and the driver refuses a mismatch, so a layout difference is a
+// registration failure rather than chunks misread on every fetch.
+var wireLayout = func() uint64 {
+	h := fnv.New64a()
+	binary.Write(h, binary.NativeEndian, uint16(1)) // hash.Hash writes never fail
+	for _, ch := range wireSlabTypes {
+		st, _ := spill.SlabOf(ch)
+		fmt.Fprintf(h, "%s:", st.Name)
+		writeLayout(h, reflect.TypeOf(ch).Elem())
+	}
+	return h.Sum64()
+}()
+
+// writeLayout describes t's memory: kind and size, then per array
+// element or struct field (with its offset) the same, recursively.
+func writeLayout(w io.Writer, t reflect.Type) {
+	fmt.Fprintf(w, "(%s %d", t.Kind(), t.Size())
+	switch t.Kind() {
+	case reflect.Array:
+		fmt.Fprintf(w, " x%d", t.Len())
+		writeLayout(w, t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			fmt.Fprintf(w, " @%d", f.Offset)
+			writeLayout(w, f.Type)
+		}
+	}
+	fmt.Fprint(w, ")")
 }
 
 // messageTypes lists every message a Codec carries. A message's index
@@ -264,6 +341,11 @@ var messageTags = func() map[reflect.Type]byte {
 // that first error. Callers treat it as the loss of the peer (driver:
 // executorGone; executor: Run returns; peer fetch: the retry redials).
 //
+// A message may be followed by raw frames: a 4-byte big-endian length
+// and that many bytes of a slab's memory, outside the gob stream
+// (sendRaw, recvSlab). They obey the same limit and the same poison
+// rule as message frames.
+//
 // Sends are serialized by an internal mutex — heartbeats and task
 // results share the control connection from several goroutines; Recv
 // must be called from a single reader goroutine.
@@ -317,7 +399,12 @@ func (c *Codec) poison(err error) error {
 // Send encodes m — a pointer to one of messageTypes — as the stream's
 // next message, in one frame written with one Write. An error poisons
 // the codec.
-func (c *Codec) Send(m any) error {
+func (c *Codec) Send(m any) error { return c.sendRaw(m, nil) }
+
+// sendRaw is Send followed by one raw frame per element of raw, all in
+// one vectored write: the raw bytes go to the connection from where
+// they lie, never copied into a frame buffer.
+func (c *Codec) sendRaw(m any, raw [][]byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if err := c.failed(); err != nil {
@@ -326,6 +413,11 @@ func (c *Codec) Send(m any) error {
 	tag, ok := messageTags[reflect.TypeOf(m)]
 	if !ok {
 		return c.poison(fmt.Errorf("dist: encode %T: not a message type", m))
+	}
+	for _, p := range raw {
+		if len(p) > c.max {
+			return c.poison(&spill.ErrFrameTooLarge{Length: len(p), Max: c.max})
+		}
 	}
 	var head [frameHeaderLen + 1]byte
 	head[frameHeaderLen] = tag
@@ -340,7 +432,20 @@ func (c *Codec) Send(m any) error {
 		return c.poison(&spill.ErrFrameTooLarge{Length: n, Max: c.max})
 	}
 	binary.BigEndian.PutUint32(frame, uint32(n))
-	_, err := c.conn.Write(frame)
+	var err error
+	if len(raw) == 0 {
+		_, err = c.conn.Write(frame)
+	} else {
+		heads := make([]byte, frameHeaderLen*len(raw))
+		bufs := make(net.Buffers, 1, 1+2*len(raw))
+		bufs[0] = frame
+		for i, p := range raw {
+			h := heads[i*frameHeaderLen : (i+1)*frameHeaderLen]
+			binary.BigEndian.PutUint32(h, uint32(len(p)))
+			bufs = append(bufs, h, p)
+		}
+		_, err = bufs.WriteTo(c.conn)
+	}
 	if c.wb.Cap() > frameGrowStep {
 		// Do not keep a buffer grown for a large frame. gob's encoder
 		// never shrinks its own buffer, so the connection already
@@ -385,6 +490,77 @@ func (c *Codec) Recv() (any, error) {
 		return nil, c.poison(fmt.Errorf("dist: decode frame: %d bytes after the message", left))
 	}
 	return m, nil
+}
+
+// Named rejections of a raw slab frame and the header that announced
+// it, besides spill's unknown-name and element-size errors and the
+// frame limit's *spill.ErrFrameTooLarge.
+var (
+	errSlabCount = errors.New("dist: slab of no elements")
+	errRawFrame  = errors.New("dist: raw frame length differs from its slab")
+)
+
+// slabGrowth is how much a slab being received may grow per step once
+// its first frameGrowStep bytes have arrived.
+const slabGrowth = 4
+
+// recvSlab reads the next frame, a raw one, as count elements of the
+// registered slab type name with elem-byte elements, and returns the
+// chunk. The claim is checked against the registry, the frame limit and
+// the raw frame's own length before anything is allocated, and the
+// slice grows as bytes arrive — as ReadFrame grows a frame — so a
+// forged count costs memory in proportion to the bytes that exist, not
+// to the claim. Up to frameGrowStep bytes, the common case, the slice
+// is allocated once and the bytes are read straight into it. Every
+// error poisons the codec; a stream that ends inside the frame is
+// io.ErrUnexpectedEOF.
+func (c *Codec) recvSlab(name string, elem, count int) (any, error) {
+	if err := c.failed(); err != nil {
+		return nil, err
+	}
+	st, err := spill.LookupSlab(name, elem)
+	if err != nil {
+		return nil, c.poison(fmt.Errorf("dist: raw frame: %w", err))
+	}
+	if count <= 0 {
+		return nil, c.poison(fmt.Errorf("%w: count %d", errSlabCount, count))
+	}
+	if count > c.max/elem {
+		length := math.MaxInt
+		if count <= math.MaxInt/elem {
+			length = count * elem
+		}
+		return nil, c.poison(&spill.ErrFrameTooLarge{Length: length, Max: c.max})
+	}
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+		return nil, c.poison(truncated(err))
+	}
+	n := count * elem
+	if length := int(binary.BigEndian.Uint32(hdr[:])); length != n {
+		return nil, c.poison(fmt.Errorf("%w: %d bytes for %d × %d", errRawFrame, length, count, elem))
+	}
+	ch, mem := st.Make(min(count, max(1, frameGrowStep/elem)))
+	for have := 0; ; {
+		if _, err := io.ReadFull(c.r, mem[have:]); err != nil {
+			return nil, c.poison(truncated(err))
+		}
+		if have = len(mem); have == n {
+			return ch, nil
+		}
+		next, nextMem := st.Make(min(count, slabGrowth*have/elem))
+		copy(nextMem, mem)
+		ch, mem = next, nextMem
+	}
+}
+
+// truncated maps a stream that ended inside an announced frame to
+// io.ErrUnexpectedEOF.
+func truncated(err error) error {
+	if err == io.EOF {
+		return fmt.Errorf("dist: raw frame: %w", io.ErrUnexpectedEOF)
+	}
+	return fmt.Errorf("dist: raw frame: %w", err)
 }
 
 // Close closes the underlying connection.

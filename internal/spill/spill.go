@@ -125,27 +125,66 @@ type frameInfo struct {
 // gobChunk is a gob frame's payload.
 type gobChunk struct{ Chunk any }
 
-// slabType is a chunk type whose memory can be written as it stands.
-type slabType struct {
-	name  string
+// SlabType is a chunk type whose memory can be moved as it stands: a
+// slice of fixed-width, pointer-free elements. Spill files and the
+// distributed runtime's shuffle wire share one registry of them.
+type SlabType struct {
+	Name  string // what a spill index or a wire header calls the type
+	Elem  int    // element size in bytes
 	slice reflect.Type
-	elem  int
 }
 
 // Slab types are classified once and remembered by type (nil = not a
 // slab) and by name, which is how a reader finds the type an index
-// entry names. A reader only ever meets names its own process wrote, so
-// an unknown name is corruption.
+// entry names. A spill reader only ever meets names its own process
+// wrote, so there an unknown name is corruption.
 var (
 	slabMu     sync.RWMutex
-	slabByType = map[reflect.Type]*slabType{}
-	slabByName = map[string]*slabType{}
+	slabByType = map[reflect.Type]*SlabType{}
+	slabByName = map[string]*SlabType{}
 )
+
+// Named rejections of a slab claim — a spill index entry or a wire
+// header — against the registry.
+var (
+	ErrUnknownSlab = errors.New("spill: no slab type of that name")
+	ErrSlabElem    = errors.New("spill: slab element size differs from the registered type's")
+)
+
+// SlabOf classifies a chunk: its slab type and the memory behind it, or
+// a nil type when the chunk takes the gob fallback (nil included).
+// Classifying a type registers it under its name for LookupSlab.
+func SlabOf(ch any) (*SlabType, []byte) {
+	if ch == nil {
+		return nil, nil
+	}
+	v := reflect.ValueOf(ch)
+	st := slabTypeOf(v.Type())
+	if st == nil {
+		return nil, nil
+	}
+	return st, slabBytes(v, st.Elem)
+}
+
+// LookupSlab finds the registered slab type a reader was told of by
+// name and element size.
+func LookupSlab(name string, elem int) (*SlabType, error) {
+	slabMu.RLock()
+	st := slabByName[name]
+	slabMu.RUnlock()
+	switch {
+	case st == nil:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownSlab, name)
+	case st.Elem != elem:
+		return nil, fmt.Errorf("%w: %q has %d-byte elements, not %d", ErrSlabElem, name, st.Elem, elem)
+	}
+	return st, nil
+}
 
 // slabTypeOf returns t's slab description, or nil when chunks of type t
 // take the gob fallback: t is not a slice, its elements hold pointers
 // or have no fixed width, or its name is already taken by another type.
-func slabTypeOf(t reflect.Type) *slabType {
+func slabTypeOf(t reflect.Type) *SlabType {
 	slabMu.RLock()
 	st, known := slabByType[t]
 	slabMu.RUnlock()
@@ -162,7 +201,7 @@ func slabTypeOf(t reflect.Type) *slabType {
 		// that share a last path element.
 		name := t.Elem().PkgPath() + "|" + t.String()
 		if _, taken := slabByName[name]; !taken {
-			st = &slabType{name: name, slice: t, elem: int(t.Elem().Size())}
+			st = &SlabType{Name: name, Elem: int(t.Elem().Size()), slice: t}
 			slabByName[name] = st
 		}
 	}
@@ -194,8 +233,7 @@ func fixedWidth(t reflect.Type) bool {
 
 // slabBytes returns the memory behind a slab-typed slice as bytes: what
 // Encode checksums and writes, and what a read fills. Together with
-// makeSlab it is the only unsafe code here — the peer wire can frame
-// the same two calls.
+// Make it is the only unsafe code here.
 func slabBytes(v reflect.Value, elem int) []byte {
 	if v.Len() == 0 {
 		return nil
@@ -203,11 +241,11 @@ func slabBytes(v reflect.Value, elem int) []byte {
 	return unsafe.Slice((*byte)(v.UnsafePointer()), v.Len()*elem)
 }
 
-// makeSlab allocates a chunk of count elements of st and returns it
-// with its memory, for the reader to fill.
-func makeSlab(st *slabType, count int) (any, []byte) {
+// Make allocates a chunk of count elements of st and returns it with
+// its memory, for the reader to fill.
+func (st *SlabType) Make(count int) (any, []byte) {
 	v := reflect.MakeSlice(st.slice, count, count)
-	return v.Interface(), slabBytes(v, st.elem)
+	return v.Interface(), slabBytes(v, st.Elem)
 }
 
 // Chunk types that take the gob fallback are registered with gob on
@@ -266,8 +304,8 @@ func encodeChunk(ch any) ([]byte, frameInfo, error) {
 	fi := frameInfo{Count: chunkLen(v)}
 	var frame []byte
 	if st := slabTypeOf(v.Type()); st != nil {
-		frame = slabBytes(v, st.elem)
-		fi.Slab, fi.Elem = st.name, st.elem
+		frame = slabBytes(v, st.Elem)
+		fi.Slab, fi.Elem = st.Name, st.Elem
 	} else {
 		if err := registerChunk(ch); err != nil {
 			return nil, fi, err
@@ -512,13 +550,11 @@ func readChunk(r io.ReaderAt, off int64, fi frameInfo) (any, error) {
 	var ch any
 	var frame []byte
 	if fi.Slab != "" {
-		slabMu.RLock()
-		st := slabByName[fi.Slab]
-		slabMu.RUnlock()
-		if st == nil || st.elem != fi.Elem {
-			return nil, fmt.Errorf("spill: bucket %d: no slab type %q of %d-byte elements", fi.Bucket, fi.Slab, fi.Elem)
+		st, err := LookupSlab(fi.Slab, fi.Elem)
+		if err != nil {
+			return nil, fmt.Errorf("spill: bucket %d: %w", fi.Bucket, err)
 		}
-		ch, frame = makeSlab(st, fi.Count)
+		ch, frame = st.Make(fi.Count)
 	} else {
 		frame = make([]byte, fi.Len)
 	}

@@ -302,7 +302,7 @@ func TestDecodeCorruptPrefixNoOverAllocation(t *testing.T) {
 func TestIndexClaimsCheckedBeforeAllocation(t *testing.T) {
 	slab := slabTypeOf(reflect.TypeOf([]kv{}))
 	body := make([]byte, 32) // two kv records
-	ok := frameInfo{Bucket: 1, Len: 32, Count: 2, Sum: crc32.ChecksumIEEE(body), Slab: slab.name, Elem: 16}
+	ok := frameInfo{Bucket: 1, Len: 32, Count: 2, Sum: crc32.ChecksumIEEE(body), Slab: slab.Name, Elem: 16}
 	if _, err := decodeBytes(craft(t, header{NChunks: 3, Index: []frameInfo{ok}}, body)); err != nil {
 		t.Fatalf("the honest index is rejected: %v", err)
 	}

@@ -76,7 +76,7 @@ func main() {
 		}
 	}
 	if *out != "" && lastEvents != nil {
-		if err := writeTrace(*out, lastEvents); err != nil {
+		if err := trace.WriteFile(*out, lastEvents, trace.WriteJSONL); err != nil {
 			fmt.Fprintf(os.Stderr, "mrchaos: %v\n", err)
 			os.Exit(2)
 		}
@@ -130,13 +130,4 @@ func reportPlan(cfg chaostest.Config, plan fault.Plan, shrink bool) {
 		return
 	}
 	fmt.Printf("  failing plan (%d events): %s\n", len(plan.Events), enc)
-}
-
-func writeTrace(path string, events []trace.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return trace.WriteJSONL(f, events)
 }

@@ -104,15 +104,8 @@ func flushTrace() {
 		if path == "" {
 			return
 		}
-		f, err := os.Create(path)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := fn(f, events); err != nil {
+		if err := trace.WriteFile(path, events, fn); err != nil {
 			fatal("writing %s: %v", what, err)
-		}
-		if err := f.Close(); err != nil {
-			fatal("%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "# %s (%d events) written to %s\n", what, len(events), path)
 	}

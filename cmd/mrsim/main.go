@@ -17,222 +17,125 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"hpcmr/internal/cluster"
-	"hpcmr/internal/core"
-	"hpcmr/internal/dfs"
-	"hpcmr/internal/lustre"
-	"hpcmr/internal/metrics"
-	"hpcmr/internal/sched"
-	"hpcmr/internal/workload"
+	"hpcmr/sim"
 	"hpcmr/trace"
 )
 
 func main() {
-	var (
-		bench      = flag.String("bench", "groupby", "benchmark: groupby | grep | lr")
-		data       = flag.Float64("data", 100e9, "input size in bytes")
-		split      = flag.Float64("split", 256e6, "split size in bytes")
-		nodes      = flag.Int("nodes", 100, "worker nodes")
-		device     = flag.String("device", "ramdisk", "local device: ramdisk | ssd | none")
-		input      = flag.String("input", "generated", "input source: generated | hdfs | lustre")
-		store      = flag.String("store", "local", "intermediate store: local | lustre-local | lustre-shared | none")
-		policy     = flag.String("policy", "fifo", "map policy: fifo | locality | delay | elb")
-		cad        = flag.Bool("cad", false, "enable congestion-aware dispatching for the storing phase")
-		skew       = flag.Bool("skew", false, "enable node performance skew")
-		seed       = flag.Int64("seed", 1, "skew seed")
-		verbose    = flag.Bool("v", false, "print per-iteration dissections")
-		timeline   = flag.String("timeline", "", "write the legacy flat task timeline as JSON to this file")
-		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON to this file ('-' = stdout)")
-		traceJSONL = flag.String("trace-jsonl", "", "write trace events as JSONL to this file ('-' = stdout)")
-	)
-	flag.Parse()
-
-	// The human report moves to stderr when a trace streams to stdout.
-	report := io.Writer(os.Stdout)
-	if *traceOut == "-" || *traceJSONL == "-" {
-		report = os.Stderr
-	}
-
-	cfg := cluster.DefaultConfig(*nodes)
-	cfg.Seed = *seed
-	if !*skew {
-		cfg.Skew = cluster.SkewConfig{}
-	}
-	switch *device {
-	case "ramdisk":
-		cfg.LocalDevice = cluster.RAMDiskDevice
-	case "ssd":
-		cfg.LocalDevice = cluster.SSDDevice
-	case "none":
-		cfg.LocalDevice = cluster.NoLocalDevice
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
 	default:
-		fatal("unknown -device %q", *device)
+		fmt.Fprintf(os.Stderr, "mrsim: %v\n", err)
+		os.Exit(2)
 	}
-	c := cluster.New(cfg)
+}
 
-	var hd *dfs.FS
-	if cfg.LocalDevice != cluster.NoLocalDevice {
-		hd = dfs.New(c.Sim, c.Fabric, dfs.DefaultConfig(), c.RAMDisks())
+// run parses args, simulates the job and writes the report to stdout —
+// or to stderr when a trace streams to stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mrsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		bench      = fs.String("bench", "groupby", "benchmark: groupby | grep | lr")
+		data       = fs.Float64("data", 100e9, "input size in bytes")
+		split      = fs.Float64("split", 256e6, "split size in bytes")
+		nodes      = fs.Int("nodes", 100, "worker nodes")
+		device     = fs.String("device", "ramdisk", "local device: ramdisk | ssd | none")
+		input      = fs.String("input", "generated", "input source: generated | hdfs | lustre")
+		store      = fs.String("store", "local", "intermediate store: local | lustre-local | lustre-shared | none")
+		policy     = fs.String("policy", "fifo", "map policy: fifo | locality | delay | elb")
+		cad        = fs.Bool("cad", false, "enable congestion-aware dispatching for the storing phase")
+		skew       = fs.Bool("skew", false, "enable node performance skew")
+		seed       = fs.Int64("seed", 1, "skew seed")
+		verbose    = fs.Bool("v", false, "print per-iteration dissections")
+		traceOut   = fs.String("trace", "", "write a Chrome trace_event JSON to this file ('-' = stdout)")
+		traceJSONL = fs.String("trace-jsonl", "", "write trace events as JSONL to this file ('-' = stdout)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	lcfg := lustre.DefaultConfig()
-	lcfg.AggregateBandwidth = 47e9 * float64(*nodes) / 100
-	lfs := lustre.New(c.Sim, c.Fluid, c.Fabric, lcfg)
-	eng := core.NewEngine(c, hd, lfs)
 
+	report := stdout
+	if *traceOut == "-" || *traceJSONL == "-" {
+		report = stderr
+	}
+
+	c, err := sim.New(sim.Config{Nodes: *nodes, Device: sim.Device(*device), Skew: *skew, Seed: *seed})
+	if err != nil {
+		return err
+	}
 	var tracer *trace.Tracer
 	if *traceOut != "" || *traceJSONL != "" {
-		tracer = trace.New(c.Sim.Now, trace.Options{})
-		eng.Tracer = tracer
+		tracer = c.Trace(trace.Options{})
 	}
-
-	var inputKind core.InputKind
-	switch *input {
-	case "generated":
-		inputKind = core.InputGenerated
-	case "hdfs":
-		inputKind = core.InputHDFS
-	case "lustre":
-		inputKind = core.InputLustre
-	default:
-		fatal("unknown -input %q", *input)
+	// "local" keeps the workload's own store: LR stays storeless.
+	st := sim.Store(*store)
+	if st == "local" {
+		st = ""
 	}
-
-	var spec core.JobSpec
-	switch *bench {
-	case "groupby":
-		spec = workload.GroupBy(*data, *split)
-		spec.Input = inputKind
-	case "grep":
-		spec = workload.Grep(*data, *split, inputKind)
-	case "lr":
-		spec = workload.LogisticRegression(*data, *split, inputKind)
-	default:
-		fatal("unknown -bench %q", *bench)
-	}
-
-	switch *store {
-	case "local":
-		if spec.Store != core.StoreNone {
-			spec.Store = core.StoreLocal
-		}
-	case "lustre-local":
-		spec.Store = core.StoreLustreLocal
-	case "lustre-shared":
-		spec.Store = core.StoreLustreShared
-	case "none":
-		spec.Store = core.StoreNone
-	default:
-		fatal("unknown -store %q", *store)
-	}
-
-	audit := trace.SchedAudit(tracer)
-	pol := core.Policies{}
-	switch *policy {
-	case "fifo":
-	case "locality":
-		pol.Map = sched.NewLocalityPreferring()
-	case "delay":
-		d := sched.NewDelay(3)
-		d.Audit = audit
-		pol.Map = d
-	case "elb":
-		e := sched.NewELB(*nodes, 0.25)
-		e.Audit = audit
-		pol.Map = e
-	default:
-		fatal("unknown -policy %q", *policy)
-	}
-	if *cad {
-		cd := sched.NewCAD(sched.NewPinned())
-		cd.Audit = audit
-		pol.Store = cd
-	}
-
-	res, err := eng.Run(spec, pol)
+	res, err := c.Run(sim.Job{
+		Benchmark:  sim.Benchmark(*bench),
+		InputBytes: *data,
+		SplitBytes: *split,
+		Input:      sim.Input(*input),
+		Store:      st,
+		Policy:     sim.Policy(*policy),
+		CAD:        *cad,
+	})
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
-	if *timeline != "" {
-		f, err := os.Create(*timeline)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := res.WriteTrace(f); err != nil {
-			fatal("writing timeline: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatal("%v", err)
-		}
-		fmt.Fprintf(report, "timeline written to %s\n", *timeline)
-	}
+
 	if tracer != nil {
-		writeTrace(report, tracer, *traceOut, trace.WriteChrome, "Chrome trace")
-		writeTrace(report, tracer, *traceJSONL, trace.WriteJSONL, "JSONL trace")
+		events := tracer.Events()
+		if d := tracer.Drops(); d > 0 {
+			fmt.Fprintf(stderr, "mrsim: trace ring overflowed, oldest %d events dropped\n", d)
+		}
+		for _, out := range []struct {
+			path, what string
+			write      func(io.Writer, []trace.Event) error
+		}{
+			{*traceOut, "Chrome trace", trace.WriteChrome},
+			{*traceJSONL, "JSONL trace", trace.WriteJSONL},
+		} {
+			switch out.path {
+			case "":
+			case "-":
+				if err := out.write(stdout, events); err != nil {
+					return fmt.Errorf("writing %s: %w", out.what, err)
+				}
+			default:
+				if err := trace.WriteFile(out.path, events, out.write); err != nil {
+					return fmt.Errorf("writing %s: %w", out.what, err)
+				}
+				fmt.Fprintf(report, "%s (%d events) written to %s\n", out.what, len(events), out.path)
+			}
+		}
 	}
 
 	fmt.Fprintf(report, "%s: input=%.0f GB split=%.0f MB nodes=%d device=%s input-src=%s store=%s policy=%s cad=%v\n",
-		spec.Name, *data/1e9, *split/1e6, *nodes, *device, spec.Input, spec.Store, *policy, *cad)
+		res.Name, *data/1e9, *split/1e6, *nodes, *device, res.Input, res.Store, *policy, *cad)
 	fmt.Fprintf(report, "job time: %.2f s\n", res.JobTime)
-	fmt.Fprintf(report, "dissection: %s\n", res.Dissection())
+	fmt.Fprintf(report, "dissection: %s\n", res.Dissection)
 	if *verbose {
-		for i := range res.Iters {
-			it := &res.Iters[i]
+		for i, it := range res.Iters {
 			fmt.Fprintf(report, "  iter %d: %s  (map tasks=%d local=%d remote=%d)\n",
-				i, it.Dissection(), len(it.Map.Timeline.Records), it.LocalLaunches, it.RemoteLaunches)
+				i, it.Dissection, it.MapTasks, it.LocalLaunches, it.RemoteLaunches)
 		}
 	}
-	if len(res.Iters) > 0 {
-		tl := res.Iters[0].Store.Timeline
-		if len(tl.Records) > 0 {
-			s := metrics.Summarize(tl.Durations())
-			fmt.Fprintf(report, "storing tasks: n=%d min=%.3fs mean=%.3fs max=%.3fs spread=%.1fx\n",
-				s.N, s.Min, s.Mean, s.Max, tl.Spread())
-		}
-		per := res.PerNodeIntermediate()
-		if len(per) > 0 {
-			s := metrics.Summarize(per)
-			fmt.Fprintf(report, "intermediate per node: min=%.2f GB mean=%.2f GB max=%.2f GB\n",
-				s.Min/1e9, s.Mean/1e9, s.Max/1e9)
-		}
+	if s := res.StoringTasks; s.N > 0 {
+		fmt.Fprintf(report, "storing tasks: n=%d min=%.3fs mean=%.3fs max=%.3fs spread=%.1fx\n",
+			s.N, s.Min, s.Mean, s.Max, res.StoringTaskSpread)
 	}
-}
-
-// writeTrace exports the captured events to path ('-' = stdout, empty =
-// skip) with the given exporter.
-func writeTrace(report io.Writer, tr *trace.Tracer, path string,
-	write func(io.Writer, []trace.Event) error, what string) {
-	if path == "" {
-		return
+	if s := res.IntermediateSummary(); s.N > 0 {
+		fmt.Fprintf(report, "intermediate per node: min=%.2f GB mean=%.2f GB max=%.2f GB\n",
+			s.Min/1e9, s.Mean/1e9, s.Max/1e9)
 	}
-	events := tr.Events()
-	if d := tr.Drops(); d > 0 {
-		fmt.Fprintf(os.Stderr, "mrsim: trace ring overflowed, oldest %d events dropped\n", d)
-	}
-	if path == "-" {
-		if err := write(os.Stdout, events); err != nil {
-			fatal("writing %s: %v", what, err)
-		}
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if err := write(f, events); err != nil {
-		fatal("writing %s: %v", what, err)
-	}
-	if err := f.Close(); err != nil {
-		fatal("%v", err)
-	}
-	fmt.Fprintf(report, "%s (%d events) written to %s\n", what, len(events), path)
-}
-
-func fatal(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "mrsim: "+format+"\n", args...)
-	os.Exit(2)
+	return nil
 }

@@ -10,41 +10,22 @@ package main
 import (
 	"fmt"
 
-	"hpcmr/internal/cluster"
-	"hpcmr/internal/core"
-	"hpcmr/internal/dfs"
-	"hpcmr/internal/lustre"
-	"hpcmr/internal/sched"
-	"hpcmr/internal/workload"
+	"hpcmr/sim"
 )
 
 const (
 	nodes = 40
-	data  = 200 * workload.GB
-	split = 256 * workload.MB
+	data  = 200e9
+	split = 256e6
 )
 
-// rig builds a fresh simulated cluster for one run.
-func rig(dev cluster.DeviceKind, skew bool) (*core.Engine, int) {
-	cfg := cluster.DefaultConfig(nodes)
-	cfg.LocalDevice = dev
-	if !skew {
-		cfg.Skew = cluster.SkewConfig{}
+// run simulates job on a fresh cluster of nodes with the given device.
+func run(dev sim.Device, skew bool, job sim.Job) *sim.Result {
+	c, err := sim.New(sim.Config{Nodes: nodes, Device: dev, Skew: skew})
+	if err != nil {
+		panic(err)
 	}
-	c := cluster.New(cfg)
-	var hd *dfs.FS
-	if dev != cluster.NoLocalDevice {
-		dcfg := dfs.DefaultConfig()
-		dcfg.Replication = 1
-		hd = dfs.New(c.Sim, c.Fabric, dcfg, c.RAMDisks())
-	}
-	lcfg := lustre.DefaultConfig()
-	lcfg.AggregateBandwidth = 47e9 * nodes / 100
-	lfs := lustre.New(c.Sim, c.Fluid, c.Fabric, lcfg)
-	return core.NewEngine(c, hd, lfs), nodes
-}
-
-func must(res *core.Result, err error) *core.Result {
+	res, err := c.Run(job)
 	if err != nil {
 		panic(err)
 	}
@@ -58,34 +39,31 @@ func main() {
 	fmt.Println("1) GroupBy, 200 GB intermediate data placement:")
 	for _, c := range []struct {
 		label string
-		dev   cluster.DeviceKind
-		store core.StoreKind
+		dev   sim.Device
+		store sim.Store
 	}{
-		{"node-local RAMDisk (data-centric)", cluster.RAMDiskDevice, core.StoreLocal},
-		{"node-local SSD", cluster.SSDDevice, core.StoreLocal},
-		{"Lustre, writer-served fetch ", cluster.NoLocalDevice, core.StoreLustreLocal},
-		{"Lustre, shared direct fetch ", cluster.NoLocalDevice, core.StoreLustreShared},
+		{"node-local RAMDisk (data-centric)", sim.RAMDisk, ""},
+		{"node-local SSD", sim.SSD, ""},
+		{"Lustre, writer-served fetch ", sim.NoDevice, sim.LustreLocal},
+		{"Lustre, shared direct fetch ", sim.NoDevice, sim.LustreShared},
 	} {
-		eng, _ := rig(c.dev, false)
-		spec := workload.GroupBy(data, split)
-		spec.Store = c.store
-		res := must(eng.Run(spec, core.Policies{}))
-		fmt.Printf("   %-36s %7.2f s   (%s)\n", c.label, res.JobTime, res.Dissection())
+		res := run(c.dev, false, sim.Job{InputBytes: data, SplitBytes: split, Store: c.store})
+		fmt.Printf("   %-36s %7.2f s   (%s)\n", c.label, res.JobTime, res.Dissection)
 	}
 
 	// 2. Is locality worth waiting for?
 	fmt.Println("\n2) Grep, 200 GB from co-located HDFS — delay scheduling:")
 	for _, c := range []struct {
 		label string
-		pol   sched.Policy
+		pol   sim.Policy
 	}{
-		{"no-wait locality", sched.NewLocalityPreferring()},
-		{"delay scheduling (3 s wait)", sched.NewDelay(3)},
-		{"pure FIFO", sched.NewFIFO()},
+		{"no-wait locality", sim.Locality},
+		{"delay scheduling (3 s wait)", sim.DelayScheduling},
+		{"pure FIFO", sim.FIFO},
 	} {
-		eng, _ := rig(cluster.RAMDiskDevice, true)
-		spec := workload.Grep(data, 32*workload.MB, core.InputHDFS)
-		res := must(eng.Run(spec, core.Policies{Map: c.pol}))
+		res := run(sim.RAMDisk, true, sim.Job{
+			Benchmark: sim.Grep, InputBytes: data, SplitBytes: 32e6, Input: sim.HDFS, Policy: c.pol,
+		})
 		fmt.Printf("   %-36s %7.2f s\n", c.label, res.JobTime)
 	}
 
@@ -93,16 +71,15 @@ func main() {
 	fmt.Println("\n3) GroupBy on SSD with node skew — ELB and CAD:")
 	for _, c := range []struct {
 		label string
-		pol   core.Policies
+		pol   sim.Policy
+		cad   bool
 	}{
-		{"baseline Spark scheduler", core.Policies{}},
-		{"ELB (balanced intermediate)", core.Policies{Map: sched.NewELB(nodes, 0.25)}},
-		{"CAD (throttled ShuffleMapTasks)", core.Policies{Store: sched.NewCAD(sched.NewPinned())}},
+		{"baseline Spark scheduler", sim.FIFO, false},
+		{"ELB (balanced intermediate)", sim.ELB, false},
+		{"CAD (throttled ShuffleMapTasks)", sim.FIFO, true},
 	} {
-		eng, _ := rig(cluster.SSDDevice, true)
-		spec := workload.GroupBy(3*data, split)
-		res := must(eng.Run(spec, c.pol))
-		d := res.Dissection()
+		res := run(sim.SSD, true, sim.Job{InputBytes: 3 * data, SplitBytes: split, Policy: c.pol, CAD: c.cad})
+		d := res.Dissection
 		fmt.Printf("   %-36s %7.2f s   storing=%.2fs shuffle=%.2fs\n",
 			c.label, res.JobTime, d.Storing, d.Shuffle)
 	}

@@ -336,7 +336,11 @@ func (r *stageRunner) finish(d sched.Decision, n *cluster.Node, launch float64, 
 		rec := &r.timeline.Records[len(r.timeline.Records)-1]
 		stats.Duration = rec.Duration()
 	}
-	r.tr.TaskSpan(r.name, d.TaskID, mySeq-1, n.ID, launch, now-launch, stats.IntermediateBytes, "")
+	detail := ""
+	if d.Local {
+		detail = "local"
+	}
+	r.tr.TaskSpan(r.name, d.TaskID, mySeq-1, n.ID, launch, now-launch, stats.IntermediateBytes, detail)
 	n.ReleaseCore()
 	r.policy.Completed(d.TaskID, n.ID, now, stats)
 	r.remaining--

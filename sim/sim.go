@@ -6,7 +6,9 @@
 //
 // It exists so that downstream users of this module — who cannot import
 // internal packages — can reproduce and extend the paper's
-// characterization programmatically:
+// characterization programmatically, and it is the one place that turns
+// machine and job choices into a simulated run: mrsim, the simstudy
+// example and the chaos harness all build through it.
 //
 //	c, _ := sim.New(sim.Config{Nodes: 100, Device: sim.SSD, Skew: true})
 //	res, _ := c.Run(sim.Job{
@@ -14,7 +16,7 @@
 //	    InputBytes: 1.2e12,
 //	    CAD:        true,
 //	})
-//	fmt.Println(res.JobTime, res.Storing)
+//	fmt.Println(res.JobTime, res.Dissection.Storing)
 package sim
 
 import (
@@ -59,6 +61,36 @@ const (
 	// LR is three iterations of logistic regression with the input
 	// cached after the first.
 	LR Benchmark = "lr"
+)
+
+// Input selects where a job reads its input.
+type Input string
+
+// Input sources. The zero value is the benchmark's own: generated for
+// GroupBy, HDFS for Grep and LR.
+const (
+	// Generated synthesizes records in memory.
+	Generated Input = "generated"
+	// HDFS reads from the co-located DFS over the node-local devices.
+	HDFS Input = "hdfs"
+	// Lustre reads from the shared parallel file system.
+	Lustre Input = "lustre"
+)
+
+// Store selects where a job's intermediate (shuffle) data lives.
+type Store string
+
+// Intermediate stores. The zero value is the workload's own: the
+// node-local device for GroupBy and Grep, none for LR.
+const (
+	// LustreLocal writes to Lustre; the writer node serves fetches from
+	// its client cache (Fig 6 left).
+	LustreLocal Store = "lustre-local"
+	// LustreShared writes to Lustre; fetchers read the remote-written
+	// files directly, revoking the writers' locks (Fig 6 right).
+	LustreShared Store = "lustre-shared"
+	// NoStore skips the storing and shuffle phases.
+	NoStore Store = "none"
 )
 
 // Policy selects the map-phase scheduling policy.
@@ -108,35 +140,58 @@ type Job struct {
 	InputBytes float64
 	// SplitBytes is the per-task split (default 256 MB).
 	SplitBytes float64
-	// InputFromLustre reads input from the parallel FS instead of the
-	// co-located DFS / generated data.
-	InputFromLustre bool
-	// StoreOnLustre places intermediate data on the parallel FS;
-	// SharedFetch selects the direct-read (lock-revoking) fetch path.
-	StoreOnLustre bool
-	// SharedFetch: see StoreOnLustre.
-	SharedFetch bool
+	// Input is the input source (default: the benchmark's own).
+	Input Input
+	// Store is the intermediate store (default: the workload's own).
+	Store Store
 	// Policy is the map-phase scheduling policy (default FIFO).
 	Policy Policy
 	// CAD enables Congestion-Aware Dispatching for the storing phase.
 	CAD bool
 }
 
+// Dissection is a per-phase breakdown of execution time in seconds;
+// it prints as "compute=… storing=… shuffle=… total=…".
+type Dissection = metrics.Dissection
+
+// Summary holds the order statistics (N, Min, Mean, Max, …) of a
+// sample.
+type Summary = metrics.Summary
+
 // Result summarizes a simulated job.
 type Result struct {
+	// Name is the workload's name ("GroupBy", "Grep" or "LR").
+	Name string
+	// Input and Store name the input source and intermediate store the
+	// job ran with once the zero values resolved; Store "local" is the
+	// node-local device.
+	Input, Store string
 	// JobTime is the virtual execution time in seconds.
 	JobTime float64
-	// Compute, Storing and Shuffle dissect the job per phase (summed
-	// over iterations).
-	Compute, Storing, Shuffle float64
+	// Dissection is the per-phase breakdown summed over iterations.
+	Dissection Dissection
+	// Iters breaks the job down per iteration.
+	Iters []Iteration
 	// MapTasks is the number of map tasks executed.
 	MapTasks int
 	// LocalLaunches counts locality-satisfying map launches.
 	LocalLaunches int
 	// PerNodeIntermediate is the intermediate bytes per node.
 	PerNodeIntermediate []float64
+	// StoringTasks summarizes the first iteration's ShuffleMapTask
+	// durations; N is 0 when the job stored nothing.
+	StoringTasks Summary
 	// StoringTaskSpread is max/min ShuffleMapTask duration.
 	StoringTaskSpread float64
+}
+
+// Iteration is one iteration of a job.
+type Iteration struct {
+	// Dissection is the iteration's per-phase breakdown.
+	Dissection Dissection
+	// MapTasks, LocalLaunches and RemoteLaunches count the iteration's
+	// map tasks and how many launched on a node holding their input.
+	MapTasks, LocalLaunches, RemoteLaunches int
 }
 
 // Cluster is a simulated machine ready to run jobs. Jobs run
@@ -226,8 +281,9 @@ func (c *Cluster) InjectFaults(p fault.Plan) error {
 }
 
 // Trace attaches a tracer on the cluster's virtual clock and returns it;
-// subsequent jobs record job/stage/task/fetch spans plus injected-fault
-// events into it. Tracing never perturbs simulated time.
+// subsequent jobs record job/stage/task/fetch spans, the ELB, CAD and
+// delay-scheduling decisions, and injected-fault events into it.
+// Tracing never perturbs simulated time.
 func (c *Cluster) Trace(o trace.Options) *trace.Tracer {
 	t := trace.New(c.eng.C.Sim.Now, o)
 	c.eng.Tracer = t
@@ -242,73 +298,90 @@ func (c *Cluster) Run(job Job) (*Result, error) {
 	if job.SplitBytes <= 0 {
 		job.SplitBytes = 256e6
 	}
-	input := core.InputGenerated
-	if job.InputFromLustre {
-		input = core.InputLustre
-	}
 
 	var spec core.JobSpec
 	switch job.Benchmark {
 	case GroupBy, "":
 		spec = workload.GroupBy(job.InputBytes, job.SplitBytes)
-		spec.Input = input
 	case Grep:
-		if !job.InputFromLustre {
-			input = core.InputHDFS
-		}
-		spec = workload.Grep(job.InputBytes, job.SplitBytes, input)
+		spec = workload.Grep(job.InputBytes, job.SplitBytes, core.InputHDFS)
 	case LR:
-		if !job.InputFromLustre {
-			input = core.InputHDFS
-		}
-		spec = workload.LogisticRegression(job.InputBytes, job.SplitBytes, input)
+		spec = workload.LogisticRegression(job.InputBytes, job.SplitBytes, core.InputHDFS)
 	default:
 		return nil, fmt.Errorf("sim: unknown benchmark %q", job.Benchmark)
 	}
-	if job.StoreOnLustre {
-		if job.SharedFetch {
-			spec.Store = core.StoreLustreShared
-		} else {
-			spec.Store = core.StoreLustreLocal
-		}
+	switch job.Input {
+	case "":
+	case Generated:
+		spec.Input = core.InputGenerated
+	case HDFS:
+		spec.Input = core.InputHDFS
+	case Lustre:
+		spec.Input = core.InputLustre
+	default:
+		return nil, fmt.Errorf("sim: unknown input %q", job.Input)
+	}
+	switch job.Store {
+	case "":
+	case LustreLocal:
+		spec.Store = core.StoreLustreLocal
+	case LustreShared:
+		spec.Store = core.StoreLustreShared
+	case NoStore:
+		spec.Store = core.StoreNone
+	default:
+		return nil, fmt.Errorf("sim: unknown store %q", job.Store)
 	}
 
+	audit := trace.SchedAudit(c.eng.Tracer)
 	pol := core.Policies{}
 	switch job.Policy {
 	case FIFO, "":
 	case Locality:
 		pol.Map = sched.NewLocalityPreferring()
 	case DelayScheduling:
-		pol.Map = sched.NewDelay(3)
+		d := sched.NewDelay(3)
+		d.Audit = audit
+		pol.Map = d
 	case ELB:
-		pol.Map = sched.NewELB(c.nodes, 0.25)
+		e := sched.NewELB(c.nodes, 0.25)
+		e.Audit = audit
+		pol.Map = e
 	default:
 		return nil, fmt.Errorf("sim: unknown policy %q", job.Policy)
 	}
 	if job.CAD {
-		pol.Store = sched.NewCAD(sched.NewPinned())
+		cd := sched.NewCAD(sched.NewPinned())
+		cd.Audit = audit
+		pol.Store = cd
 	}
 
 	res, err := c.eng.Run(spec, pol)
 	if err != nil {
 		return nil, err
 	}
-	d := res.Dissection()
 	out := &Result{
+		Name:                spec.Name,
+		Input:               spec.Input.String(),
+		Store:               spec.Store.String(),
 		JobTime:             res.JobTime,
-		Compute:             d.Compute,
-		Storing:             d.Storing,
-		Shuffle:             d.Shuffle,
+		Dissection:          res.Dissection(),
 		PerNodeIntermediate: res.PerNodeIntermediate(),
 	}
 	for i := range res.Iters {
 		it := &res.Iters[i]
+		out.Iters = append(out.Iters, Iteration{
+			Dissection:     it.Dissection(),
+			MapTasks:       len(it.Map.Timeline.Records),
+			LocalLaunches:  it.LocalLaunches,
+			RemoteLaunches: it.RemoteLaunches,
+		})
 		out.MapTasks += len(it.Map.Timeline.Records)
 		out.LocalLaunches += it.LocalLaunches
 	}
 	if len(res.Iters) > 0 {
-		tl := res.Iters[0].Store.Timeline
-		if len(tl.Records) > 0 {
+		if tl := &res.Iters[0].Store.Timeline; len(tl.Records) > 0 {
+			out.StoringTasks = metrics.Summarize(tl.Durations())
 			out.StoringTaskSpread = tl.Spread()
 		}
 	}
@@ -318,16 +391,18 @@ func (c *Cluster) Run(job Job) (*Result, error) {
 // Summary formats a result as one line.
 func (r *Result) Summary() string {
 	return fmt.Sprintf("job=%.2fs compute=%.2fs storing=%.2fs shuffle=%.2fs tasks=%d",
-		r.JobTime, r.Compute, r.Storing, r.Shuffle, r.MapTasks)
+		r.JobTime, r.Dissection.Compute, r.Dissection.Storing, r.Dissection.Shuffle, r.MapTasks)
+}
+
+// IntermediateSummary summarizes the per-node intermediate bytes.
+func (r *Result) IntermediateSummary() Summary {
+	return metrics.Summarize(r.PerNodeIntermediate)
 }
 
 // ImbalanceRatio returns max/mean per-node intermediate data — the
 // Fig 12 straggler indicator.
 func (r *Result) ImbalanceRatio() float64 {
-	if len(r.PerNodeIntermediate) == 0 {
-		return 0
-	}
-	s := metrics.Summarize(r.PerNodeIntermediate)
+	s := r.IntermediateSummary()
 	if s.Mean == 0 {
 		return 0
 	}

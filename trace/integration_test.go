@@ -55,13 +55,19 @@ func TestSimulatorTraceCapturesAllSpanKinds(t *testing.T) {
 	}
 
 	counts := map[trace.Category]int{}
-	mapTasks, fetches, elbDecisions := 0, 0, 0
+	mapTasks, localMaps, fetches, elbDecisions := 0, 0, 0, 0
 	for _, e := range events {
 		counts[e.Cat]++
 		switch e.Cat {
 		case trace.CatTask:
+			if e.Detail != "" && e.Detail != "local" {
+				t.Fatalf("task span detail %q, want \"local\" or none", e.Detail)
+			}
 			if strings.HasPrefix(e.Stage, "map/") {
 				mapTasks++
+				if e.Detail == "local" {
+					localMaps++
+				}
 			}
 		case trace.CatFetch:
 			fetches++
@@ -82,6 +88,9 @@ func TestSimulatorTraceCapturesAllSpanKinds(t *testing.T) {
 	}
 	if want := res.Spec.NumMapTasks(); mapTasks != want {
 		t.Fatalf("map task spans = %d, want %d", mapTasks, want)
+	}
+	if want := res.Iters[0].LocalLaunches; localMaps != want {
+		t.Fatalf("map task spans tagged local = %d, want the %d local launches", localMaps, want)
 	}
 	if fetches == 0 {
 		t.Fatal("no shuffle-fetch spans captured")

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 )
 
 // jsonEvent is the wire form of Event: one JSON object per line, with
@@ -105,4 +106,18 @@ func Read(r io.Reader) ([]Event, error) {
 		return ReadChrome(bytes.NewReader(trimmed))
 	}
 	return ReadJSONL(bytes.NewReader(trimmed))
+}
+
+// WriteFile exports events with write (WriteChrome or WriteJSONL) to a
+// file at path, creating or truncating it.
+func WriteFile(path string, events []Event, write func(io.Writer, []Event) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f, events); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -136,7 +136,9 @@ type Event struct {
 	// record counts only became a traced dimension with shuffle-volume
 	// accounting.
 	Records float64
-	// Detail is a free-form elaboration (failure notes, load snapshots).
+	// Detail is a free-form elaboration (failure notes, load snapshots,
+	// "local" on a simulator task whose launch was data-local,
+	// "local"/"remote" on real-engine fetches).
 	Detail string
 }
 

@@ -262,7 +262,8 @@ func TestDegenerateChain(t *testing.T) {
 
 // TestOneShotRecoveryRerunsOnlyLostMaps: a job without supersteps
 // recovers through the same generation-chain repair as an iterative
-// one. The crash fires as the last map task completes, so the reduce
+// one. The crash fires as the last map task completes — before the map
+// stage returns, so always before the reduce gathers — and the reduce
 // stage finds the victim's map output gone; the repair must re-run
 // exactly the partitions the victim owned — not the whole map stage —
 // and the result must match a clean run byte for byte.
@@ -296,8 +297,8 @@ func TestOneShotRecoveryRerunsOnlyLostMaps(t *testing.T) {
 
 	log.mu.Lock()
 	defer log.mu.Unlock()
-	// The first wave fills every core of every executor, so the victim
-	// owned some of the twelve partitions when it died.
+	// All twelve map tasks are dispatched at once, four to each
+	// executor's window, so the victim owned some of them when it died.
 	owned := 0
 	for _, e := range log.done[:spec.MapParts] {
 		if e.Stage != "keyed-sum-map-1" {

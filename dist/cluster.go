@@ -26,7 +26,7 @@ type LocalCluster struct {
 type LocalConfig struct {
 	// Executors is the cluster size (default 3).
 	Executors int
-	// CoresPerExecutor is passed to the driver's engine (default 2).
+	// CoresPerExecutor is passed to the driver (default 2).
 	CoresPerExecutor int
 	// Plan is the fault plan; crash events become KillExecutor calls.
 	Plan fault.Plan
@@ -45,9 +45,6 @@ type LocalConfig struct {
 func StartLocal(cfg LocalConfig) (*LocalCluster, error) {
 	if cfg.Executors <= 0 {
 		cfg.Executors = 3
-	}
-	if cfg.CoresPerExecutor <= 0 {
-		cfg.CoresPerExecutor = 2
 	}
 	lc := &LocalCluster{}
 	d, err := NewDriver(DriverConfig{

@@ -19,8 +19,8 @@ const maxJobRecoveries = 8
 type DriverConfig struct {
 	// Executors is the cluster size the driver waits for.
 	Executors int
-	// CoresPerExecutor bounds concurrent task dispatch per executor
-	// (engine default when 0).
+	// CoresPerExecutor is how many tasks each executor runs at once
+	// (default 2).
 	CoresPerExecutor int
 	// ControlAddr/ClientAddr are the listen addresses; "" picks an
 	// ephemeral loopback port.
@@ -92,6 +92,9 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 	if cfg.Executors <= 0 {
 		return nil, fmt.Errorf("dist: driver needs at least one executor, got %d", cfg.Executors)
 	}
+	if cfg.CoresPerExecutor <= 0 {
+		cfg.CoresPerExecutor = 2
+	}
 	d := &Driver{
 		cfg:     cfg,
 		live:    newLiveness(heartbeatTimeout),
@@ -101,7 +104,9 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 		done:    make(chan struct{}),
 	}
 
-	ecfg := engine.Config{Executors: cfg.Executors, CoresPerExecutor: cfg.CoresPerExecutor}
+	// Every task body is a proxy waiting on an executor, so the engine
+	// keeps a window of attempts queued on each executor's cores.
+	ecfg := engine.Config{Executors: cfg.Executors, CoresPerExecutor: cfg.CoresPerExecutor, RemoteBodies: true}
 	if !cfg.DisableLocality {
 		// Owner-aware placement by default: reduce and superstep tasks
 		// carry preferences from the driver's ownership provenance, and
@@ -264,7 +269,7 @@ func (d *Driver) handleControl(conn net.Conn) {
 	d.registered++
 	allIn := d.registered == d.cfg.Executors
 	d.mu.Unlock()
-	if err := c.Send(&HelloAck{OK: true, Executors: d.cfg.Executors, TransientPlan: d.transientPlan}); err != nil {
+	if err := c.Send(&HelloAck{OK: true, Executors: d.cfg.Executors, Cores: d.cfg.CoresPerExecutor, TransientPlan: d.transientPlan}); err != nil {
 		d.executorGone(hello.ID, fmt.Sprintf("HelloAck send: %v", err))
 		return
 	}

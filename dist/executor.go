@@ -161,6 +161,20 @@ func (e *Executor) Run() error {
 	defer close(hbDone)
 	go e.heartbeat(hbDone)
 
+	// The driver keeps more attempts dispatched than the executor has
+	// cores; they wait here in arrival order for one of ack.Cores
+	// workers. The control reader only appends, so however many wait, a
+	// DropShuffle or ShutdownReq behind them is handled at once.
+	runq := newRunQueue()
+	defer runq.close()
+	for c := 0; c < ack.Cores; c++ {
+		go func() {
+			for t, ok := runq.pop(); ok; t, ok = runq.pop() {
+				e.runTask(t)
+			}
+		}()
+	}
+
 	for {
 		m, err := e.codec.Recv()
 		if err != nil {
@@ -173,7 +187,7 @@ func (e *Executor) Run() error {
 		}
 		switch msg := m.(type) {
 		case *RunTask:
-			go e.runTask(msg)
+			runq.push(msg)
 		case *DropShuffle:
 			e.store.Drop(msg.Shuffle)
 		case *ShutdownReq:
@@ -209,10 +223,7 @@ func (e *Executor) heartbeat(done chan struct{}) {
 // connection's first TaskDone carries (a few hundred bytes in all).
 const taskDoneEnvelope = 4 << 10
 
-// runTask executes one dispatched attempt and reports TaskDone. It runs
-// on its own goroutine: the engine's executor workers already bound
-// per-executor parallelism driver-side, so dispatch order is the only
-// contract here.
+// runTask executes one dispatched attempt and reports TaskDone.
 //
 // A result too large for one frame is reported as the attempt's error
 // rather than sent: an over-limit Send would poison the codec and turn
@@ -402,6 +413,55 @@ func (e *Executor) gather(shuffle int, locations []Loc, part int, done *TaskDone
 		}
 	}
 	return chunks, nil
+}
+
+// runQueue is an executor's FIFO of dispatched attempts waiting for a
+// core. push never blocks: the driver bounds how many attempts it
+// keeps dispatched, and the control reader must stay free to read.
+type runQueue struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	tasks  []*RunTask
+	closed bool
+}
+
+func newRunQueue() *runQueue {
+	q := &runQueue{}
+	q.cond = sync.NewCond(&q.mu)
+	return q
+}
+
+func (q *runQueue) push(t *RunTask) {
+	q.mu.Lock()
+	q.tasks = append(q.tasks, t)
+	q.mu.Unlock()
+	q.cond.Signal()
+}
+
+// pop blocks for the oldest attempt; false once the queue is closed.
+func (q *runQueue) pop() (*RunTask, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.tasks) == 0 && !q.closed {
+		q.cond.Wait()
+	}
+	if q.closed {
+		return nil, false
+	}
+	t := q.tasks[0]
+	q.tasks[0] = nil
+	q.tasks = q.tasks[1:]
+	return t, true
+}
+
+// close discards the attempts still waiting — the driver that sent
+// them is gone or shutting the executor down — and stops the workers
+// once their running attempts return.
+func (q *runQueue) close() {
+	q.mu.Lock()
+	q.closed, q.tasks = true, nil
+	q.mu.Unlock()
+	q.cond.Broadcast()
 }
 
 // defaultFetchRetries bounds an executor's peer-fetch attempts,

@@ -49,7 +49,7 @@ func (p *procExec) exited() bool {
 type ProcConfig struct {
 	// Executors is the cluster size (default 3).
 	Executors int
-	// CoresPerExecutor is passed to the driver's engine (default 2).
+	// CoresPerExecutor is passed to the driver (default 2).
 	CoresPerExecutor int
 	// Command builds the executor process: it must exec something that
 	// runs an Executor with the given id against the driver control
@@ -71,9 +71,6 @@ type ProcConfig struct {
 func StartProc(cfg ProcConfig) (*ProcCluster, error) {
 	if cfg.Executors <= 0 {
 		cfg.Executors = 3
-	}
-	if cfg.CoresPerExecutor <= 0 {
-		cfg.CoresPerExecutor = 2
 	}
 	if cfg.Command == nil {
 		return nil, fmt.Errorf("dist: ProcConfig needs a Command factory")

@@ -56,14 +56,15 @@ type Hello struct {
 }
 
 // HelloAck accepts or rejects a registration. On acceptance it carries
-// the cluster geometry and the JSON-encoded transient fault plan (slow,
-// fetch-loss, task-fail, hang events) the executor must replay
-// in-process; crash events stay driver-side where they become real
-// process kills.
+// the cluster geometry — Cores is how many tasks the executor runs at
+// once — and the JSON-encoded transient fault plan (slow, fetch-loss,
+// task-fail, hang events) the executor must replay in-process; crash
+// events stay driver-side where they become real process kills.
 type HelloAck struct {
 	OK            bool
 	Reason        string
 	Executors     int
+	Cores         int
 	TransientPlan []byte
 }
 

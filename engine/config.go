@@ -84,12 +84,18 @@ const (
 	// fetchRetryBackoff is RetryFetch's first backoff; it doubles per
 	// attempt.
 	fetchRetryBackoff = 2 * time.Millisecond
-	// runQueuePerCore sizes each executor's persistent-worker run queue
-	// (runQueuePerCore x CoresPerExecutor). Dispatch never blocks on a
+	// runQueuePerSlot sizes each executor's persistent-worker run queue
+	// (runQueuePerSlot x its slots). Dispatch never blocks on a
 	// full queue; overflow attempts fall back to a dedicated goroutine,
 	// so the depth only sets how much goroutine-spawn traffic the
 	// workers absorb under concurrent stages.
-	runQueuePerCore = 2
+	runQueuePerSlot = 2
+	// windowPerCore is how many attempts each core of an executor keeps
+	// dispatched when task bodies are remote (Config.RemoteBodies): one
+	// running and the rest queued behind it on the executor, so the core
+	// starts its next task while the last one's result and the driver's
+	// next dispatch are still on the wire.
+	windowPerCore = 4
 )
 
 // Config parameterizes a Runtime.
@@ -138,6 +144,14 @@ type Config struct {
 	// set. Empty means a runtime-owned temporary directory, removed on
 	// Close; a caller-provided directory is created but left in place.
 	SpillDir string
+	// RemoteBodies says every TaskSpec.Run hands its attempt to another
+	// process and waits for the answer, as the dist driver's proxies
+	// do. Each executor then has windowPerCore slots per core: the first
+	// CoresPerExecutor are run slots, offered to the policy as usual;
+	// the rest are window slots, whose attempts queue on the executor
+	// and which take only work sched.LocalOfferer.OfferLocal returns —
+	// local or preference-free, never stolen.
+	RemoteBodies bool
 }
 
 // withDefaults fills zero fields.

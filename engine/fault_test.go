@@ -74,7 +74,8 @@ func TestFailExecutorInvalidatesShuffleOutput(t *testing.T) {
 // TestCrashMidStageRequeuesAndCompletes: a count-triggered crash halfway
 // through a stage kills an executor; every task must still complete
 // exactly once (per the done accounting), with lost attempts requeued on
-// the survivors and no retry budget burned.
+// the survivors and no retry budget burned. The crash has fired by the
+// time RunStage returns, so the audit log is read straight after it.
 func TestCrashMidStageRequeuesAndCompletes(t *testing.T) {
 	plan := fault.Plan{Events: []fault.Event{
 		{Kind: fault.KindCrash, Node: 1, AfterTasks: 10},

@@ -111,8 +111,12 @@ func New(cfg Config) (*Runtime, error) {
 	} else {
 		rt.shuffle = NewShuffleStore()
 	}
+	slots := cfg.CoresPerExecutor
+	if cfg.RemoteBodies {
+		slots *= windowPerCore
+	}
 	for e := range rt.workers {
-		rt.workers[e] = newExecWorkers(e, cfg.CoresPerExecutor, runQueuePerCore*cfg.CoresPerExecutor)
+		rt.workers[e] = newExecWorkers(e, slots, runQueuePerSlot*slots)
 	}
 	return rt, nil
 }
@@ -381,8 +385,8 @@ type launchReq struct {
 	d  sched.Decision
 }
 
-// execWorkers is one executor's persistent worker pool: CoresPerExecutor
-// goroutines fed by a bounded ring queue. The pool replaces
+// execWorkers is one executor's persistent worker pool: a goroutine per
+// slot, fed by a bounded ring queue. The pool replaces
 // goroutine-per-attempt dispatch so a stage of many short tasks does not
 // pay a goroutine spawn per 40-100µs task body.
 type execWorkers struct {
@@ -396,10 +400,10 @@ type execWorkers struct {
 }
 
 // newExecWorkers starts the worker goroutines for one executor.
-func newExecWorkers(exec, cores, depth int) *execWorkers {
+func newExecWorkers(exec, slots, depth int) *execWorkers {
 	w := &execWorkers{exec: exec, ring: make([]launchReq, depth)}
 	w.cond = sync.NewCond(&w.mu)
-	for c := 0; c < cores; c++ {
+	for c := 0; c < slots; c++ {
 		go w.run()
 	}
 	return w
@@ -500,22 +504,34 @@ type stageState struct {
 	// breadthFirst makes dispatch sweep executors one core at a time
 	// (set when the policy implements sched.BreadthFirstOfferer).
 	breadthFirst bool
-	tasks        []TaskSpec
-	attempts     []int
+	// window is each executor's window slots, the ones past its run
+	// slots (0 unless Config.RemoteBodies); local fills them, nil when
+	// there are none or the policy cannot.
+	window   int
+	local    sched.LocalOfferer
+	tasks    []TaskSpec
+	attempts []int
 
-	mu            sync.Mutex
-	cond          *sync.Cond
-	idle          []int // free cores per executor (0 forever once dead)
-	retries       []int // failed or speculated tasks awaiting a launch
+	mu   sync.Mutex
+	cond *sync.Cond
+	// idle is the free slots per executor (0 forever once dead); a run
+	// slot is free while it exceeds window.
+	idle          []int
+	declined      []bool // sweepLocked's per-executor scratch
+	retries       []int  // failed or speculated tasks awaiting a launch
 	queued        []bool
 	failures      []int
 	liveOn        [][]int // executors currently running each task
 	remaining     int
 	inFlight      int
 	pendingTimers int // policy retry-hint timers outstanding
-	failed        error
-	finished      bool
-	start         time.Time
+	// crashChecks counts successful completions whose count-triggered
+	// crash check has not run yet; the stage resolves only at zero, so
+	// a crash due at a completion fires before RunStage returns.
+	crashChecks int
+	failed      error
+	finished    bool
+	start       time.Time
 
 	// speculation state
 	done       []bool
@@ -560,6 +576,7 @@ func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 		tasks:      tasks,
 		attempts:   make([]int, len(tasks)),
 		idle:       make([]int, rt.cfg.Executors),
+		declined:   make([]bool, rt.cfg.Executors),
 		queued:     make([]bool, len(tasks)),
 		failures:   make([]int, len(tasks)),
 		liveOn:     make([][]int, len(tasks)),
@@ -572,6 +589,9 @@ func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 	if bf, ok := st.policy.(sched.BreadthFirstOfferer); ok {
 		st.breadthFirst = bf.BreadthFirstOffers()
 	}
+	if lo, ok := st.policy.(sched.LocalOfferer); ok && rt.cfg.RemoteBodies {
+		st.window, st.local = (windowPerCore-1)*rt.cfg.CoresPerExecutor, lo
+	}
 	st.cond = sync.NewCond(&st.mu)
 	// One contiguous backing array serves every task's first (and almost
 	// always only) live-attempt record; speculation's second attempt is
@@ -582,7 +602,7 @@ func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 	}
 	for i := range st.idle {
 		if !rt.ExecutorDead(i) {
-			st.idle[i] = rt.cfg.CoresPerExecutor
+			st.idle[i] = rt.cfg.CoresPerExecutor + st.window
 		}
 	}
 	rt.mu.Lock()
@@ -614,7 +634,7 @@ func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 		st.failed = ErrAllExecutorsLost
 	}
 	st.dispatchLocked()
-	for st.remaining > 0 && (st.failed == nil || st.inFlight > 0) {
+	for !st.resolvedLocked() {
 		st.cond.Wait()
 		if st.remaining > 0 && st.failed == nil {
 			st.dispatchLocked()
@@ -699,7 +719,12 @@ func (st *stageState) executorLost(exec int) {
 }
 
 // dispatchLocked offers every free slot to the policy. Called with
-// st.mu held.
+// st.mu held. An executor's run slots — free while fewer than
+// CoresPerExecutor of its attempts are in flight — take retries first,
+// then what the policy's Offer gives, stealing included. Its window
+// slots are offered only after every run slot, and take only what
+// OfferLocal gives: an attempt queued behind others must not hold a
+// task its owner could start first.
 func (st *stageState) dispatchLocked() {
 	if st.failed != nil {
 		return
@@ -707,8 +732,8 @@ func (st *stageState) dispatchLocked() {
 	for pass := 0; ; pass++ {
 		// Retried and speculated tasks run before fresh offers; entries
 		// whose task has meanwhile completed are dropped. Each goes to
-		// the executor with the most idle cores so a retry burst spreads
-		// across the cluster instead of piling onto executor 0.
+		// the executor with the most free run slots so a retry burst
+		// spreads across the cluster instead of piling onto executor 0.
 		for len(st.retries) > 0 {
 			id := st.retries[0]
 			if st.done[id] {
@@ -718,12 +743,12 @@ func (st *stageState) dispatchLocked() {
 			}
 			best := -1
 			for exec := range st.idle {
-				if st.idle[exec] > 0 && (best < 0 || st.idle[exec] > st.idle[best]) {
+				if st.idle[exec] > st.window && (best < 0 || st.idle[exec] > st.idle[best]) {
 					best = exec
 				}
 			}
 			if best < 0 {
-				return // all slots busy
+				break // every run slot busy
 			}
 			st.retries = st.retries[1:]
 			st.queued[id] = false
@@ -732,43 +757,10 @@ func (st *stageState) dispatchLocked() {
 			st.rt.launchAttempt(st, sched.Decision{TaskID: id, Local: false}, best)
 		}
 		if st.breadthFirst {
-			// Round-robin sweep: one core per executor per pass, so every
-			// executor is offered a slot before any executor's second
-			// core can steal (popAny) a task preferring a node not yet
-			// offered. Declines are sticky within one dispatch round —
-			// the queue only shrinks and pause state only changes on
-			// completions, so a declined executor stays declined.
-			declined := make([]bool, len(st.idle))
-			for {
-				progressed := false
-				for exec := range st.idle {
-					if st.idle[exec] == 0 || declined[exec] {
-						continue
-					}
-					d := st.policy.Offer(exec, st.now())
-					if d.TaskID < 0 {
-						if d.Retry > 0 {
-							st.scheduleRetry(d.Retry)
-						}
-						declined[exec] = true
-						continue
-					}
-					if st.done[d.TaskID] {
-						progressed = true
-						continue
-					}
-					st.idle[exec]--
-					st.inFlight++
-					progressed = true
-					st.rt.launchAttempt(st, d, exec)
-				}
-				if !progressed {
-					break
-				}
-			}
+			st.sweepLocked(false)
 		} else {
 			for exec := range st.idle {
-				for st.idle[exec] > 0 {
+				for st.idle[exec] > st.window {
 					d := st.policy.Offer(exec, st.now())
 					if d.TaskID < 0 {
 						if d.Retry > 0 {
@@ -786,6 +778,9 @@ func (st *stageState) dispatchLocked() {
 					st.rt.launchAttempt(st, d, exec)
 				}
 			}
+		}
+		if st.local != nil {
+			st.sweepLocked(true)
 		}
 		// Wedge breaker: nothing is running, nothing is queued, no
 		// retry timer is armed, yet tasks remain — the policy has
@@ -812,12 +807,63 @@ func (st *stageState) dispatchLocked() {
 	}
 }
 
+// sweepLocked offers free slots round-robin, one per executor per
+// pass, until every executor has declined or filled: run slots through
+// Offer, or, with window set, window slots through OfferLocal. Run
+// slots go round-robin so that every executor is offered a slot before
+// any executor's second core can steal (popAny) a task preferring a
+// node not yet offered; window slots, so that local work spreads over
+// its owners' windows in turn. Declines are sticky within one sweep —
+// the queue only shrinks and pause state only changes on completions,
+// so a declined executor stays declined.
+func (st *stageState) sweepLocked(window bool) {
+	floor := st.window // a run slot is free while idle exceeds it
+	if window {
+		floor = 0
+	}
+	clear(st.declined)
+	for progressed := true; progressed; {
+		progressed = false
+		for exec := range st.idle {
+			if st.idle[exec] <= floor || st.declined[exec] {
+				continue
+			}
+			var d sched.Decision
+			if window {
+				d = st.local.OfferLocal(exec, st.now())
+			} else {
+				d = st.policy.Offer(exec, st.now())
+			}
+			if d.TaskID < 0 {
+				if d.Retry > 0 {
+					st.scheduleRetry(d.Retry)
+				}
+				st.declined[exec] = true
+				continue
+			}
+			progressed = true
+			if st.done[d.TaskID] {
+				continue
+			}
+			st.idle[exec]--
+			st.inFlight++
+			st.rt.launchAttempt(st, d, exec)
+		}
+	}
+}
+
+// resolvedLocked is RunStage's exit condition: all tasks settled, or a
+// failed stage's in-flight attempts fully drained — and either way no
+// crash check still pending.
+func (st *stageState) resolvedLocked() bool {
+	return (st.remaining == 0 || (st.failed != nil && st.inFlight == 0)) && st.crashChecks == 0
+}
+
 // wakeDriverLocked wakes the RunStage driver only when its wait
-// condition can actually flip: all tasks settled, or a failed stage's
-// in-flight attempts fully drained. Routine completions skip the wakeup
-// (the completing worker has already re-dispatched inline).
+// condition has flipped. Routine completions skip the wakeup (the
+// completing worker has already re-dispatched inline).
 func (st *stageState) wakeDriverLocked() {
-	if st.remaining == 0 || (st.failed != nil && st.inFlight == 0) {
+	if st.resolvedLocked() {
 		st.cond.Broadcast()
 	}
 }
@@ -1052,6 +1098,10 @@ func (st *stageState) runTask(d sched.Decision, exec int, scratch *TaskContext) 
 			st.requeueLocked(d.TaskID)
 		}
 	}
+	crashCheck := inj != nil && success
+	if crashCheck {
+		st.crashChecks++
+	}
 	if st.failed == nil {
 		st.dispatchLocked()
 	}
@@ -1059,11 +1109,18 @@ func (st *stageState) runTask(d sched.Decision, exec int, scratch *TaskContext) 
 	st.mu.Unlock()
 
 	// Count-based crash triggers fire on successful completions, after
-	// the stage lock is released (FailExecutor re-enters stage state).
-	if inj != nil && success {
+	// the stage lock is released (FailExecutor re-enters stage state),
+	// but before the stage can resolve: a crash due at this completion
+	// lands while the stage is still running, never after RunStage has
+	// returned.
+	if crashCheck {
 		for _, e := range inj.TaskCompleted(rt.elapsed()) {
 			rt.FailExecutor(e)
 		}
+		st.mu.Lock()
+		st.crashChecks--
+		st.wakeDriverLocked()
+		st.mu.Unlock()
 	}
 }
 

@@ -30,6 +30,18 @@ type BreadthFirstOfferer interface {
 // offers, so each owner sees its local work before anyone may steal it.
 func (p *ShuffleLocality) BreadthFirstOffers() bool { return true }
 
+// LocalOfferer is implemented by policies that can fill window slots:
+// the slots an executor has beyond its cores, whose attempts wait in
+// its run queue behind the ones running. OfferLocal returns only a task
+// preferring node or one with no preference — never one that another
+// node should run, because a queued attempt holds its task until the
+// executor gets to it, while the owner may free a core first — and
+// declines a node the policy is holding back. A runtime offers window
+// slots only after every core slot has been offered.
+type LocalOfferer interface {
+	OfferLocal(node int, now float64) Decision
+}
+
 // NewShuffleLocality returns the locality+ELB composite for a cluster
 // of the given size. Like ELB, intermediate-data accounting persists
 // for the policy value's lifetime.
@@ -52,16 +64,8 @@ func (p *ShuffleLocality) Offer(node int, now float64) Decision {
 		})
 		return Decline(0)
 	}
-	if t, ok := p.q.popLocal(node); ok {
-		p.Audit.emit(AuditEvent{
-			Policy: "locality", Kind: "local", Node: node,
-			Value:  float64(t.ID),
-			Detail: fmt.Sprintf("task=%d t=%.3f", t.ID, now),
-		})
-		return Decision{TaskID: t.ID, Local: true}
-	}
-	if t, ok := p.q.popNoPref(); ok {
-		return Decision{TaskID: t.ID, Local: true}
+	if d := p.offerOwn(node, now); d.TaskID >= 0 {
+		return d
 	}
 	t, ok := p.q.popAny()
 	if !ok {
@@ -75,4 +79,30 @@ func (p *ShuffleLocality) Offer(node int, now float64) Decision {
 		Detail: fmt.Sprintf("task=%d preferred=%v t=%.3f", t.ID, t.PreferredNodes, now),
 	})
 	return Decision{TaskID: t.ID, Local: isLocal(t, node)}
+}
+
+// OfferLocal implements LocalOfferer: nothing for an ELB-paused node,
+// so its window drains and is not refilled; else local > no-pref.
+func (p *ShuffleLocality) OfferLocal(node int, now float64) Decision {
+	if p.q == nil || p.Paused(node) {
+		return Decline(0)
+	}
+	return p.offerOwn(node, now)
+}
+
+// offerOwn pops the oldest task preferring node, else the oldest
+// preference-free one, and declines when there is neither.
+func (p *ShuffleLocality) offerOwn(node int, now float64) Decision {
+	if t, ok := p.q.popLocal(node); ok {
+		p.Audit.emit(AuditEvent{
+			Policy: "locality", Kind: "local", Node: node,
+			Value:  float64(t.ID),
+			Detail: fmt.Sprintf("task=%d t=%.3f", t.ID, now),
+		})
+		return Decision{TaskID: t.ID, Local: true}
+	}
+	if t, ok := p.q.popNoPref(); ok {
+		return Decision{TaskID: t.ID, Local: true}
+	}
+	return Decline(0)
 }

@@ -1,6 +1,9 @@
 package sched
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func auditKinds(events []AuditEvent) map[string]int {
 	kinds := map[string]int{}
@@ -138,5 +141,66 @@ func TestShuffleLocalityDrains(t *testing.T) {
 	got := drain(t, p, nodes, 0)
 	if len(got) != 40 {
 		t.Fatalf("assigned %d tasks, want 40", len(got))
+	}
+}
+
+// TestOfferLocalNeverSteals: a window slot takes only work its node can
+// run without taking it from an owner. ShuffleLocality hands out the
+// node's own tasks, then preference-free ones; FIFO, which ignores
+// preferences, only preference-free ones. Neither returns a task
+// preferring another node, even when nothing else is left.
+func TestOfferLocalNeverSteals(t *testing.T) {
+	infos := []TaskInfo{
+		{ID: 0, PreferredNodes: []int{1}},
+		{ID: 1, PreferredNodes: []int{0}},
+		{ID: 2},
+		{ID: 3, PreferredNodes: []int{1, 2}},
+		{ID: 4, PreferredNodes: []int{2, 0}},
+	}
+	for _, c := range []struct {
+		name string
+		p    interface {
+			Policy
+			LocalOfferer
+		}
+		want []int // what node 0's window slots take, in order
+	}{
+		{"fifo", NewFIFO(), []int{2}},
+		{"shuffle-locality", NewShuffleLocality(3, 0.25), []int{1, 4, 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.p.StageStart(infos, 0)
+			var got []int
+			for d := c.p.OfferLocal(0, 0); d.TaskID >= 0; d = c.p.OfferLocal(0, 0) {
+				if !d.Local {
+					t.Errorf("task %d from a window offer reported Local=false", d.TaskID)
+				}
+				got = append(got, d.TaskID)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("node 0's window took %v, want %v", got, c.want)
+			}
+			if n := c.p.Pending(); n != len(infos)-len(c.want) {
+				t.Fatalf("%d tasks pending after the window declined, want %d", n, len(infos)-len(c.want))
+			}
+		})
+	}
+}
+
+// TestOfferLocalPausedDeclines: OfferLocal gives a node the ELB rule
+// pauses nothing, not even its own task, so its window drains; once the
+// average catches up the node's window is filled again.
+func TestOfferLocalPausedDeclines(t *testing.T) {
+	p := NewShuffleLocality(2, 0.25)
+	p.StageStart([]TaskInfo{{ID: 0}}, 0)
+	p.Offer(0, 0)
+	p.Completed(0, 0, 1, TaskStats{IntermediateBytes: 100})
+	p.StageStart([]TaskInfo{{ID: 0, PreferredNodes: []int{0}}, {ID: 1}}, 2)
+	if d := p.OfferLocal(0, 2); d.TaskID != -1 {
+		t.Fatalf("paused node 0 got task %d from a window offer", d.TaskID)
+	}
+	p.Completed(9, 1, 3, TaskStats{IntermediateBytes: 100})
+	if d := p.OfferLocal(0, 3); d.TaskID != 0 {
+		t.Fatalf("resumed node 0 got task %d from a window offer, want its own task 0", d.TaskID)
 	}
 }

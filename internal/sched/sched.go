@@ -181,6 +181,22 @@ func (p *FIFO) Offer(node int, now float64) Decision {
 	return Decision{TaskID: t.ID, Local: isLocal(t, node)}
 }
 
+// OfferLocal implements LocalOfferer. FIFO takes no notice of
+// preferences, so a window slot takes only the oldest preference-free
+// task: a stage whose tasks prefer owners keeps FIFO's placement, and
+// the window cannot lend the locality-off baseline the locality the
+// shuffle-locality policy is measured against.
+func (p *FIFO) OfferLocal(node int, now float64) Decision {
+	if p.q == nil {
+		return Decline(0)
+	}
+	t, ok := p.q.popNoPref()
+	if !ok {
+		return Decline(0)
+	}
+	return Decision{TaskID: t.ID, Local: true}
+}
+
 // Completed implements Policy.
 func (p *FIFO) Completed(task, node int, now float64, stats TaskStats) {}
 

@@ -17,7 +17,7 @@ func init() {
 	})
 	mustRegister(Scenario{
 		Name: "dist/dispatch-fine",
-		Desc: "keyed-sum in 500 (full: 2000) tiny map tasks on a 2-executor x 1-core in-process cluster: the driver<->executor dispatch round trip is the job",
+		Desc: "keyed-sum in 500 (full: 2000) tiny map tasks on a 2-executor x 1-core in-process cluster: the job is driver<->executor dispatch, a window of RunTasks queued per core",
 		Run:  runDistDispatchFine,
 	})
 }
@@ -93,12 +93,13 @@ func runDistRemoteShuffle(sc Scale) (Extras, error) {
 // runDistDispatchFine is the in-process twin of the end-to-end
 // benchmark's dispatch-fine workload: ~250 records per map task over 64
 // keys, so each task computes for microseconds and the job's wall is
-// the RunTask/TaskDone round trips over the control connections — one
-// task in flight per executor. Wall time on a shared CI box is noisy;
-// allocations per job are the machine-independent witness of what a
-// round trip costs (gob set-up paid per message shows up as hundreds of
-// allocations per task). The shuffle volume is MapParts x Keys after
-// the map-side combiner, deterministic and gated.
+// the RunTask/TaskDone traffic over the control connections — with a
+// window of RunTasks queued behind each executor core, so a core starts
+// its next task without waiting out a round trip. Wall time on a shared
+// CI box is noisy; allocations per job are the machine-independent
+// witness of what a round trip costs (gob set-up paid per message shows
+// up as hundreds of allocations per task). The shuffle volume is
+// MapParts x Keys after the map-side combiner, deterministic and gated.
 func runDistDispatchFine(sc Scale) (Extras, error) {
 	mapParts := 2000
 	if sc.Short {

@@ -30,12 +30,15 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -251,7 +254,7 @@ func run(args []string) {
 		if err != nil {
 			fatal("%v", err)
 		}
-		printTopSKV(kvs, *top)
+		printTopSKV(os.Stdout, kvs, *top)
 	default:
 		kvs, err := dist.DecodeKVs(out)
 		if err != nil {
@@ -267,22 +270,22 @@ func run(args []string) {
 	}
 }
 
-func printTopSKV(kvs []dist.SKV, top int) {
-	// Heaviest first, ties by key, like mrrun's wordcount output.
-	for i := 0; i < len(kvs); i++ {
-		for j := i + 1; j < len(kvs); j++ {
-			if kvs[j].V > kvs[i].V || (kvs[j].V == kvs[i].V && kvs[j].K < kvs[i].K) {
-				kvs[i], kvs[j] = kvs[j], kvs[i]
-			}
+// printTopSKV prints the top heaviest keys — heaviest first, ties by
+// key, as mrrun's wordcount does — then the distinct-key count.
+func printTopSKV(w io.Writer, kvs []dist.SKV, top int) {
+	slices.SortFunc(kvs, func(a, b dist.SKV) int {
+		if c := cmp.Compare(b.V, a.V); c != 0 {
+			return c
 		}
-	}
+		return strings.Compare(a.K, b.K)
+	})
 	for i, kv := range kvs {
 		if i >= top {
 			break
 		}
-		fmt.Printf("%8d  %s\n", kv.V, kv.K)
+		fmt.Fprintf(w, "%8d  %s\n", kv.V, kv.K)
 	}
-	fmt.Printf("# %d distinct keys\n", len(kvs))
+	fmt.Fprintf(w, "# %d distinct keys\n", len(kvs))
 }
 
 func down(args []string) {

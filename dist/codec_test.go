@@ -70,8 +70,8 @@ func splitFrames(t testing.TB, stream []byte) [][]byte {
 	var out [][]byte
 	for len(stream) > 0 {
 		n := int(binary.BigEndian.Uint32(stream))
-		out = append(out, stream[frameHeaderLen:frameHeaderLen+n])
-		stream = stream[frameHeaderLen+n:]
+		out = append(out, stream[spill.FrameHeaderLen:spill.FrameHeaderLen+n])
+		stream = stream[spill.FrameHeaderLen+n:]
 	}
 	return out
 }

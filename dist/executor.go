@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -97,24 +96,18 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 func (e *Executor) Run() error {
 	if e.cfg.MemoryBudget > 0 {
 		dir := e.cfg.SpillDir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", fmt.Sprintf("hpcmr-exec%d-spill-*", e.cfg.ID))
-			if err != nil {
-				return fmt.Errorf("dist: executor %d spill dir: %w", e.cfg.ID, err)
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		} else {
+		if dir != "" {
 			dir = filepath.Join(dir, fmt.Sprintf("exec-%d", e.cfg.ID))
 		}
-		store, err := engine.NewSpillingShuffleStore(spill.NewAccountant(e.cfg.MemoryBudget), dir)
+		tier, err := spill.NewTier(spill.NewAccountant(e.cfg.MemoryBudget), dir, fmt.Sprintf("hpcmr-exec%d-spill-*", e.cfg.ID))
 		if err != nil {
 			return fmt.Errorf("dist: executor %d spill store: %w", e.cfg.ID, err)
 		}
-		store.SetSpillAudit(func(kind string, value float64, detail string) {
+		defer tier.Close()
+		tier.SetAudit(func(kind string, value float64, detail string) {
 			e.logf("executor %d %s %.0fB %s", e.cfg.ID, kind, value, detail)
 		})
-		e.store = store
+		e.store = engine.NewTieredShuffleStore(tier)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

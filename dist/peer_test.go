@@ -94,10 +94,10 @@ func gobRoundTrip(tb testing.TB, chunks []any) []any {
 
 // TestSlabWireRoundTrip: the server sends exactly the non-empty chunks
 // of a wire slab type as raw frames, and the client reads back what a
-// gob round trip of the same chunks gives — a slab past frameGrowStep
+// gob round trip of the same chunks gives — a slab past spill.FrameGrowStep
 // across its growth steps too.
 func TestSlabWireRoundTrip(t *testing.T) {
-	large := make([]KV, 3*frameGrowStep/16+5)
+	large := make([]KV, 3*spill.FrameGrowStep/16+5)
 	for i := range large {
 		large[i] = KV{K: int64(i), V: -int64(i)}
 	}
@@ -177,7 +177,7 @@ func TestShuffleRecvRejects(t *testing.T) {
 		{"slabs after a miss", respStream(t, &ShuffleResp{Miss: true, MissMapPart: 1, Slabs: []SlabHead{head}}, mem),
 			is(errSlabIndex)},
 		{"stream ends inside the raw frame", valid[:len(valid)-1], is(io.ErrUnexpectedEOF)},
-		{"stream ends before the raw frame", valid[:len(valid)-len(mem)-frameHeaderLen], is(io.ErrUnexpectedEOF)},
+		{"stream ends before the raw frame", valid[:len(valid)-len(mem)-spill.FrameHeaderLen], is(io.ErrUnexpectedEOF)},
 		{"forged count, short stream", forged, is(io.ErrUnexpectedEOF)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,7 +189,7 @@ func TestShuffleRecvRejects(t *testing.T) {
 			if err == nil || !tc.want(err) {
 				t.Fatalf("got %v", err)
 			}
-			if allocated > 4*frameGrowStep {
+			if allocated > 4*spill.FrameGrowStep {
 				t.Errorf("rejection allocated %d bytes", allocated)
 			}
 			expectPoisoned(t, c, conn, err)

@@ -330,7 +330,7 @@ var messageTags = func() map[reflect.Type]byte {
 // The frame layer stays under the stream for two reasons. It bounds
 // allocation: the length prefix is checked against the limit before a
 // byte of body is read, and the body buffer grows only as bytes arrive
-// (ReadFrame), so gob never sees more than one bounded frame of peer
+// (spill.ReadFrame), so gob never sees more than one bounded frame of peer
 // input. And it detects a desynchronised stream without trying to
 // resynchronise: gob must consume each frame exactly.
 //
@@ -420,15 +420,15 @@ func (c *Codec) sendRaw(m any, raw [][]byte) error {
 			return c.poison(&spill.ErrFrameTooLarge{Length: len(p), Max: c.max})
 		}
 	}
-	var head [frameHeaderLen + 1]byte
-	head[frameHeaderLen] = tag
+	var head [spill.FrameHeaderLen + 1]byte
+	head[spill.FrameHeaderLen] = tag
 	c.wb.Reset()
 	c.wb.Write(head[:])
 	if err := c.enc.Encode(m); err != nil {
 		return c.poison(fmt.Errorf("dist: encode %T: %w", m, err))
 	}
 	frame := c.wb.Bytes()
-	n := len(frame) - frameHeaderLen
+	n := len(frame) - spill.FrameHeaderLen
 	if n > c.max {
 		return c.poison(&spill.ErrFrameTooLarge{Length: n, Max: c.max})
 	}
@@ -437,17 +437,17 @@ func (c *Codec) sendRaw(m any, raw [][]byte) error {
 	if len(raw) == 0 {
 		_, err = c.conn.Write(frame)
 	} else {
-		heads := make([]byte, frameHeaderLen*len(raw))
+		heads := make([]byte, spill.FrameHeaderLen*len(raw))
 		bufs := make(net.Buffers, 1, 1+2*len(raw))
 		bufs[0] = frame
 		for i, p := range raw {
-			h := heads[i*frameHeaderLen : (i+1)*frameHeaderLen]
+			h := heads[i*spill.FrameHeaderLen : (i+1)*spill.FrameHeaderLen]
 			binary.BigEndian.PutUint32(h, uint32(len(p)))
 			bufs = append(bufs, h, p)
 		}
 		_, err = bufs.WriteTo(c.conn)
 	}
-	if c.wb.Cap() > frameGrowStep {
+	if c.wb.Cap() > spill.FrameGrowStep {
 		// Do not keep a buffer grown for a large frame. gob's encoder
 		// never shrinks its own buffer, so the connection already
 		// retains one copy of its largest message; holding a second
@@ -467,7 +467,7 @@ func (c *Codec) Recv() (any, error) {
 	if err := c.failed(); err != nil {
 		return nil, err
 	}
-	payload, err := ReadFrame(c.r, c.max)
+	payload, err := spill.ReadFrame(c.r, c.max)
 	if err != nil {
 		return nil, c.poison(err)
 	}
@@ -502,16 +502,16 @@ var (
 )
 
 // slabGrowth is how much a slab being received may grow per step once
-// its first frameGrowStep bytes have arrived.
+// its first spill.FrameGrowStep bytes have arrived.
 const slabGrowth = 4
 
 // recvSlab reads the next frame, a raw one, as count elements of the
 // registered slab type name with elem-byte elements, and returns the
 // chunk. The claim is checked against the registry, the frame limit and
 // the raw frame's own length before anything is allocated, and the
-// slice grows as bytes arrive — as ReadFrame grows a frame — so a
+// slice grows as bytes arrive — as spill.ReadFrame grows a frame — so a
 // forged count costs memory in proportion to the bytes that exist, not
-// to the claim. Up to frameGrowStep bytes, the common case, the slice
+// to the claim. Up to spill.FrameGrowStep bytes, the common case, the slice
 // is allocated once and the bytes are read straight into it. Every
 // error poisons the codec; a stream that ends inside the frame is
 // io.ErrUnexpectedEOF.
@@ -533,7 +533,7 @@ func (c *Codec) recvSlab(name string, elem, count int) (any, error) {
 		}
 		return nil, c.poison(&spill.ErrFrameTooLarge{Length: length, Max: c.max})
 	}
-	var hdr [frameHeaderLen]byte
+	var hdr [spill.FrameHeaderLen]byte
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
 		return nil, c.poison(truncated(err))
 	}
@@ -541,7 +541,7 @@ func (c *Codec) recvSlab(name string, elem, count int) (any, error) {
 	if length := int(binary.BigEndian.Uint32(hdr[:])); length != n {
 		return nil, c.poison(fmt.Errorf("%w: %d bytes for %d × %d", errRawFrame, length, count, elem))
 	}
-	ch, mem := st.Make(min(count, max(1, frameGrowStep/elem)))
+	ch, mem := st.Make(min(count, max(1, spill.FrameGrowStep/elem)))
 	for have := 0; ; {
 		if _, err := io.ReadFull(c.r, mem[have:]); err != nil {
 			return nil, c.poison(truncated(err))

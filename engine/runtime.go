@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -56,12 +55,9 @@ type Runtime struct {
 	start     time.Time
 	workers   []*execWorkers
 
-	// Memory-budget state (nil/empty when MemoryBudget is 0): the
-	// accountant shared by the shuffle store and the rdd cache, the
-	// spill directory, and whether Close owns its removal.
-	mem          *spill.Accountant
-	spillDir     string
-	ownsSpillDir bool
+	// tier holds the shuffle store's and the rdd cache's chunk lists
+	// under MemoryBudget; nil when the runtime is unbounded.
+	tier *spill.Tier
 
 	mu      sync.Mutex
 	stageID int
@@ -89,28 +85,14 @@ func New(cfg Config) (*Runtime, error) {
 		workers: make([]*execWorkers, cfg.Executors),
 	}
 	if cfg.MemoryBudget > 0 {
-		dir := cfg.SpillDir
-		if dir == "" {
-			var err error
-			if dir, err = os.MkdirTemp("", "hpcmr-spill-*"); err != nil {
-				return nil, fmt.Errorf("engine: spill dir: %w", err)
-			}
-			rt.ownsSpillDir = true
-		}
-		rt.mem = spill.NewAccountant(cfg.MemoryBudget)
-		rt.spillDir = dir
-		store, err := NewSpillingShuffleStore(rt.mem, dir)
+		t, err := spill.NewTier(spill.NewAccountant(cfg.MemoryBudget), cfg.SpillDir, "hpcmr-spill-*")
 		if err != nil {
-			if rt.ownsSpillDir {
-				os.RemoveAll(dir)
-			}
-			return nil, err
+			return nil, fmt.Errorf("engine: %w", err)
 		}
-		store.SetSpillAudit(rt.auditSpill)
-		rt.shuffle = store
-	} else {
-		rt.shuffle = NewShuffleStore()
+		t.SetAudit(rt.auditSpill)
+		rt.tier = t
 	}
+	rt.shuffle = NewTieredShuffleStore(rt.tier)
 	slots := cfg.CoresPerExecutor
 	if cfg.RemoteBodies {
 		slots *= windowPerCore
@@ -121,22 +103,14 @@ func New(cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// MemoryAccountant returns the shared memory-budget accountant, nil
-// when the runtime is unbounded. The rdd cache admits its partitions
-// here so shuffle output and cached data compete for one budget.
-func (rt *Runtime) MemoryAccountant() *spill.Accountant { return rt.mem }
-
-// SpillDir is where evicted entries land ("" when unbounded).
-func (rt *Runtime) SpillDir() string { return rt.spillDir }
+// Tier returns the memory-budget tier the shuffle store and the rdd
+// cache share, so shuffle output and cached partitions compete for one
+// budget; nil when the runtime is unbounded.
+func (rt *Runtime) Tier() *spill.Tier { return rt.tier }
 
 // SpillStats snapshots the memory-budget counters; ok is false when the
 // runtime runs unbounded.
-func (rt *Runtime) SpillStats() (st spill.Stats, ok bool) {
-	if rt.mem == nil {
-		return spill.Stats{}, false
-	}
-	return rt.mem.Stats(), true
-}
+func (rt *Runtime) SpillStats() (st spill.Stats, ok bool) { return rt.tier.Stats() }
 
 // auditSpill emits a spill decision through the SchedAudit hook under
 // Policy "spill" — how the trace subsystem sees spill/unspill events.
@@ -146,12 +120,6 @@ func (rt *Runtime) auditSpill(kind string, value float64, detail string) {
 			Policy: "spill", Kind: kind, Node: -1, Value: value, Detail: detail,
 		})
 	}
-}
-
-// AuditSpill lets the rdd cache report its spill decisions through the
-// same hook the shuffle store uses, under Policy "spill".
-func (rt *Runtime) AuditSpill(kind string, value float64, detail string) {
-	rt.auditSpill(kind, value, detail)
 }
 
 // Config returns the effective configuration.
@@ -177,9 +145,7 @@ func (rt *Runtime) Close() {
 	for _, w := range rt.workers {
 		w.stop()
 	}
-	if rt.ownsSpillDir {
-		os.RemoveAll(rt.spillDir)
-	}
+	rt.tier.Close()
 }
 
 // elapsed is the fault-injection clock: seconds since the runtime was

@@ -2,9 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,14 +17,16 @@ import (
 // slice (e.g. []Pair[K,V]) boxed in a single interface value. Map tasks
 // publish one chunk per reduce partition with PutChunksFrom, and
 // FetchChunks/FetchChunk hand the stored chunks back without flattening
-// or copying — the rdd layer restores their static types.
+// or copying — the rdd layer restores their static types. Each map
+// partition's chunk list is a spill.Block of the store's tier, which
+// moves it between memory and a spill file under a memory budget.
 //
 // Locking is sharded: the store-level RWMutex only guards the shuffle
 // registry and the lost-executor set (Register/Drop/InvalidateOwner
 // take it exclusively, everything else shared), and each shuffle
-// carries its own RWMutex. Concurrent map tasks writing different
-// shuffles, and reduce fetches against an already-written shuffle, do
-// not serialize on one global lock.
+// carries its own RWMutex, taken before its blocks' locks. Concurrent
+// map tasks writing different shuffles, and reduce fetches against an
+// already-written shuffle, do not serialize on one global lock.
 //
 // For fault recovery the store tracks provenance: PutChunksFrom records
 // which executor produced each map partition, InvalidateOwner drops every
@@ -45,11 +45,9 @@ type ShuffleStore struct {
 	dropped        map[int]bool
 	droppedThrough int
 
-	// spill, when non-nil, makes the store memory-budgeted: map outputs
-	// are admitted to the accountant and evicted LRU into spill files
-	// when resident bytes exceed the budget. nil = the classic
-	// everything-in-RAM store.
-	spill *storeSpill
+	// tier holds the map outputs: nil keeps them in memory, a budgeted
+	// tier spills the least recently used past its budget.
+	tier *spill.Tier
 
 	// Store-wide movement totals, mirrored from the per-shuffle counters
 	// so they survive Drop.
@@ -57,45 +55,15 @@ type ShuffleStore struct {
 	totalBytes   atomic.Int64
 }
 
-// storeSpill is a budgeted store's spill machinery.
-type storeSpill struct {
-	acct *spill.Accountant
-	dir  string
-
-	auditMu sync.RWMutex
-	audit   func(kind string, value float64, detail string)
-}
-
-// auditf emits one spill event if an audit hook is installed.
-func (sp *storeSpill) auditf(kind string, value float64, detail string) {
-	sp.auditMu.RLock()
-	fn := sp.audit
-	sp.auditMu.RUnlock()
-	if fn != nil {
-		fn(kind, value, detail)
-	}
-}
-
-// shuffleData holds one shuffle's chunks:
-// [mapPartition][reducePartition] -> boxed chunk (nil when empty).
+// shuffleData holds one shuffle: per map partition, a block holding its
+// chunk list ([reducePartition] -> boxed chunk, nil when empty) and its
+// producing executor. A map partition is written while its block holds
+// content.
 type shuffleData struct {
 	mu          sync.RWMutex
 	mapParts    int
 	reduceParts int
-	chunks      [][]any
-	written     []bool
-	owners      []int // producing executor per map partition; -1 unknown
-
-	// Budgeted-store state, allocated only when the store spills.
-	// spilled marks a written partition whose chunk list lives in a
-	// spill file instead of chunks[m]; gen counts rewrites of each
-	// partition so a stale in-flight eviction recognizes it has been
-	// superseded; bytes is each partition's accounted size; handles are
-	// the accountant tickets of resident partitions.
-	spilled []bool
-	gen     []uint64
-	bytes   []int64
-	handles []*spill.Handle
+	rows        []spill.Block
 
 	// metaBytes holds per-reduce-bucket byte weights for placeholder
 	// rows written with PutChunkMetaFrom — the distributed driver's
@@ -120,19 +88,10 @@ type Volume struct {
 	Bytes   int64
 }
 
-// ChunkVolume measures one chunk with the store's own accounting, so
-// external shuffle paths (the distributed runtime's network fetches)
-// report volume consistently with local fetches: its record count and
-// approximate bytes (element size times length; a []any chunk counts
-// one 16-byte interface header per record).
-func ChunkVolume(ch any) (records, bytes int64) {
-	if ch == nil {
-		return 0, 0
-	}
-	v := reflect.ValueOf(ch)
-	n := int64(v.Len())
-	return n, n * int64(v.Type().Elem().Size())
-}
+// ChunkVolume measures one chunk as the store accounts it
+// (spill.Volume), so external shuffle paths (the distributed runtime's
+// network fetches) report volume consistently with local fetches.
+func ChunkVolume(ch any) (records, bytes int64) { return spill.Volume(ch) }
 
 // LostPart identifies one invalidated map output.
 type LostPart struct {
@@ -140,74 +99,41 @@ type LostPart struct {
 	MapPart int
 }
 
-// NewShuffleStore returns an empty store.
-func NewShuffleStore() *ShuffleStore {
-	return &ShuffleStore{shuffles: make(map[int]*shuffleData), lost: make(map[int]bool), dropped: make(map[int]bool)}
+// NewShuffleStore returns an empty store that keeps everything in
+// memory.
+func NewShuffleStore() *ShuffleStore { return NewTieredShuffleStore(nil) }
+
+// NewTieredShuffleStore returns an empty store whose map outputs are
+// blocks of t; a nil t keeps them all in memory. engine.New and the
+// distributed executors build their stores with it.
+func NewTieredShuffleStore(t *spill.Tier) *ShuffleStore {
+	return &ShuffleStore{shuffles: make(map[int]*shuffleData), lost: make(map[int]bool), dropped: make(map[int]bool), tier: t}
 }
 
 // NewSpillingShuffleStore returns a store that keeps its accounted
-// resident bytes inside acct's budget by evicting LRU map outputs into
-// spill files under dir (created if absent). The caller owns dir's
-// lifetime; engine.New wires this up from Config.MemoryBudget.
+// resident bytes inside acct's budget by spilling LRU map outputs into
+// dir (created if absent). The caller owns dir's lifetime.
 func NewSpillingShuffleStore(acct *spill.Accountant, dir string) (*ShuffleStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("engine: spill dir: %w", err)
+	t, err := spill.NewTier(acct, dir, "")
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
-	s := NewShuffleStore()
-	s.spill = &storeSpill{acct: acct, dir: dir}
-	return s, nil
+	return NewTieredShuffleStore(t), nil
 }
 
 // SetSpillAudit installs the hook receiving spill/restore events
 // (kind "spill", "restore", "spill-fail", "spill-corrupt").
 func (s *ShuffleStore) SetSpillAudit(fn func(kind string, value float64, detail string)) {
-	if s.spill == nil {
-		return
-	}
-	s.spill.auditMu.Lock()
-	s.spill.audit = fn
-	s.spill.auditMu.Unlock()
+	s.tier.SetAudit(fn)
 }
 
 // SpillStats snapshots the budget accountant; ok is false for an
 // unbudgeted store.
-func (s *ShuffleStore) SpillStats() (st spill.Stats, ok bool) {
-	if s.spill == nil {
-		return spill.Stats{}, false
-	}
-	return s.spill.acct.Stats(), true
-}
+func (s *ShuffleStore) SpillStats() (st spill.Stats, ok bool) { return s.tier.Stats() }
 
-// spillPath is where one map partition's evicted chunk list lives.
-func (s *ShuffleStore) spillPath(shuffleID, mapPart int) string {
-	return filepath.Join(s.spill.dir, fmt.Sprintf("shuffle-%d-part-%d.spill", shuffleID, mapPart))
-}
-
-// newShuffleData allocates one shuffle's storage; the budgeted-store
-// arrays only exist when the store spills.
-func (s *ShuffleStore) newShuffleData(mapParts, reduceParts int) *shuffleData {
-	chunks := make([][]any, mapParts)
-	for i := range chunks {
-		chunks[i] = make([]any, reduceParts)
-	}
-	owners := make([]int, mapParts)
-	for i := range owners {
-		owners[i] = -1
-	}
-	d := &shuffleData{
-		mapParts:    mapParts,
-		reduceParts: reduceParts,
-		chunks:      chunks,
-		written:     make([]bool, mapParts),
-		owners:      owners,
-	}
-	if s.spill != nil {
-		d.spilled = make([]bool, mapParts)
-		d.gen = make([]uint64, mapParts)
-		d.bytes = make([]int64, mapParts)
-		d.handles = make([]*spill.Handle, mapParts)
-	}
-	return d
+// newShuffleData allocates shuffle id's storage.
+func (s *ShuffleStore) newShuffleData(id, mapParts, reduceParts int) *shuffleData {
+	return &shuffleData{mapParts: mapParts, reduceParts: reduceParts, rows: s.tier.Blocks("shuffle", id, mapParts)}
 }
 
 // Register allocates a shuffle with the given geometry and returns its
@@ -216,7 +142,7 @@ func (s *ShuffleStore) Register(mapParts, reduceParts int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	s.shuffles[s.nextID] = s.newShuffleData(mapParts, reduceParts)
+	s.shuffles[s.nextID] = s.newShuffleData(s.nextID, mapParts, reduceParts)
 	return s.nextID
 }
 
@@ -246,7 +172,7 @@ func (s *ShuffleStore) RegisterWithID(id, mapParts, reduceParts int) error {
 		}
 		return nil
 	}
-	s.shuffles[id] = s.newShuffleData(mapParts, reduceParts)
+	s.shuffles[id] = s.newShuffleData(id, mapParts, reduceParts)
 	if id > s.nextID {
 		s.nextID = id
 	}
@@ -286,7 +212,7 @@ func (s *ShuffleStore) lockPut(d *shuffleData, shuffleID, owner int) error {
 // slice boxed once. Writes from an executor that has been invalidated
 // are rejected with ErrExecutorLost, so a zombie attempt racing its
 // executor's loss cannot resurrect dropped output. Re-puts (task
-// retries) overwrite the previous attempt.
+// retries) overwrite the previous attempt wherever it lives.
 func (s *ShuffleStore) PutChunksFrom(shuffleID, mapPart, owner int, chunks []any) error {
 	d, ok := s.get(shuffleID)
 	if !ok {
@@ -306,23 +232,7 @@ func (s *ShuffleStore) PutChunksFrom(shuffleID, mapPart, owner int, chunks []any
 	if err := s.lockPut(d, shuffleID, owner); err != nil {
 		return err
 	}
-	if s.spill != nil {
-		// A re-put (task retry, recovery) supersedes the previous
-		// attempt wherever it lives: drop its spill file, retire its
-		// accountant ticket, and bump the generation so an in-flight
-		// eviction of the old attempt recognizes it is stale.
-		if d.spilled[mapPart] {
-			os.Remove(s.spillPath(shuffleID, mapPart))
-			d.spilled[mapPart] = false
-		}
-		s.spill.acct.Release(d.handles[mapPart])
-		d.gen[mapPart]++
-		d.bytes[mapPart] = bytes
-		d.handles[mapPart] = s.spill.acct.Admit(bytes, s.evictFunc(shuffleID, mapPart, d.gen[mapPart]))
-	}
-	d.chunks[mapPart] = chunks
-	d.written[mapPart] = true
-	d.owners[mapPart] = owner
+	d.rows[mapPart].Put(owner, chunks)
 	if d.metaBytes != nil {
 		d.metaBytes[mapPart] = nil // real chunks supersede placeholder weights
 	}
@@ -331,121 +241,8 @@ func (s *ShuffleStore) PutChunksFrom(shuffleID, mapPart, owner int, chunks []any
 	d.putBytes.Add(bytes)
 	s.totalRecords.Add(records)
 	s.totalBytes.Add(bytes)
-	if s.spill != nil {
-		s.spill.acct.Evict()
-	}
+	s.tier.Evict()
 	return nil
-}
-
-// evictFunc builds the accountant callback that moves one map
-// partition's chunk list to disk. It runs with no locks held (the
-// accountant's mutex is a leaf) and revalidates under the shuffle lock:
-// a partition dropped, invalidated, or re-put since the handle was
-// admitted is simply stale — the bytes it accounted are already gone
-// from the resident count, so it reports success without writing.
-func (s *ShuffleStore) evictFunc(shuffleID, mapPart int, gen uint64) func() bool {
-	return func() bool {
-		d, ok := s.get(shuffleID)
-		if !ok {
-			return true
-		}
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if d.gen[mapPart] != gen || !d.written[mapPart] || d.spilled[mapPart] {
-			return true
-		}
-		e := &spill.Entry{
-			Space: "shuffle", ID: shuffleID, Part: mapPart,
-			Owner: d.owners[mapPart], Chunks: d.chunks[mapPart],
-		}
-		// The file is written while the partition lock is held, so a
-		// reader can never observe spilled=true before the file exists.
-		if _, err := spill.WriteEntryFile(s.spillPath(shuffleID, mapPart), e); err != nil {
-			s.spill.auditf("spill-fail", float64(d.bytes[mapPart]),
-				fmt.Sprintf("shuffle=%d map=%d: %v", shuffleID, mapPart, err))
-			return false // pin resident: unencodable or disk trouble
-		}
-		d.chunks[mapPart] = nil
-		d.spilled[mapPart] = true
-		d.handles[mapPart] = nil
-		s.spill.acct.NoteSpill(d.bytes[mapPart])
-		s.spill.auditf("spill", float64(d.bytes[mapPart]),
-			fmt.Sprintf("shuffle=%d map=%d owner=%d", shuffleID, mapPart, e.Owner))
-		return true
-	}
-}
-
-// loadSpilled reads one bucket of a spilled map partition back — the
-// file's header and that bucket's frame, nothing of the other buckets —
-// validating provenance. Every read counts one restore, of the bytes of
-// the bucket it returned. Called with d.mu held (read or write).
-func (s *ShuffleStore) loadSpilled(shuffleID, mapPart, reducePart int) (any, error) {
-	ch, err := spill.ReadChunkFile(s.spillPath(shuffleID, mapPart), "shuffle", shuffleID, mapPart, reducePart)
-	if err != nil {
-		return nil, err
-	}
-	_, bytes := ChunkVolume(ch)
-	s.spill.acct.NoteRestore(bytes)
-	s.spill.auditf("restore", float64(bytes),
-		fmt.Sprintf("shuffle=%d map=%d bucket=%d", shuffleID, mapPart, reducePart))
-	return ch, nil
-}
-
-// corruptSpill is readPart's report of a spill file that failed to
-// read, carrying the generation that failed.
-type corruptSpill struct {
-	gen   uint64
-	cause error
-}
-
-func (c *corruptSpill) Error() string { return c.cause.Error() }
-
-// readPart is the one per-partition read FetchChunks and FetchChunk
-// share, called with d.mu read-held. It returns map partition m's chunk
-// for reduce partition r: resident chunks from memory (touched
-// most-recently-used on a budgeted store), spilled ones read through
-// from their spill file one bucket at a time — they stay on disk, so
-// restores never push the store back over budget. An unwritten
-// partition is a *MapOutputMissingError; a spill file that fails to
-// read is a *corruptSpill, which the caller hands to readFailed once it
-// has released d.mu.
-func (s *ShuffleStore) readPart(d *shuffleData, shuffleID, m, r int) (any, error) {
-	if !d.written[m] {
-		return nil, &MapOutputMissingError{Shuffle: shuffleID, MapPart: m}
-	}
-	if s.spill == nil {
-		return d.chunks[m][r], nil
-	}
-	if d.spilled[m] {
-		ch, err := s.loadSpilled(shuffleID, m, r)
-		if err != nil {
-			return nil, &corruptSpill{gen: d.gen[m], cause: err}
-		}
-		return ch, nil
-	}
-	s.spill.acct.Touch(d.handles[m])
-	return d.chunks[m][r], nil
-}
-
-// readFailed turns a failed readPart into the fetch's error, with d.mu
-// released. A corrupt spill file is dropped — if the partition is still
-// the generation that failed, it is marked unwritten so the recovery
-// machinery re-executes it through lineage, the third level of the read
-// path (memory → spill dir → recompute) — and reported missing like any
-// unwritten partition.
-func (s *ShuffleStore) readFailed(d *shuffleData, shuffleID, m int, err error) error {
-	c, ok := err.(*corruptSpill)
-	if !ok {
-		return err
-	}
-	d.mu.Lock()
-	if d.gen[m] == c.gen && d.written[m] && d.spilled[m] {
-		s.invalidateRow(d, shuffleID, m)
-		s.spill.auditf("spill-corrupt", float64(d.bytes[m]),
-			fmt.Sprintf("shuffle=%d map=%d dropped for lineage recompute: %v", shuffleID, m, c.cause))
-	}
-	d.mu.Unlock()
-	return &MapOutputMissingError{Shuffle: shuffleID, MapPart: m}
 }
 
 // ShuffleVolume returns the cumulative movement through one shuffle
@@ -487,9 +284,7 @@ func (s *ShuffleStore) PutChunkMetaFrom(shuffleID, mapPart, owner int, bucketByt
 	if err := s.lockPut(d, shuffleID, owner); err != nil {
 		return err
 	}
-	d.chunks[mapPart] = make([]any, d.reduceParts)
-	d.written[mapPart] = true
-	d.owners[mapPart] = owner
+	d.rows[mapPart].Put(owner, nil)
 	if d.metaBytes == nil {
 		d.metaBytes = make([][]int64, d.mapParts)
 	}
@@ -519,9 +314,9 @@ func (s *ShuffleStore) OwnerReduceBytes(shuffleID, executors int, spillDiscount 
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	for m := 0; m < d.mapParts; m++ {
-		o := d.owners[m]
-		if !d.written[m] || o < 0 || o >= executors {
+	for m := range d.rows {
+		o := d.rows[m].Owner()
+		if o < 0 || o >= executors {
 			continue
 		}
 		if d.metaBytes != nil && d.metaBytes[m] != nil {
@@ -530,39 +325,29 @@ func (s *ShuffleStore) OwnerReduceBytes(shuffleID, executors int, spillDiscount 
 			}
 			continue
 		}
-		if d.spilled != nil && d.spilled[m] {
-			share := float64(d.bytes[m]) / float64(d.reduceParts) * spillDiscount
+		chunks, spilled, bytes := d.rows[m].Peek()
+		switch {
+		case spilled:
+			share := float64(bytes) / float64(d.reduceParts) * spillDiscount
 			for r := range out {
 				out[r][o] += share
 			}
-			continue
-		}
-		if len(d.chunks[m]) == 0 || !anyChunkWritten(d.chunks[m]) {
+		case !slices.ContainsFunc(chunks, func(ch any) bool { return ch != nil }):
 			// Ownership-only row (weightless placeholder, or a map
 			// partition that genuinely produced nothing): one nominal
 			// byte per bucket, so a sole owner still outranks nobody.
 			for r := range out {
 				out[r][o]++
 			}
-			continue
-		}
-		for r, ch := range d.chunks[m] {
-			if _, b := ChunkVolume(ch); b > 0 {
-				out[r][o] += float64(b)
+		default:
+			for r, ch := range chunks {
+				if _, b := ChunkVolume(ch); b > 0 {
+					out[r][o] += float64(b)
+				}
 			}
 		}
 	}
 	return out
-}
-
-// anyChunkWritten reports whether any bucket of a row holds data.
-func anyChunkWritten(row []any) bool {
-	for _, ch := range row {
-		if ch != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // FetchChunks returns one chunk per map partition for the given reduce
@@ -571,12 +356,11 @@ func anyChunkWritten(row []any) bool {
 // A map partition that has not been written — never materialized, or
 // invalidated by executor loss — yields a MapOutputMissingError.
 //
-// On a budgeted store this is the two-level read path (readPart):
-// resident partitions come from memory, spilled ones from their spill
-// files. A spill file whose header or requested bucket fails to read
-// (disk corruption) is dropped and the partition reported missing,
-// which sends the caller down the existing third level: lineage
-// re-execution.
+// On a budgeted store each partition is read from memory or, one
+// bucket at a time, from its spill file (spill.Block.Read). A spill
+// file whose header or requested bucket fails to read (disk corruption)
+// is dropped and the partition reported missing, which sends the caller
+// down the existing third level: lineage re-execution.
 func (s *ShuffleStore) FetchChunks(shuffleID, reducePart int) ([]any, error) {
 	d, ok := s.get(shuffleID)
 	if !ok {
@@ -586,16 +370,15 @@ func (s *ShuffleStore) FetchChunks(shuffleID, reducePart int) ([]any, error) {
 		return nil, fmt.Errorf("engine: shuffle %d: reduce partition %d out of range", shuffleID, reducePart)
 	}
 	d.mu.RLock()
+	defer d.mu.RUnlock()
 	out := make([]any, d.mapParts)
 	for m := range out {
-		ch, err := s.readPart(d, shuffleID, m, reducePart)
-		if err != nil {
-			d.mu.RUnlock()
-			return nil, s.readFailed(d, shuffleID, m, err)
+		ch, ok := d.rows[m].Read(reducePart)
+		if !ok {
+			return nil, &MapOutputMissingError{Shuffle: shuffleID, MapPart: m}
 		}
 		out[m] = ch
 	}
-	d.mu.RUnlock()
 	return out, nil
 }
 
@@ -619,10 +402,10 @@ func (s *ShuffleStore) FetchChunk(shuffleID, mapPart, reducePart int) (any, erro
 		return nil, fmt.Errorf("engine: shuffle %d: reduce partition %d out of range", shuffleID, reducePart)
 	}
 	d.mu.RLock()
-	ch, err := s.readPart(d, shuffleID, mapPart, reducePart)
+	ch, ok := d.rows[mapPart].Read(reducePart)
 	d.mu.RUnlock()
-	if err != nil {
-		return nil, s.readFailed(d, shuffleID, mapPart, err)
+	if !ok {
+		return nil, &MapOutputMissingError{Shuffle: shuffleID, MapPart: mapPart}
 	}
 	return ch, nil
 }
@@ -639,12 +422,8 @@ func (s *ShuffleStore) Owners(shuffleID int) []int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	out := make([]int, d.mapParts)
-	for m := 0; m < d.mapParts; m++ {
-		if d.written[m] {
-			out[m] = d.owners[m]
-		} else {
-			out[m] = -1
-		}
+	for m := range out {
+		out[m] = d.rows[m].Owner()
 	}
 	return out
 }
@@ -673,9 +452,9 @@ func (s *ShuffleStore) InvalidateOwner(owner int) []LostPart {
 			continue
 		}
 		d.mu.Lock()
-		for m := 0; m < d.mapParts; m++ {
-			if d.written[m] && d.owners[m] == owner {
-				s.invalidateRow(d, id, m)
+		for m := range d.rows {
+			if d.rows[m].Owner() == owner {
+				d.invalidate(m)
 				lost = append(lost, LostPart{Shuffle: id, MapPart: m})
 			}
 		}
@@ -684,26 +463,13 @@ func (s *ShuffleStore) InvalidateOwner(owner int) []LostPart {
 	return lost
 }
 
-// invalidateRow marks one written map partition unwritten and releases
-// whatever held its data. Called with d.mu held for writing.
-func (s *ShuffleStore) invalidateRow(d *shuffleData, shuffleID, m int) {
-	d.written[m] = false
-	d.chunks[m] = make([]any, d.reduceParts)
-	d.owners[m] = -1
+// invalidate drops map partition m and its placeholder weights. The
+// spill file goes with the block: it is the owner's local disk, and a
+// crashed executor's disk is gone. Called with d.mu held for writing.
+func (d *shuffleData) invalidate(m int) {
+	d.rows[m].Drop()
 	if d.metaBytes != nil {
 		d.metaBytes[m] = nil
-	}
-	if s.spill != nil {
-		// The spill file goes with the row: it is the owner's local disk,
-		// and a crashed executor's disk is gone; a file that failed a
-		// read is not trusted with the next one.
-		s.spill.acct.Release(d.handles[m])
-		d.handles[m] = nil
-		if d.spilled[m] {
-			os.Remove(s.spillPath(shuffleID, m))
-			d.spilled[m] = false
-		}
-		d.gen[m]++
 	}
 }
 
@@ -722,10 +488,10 @@ func (s *ShuffleStore) InvalidatePart(shuffleID, mapPart, owner int) bool {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.written[mapPart] || d.owners[mapPart] != owner {
+	if d.rows[mapPart].Owner() != owner {
 		return false
 	}
-	s.invalidateRow(d, shuffleID, mapPart)
+	d.invalidate(mapPart)
 	return true
 }
 
@@ -739,8 +505,8 @@ func (s *ShuffleStore) MissingParts(shuffleID int) []int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	var out []int
-	for m := 0; m < d.mapParts; m++ {
-		if !d.written[m] {
+	for m := range d.rows {
+		if !d.rows[m].Held() {
 			out = append(out, m)
 		}
 	}
@@ -755,18 +521,17 @@ func (s *ShuffleStore) Complete(shuffleID int) bool {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	for _, w := range d.written {
-		if !w {
+	for m := range d.rows {
+		if !d.rows[m].Held() {
 			return false
 		}
 	}
 	return true
 }
 
-// Drop releases a shuffle's buckets, retiring its accountant tickets
-// and spill files on a budgeted store, and leaves a tombstone so the ID
-// cannot be registered again. It reports whether the shuffle was
-// registered.
+// Drop releases a shuffle's blocks — their accountant tickets and spill
+// files with them — and leaves a tombstone so the ID cannot be
+// registered again. It reports whether the shuffle was registered.
 func (s *ShuffleStore) Drop(shuffleID int) bool {
 	s.mu.Lock()
 	d, ok := s.shuffles[shuffleID]
@@ -779,18 +544,12 @@ func (s *ShuffleStore) Drop(shuffleID int) bool {
 		}
 	}
 	s.mu.Unlock()
-	if !ok || s.spill == nil {
-		return ok
+	if !ok {
+		return false
 	}
 	d.mu.Lock()
-	for m := 0; m < d.mapParts; m++ {
-		s.spill.acct.Release(d.handles[m])
-		d.handles[m] = nil
-		if d.spilled[m] {
-			os.Remove(s.spillPath(shuffleID, m))
-			d.spilled[m] = false
-		}
-		d.gen[m]++
+	for m := range d.rows {
+		d.rows[m].Drop()
 	}
 	d.mu.Unlock()
 	return true

@@ -91,7 +91,7 @@ func TestSpilledBucketReadPath(t *testing.T) {
 
 	// Bucket 2 is partition 1's second frame: int64s of value 12, and
 	// the only place that byte pattern occurs in the file.
-	path := s.spillPath(id, 1)
+	path := spillPath(s, id, 1)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestSpilledBucketReadPath(t *testing.T) {
 	// The same through FetchChunks: a flipped byte in partition 2's
 	// bucket 3 (int64s of value 23) fails the whole reduce partition's
 	// fetch as partition 2 missing, and drops that partition only.
-	path = s.spillPath(id, 2)
+	path = spillPath(s, id, 2)
 	if raw, err = os.ReadFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +262,15 @@ func TestFetchTouchesResidentChunks(t *testing.T) {
 		}
 		put(b, 0) // over budget: one partition of a goes to disk
 		for m := 0; m < 2; m++ {
-			if _, err := os.Stat(s.spillPath(a, m)); (err == nil) != (m == 0) {
+			if _, err := os.Stat(spillPath(s, a, m)); (err == nil) != (m == 0) {
 				t.Errorf("viaChunks=%v: partition %d spilled=%v, want only 0 spilled", viaChunks, m, err == nil)
 			}
 		}
 	}
+}
+
+// spillPath is where map partition m of shuffle id spills.
+func spillPath(s *ShuffleStore, id, m int) string {
+	d, _ := s.get(id)
+	return d.rows[m].Path()
 }

@@ -53,35 +53,31 @@ type Stats struct {
 // handle lifecycle states, guarded by the accountant's mutex.
 const (
 	hTracked int = iota // in the LRU, bytes counted resident
-	hPopped             // pulled off the LRU by Evict, eviction in flight
+	hPopped             // pulled off the LRU by evict, eviction in flight
 	hSpilled            // evicted successfully; bytes no longer resident
 	hPinned             // eviction failed; bytes resident, off the LRU
-	hDone               // released by its owner
+	hDone               // released by its block
 )
 
-// Handle is one admitted entry's ticket in the accountant. Owners keep
-// it to Touch on access and Release on invalidation; the accountant
-// keeps it on the LRU until eviction or release.
-type Handle struct {
+// handle is one admitted chunk list's ticket: its block touches it on
+// access and releases it when the list goes, and the accountant keeps
+// it on the LRU until eviction or release.
+type handle struct {
 	bytes int64
 	state int
 	elem  *list.Element // non-nil iff state == hTracked
-	evict func() bool
+	evict func(*handle) bool
 }
 
-// Bytes returns the entry's accounted size.
-func (h *Handle) Bytes() int64 { return h.bytes }
-
 // Accountant tracks resident bytes against a budget and evicts
-// least-recently-used entries when over it. It is the single authority
-// for "how much shuffle + cache data is in memory right now" shared by
-// the shuffle store and the rdd cache.
+// least-recently-used entries when over it: the single authority for
+// how much shuffle and cache data a tier holds in memory. Only the
+// tier's blocks admit, touch and release entries.
 //
 // Locking: the accountant's mutex is a leaf — it is never held while
-// calling into an owner. Evict pops a victim under the mutex, then runs
-// its evict callback unlocked; the callback revalidates under the
-// owner's own lock (generation check), so eviction racing a re-put or
-// an invalidation resolves there.
+// calling into a block. evict pops a victim under the mutex, then runs
+// its callback unlocked; the callback revalidates its handle under the
+// block's lock, so an eviction racing a re-put or a drop resolves there.
 type Accountant struct {
 	mu       sync.Mutex
 	budget   int64
@@ -105,19 +101,13 @@ func NewAccountant(budget int64) *Accountant {
 	return &Accountant{budget: budget, lru: list.New(), cost: DefaultCostModel()}
 }
 
-// Budget returns the configured ceiling (0 = unbounded).
-func (a *Accountant) Budget() int64 {
-	return a.budget
-}
-
-// Admit registers an entry of the given size, most-recently-used. The
-// evict callback is invoked (unlocked) when the entry is chosen as an
-// eviction victim; it must move the entry out of memory and return
+// admit registers an entry of the given size, most-recently-used. evict
+// is called (unlocked) with the entry's handle when it is chosen as an
+// eviction victim: it must move the entry out of memory and return
 // true, or return false to pin the entry resident (it is then never
-// chosen again). Admit itself never evicts — callers invoke Evict once
-// their own locks are released.
-func (a *Accountant) Admit(bytes int64, evict func() bool) *Handle {
-	h := &Handle{bytes: bytes, evict: evict}
+// chosen again). admit itself never evicts.
+func (a *Accountant) admit(bytes int64, evict func(*handle) bool) *handle {
+	h := &handle{bytes: bytes, evict: evict}
 	a.mu.Lock()
 	a.resident += bytes
 	h.elem = a.lru.PushFront(h)
@@ -125,12 +115,8 @@ func (a *Accountant) Admit(bytes int64, evict func() bool) *Handle {
 	return h
 }
 
-// Touch marks a tracked entry most-recently-used. Safe on nil and on
-// handles in any state.
-func (a *Accountant) Touch(h *Handle) {
-	if h == nil {
-		return
-	}
+// touch marks a tracked entry most-recently-used.
+func (a *Accountant) touch(h *handle) {
 	a.mu.Lock()
 	if h.state == hTracked {
 		a.lru.MoveToFront(h.elem)
@@ -138,13 +124,10 @@ func (a *Accountant) Touch(h *Handle) {
 	a.mu.Unlock()
 }
 
-// Release retires a handle: tracked or pinned bytes leave the resident
+// release retires a handle: tracked or pinned bytes leave the resident
 // count, and an in-flight eviction's failure path will not resurrect
-// it. Safe on nil and idempotent.
-func (a *Accountant) Release(h *Handle) {
-	if h == nil {
-		return
-	}
+// it. Idempotent.
+func (a *Accountant) release(h *handle) {
 	a.mu.Lock()
 	switch h.state {
 	case hTracked:
@@ -154,18 +137,17 @@ func (a *Accountant) Release(h *Handle) {
 	case hPinned:
 		a.resident -= h.bytes
 	case hPopped:
-		// Evict holds the bytes subtracted already; marking done stops
+		// evict holds the bytes subtracted already; marking done stops
 		// its failure path from re-adding them.
 	}
 	h.state = hDone
 	a.mu.Unlock()
 }
 
-// Evict moves least-recently-used entries out of memory until resident
+// evict moves least-recently-used entries out of memory until resident
 // bytes fit the budget (or nothing evictable remains), then samples the
-// peak. Callers must not hold their own entry locks: victim callbacks
-// take them.
-func (a *Accountant) Evict() {
+// peak. Callers hold no block lock: victim callbacks take them.
+func (a *Accountant) evict() {
 	for {
 		a.mu.Lock()
 		if a.budget <= 0 || a.resident <= a.budget || a.lru.Len() == 0 {
@@ -176,17 +158,17 @@ func (a *Accountant) Evict() {
 			return
 		}
 		back := a.lru.Back()
-		h := back.Value.(*Handle)
+		h := back.Value.(*handle)
 		a.lru.Remove(back)
 		h.elem = nil
 		h.state = hPopped
 		a.resident -= h.bytes
 		a.mu.Unlock()
 
-		ok := h.evict()
+		ok := h.evict(h)
 
 		a.mu.Lock()
-		if h.state == hPopped { // not Released while we were evicting
+		if h.state == hPopped { // not released while we were evicting
 			if ok {
 				h.state = hSpilled
 			} else {
@@ -201,16 +183,16 @@ func (a *Accountant) Evict() {
 	}
 }
 
-// NoteSpill records a successful spill of n bytes to disk.
-func (a *Accountant) NoteSpill(n int64) {
+// noteSpill records a successful spill of n bytes to disk.
+func (a *Accountant) noteSpill(n int64) {
 	a.mu.Lock()
 	a.spills++
 	a.spillBytes += n
 	a.mu.Unlock()
 }
 
-// NoteRestore records n bytes read back from a spill file.
-func (a *Accountant) NoteRestore(n int64) {
+// noteRestore records n bytes read back from a spill file.
+func (a *Accountant) noteRestore(n int64) {
 	a.mu.Lock()
 	a.restores++
 	a.restoreBytes += n

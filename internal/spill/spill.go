@@ -1,8 +1,11 @@
 // Package spill is the two-level storage layer under the engine's
-// memory budget: a spill-file codec that moves chunk lists between
-// memory and a local spill directory (the paper's RAMDisk→SSD step of
-// the storage hierarchy), and an LRU accountant that decides what to
-// move when resident bytes exceed the budget.
+// memory budget (the paper's RAMDisk→SSD step of the storage
+// hierarchy): a Tier of Blocks, each one chunk list held in memory or
+// in a spill file; the LRU accountant that decides which blocks move
+// when resident bytes exceed the budget; and the spill-file codec that
+// moves them. What the distributed runtime's wire shares with spill
+// files lives here too: the slab registry and the length-prefixed frame
+// reader with its MaxFrame ceiling.
 //
 // One spill file holds one Entry, laid out so a reader can take one
 // bucket of it without touching the others:
@@ -77,6 +80,53 @@ type ErrFrameTooLarge struct {
 
 func (e *ErrFrameTooLarge) Error() string {
 	return fmt.Sprintf("frame of %d bytes exceeds limit %d", e.Length, e.Max)
+}
+
+// FrameHeaderLen is the big-endian payload length that precedes every
+// length-prefixed frame ReadFrame reads.
+const FrameHeaderLen = 4
+
+// FrameGrowStep caps how much ReadFrame allocates ahead of the bytes
+// actually arriving: a truncated stream whose prefix claims a huge
+// payload costs one step of memory, not the claim.
+const FrameGrowStep = 64 << 10
+
+// ReadFrame reads one length-prefixed frame — a 4-byte big-endian
+// payload length, then the payload — allocating at most max bytes for
+// the payload (MaxFrame when max <= 0). A length prefix over max,
+// corruption or an incompatible peer, returns *ErrFrameTooLarge
+// without reading (or allocating) the body; a truncated prefix or body
+// returns io.ErrUnexpectedEOF (io.EOF when the stream ends cleanly
+// between frames). The payload buffer grows incrementally as bytes
+// arrive, so a corrupt prefix claiming a large length against a short
+// stream cannot force a large allocation.
+func ReadFrame(r io.Reader, max int) ([]byte, error) {
+	if max <= 0 {
+		max = MaxFrame
+	}
+	var hdr [FrameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	length := int(binary.BigEndian.Uint32(hdr[:]))
+	if length > max {
+		return nil, &ErrFrameTooLarge{Length: length, Max: max}
+	}
+	if length == 0 {
+		return nil, nil
+	}
+	payload := make([]byte, 0, min(length, FrameGrowStep))
+	for len(payload) < length {
+		off := len(payload)
+		payload = append(payload, make([]byte, min(length-off, FrameGrowStep))...)
+		if _, err := io.ReadFull(r, payload[off:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return payload, nil
 }
 
 // ErrChecksum reports a header or frame whose bytes do not match their

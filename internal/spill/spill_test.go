@@ -460,22 +460,22 @@ func BenchmarkSpillEntry(b *testing.B) {
 func TestAccountantBudgetAndLRU(t *testing.T) {
 	a := NewAccountant(100)
 	var evicted []string
-	mk := func(name string, ok bool) func() bool {
-		return func() bool {
+	mk := func(name string, ok bool) func(*handle) bool {
+		return func(*handle) bool {
 			evicted = append(evicted, name)
 			return ok
 		}
 	}
-	ha := a.Admit(40, mk("a", true))
-	a.Evict()
-	hb := a.Admit(40, mk("b", true))
-	a.Evict()
+	ha := a.admit(40, mk("a", true))
+	a.evict()
+	hb := a.admit(40, mk("b", true))
+	a.evict()
 	if got := a.Stats(); got.Resident != 80 || len(evicted) != 0 {
 		t.Fatalf("under budget evicted: %+v %v", got, evicted)
 	}
-	a.Touch(ha) // b becomes the LRU victim
-	a.Admit(40, mk("c", true))
-	a.Evict()
+	a.touch(ha) // b becomes the LRU victim
+	a.admit(40, mk("c", true))
+	a.evict()
 	if want := []string{"b"}; !reflect.DeepEqual(evicted, want) {
 		t.Fatalf("evicted %v, want %v", evicted, want)
 	}
@@ -487,20 +487,20 @@ func TestAccountantBudgetAndLRU(t *testing.T) {
 		t.Fatalf("stabilized peak %d exceeds budget", st.Peak)
 	}
 	// Release drops resident without an eviction.
-	a.Release(ha)
+	a.release(ha)
 	if got := a.Stats().Resident; got != 40 {
 		t.Fatalf("after release: resident %d, want 40", got)
 	}
-	a.Release(ha) // idempotent
+	a.release(ha) // idempotent
 	_ = hb
 }
 
 func TestAccountantPinnedOnFailure(t *testing.T) {
 	a := NewAccountant(50)
 	calls := 0
-	a.Admit(60, func() bool { calls++; return false })
-	a.Evict()
-	a.Evict() // pinned entries are never retried
+	a.admit(60, func(*handle) bool { calls++; return false })
+	a.evict()
+	a.evict() // pinned entries are never retried
 	if calls != 1 {
 		t.Fatalf("failed eviction retried: %d calls", calls)
 	}
@@ -514,8 +514,8 @@ func TestAccountantUnboundedTracksPeak(t *testing.T) {
 	a := NewAccountant(0)
 	evictions := 0
 	for i := 0; i < 5; i++ {
-		a.Admit(10, func() bool { evictions++; return true })
-		a.Evict()
+		a.admit(10, func(*handle) bool { evictions++; return true })
+		a.evict()
 	}
 	st := a.Stats()
 	if evictions != 0 || st.Resident != 50 || st.Peak != 50 {
@@ -525,8 +525,8 @@ func TestAccountantUnboundedTracksPeak(t *testing.T) {
 
 func TestAccountantCostModel(t *testing.T) {
 	a := NewAccountant(1)
-	a.NoteSpill(387e6) // exactly one second of the default SSD's write bandwidth
-	a.NoteRestore(507e6)
+	a.noteSpill(387e6) // exactly one second of the default SSD's write bandwidth
+	a.noteRestore(507e6)
 	st := a.Stats()
 	if st.EstSpillSeconds < 0.99 || st.EstSpillSeconds > 1.01 {
 		t.Fatalf("spill seconds %v, want ~1", st.EstSpillSeconds)

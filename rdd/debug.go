@@ -9,7 +9,7 @@ import (
 func describeNode(n *node, seen map[int]bool, out *strings.Builder, depth int) {
 	indent := strings.Repeat("  ", depth)
 	cached := ""
-	if n.cached {
+	if n.cache != nil {
 		cached = " [cached]"
 	}
 	fmt.Fprintf(out, "%s(%d) %d partitions%s\n", indent, n.id, n.parts, cached)
@@ -41,7 +41,7 @@ func dotWalk(n *node, seen map[int]bool, out *strings.Builder) {
 	}
 	seen[n.id] = true
 	shape := "box"
-	if n.cached {
+	if n.cache != nil {
 		shape = "box3d"
 	}
 	fmt.Fprintf(out, "  n%d [label=\"#%d\\n%d parts\" shape=%s];\n", n.id, n.id, n.parts, shape)

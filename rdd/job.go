@@ -22,15 +22,12 @@ const (
 func (n *node) fullyCached() bool {
 	n.cacheMu.Lock()
 	defer n.cacheMu.Unlock()
-	if !n.cached {
-		return false
-	}
-	for _, ok := range n.cacheOK {
-		if !ok {
+	for i := range n.cache {
+		if !n.cache[i].Held() {
 			return false
 		}
 	}
-	return true
+	return n.cache != nil
 }
 
 // collectDeps gathers the unmaterialized shuffle dependencies reachable

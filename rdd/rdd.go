@@ -21,8 +21,6 @@ package rdd
 import (
 	"fmt"
 	"hash/maphash"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"hpcmr/engine"
@@ -121,25 +119,11 @@ type node struct {
 	// partition-stable affinity that keeps iterative jobs shuffle-local.
 	hashParts int
 
-	cacheMu   sync.Mutex
-	cached    bool
-	cacheData [][]any // per partition: the list of chunks it produced
-	cacheOK   []bool
-
-	// Memory-budget state, allocated by Cache() only on a budgeted
-	// runtime: cached partitions are admitted to the engine's shared
-	// accountant and evicted into spill files alongside shuffle output.
-	// cacheSpilled marks an OK partition whose chunks live on disk;
-	// cacheGen lets a stale in-flight eviction recognize a rewrite.
-	cacheSpilled []bool
-	cacheGen     []uint64
-	cacheBytes   []int64
-	cacheHandles []*spill.Handle
-}
-
-// cachePath is where one evicted cached partition lives.
-func (n *node) cachePath(part int) string {
-	return filepath.Join(n.ctx.rt.SpillDir(), fmt.Sprintf("cache-%d-part-%d.spill", n.id, part))
+	// cache, while the RDD is cached, holds each partition's chunk list
+	// in a block of the runtime's tier, so on a budgeted runtime cached
+	// partitions spill alongside shuffle output.
+	cacheMu sync.Mutex
+	cache   []spill.Block
 }
 
 // RDD is a typed, lazily evaluated partitioned collection.
@@ -158,93 +142,42 @@ func (r *RDD[T]) Context() *Context { return r.n.ctx }
 func (r *RDD[T]) Cache() *RDD[T] {
 	n := r.n
 	n.cacheMu.Lock()
-	defer n.cacheMu.Unlock()
-	if !n.cached {
-		n.cached = true
-		n.cacheData = make([][]any, n.parts)
-		n.cacheOK = make([]bool, n.parts)
-		if n.ctx.rt.MemoryAccountant() != nil {
-			n.cacheSpilled = make([]bool, n.parts)
-			n.cacheGen = make([]uint64, n.parts)
-			n.cacheBytes = make([]int64, n.parts)
-			n.cacheHandles = make([]*spill.Handle, n.parts)
-		}
+	if n.cache == nil {
+		n.cache = n.ctx.rt.Tier().Blocks("cache", n.id, n.parts)
 	}
+	n.cacheMu.Unlock()
 	return r
 }
 
-// Uncache drops cached partitions, retiring their accountant tickets
-// and spill files on a budgeted runtime.
+// Uncache drops cached partitions, their spill files and budgeted bytes
+// with them.
 func (r *RDD[T]) Uncache() {
 	n := r.n
 	n.cacheMu.Lock()
-	defer n.cacheMu.Unlock()
-	if acct := n.ctx.rt.MemoryAccountant(); acct != nil && n.cacheHandles != nil {
-		for part := range n.cacheHandles {
-			acct.Release(n.cacheHandles[part])
-			if n.cacheSpilled[part] {
-				os.Remove(n.cachePath(part))
-			}
-			n.cacheGen[part]++
-		}
+	for i := range n.cache {
+		n.cache[i].Drop()
 	}
-	n.cached = false
-	n.cacheData = nil
-	n.cacheOK = nil
-	n.cacheSpilled = nil
-	n.cacheGen = nil
-	n.cacheBytes = nil
-	n.cacheHandles = nil
+	n.cache = nil
+	n.cacheMu.Unlock()
 }
 
 // iterate produces partition part's chunks, serving and populating the
 // cache. Cached chunks are re-sunk as stored — chunk immutability makes
-// the aliasing safe. On a budgeted runtime a spilled partition is
-// decoded from its spill file read-through (it stays on disk); a spill
-// file that fails to decode is dropped and the partition recomputed —
-// the cache's lineage fallback.
+// the aliasing safe; a spilled partition is read back from its spill
+// file, which stays on disk, and one whose file fails to read is
+// recomputed — the cache's lineage fallback.
 func (n *node) iterate(part int, tc *engine.TaskContext, sink func(chunk any)) error {
-	acct := n.ctx.rt.MemoryAccountant()
 	n.cacheMu.Lock()
-	if n.cached && n.cacheOK[part] {
-		if n.cacheSpilled != nil && n.cacheSpilled[part] {
-			e, err := spill.ReadEntryFile(n.cachePath(part), "cache", n.id, part)
-			if err == nil {
-				acct.NoteRestore(n.cacheBytes[part])
-				n.ctx.rt.AuditSpill("restore", float64(n.cacheBytes[part]),
-					fmt.Sprintf("cache node=%d part=%d", n.id, part))
-				n.cacheMu.Unlock()
-				for _, ch := range e.Chunks {
-					if ch != nil {
-						sink(ch)
-					}
-				}
-				return nil
-			}
-			os.Remove(n.cachePath(part))
-			n.cacheSpilled[part] = false
-			n.cacheOK[part] = false
-			n.cacheGen[part]++
-			n.ctx.rt.AuditSpill("spill-corrupt", float64(n.cacheBytes[part]),
-				fmt.Sprintf("cache node=%d part=%d recomputing: %v", n.id, part, err))
-			// Fall through to recompute below.
-		} else {
-			data := n.cacheData[part]
-			if acct != nil {
-				acct.Touch(n.cacheHandles[part])
-			}
-			n.cacheMu.Unlock()
-			for _, ch := range data {
-				sink(ch)
-			}
-			return nil
-		}
-	}
-	caching := n.cached
+	cache := n.cache
 	n.cacheMu.Unlock()
-
-	if !caching {
+	if cache == nil {
 		return n.compute(part, tc, sink)
+	}
+	if chunks, ok := cache[part].ReadAll(); ok {
+		for _, ch := range chunks {
+			sink(ch)
+		}
+		return nil
 	}
 	var buf []any
 	if err := n.compute(part, tc, func(ch any) {
@@ -253,55 +186,13 @@ func (n *node) iterate(part int, tc *engine.TaskContext, sink func(chunk any)) e
 	}); err != nil {
 		return err
 	}
-	stored := false
 	n.cacheMu.Lock()
-	if n.cached && !n.cacheOK[part] {
-		n.cacheData[part] = buf
-		n.cacheOK[part] = true
-		if acct != nil {
-			var bytes int64
-			for _, ch := range buf {
-				_, b := engine.ChunkVolume(ch)
-				bytes += b
-			}
-			n.cacheGen[part]++
-			n.cacheBytes[part] = bytes
-			n.cacheHandles[part] = acct.Admit(bytes, n.cacheEvictFunc(part, n.cacheGen[part]))
-			stored = true
-		}
+	if n.cache != nil && !n.cache[part].Held() {
+		n.cache[part].Put(-1, buf)
 	}
 	n.cacheMu.Unlock()
-	if stored {
-		acct.Evict()
-	}
+	n.ctx.rt.Tier().Evict()
 	return nil
-}
-
-// cacheEvictFunc builds the accountant callback that moves one cached
-// partition to disk. Like the shuffle store's evictions it runs with no
-// locks held and revalidates under the cache lock: an uncached or
-// rewritten partition is stale and reports success without writing.
-func (n *node) cacheEvictFunc(part int, gen uint64) func() bool {
-	return func() bool {
-		n.cacheMu.Lock()
-		defer n.cacheMu.Unlock()
-		if !n.cached || !n.cacheOK[part] || n.cacheGen[part] != gen || n.cacheSpilled[part] {
-			return true
-		}
-		e := &spill.Entry{Space: "cache", ID: n.id, Part: part, Owner: -1, Chunks: n.cacheData[part]}
-		if _, err := spill.WriteEntryFile(n.cachePath(part), e); err != nil {
-			n.ctx.rt.AuditSpill("spill-fail", float64(n.cacheBytes[part]),
-				fmt.Sprintf("cache node=%d part=%d: %v", n.id, part, err))
-			return false
-		}
-		n.cacheData[part] = nil
-		n.cacheSpilled[part] = true
-		n.cacheHandles[part] = nil
-		n.ctx.rt.MemoryAccountant().NoteSpill(n.cacheBytes[part])
-		n.ctx.rt.AuditSpill("spill", float64(n.cacheBytes[part]),
-			fmt.Sprintf("cache node=%d part=%d", n.id, part))
-		return true
-	}
 }
 
 // newNode allocates a plan node.

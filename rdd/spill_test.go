@@ -2,11 +2,14 @@ package rdd
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync/atomic"
 	"testing"
 
 	"hpcmr/engine"
+	"hpcmr/internal/sched"
 	"hpcmr/internal/spill"
 )
 
@@ -193,5 +196,76 @@ func TestSpillCacheRoundTrip(t *testing.T) {
 	counted.Uncache()
 	if st, _ := ctx.Runtime().SpillStats(); st.Resident != 0 {
 		t.Fatalf("resident %d after Uncache and spilled-everything, want 0", st.Resident)
+	}
+}
+
+// TestCacheSpillCorruptRecomputes: a cached partition whose spill file is
+// truncated, bit-flipped or deleted is recomputed by the next action —
+// that partition only — which returns the unbudgeted run's result and
+// audits exactly one spill-corrupt.
+func TestCacheSpillCorruptRecomputes(t *testing.T) {
+	const n, parts = 600, 4
+	in := keyedInput(21, n, 32)
+	run := func(budget int64, damage func(path string) error) (sums []Pair[int64, int64], computes, corrupt int64) {
+		t.Helper()
+		dir := t.TempDir()
+		var computed, corrupted atomic.Int64
+		ctx, err := NewContext(engine.Config{
+			Executors: 2, CoresPerExecutor: 2, MemoryBudget: budget, SpillDir: dir,
+			SchedAudit: func(e sched.AuditEvent) {
+				if e.Kind == "spill-corrupt" {
+					corrupted.Add(1)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ctx.Stop()
+		cached := Map(Parallelize(ctx, in, parts), func(p Pair[int64, int64]) Pair[int64, int64] {
+			computed.Add(1)
+			return p
+		}).Cache()
+		if _, err := cached.Count(); err != nil {
+			t.Fatal(err)
+		}
+		if damage != nil {
+			files, _ := filepath.Glob(filepath.Join(dir, "cache-*.spill"))
+			if len(files) != parts {
+				t.Fatalf("%d cached partitions spilled, want %d", len(files), parts)
+			}
+			if err := damage(files[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sums, err = ReduceByKey(cached, func(a, b int64) int64 { return a + b }, 3).Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sortedByKey(sums), computed.Load(), corrupted.Load()
+	}
+	want, _, _ := run(0, nil)
+	for name, damage := range map[string]func(string) error{
+		"truncate": func(path string) error { return os.Truncate(path, 10) },
+		"bit-flip": func(path string) error {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			raw[len(raw)-1] ^= 0x10 // inside the last frame
+			return os.WriteFile(path, raw, 0o644)
+		},
+		"delete": os.Remove,
+	} {
+		got, computes, corrupt := run(1, damage)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: result differs from the unbudgeted run", name)
+		}
+		if computes != n+n/parts {
+			t.Errorf("%s: %d element computations, want %d: the damaged partition once more", name, computes, n+n/parts)
+		}
+		if corrupt != 1 {
+			t.Errorf("%s: %d spill-corrupt audits, want 1", name, corrupt)
+		}
 	}
 }

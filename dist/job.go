@@ -103,7 +103,7 @@ func keyedSumMap(spec JobSpec, part int) (MapOutput, error) {
 		sums[i%spec.Keys] += i
 	}
 	bucket := func(k int64) int { return int(k % int64(spec.ReduceParts)) }
-	return bucketRuns(sums, spec.ReduceParts, bucket, mkKV, kvRec, func(int64) int64 { return 16 }), nil
+	return bucketRuns(sums, spec.ReduceParts, bucket, mkKV, func(int64) int64 { return 16 }), nil
 }
 
 func keyedSumReduce(_ JobSpec, _ int, chunks []any) ([]byte, error) {
@@ -149,7 +149,7 @@ func wordcountMap(spec JobSpec, part int) (MapOutput, error) {
 		}
 	}
 	bucket := func(w string) int { return int(fnv32a(w) % uint32(spec.ReduceParts)) }
-	return bucketRuns(counts, spec.ReduceParts, bucket, mkSKV, skvRec, func(w string) int64 { return int64(len(w)) + 8 }), nil
+	return bucketRuns(counts, spec.ReduceParts, bucket, mkSKV, func(w string) int64 { return int64(len(w)) + 8 }), nil
 }
 
 func wordcountReduce(_ JobSpec, _ int, chunks []any) ([]byte, error) {

@@ -147,3 +147,55 @@ func TestKeyedSumMapTableBoundedByInput(t *testing.T) {
 		}
 	}
 }
+
+// FuzzBucketRuns: bucketRuns itself against the oracle, on keys no
+// built-in Map makes. Input is read three bytes to a record: a key byte,
+// a byte that flips the int64 key's second byte (so a few hundred bytes
+// reach past radixMin distinct keys while keeping fuzzIntKey's sign and
+// extremes: negative keys, MinInt64 and MaxInt64 in one table, a span of
+// 2^64-1 and every radix pass) and a value byte. The string table keys
+// the same records by fuzzStrKey. Whether a bucket's run is
+// radix-sorted depends on its own length, so the seeds about the
+// cut-over put every key in one bucket.
+func FuzzBucketRuns(f *testing.F) {
+	f.Add([]byte{}, uint8(3))
+	f.Add([]byte{0, 0, 9, 255, 0, 9, 128, 0, 1, 127, 0, 255}, uint8(0)) // both extremes, zero, -1; one bucket
+	// radixMin-1 and radixMin+1 distinct keys in one bucket, the int64
+	// extremes among them: a comparison sort, then eight radix passes.
+	f.Add(fuzzRecs(radixMin-1, func(j int) [3]byte { return [3]byte{byte(j), 0, byte(j)} }), uint8(0))
+	f.Add(fuzzRecs(radixMin+1, func(j int) [3]byte { return [3]byte{byte(j), byte(j / 256), byte(j)} }), uint8(0))
+	// 256 keys 256 apart, each twice: the first pass is skipped, the
+	// second leaves the run in the scratch slice.
+	f.Add(fuzzRecs(512, func(j int) [3]byte { return [3]byte{5, byte(j), 7} }), uint8(0))
+	// 390 keys from -638 to 11, each twice: a span of two bytes whose
+	// largest key needs one.
+	f.Add(fuzzRecs(780, func(j int) [3]byte {
+		if j %= 390; j < 378 {
+			return [3]byte{byte(2 + j%126), byte(j / 126), byte(j)}
+		}
+		return [3]byte{byte(128 + j - 378), 0, byte(j)}
+	}), uint8(0))
+	// 1 500 keys in 3 buckets: every run radix-sorted, one scratch.
+	f.Add(fuzzRecs(1500, func(j int) [3]byte { return [3]byte{byte(j), byte(j / 256), byte(j)} }), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, parts uint8) {
+		nParts := 1 + int(parts%32)
+		ints, strs := map[int64]int64{}, map[string]int64{}
+		for j := 0; 3*j+2 < len(data); j++ {
+			v := fuzzValue(data[3*j+2])
+			ints[fuzzIntKey(data[3*j])^int64(data[3*j+1])<<8] += v
+			strs[fuzzStrKey(data[3*j])] += v
+		}
+		intBucket := func(k int64) int { return int(uint64(k) % uint64(nParts)) }
+		strBucket := func(k string) int { return int(fnv32a(k) % uint32(nParts)) }
+		intSize, strSize := func(int64) int64 { return 16 }, func(k string) int64 { return int64(len(k)) + 8 }
+		kvKey, skvKey := func(r KV) int64 { return r.K }, func(r SKV) string { return r.K }
+
+		got := bucketRuns(ints, nParts, intBucket, mkKV, intSize)
+		want := oracleMapOutput(ints, nParts, intBucket, mkKV, kvKey, func(r KV) int64 { return intSize(r.K) })
+		checkMapOutput(t, got, want, nParts, intBucket, kvKey)
+
+		got = bucketRuns(strs, nParts, strBucket, mkSKV, strSize)
+		want = oracleMapOutput(strs, nParts, strBucket, mkSKV, skvKey, func(r SKV) int64 { return strSize(r.K) })
+		checkMapOutput(t, got, want, nParts, strBucket, skvKey)
+	})
+}

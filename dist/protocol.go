@@ -14,8 +14,8 @@
 // re-executes only the invalidated map partitions.
 //
 // Transport is one gob stream per connection, cut into length-prefixed
-// frames of one message each (Codec, frame.go): gob's per-type set-up
-// is paid once per connection, not once per message. A shuffle answer
+// frames of one message each (Codec, spill.ReadFrame): gob's per-type
+// set-up is paid once per connection, not once per message. A shuffle answer
 // carries fixed-width chunks outside the gob stream, as raw frames of
 // their memory, and executors keep their peer connections warm in a
 // pool (shuffle.go). Liveness is

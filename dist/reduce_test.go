@@ -5,8 +5,10 @@ import (
 	"cmp"
 	"hash/fnv"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -45,6 +47,16 @@ func fuzzValue(b byte) int64 {
 		return math.MaxInt64
 	}
 	return int64(b) - 128
+}
+
+// fuzzRecs is n fuzz records, record j being rec(j).
+func fuzzRecs(n int, rec func(j int) [3]byte) []byte {
+	var data []byte
+	for j := 0; j < n; j++ {
+		r := rec(j)
+		data = append(data, r[:]...)
+	}
+	return data
 }
 
 // checkReduceSum builds nChunks chunks from data (a chunk no record
@@ -99,27 +111,19 @@ func checkReduceSum[T any, K cmp.Ordered](t *testing.T, data []byte, nChunks int
 // hash → sort → hand-encode (run_test.go), and the chunks left as they
 // were found.
 func FuzzReduceSum(f *testing.F) {
-	recs := func(n int, rec func(j int) [3]byte) []byte {
-		var data []byte
-		for j := 0; j < n; j++ {
-			r := rec(j)
-			data = append(data, r[:]...)
-		}
-		return data
-	}
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0, 7, 9}, uint16(0))                    // records and no chunk to put them in
 	f.Add([]byte{0, 7, 9, 0, 7, 9, 0, 3, 1}, uint16(1))  // one chunk
 	f.Add([]byte{0, 7, 9, 0, 7, 9, 0, 3, 1}, uint16(64)) // mostly nil and empty chunks
 	// 2000 chunks of the same two keys, 7 of the same sixteen.
-	f.Add(recs(2*2000, func(j int) [3]byte { return [3]byte{0, byte(100 + j/2000), byte(j)} }), uint16(2000))
-	f.Add(recs(16*7, func(j int) [3]byte { return [3]byte{0, byte(100 + j/7), byte(j)} }), uint16(7))
+	f.Add(fuzzRecs(2*2000, func(j int) [3]byte { return [3]byte{0, byte(100 + j/2000), byte(j)} }), uint16(2000))
+	f.Add(fuzzRecs(16*7, func(j int) [3]byte { return [3]byte{0, byte(100 + j/7), byte(j)} }), uint16(7))
 	// 5 chunks of disjoint key ranges: chunk j%5 gets keys 40(j%5) + j/5.
-	f.Add(recs(200, func(j int) [3]byte { return [3]byte{0, byte(2 + 40*(j%5) + j/5), byte(j)} }), uint16(5))
+	f.Add(fuzzRecs(200, func(j int) [3]byte { return [3]byte{0, byte(2 + 40*(j%5) + j/5), byte(j)} }), uint16(5))
 	// 3 chunks interleaved key by key, every key in one chunk only.
-	f.Add(recs(240, func(j int) [3]byte { return [3]byte{0, byte(2 + j), 3} }), uint16(3))
+	f.Add(fuzzRecs(240, func(j int) [3]byte { return [3]byte{0, byte(2 + j), 3} }), uint16(3))
 	// Both extremes of the key in every chunk, values that wrap when summed.
-	f.Add(recs(36, func(j int) [3]byte { return [3]byte{0, []byte{0, 1, 254, 255}[j/9], []byte{0, 255, 255}[j%3]} }), uint16(9))
+	f.Add(fuzzRecs(36, func(j int) [3]byte { return [3]byte{0, []byte{0, 1, 254, 255}[j/9], []byte{0, 255, 255}[j%3]} }), uint16(9))
 	f.Fuzz(func(t *testing.T, data []byte, nChunks uint16) {
 		checkReduceSum(t, data, int(nChunks), fuzzIntKey, mkKV, kvRec, keyedSumReduce, refKVRun)
 		checkReduceSum(t, data, int(nChunks), fuzzStrKey, mkSKV, skvRec, wordcountReduce, refSKVRun)
@@ -170,9 +174,12 @@ func TestReduceAllocsIndependentOfChunkCount(t *testing.T) {
 }
 
 // BenchmarkMap: map partition 0 of the same two jobs — shuffle-wide's
-// 31 250 records of as many keys, dispatch-fine's 250 records over 64.
+// 31 250 records of as many keys, dispatch-fine's 250 records over 64 —
+// and of spill-tight, shuffle-wide's data in 16 maps of 15 625 keys.
 func BenchmarkMap(b *testing.B) {
-	for _, shape := range reduceShapes {
+	shapes := append(slices.Clone(reduceShapes), reduceShapes[0])
+	shapes[2].name, shapes[2].spec.MapParts = "tight-15625-distinct", 16
+	for _, shape := range shapes {
 		b.Run(shape.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -184,11 +191,41 @@ func BenchmarkMap(b *testing.B) {
 	}
 }
 
+// BenchmarkBucketRuns: bucketRuns alone on a 31 250-key table of keys
+// keyed-sum never makes — shuffled int64s over the whole span, negatives
+// included (eight radix passes), and as many distinct strings — into 4
+// buckets.
+func BenchmarkBucketRuns(b *testing.B) {
+	const n, parts = 31_250, 4
+	rng := rand.New(rand.NewPCG(7, 7))
+	ints, strs := make(map[int64]int64, n), make(map[string]int64, n)
+	for len(ints) < n {
+		ints[int64(rng.Uint64())] = int64(len(ints))
+	}
+	for len(strs) < n {
+		strs[strconv.FormatUint(rng.Uint64N(1<<40), 36)] = int64(len(strs))
+	}
+	b.Run("int64", func(b *testing.B) {
+		b.ReportAllocs()
+		bucket := func(k int64) int { return int(uint64(k) % parts) }
+		for i := 0; i < b.N; i++ {
+			bucketRuns(ints, parts, bucket, mkKV, func(int64) int64 { return 16 })
+		}
+	})
+	b.Run("string", func(b *testing.B) {
+		b.ReportAllocs()
+		bucket := func(k string) int { return int(fnv32a(k) % parts) }
+		for i := 0; i < b.N; i++ {
+			bucketRuns(strs, parts, bucket, mkSKV, func(k string) int64 { return int64(len(k)) + 8 })
+		}
+	})
+}
+
 // TestMapAllocsBoundedByInput: a map task allocates for the keys its
-// partition holds — a table and one slice per bucket — not for the key
-// space. The wide task took 11.5 MB when the table was sized by Keys (eight
-// times what the partition holds); the fine task's 64 keys are its key
-// space, and 4936 bytes is what it took then.
+// partition holds — a table, its entries and one slice per bucket — not
+// for the key space. The wide task took 11.5 MB when the table was sized
+// by Keys (eight times what the partition holds); the fine task's 64
+// keys are its key space, and 4936 bytes is what it took then.
 func TestMapAllocsBoundedByInput(t *testing.T) {
 	for i, limit := range []uint64{2_500_000, 4936} {
 		shape := reduceShapes[i]

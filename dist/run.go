@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -117,37 +118,107 @@ func encodeRun[T any, K cmp.Ordered](kc *keyCodec[K], recs []T, rec func(T) (K, 
 // bucketRuns is the tail of the combining built-in Maps, reduceRuns'
 // counterpart: a task's combined sums become its MapOutput, key k in
 // bucket bucket(k), each strictly ascending by key. A counting pass
-// comes first, so a bucket is allocated once, at its length — each its own
-// allocation, because the store decides how long each one lives — then
-// filled and sorted on its concrete type (DESIGN §7). size is what one
-// record of key k adds to MapOutput.Bytes.
-func bucketRuns[T any, K cmp.Ordered](sums map[K]int64, parts int, bucket func(K) int, mk func(K, int64) T, rec func(T) (K, int64), size func(K) int64) MapOutput {
-	counts := make([]int, parts)
+// lays the buckets out back to back in one slice of (key, sum) entries
+// and a second pass scatters the table into it; each bucket's run of
+// entries is then sorted on the key alone — a radix sort for int64 keys
+// — and copied into the bucket in order. A bucket is allocated once, at
+// its length, each its own allocation, because the store decides how
+// long each one lives (DESIGN §7). size is what one record of key k adds
+// to MapOutput.Bytes.
+func bucketRuns[T any, K cmp.Ordered](sums map[K]int64, parts int, bucket func(K) int, mk func(K, int64) T, size func(K) int64) MapOutput {
+	// ends[r] is where bucket r's run starts in ents until the scatter,
+	// where it ends after.
+	ends := make([]int, parts)
 	for k := range sums {
-		counts[bucket(k)]++
+		ends[bucket(k)]++
 	}
-	buckets := make([][]T, parts)
-	for r, n := range counts {
-		buckets[r] = make([]T, 0, n)
+	longest, at := 0, 0
+	for r, n := range ends {
+		ends[r], at, longest = at, at+n, max(longest, n)
 	}
-	out := MapOutput{Buckets: make([]any, parts), Records: int64(len(sums))}
+	ents := make([]entry[K], len(sums))
 	for k, v := range sums {
 		r := bucket(k)
-		buckets[r] = append(buckets[r], mk(k, v))
-		out.Bytes += size(k)
+		ents[ends[r]] = entry[K]{k, v}
+		ends[r]++
 	}
-	byKey := func(x, y T) int {
-		kx, _ := rec(x)
-		ky, _ := rec(y)
-		return cmp.Compare(kx, ky)
-	}
-	for r, b := range buckets {
-		if len(b) > 0 {
-			slices.SortFunc(b, byKey)
-			out.Buckets[r] = b
+	out := MapOutput{Buckets: make([]any, parts), Records: int64(len(sums))}
+	var scratch []entry[int64] // the radix sort's, made for the longest run on first use
+	start := 0
+	for r, end := range ends {
+		run := ents[start:end]
+		start = end
+		if len(run) == 0 {
+			continue
 		}
+		if ints, ok := any(run).([]entry[int64]); ok && len(run) >= radixMin {
+			if scratch == nil {
+				scratch = make([]entry[int64], longest)
+			}
+			radixSort(ints, scratch)
+		} else {
+			slices.SortFunc(run, func(x, y entry[K]) int { return cmp.Compare(x.k, y.k) })
+		}
+		b := make([]T, len(run))
+		for i, e := range run {
+			b[i] = mk(e.k, e.v)
+			out.Bytes += size(e.k)
+		}
+		out.Buckets[r] = b
 	}
 	return out
+}
+
+// entry is one combined key and its sum.
+type entry[K cmp.Ordered] struct {
+	k K
+	v int64
+}
+
+// radixMin is the run length from which bucketRuns radix-sorts int64
+// keys: where the worst case breaks even. A run spread over the whole
+// int64 span takes eight passes, each clearing and summing 256 counts,
+// and matches slices.SortFunc at about 256 entries; a run of nearby keys
+// takes two and wins well below that (64 entries in half the time), but
+// no built-in job makes runs between dispatch-fine's 16 entries and
+// shuffle-wide's thousands.
+const radixMin = 256
+
+// radixSort sorts run by key with an LSD radix sort, one byte a pass,
+// on each key's offset from the smallest: uint64(k - lo) orders as k
+// does over the whole int64 span, and a run's keys, however large, take
+// only as many passes as their span has bytes. A pass whose byte is the
+// same in every key is skipped. scratch is at least as long as run.
+func radixSort(run, scratch []entry[int64]) {
+	lo, hi := run[0].k, run[0].k
+	for _, e := range run {
+		lo, hi = min(lo, e.k), max(hi, e.k)
+	}
+	passes := (bits.Len64(uint64(hi)-uint64(lo)) + 7) / 8
+	src, dst := run, scratch[:len(run)]
+	for p := range passes {
+		shift := 8 * p
+		var at [256]int
+		for _, e := range src {
+			at[byte((uint64(e.k)-uint64(lo))>>shift)]++
+		}
+		if at[byte((uint64(src[0].k)-uint64(lo))>>shift)] == len(src) {
+			continue
+		}
+		sum := 0
+		for d, n := range at {
+			at[d], sum = sum, sum+n
+		}
+		for _, e := range src {
+			d := byte((uint64(e.k) - uint64(lo)) >> shift)
+			dst[at[d]] = e
+			at[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &run[0] {
+		copy(run, src)
+	}
 }
 
 // reduceRuns is the Reduce of the combining built-in jobs. A gathered

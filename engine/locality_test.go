@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -140,36 +141,44 @@ func TestReducePreferencesPlaceholderWeights(t *testing.T) {
 	}
 }
 
-// TestLocalityStageRunsOnPreferredExecutors: under the
-// shuffle-locality policy with breadth-first offers, a balanced stage
-// (slots per executor × executors tasks, one owner each) runs every
-// task on its preferred executor — the placement the zero-copy path
-// depends on.
+// TestLocalityStageRunsOnPreferredExecutors: under either locality
+// policy, a stage of one owner per task that fits in the cluster's
+// slots — a full one (8 tasks) or one slot per executor (4) — runs
+// every task on its preferred executor, the placement the zero-copy
+// path depends on. The round-robin offer sweep is what keeps executor
+// 0's second core from stealing a task whose owner has not yet been
+// offered a slot.
 func TestLocalityStageRunsOnPreferredExecutors(t *testing.T) {
-	cfg := testCfg() // 4 executors × 2 cores
-	cfg.Policy = ShuffleLocality
-	rt, _ := New(cfg)
+	for _, policy := range []PolicyKind{Locality, ShuffleLocality} {
+		for _, n := range []int{8, 4} {
+			t.Run(fmt.Sprintf("%v/%d", policy, n), func(t *testing.T) {
+				cfg := testCfg() // 4 executors × 2 cores
+				cfg.Policy = policy
+				rt, _ := New(cfg)
 
-	var mu sync.Mutex
-	ranOn := map[int]int{}
-	rt.AddListener(FuncListener{TaskEnd: func(e TaskEvent) {
-		mu.Lock()
-		ranOn[e.TaskID] = e.Executor
-		mu.Unlock()
-	}})
+				var mu sync.Mutex
+				ranOn := map[int]int{}
+				rt.AddListener(FuncListener{TaskEnd: func(e TaskEvent) {
+					mu.Lock()
+					ranOn[e.TaskID] = e.Executor
+					mu.Unlock()
+				}})
 
-	tasks := make([]TaskSpec, 8)
-	for i := range tasks {
-		tasks[i] = TaskSpec{Preferred: []int{i % 4}, Run: func(tc *TaskContext) error { return nil }}
-	}
-	if err := rt.RunStage("placed", tasks); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i := 0; i < 8; i++ {
-		if ranOn[i] != i%4 {
-			t.Errorf("task %d ran on executor %d, want preferred %d", i, ranOn[i], i%4)
+				tasks := make([]TaskSpec, n)
+				for i := range tasks {
+					tasks[i] = TaskSpec{Preferred: []int{i % 4}, Run: func(tc *TaskContext) error { return nil }}
+				}
+				if err := rt.RunStage("placed", tasks); err != nil {
+					t.Fatal(err)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				for i := 0; i < n; i++ {
+					if ranOn[i] != i%4 {
+						t.Errorf("task %d ran on executor %d, want preferred %d", i, ranOn[i], i%4)
+					}
+				}
+			})
 		}
 	}
 }

@@ -467,9 +467,6 @@ type stageState struct {
 	stageID int
 	name    string
 	policy  sched.Policy
-	// breadthFirst makes dispatch sweep executors one core at a time
-	// (set when the policy implements sched.BreadthFirstOfferer).
-	breadthFirst bool
 	// window is each executor's window slots, the ones past its run
 	// slots (0 unless Config.RemoteBodies); local fills them, nil when
 	// there are none or the policy cannot.
@@ -551,9 +548,6 @@ func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 		done:       make([]bool, len(tasks)),
 		running:    make(map[int]time.Time),
 		speculated: make(map[int]bool),
-	}
-	if bf, ok := st.policy.(sched.BreadthFirstOfferer); ok {
-		st.breadthFirst = bf.BreadthFirstOffers()
 	}
 	if lo, ok := st.policy.(sched.LocalOfferer); ok && rt.cfg.RemoteBodies {
 		st.window, st.local = (windowPerCore-1)*rt.cfg.CoresPerExecutor, lo
@@ -685,12 +679,14 @@ func (st *stageState) executorLost(exec int) {
 }
 
 // dispatchLocked offers every free slot to the policy. Called with
-// st.mu held. An executor's run slots — free while fewer than
-// CoresPerExecutor of its attempts are in flight — take retries first,
-// then what the policy's Offer gives, stealing included. Its window
-// slots are offered only after every run slot, and take only what
-// OfferLocal gives: an attempt queued behind others must not hold a
-// task its owner could start first.
+// st.mu held. Run slots — free while fewer than CoresPerExecutor of an
+// executor's attempts are in flight — take retries first, each on the
+// executor with the most free run slots, then what the policy's Offer
+// gives in one round-robin sweep, stealing included. This is the
+// simulator's order (internal/core offerAll). Window slots are offered
+// only after every run slot, and take only what OfferLocal gives: an
+// attempt queued behind others must not hold a task its owner could
+// start first.
 func (st *stageState) dispatchLocked() {
 	if st.failed != nil {
 		return
@@ -722,29 +718,7 @@ func (st *stageState) dispatchLocked() {
 			st.inFlight++
 			st.rt.launchAttempt(st, sched.Decision{TaskID: id, Local: false}, best)
 		}
-		if st.breadthFirst {
-			st.sweepLocked(false)
-		} else {
-			for exec := range st.idle {
-				for st.idle[exec] > st.window {
-					d := st.policy.Offer(exec, st.now())
-					if d.TaskID < 0 {
-						if d.Retry > 0 {
-							st.scheduleRetry(d.Retry)
-						}
-						break
-					}
-					if st.done[d.TaskID] {
-						// The policy re-issued a task the stage already
-						// force-dispatched; drop the stale assignment.
-						continue
-					}
-					st.idle[exec]--
-					st.inFlight++
-					st.rt.launchAttempt(st, d, exec)
-				}
-			}
-		}
+		st.sweepLocked(false)
 		if st.local != nil {
 			st.sweepLocked(true)
 		}
@@ -776,10 +750,11 @@ func (st *stageState) dispatchLocked() {
 // sweepLocked offers free slots round-robin, one per executor per
 // pass, until every executor has declined or filled: run slots through
 // Offer, or, with window set, window slots through OfferLocal. Run
-// slots go round-robin so that every executor is offered a slot before
-// any executor's second core can steal (popAny) a task preferring a
-// node not yet offered; window slots, so that local work spreads over
-// its owners' windows in turn. Declines are sticky within one sweep —
+// slots go round-robin so that a stage smaller than the cluster spreads
+// over executors and every executor is offered a slot before any
+// executor's second core can steal (popAny) a task preferring a node
+// not yet offered; window slots, so that local work spreads over its
+// owners' windows in turn. Declines are sticky within one sweep —
 // the queue only shrinks and pause state only changes on completions,
 // so a declined executor stays declined.
 func (st *stageState) sweepLocked(window bool) {
@@ -809,6 +784,8 @@ func (st *stageState) sweepLocked(window bool) {
 			}
 			progressed = true
 			if st.done[d.TaskID] {
+				// The policy re-issued a task the stage already
+				// force-dispatched; drop the stale assignment.
 				continue
 			}
 			st.idle[exec]--
@@ -916,9 +893,6 @@ func (st *stageState) speculateLocked() {
 // goroutine when the worker queue was saturated). scratch, when non-nil,
 // is the worker's reusable TaskContext; nil allocates a fresh one.
 func (st *stageState) runTask(d sched.Decision, exec int, scratch *TaskContext) {
-	if d.Delay > 0 {
-		time.Sleep(time.Duration(d.Delay * float64(time.Second)))
-	}
 	rt := st.rt
 	inj := rt.cfg.Faults
 

@@ -255,60 +255,53 @@ func (r *stageRunner) offerOne(n *cluster.Node) bool {
 	return true
 }
 
-// launch dispatches one assigned task: optional policy delay, then the
-// centralized master's per-task dispatch cost, then fault-injection
-// checks (hang, injected failure), then the task body.
+// launch dispatches one assigned task: the centralized master's
+// per-task dispatch cost, then fault-injection checks (hang, injected
+// failure), then the task body.
 func (r *stageRunner) launch(d sched.Decision, n *cluster.Node) {
 	r.assigned[d.TaskID] = n.ID
 	r.seq[d.TaskID]++
 	mySeq := r.seq[d.TaskID]
 	r.inFlight++
 
-	begin := func() {
-		r.c.Dispatch(func() {
+	r.c.Dispatch(func() {
+		if r.seq[d.TaskID] != mySeq || !n.Alive() {
+			return // node crashed between dispatch and launch
+		}
+		inj := r.eng.Faults
+		body := func() {
 			if r.seq[d.TaskID] != mySeq || !n.Alive() {
-				return // node crashed between dispatch and launch
+				return // node crashed during the injected hang
 			}
-			inj := r.eng.Faults
-			body := func() {
-				if r.seq[d.TaskID] != mySeq || !n.Alive() {
-					return // node crashed during the injected hang
-				}
-				if inj != nil && r.failCnt[d.TaskID] < maxInjectedTaskFails {
-					if err := inj.TaskFailure(n.ID, d.TaskID, r.c.Sim.Now()); err != nil {
-						r.failCnt[d.TaskID]++
-						r.tr.InstantEvent(trace.CatFault, "fault:task-fail", n.ID, float64(d.TaskID),
-							fmt.Sprintf("stage=%s fail %d: %v", r.name, r.failCnt[d.TaskID], err))
-						r.assigned[d.TaskID] = -1
-						r.seq[d.TaskID]++
-						r.inFlight--
-						n.ReleaseCore()
-						r.requeue(d.TaskID)
-						r.offerAll()
-						return
-					}
-				}
-				launch := r.c.Sim.Now()
-				r.exec(d.TaskID, n.ID, launch, func(stats sched.TaskStats) {
-					r.finish(d, n, launch, mySeq, stats)
-				})
-			}
-			if inj != nil {
-				if hd := inj.HangDuration(n.ID, r.c.Sim.Now()); hd > 0 {
-					r.tr.InstantEvent(trace.CatFault, "fault:hang", n.ID, hd,
-						fmt.Sprintf("stage=%s task=%d stalled", r.name, d.TaskID))
-					r.c.Sim.After(hd, body)
+			if inj != nil && r.failCnt[d.TaskID] < maxInjectedTaskFails {
+				if err := inj.TaskFailure(n.ID, d.TaskID, r.c.Sim.Now()); err != nil {
+					r.failCnt[d.TaskID]++
+					r.tr.InstantEvent(trace.CatFault, "fault:task-fail", n.ID, float64(d.TaskID),
+						fmt.Sprintf("stage=%s fail %d: %v", r.name, r.failCnt[d.TaskID], err))
+					r.assigned[d.TaskID] = -1
+					r.seq[d.TaskID]++
+					r.inFlight--
+					n.ReleaseCore()
+					r.requeue(d.TaskID)
+					r.offerAll()
 					return
 				}
 			}
-			body()
-		})
-	}
-	if d.Delay > 0 {
-		r.c.Sim.After(d.Delay, begin)
-	} else {
-		begin()
-	}
+			launch := r.c.Sim.Now()
+			r.exec(d.TaskID, n.ID, launch, func(stats sched.TaskStats) {
+				r.finish(d, n, launch, mySeq, stats)
+			})
+		}
+		if inj != nil {
+			if hd := inj.HangDuration(n.ID, r.c.Sim.Now()); hd > 0 {
+				r.tr.InstantEvent(trace.CatFault, "fault:hang", n.ID, hd,
+					fmt.Sprintf("stage=%s task=%d stalled", r.name, d.TaskID))
+				r.c.Sim.After(hd, body)
+				return
+			}
+		}
+		body()
+	})
 }
 
 // finish records a completed task and re-offers idle slots. Completions

@@ -86,12 +86,3 @@ func Lookup(id string) (Runner, error) {
 	sort.Strings(valid)
 	return nil, fmt.Errorf("experiments: unknown id %q (valid: %v)", id, valid)
 }
-
-// RunAll executes every experiment in paper order.
-func RunAll(o Options) []*Experiment {
-	out := make([]*Experiment, 0, len(registry))
-	for _, r := range registry {
-		out = append(out, r.Run(o))
-	}
-	return out
-}

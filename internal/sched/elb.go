@@ -124,6 +124,3 @@ func (p *ELB) Pending() int {
 	}
 	return p.q.len()
 }
-
-// NodeBytes returns the recorded intermediate volume of node.
-func (p *ELB) NodeBytes(node int) float64 { return p.nodeBytes[node] }

@@ -16,20 +16,6 @@ type ShuffleLocality struct {
 	*ELB
 }
 
-// BreadthFirstOfferer is implemented by policies that need stage
-// dispatch to offer slots breadth-first — one core per executor per
-// sweep — instead of draining each executor's cores before moving to
-// the next. Locality placement needs this: with depth-first offers,
-// the first executor's spare cores would steal (popAny) tasks
-// preferring executors that have not been offered a slot yet.
-type BreadthFirstOfferer interface {
-	BreadthFirstOffers() bool
-}
-
-// BreadthFirstOffers marks ShuffleLocality for round-robin slot
-// offers, so each owner sees its local work before anyone may steal it.
-func (p *ShuffleLocality) BreadthFirstOffers() bool { return true }
-
 // LocalOfferer is implemented by policies that can fill window slots:
 // the slots an executor has beyond its cores, whose attempts wait in
 // its run queue behind the ones running. OfferLocal returns only a task

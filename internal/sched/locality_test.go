@@ -110,19 +110,6 @@ func TestShuffleLocalityELBVeto(t *testing.T) {
 	}
 }
 
-// TestShuffleLocalityBreadthFirst: the policy requests breadth-first
-// slot offers (one core per executor per sweep) from stage dispatch.
-func TestShuffleLocalityBreadthFirst(t *testing.T) {
-	var p Policy = NewShuffleLocality(2, 0.25)
-	bf, ok := p.(BreadthFirstOfferer)
-	if !ok || !bf.BreadthFirstOffers() {
-		t.Fatal("ShuffleLocality must implement BreadthFirstOfferer and return true")
-	}
-	if _, ok := Policy(NewELB(2, 0.25)).(BreadthFirstOfferer); ok {
-		t.Fatal("plain ELB must not request breadth-first offers")
-	}
-}
-
 // TestShuffleLocalityDrains: mixed preferences fully drain with no
 // duplicates and no wedge under round-robin offers.
 func TestShuffleLocalityDrains(t *testing.T) {

@@ -16,14 +16,16 @@
 //     catches up, with pending tasks steered to the least-loaded nodes.
 //   - CAD (Congestion-Aware Dispatching, Section VI-B): a feedback
 //     throttle on task dispatch. When the mean completed-task time jumps
-//     by 2x, the dispatch interval grows by 50 ms; when it drops by half,
-//     the interval shrinks.
+//     by 2x, the per-node in-flight bound halves; when it drops by half,
+//     the bound grows by one.
 //
 // The runtime contract: the executor framework calls StageStart once per
 // stage, Offer whenever a node has a free slot, and Completed when a task
-// finishes. Offer either assigns a task (possibly after a dispatch
-// delay) or declines with an optional retry hint; runtimes also re-offer
-// idle slots whenever any task completes.
+// finishes. Offer either assigns a task or declines with an optional
+// retry hint; runtimes also re-offer idle slots whenever any task
+// completes. Both runtimes offer in the same order: retries first, each
+// to the node with the most idle slots, then one slot per node per
+// round-robin sweep.
 package sched
 
 import "fmt"
@@ -50,9 +52,6 @@ type TaskStats struct {
 type Decision struct {
 	// TaskID is the task to launch, or -1 to decline.
 	TaskID int
-	// Delay is a dispatch delay to apply before launching (CAD
-	// throttling); zero launches immediately.
-	Delay float64
 	// Retry, when declining, asks the runtime to re-offer this slot
 	// after the given time even if no completion occurs; zero means
 	// re-offer only on the next completion event.

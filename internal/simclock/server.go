@@ -92,11 +92,5 @@ func (s *Slots) Release() {
 	}
 }
 
-// InUse returns the number of held slots.
-func (s *Slots) InUse() int { return s.inUse }
-
 // Total returns the slot count.
 func (s *Slots) Total() int { return s.total }
-
-// Waiting returns the number of queued acquirers.
-func (s *Slots) Waiting() int { return len(s.queue) }

@@ -177,9 +177,6 @@ func (s *SSD) BytesRead() float64 { return s.read }
 // Capacity implements Device.
 func (s *SSD) Capacity() float64 { return s.spec.CapacityBytes }
 
-// ActiveWriters returns the number of in-flight write operations.
-func (s *SSD) ActiveWriters() int { return s.activeWriters }
-
 // WriteCapacity returns the current effective aggregate write bandwidth.
 func (s *SSD) WriteCapacity() float64 { return s.writeRes.Capacity() }
 

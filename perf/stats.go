@@ -3,6 +3,8 @@ package perf
 import (
 	"math"
 	"sort"
+
+	"hpcmr/internal/metrics"
 )
 
 // Stats are the robust summary statistics of one scenario's samples.
@@ -29,10 +31,10 @@ func Summarize(samples []float64) Stats {
 	for _, x := range s {
 		sum += x
 	}
-	p25 := quantile(s, 0.25)
-	p75 := quantile(s, 0.75)
+	p25 := metrics.Quantile(s, 0.25)
+	p75 := metrics.Quantile(s, 0.75)
 	return Stats{
-		MedianNs: quantile(s, 0.5),
+		MedianNs: metrics.Quantile(s, 0.5),
 		P25Ns:    p25,
 		P75Ns:    p75,
 		IQRNs:    p75 - p25,
@@ -44,28 +46,9 @@ func Summarize(samples []float64) Stats {
 
 // median returns the median of unsorted samples (0 when empty).
 func median(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
-	return quantile(s, 0.5)
-}
-
-// quantile linearly interpolates q in [0,1] over sorted samples.
-func quantile(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return metrics.Quantile(s, 0.5)
 }
 
 // MannWhitneyU returns the two-sided p-value of the Mann-Whitney U

@@ -256,18 +256,6 @@ func New(cfg Config) (*Cluster, error) {
 // Nodes returns the cluster size.
 func (c *Cluster) Nodes() int { return c.nodes }
 
-// AliveNodes returns how many simulated nodes have not been crashed by
-// an injected fault plan.
-func (c *Cluster) AliveNodes() int {
-	alive := 0
-	for _, n := range c.eng.C.Nodes {
-		if n.Alive() {
-			alive++
-		}
-	}
-	return alive
-}
-
 // InjectFaults arms a deterministic fault plan for the jobs this cluster
 // runs. Call it before Run; the same plan on a fresh identically
 // configured cluster replays the exact same virtual-time schedule. The

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"strings"
 )
@@ -87,11 +88,12 @@ func LookupJob(name string) (Job, error) {
 // ---- keyed-sum: the chaos and perf workhorse ----
 //
 // Key k sums every i in [0, Records) with i % Keys == k. The map side
-// combines and buckets by key % ReduceParts; every bucket it emits is
+// combines and range-partitions (rangeBucket); every bucket it emits is
 // strictly ascending by key (one record per key — what "combined"
 // means). Reduce merges the buckets it gathers into a sorted run
-// (reduceRuns, which fails on a bucket that is not) and merge only
-// merges sorted runs, so the result is byte-identical run to run.
+// (reduceRuns, which fails on a bucket that is not), so reduce part r
+// holds exactly bucket r's key range and the driver's merge is a
+// concatenation (concatRuns); the result is byte-identical run to run.
 
 func keyedSumMap(spec JobSpec, part int) (MapOutput, error) {
 	lo := spec.Records * int64(part) / int64(spec.MapParts)
@@ -102,8 +104,26 @@ func keyedSumMap(spec JobSpec, part int) (MapOutput, error) {
 	for i := lo; i < hi; i++ {
 		sums[i%spec.Keys] += i
 	}
-	bucket := func(k int64) int { return int(k % int64(spec.ReduceParts)) }
-	return bucketRuns(sums, spec.ReduceParts, bucket, mkKV, func(int64) int64 { return 16 }), nil
+	bucket := rangeBucket(min(spec.Keys, spec.Records), spec.ReduceParts)
+	return bucketRuns(sums, spec.ReduceParts, bucket, kvByKey, mkKV, func(int64) int64 { return 16 }), nil
+}
+
+// rangeBucket is keyed-sum's partitioner over the n keys [0, n) its
+// records occupy: key k goes to bucket ⌊k·parts/n⌋, so bucket r is one
+// contiguous range of keys, the ranges ascend with r, and no two
+// buckets differ by more than one key. For n > parts the quotient is
+// the high word of k·⌈2⁶⁴·parts/n⌉, one multiply a record: exact for
+// n < 2³², and monotone, clamped to the last bucket, past that.
+func rangeBucket(n int64, parts int) func(int64) int {
+	if n <= int64(parts) {
+		return func(k int64) int { return int(k * int64(parts) / n) }
+	}
+	m, _ := bits.Div64(uint64(parts), 0, uint64(n))
+	m++
+	return func(k int64) int {
+		hi, _ := bits.Mul64(uint64(k), m)
+		return min(int(hi), parts-1)
+	}
 }
 
 func keyedSumReduce(_ JobSpec, _ int, chunks []any) ([]byte, error) {
@@ -115,6 +135,8 @@ func keyedSumReduce(_ JobSpec, _ int, chunks []any) ([]byte, error) {
 // Each map partition takes a contiguous range of the file's lines,
 // counts words (whitespace-split, lowercased), and buckets by fnv32a(word)
 // % ReduceParts; as in keyed-sum, a bucket is strictly ascending by key.
+// String keys have no known range to partition, so the reduce parts
+// interleave and the driver's merge is the heap's.
 
 func wordcountLines(spec JobSpec, part int) ([]string, error) {
 	data, err := os.ReadFile(spec.Path)
@@ -149,7 +171,7 @@ func wordcountMap(spec JobSpec, part int) (MapOutput, error) {
 		}
 	}
 	bucket := func(w string) int { return int(fnv32a(w) % uint32(spec.ReduceParts)) }
-	return bucketRuns(counts, spec.ReduceParts, bucket, mkSKV, func(w string) int64 { return int64(len(w)) + 8 }), nil
+	return bucketRuns(counts, spec.ReduceParts, bucket, skvByKey, mkSKV, func(w string) int64 { return int64(len(w)) + 8 }), nil
 }
 
 func wordcountReduce(_ JobSpec, _ int, chunks []any) ([]byte, error) {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -81,7 +82,9 @@ func FuzzMapBuckets(f *testing.F) {
 			t.Fatal(err)
 		}
 		lines := strings.Split(text, "\n")
-		intBucket := func(k int64) int { return int(k % int64(spec.ReduceParts)) }
+		// Keyed-sum's keys are [0, n); key k's bucket is its position there.
+		n := min(spec.Keys, spec.Records)
+		intBucket := func(k int64) int { return int(k * int64(spec.ReduceParts) / n) }
 		wordBucket := func(w string) int {
 			h := fnv.New32a()
 			h.Write([]byte(w))
@@ -121,7 +124,10 @@ func FuzzMapBuckets(f *testing.F) {
 // executor die in turn on `-keys 300000000 -records 1000` — the
 // runtime's out-of-memory is not a panic the executor could recover. 1<<22
 // is a size the runtime honours as a hint (100 MB a task), 1<<40 one that
-// go1.24 itself refuses; neither may show.
+// go1.24 itself refuses; neither may show. The partitioner ranges over
+// the keys the records occupy, not over Keys: bucket r holds exactly
+// the keys [⌈r·1000/R⌉, ⌈(r+1)·1000/R⌉), none more than one past an
+// even share, where ranging over Keys would put all of them in bucket 0.
 func TestKeyedSumMapTableBoundedByInput(t *testing.T) {
 	for _, keys := range []int64{1 << 22, 1 << 40} {
 		spec := JobSpec{Job: "keyed-sum", Keys: keys, Records: 1000, MapParts: 4, ReduceParts: 3}
@@ -130,17 +136,27 @@ func TestKeyedSumMapTableBoundedByInput(t *testing.T) {
 		if allocated > 1<<20 {
 			t.Errorf("Keys %d: %d map tasks over %d records allocated %d bytes, want < 1 MiB", keys, spec.MapParts, spec.Records, allocated)
 		}
-		seen := int64(0)
+		seen, R := int64(0), int64(spec.ReduceParts)
 		for r, chunks := range gathered {
+			var got []int64
 			for _, ch := range chunks {
 				kvs, _ := ch.([]KV)
 				for _, kv := range kvs {
-					if kv.V != kv.K || kv.K%int64(spec.ReduceParts) != int64(r) {
+					if kv.V != kv.K {
 						t.Fatalf("Keys %d: bucket %d holds %+v; every key below Records is its own sum", keys, r, kv)
 					}
-					seen++
+					got = append(got, kv.K)
 				}
 			}
+			slices.Sort(got)
+			lo, hi := (int64(r)*spec.Records+R-1)/R, (int64(r+1)*spec.Records+R-1)/R
+			if int64(len(got)) != hi-lo || len(got) > 0 && (got[0] != lo || got[len(got)-1] != hi-1) {
+				t.Fatalf("Keys %d: bucket %d holds %d keys from %v, want exactly [%d, %d)", keys, r, len(got), got[:min(len(got), 3)], lo, hi)
+			}
+			if even := (spec.Records + R - 1) / R; int64(len(got)) > even+1 {
+				t.Fatalf("Keys %d: bucket %d holds %d keys, more than %d", keys, r, len(got), even+1)
+			}
+			seen += int64(len(got))
 		}
 		if seen != spec.Records {
 			t.Fatalf("Keys %d: %d records in the buckets, want %d", keys, seen, spec.Records)
@@ -165,7 +181,7 @@ func FuzzBucketRuns(f *testing.F) {
 	f.Add(fuzzRecs(radixMin-1, func(j int) [3]byte { return [3]byte{byte(j), 0, byte(j)} }), uint8(0))
 	f.Add(fuzzRecs(radixMin+1, func(j int) [3]byte { return [3]byte{byte(j), byte(j / 256), byte(j)} }), uint8(0))
 	// 256 keys 256 apart, each twice: the first pass is skipped, the
-	// second leaves the run in the scratch slice.
+	// second leaves the records in the bucket, not in the run.
 	f.Add(fuzzRecs(512, func(j int) [3]byte { return [3]byte{5, byte(j), 7} }), uint8(0))
 	// 390 keys from -638 to 11, each twice: a span of two bytes whose
 	// largest key needs one.
@@ -175,7 +191,7 @@ func FuzzBucketRuns(f *testing.F) {
 		}
 		return [3]byte{byte(128 + j - 378), 0, byte(j)}
 	}), uint8(0))
-	// 1 500 keys in 3 buckets: every run radix-sorted, one scratch.
+	// 1 500 keys in 3 buckets: every run radix-sorted into its bucket.
 	f.Add(fuzzRecs(1500, func(j int) [3]byte { return [3]byte{byte(j), byte(j / 256), byte(j)} }), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, parts uint8) {
 		nParts := 1 + int(parts%32)
@@ -190,11 +206,11 @@ func FuzzBucketRuns(f *testing.F) {
 		intSize, strSize := func(int64) int64 { return 16 }, func(k string) int64 { return int64(len(k)) + 8 }
 		kvKey, skvKey := func(r KV) int64 { return r.K }, func(r SKV) string { return r.K }
 
-		got := bucketRuns(ints, nParts, intBucket, mkKV, intSize)
+		got := bucketRuns(ints, nParts, intBucket, kvByKey, mkKV, intSize)
 		want := oracleMapOutput(ints, nParts, intBucket, mkKV, kvKey, func(r KV) int64 { return intSize(r.K) })
 		checkMapOutput(t, got, want, nParts, intBucket, kvKey)
 
-		got = bucketRuns(strs, nParts, strBucket, mkSKV, strSize)
+		got = bucketRuns(strs, nParts, strBucket, skvByKey, mkSKV, strSize)
 		want = oracleMapOutput(strs, nParts, strBucket, mkSKV, skvKey, func(r SKV) int64 { return strSize(r.K) })
 		checkMapOutput(t, got, want, nParts, strBucket, skvKey)
 	})

@@ -131,13 +131,14 @@ func FuzzReduceSum(f *testing.F) {
 }
 
 // The two reduce tasks of the end-to-end benchmark that differ most
-// (reduce partition 0 of each): shuffle-wide's 8 chunks of 7 812 keys no
-// other chunk has, and dispatch-fine's 2000 chunks of the same 16 keys.
+// (reduce partition 0 of each): shuffle-wide's 8 chunks, of which the
+// range partitioner fills two with 31 250 keys no other chunk has and
+// leaves six nil, and dispatch-fine's 2000 chunks of the same 16 keys.
 var reduceShapes = []struct {
 	name string
 	spec JobSpec
 }{
-	{"wide-8x7812-distinct", JobSpec{Job: "keyed-sum", Records: 250_000, Keys: 250_000, MapParts: 8, ReduceParts: 4}},
+	{"wide-2x31250-distinct", JobSpec{Job: "keyed-sum", Records: 250_000, Keys: 250_000, MapParts: 8, ReduceParts: 4}},
 	{"fine-2000x16-identical", JobSpec{Job: "keyed-sum", Records: 500_000, Keys: 64, MapParts: 2000, ReduceParts: 4}},
 }
 
@@ -174,7 +175,8 @@ func TestReduceAllocsIndependentOfChunkCount(t *testing.T) {
 }
 
 // BenchmarkMap: map partition 0 of the same two jobs — shuffle-wide's
-// 31 250 records of as many keys, dispatch-fine's 250 records over 64 —
+// 31 250 records of as many keys, all in bucket 0 and radix-sorted as
+// one run; dispatch-fine's 250 records over 64 keys, 16 to a bucket —
 // and of spill-tight, shuffle-wide's data in 16 maps of 15 625 keys.
 func BenchmarkMap(b *testing.B) {
 	shapes := append(slices.Clone(reduceShapes), reduceShapes[0])
@@ -209,23 +211,25 @@ func BenchmarkBucketRuns(b *testing.B) {
 		b.ReportAllocs()
 		bucket := func(k int64) int { return int(uint64(k) % parts) }
 		for i := 0; i < b.N; i++ {
-			bucketRuns(ints, parts, bucket, mkKV, func(int64) int64 { return 16 })
+			bucketRuns(ints, parts, bucket, kvByKey, mkKV, func(int64) int64 { return 16 })
 		}
 	})
 	b.Run("string", func(b *testing.B) {
 		b.ReportAllocs()
 		bucket := func(k string) int { return int(fnv32a(k) % parts) }
 		for i := 0; i < b.N; i++ {
-			bucketRuns(strs, parts, bucket, mkSKV, func(k string) int64 { return int64(len(k)) + 8 })
+			bucketRuns(strs, parts, bucket, skvByKey, mkSKV, func(k string) int64 { return int64(len(k)) + 8 })
 		}
 	})
 }
 
 // TestMapAllocsBoundedByInput: a map task allocates for the keys its
-// partition holds — a table, its entries and one slice per bucket — not
+// partition holds — a table, its records and one slice per bucket — not
 // for the key space. The wide task took 11.5 MB when the table was sized
 // by Keys (eight times what the partition holds); the fine task's 64
-// keys are its key space, and 4936 bytes is what it took then.
+// keys are its key space, and 4936 bytes is what it took then. The
+// wide task's one 31 250-record bucket is its own radix scratch: a
+// scratch of its own would take another 500 kB and pass the bound.
 func TestMapAllocsBoundedByInput(t *testing.T) {
 	for i, limit := range []uint64{2_500_000, 4936} {
 		shape := reduceShapes[i]

@@ -118,91 +118,81 @@ func encodeRun[T any, K cmp.Ordered](kc *keyCodec[K], recs []T, rec func(T) (K, 
 // bucketRuns is the tail of the combining built-in Maps, reduceRuns'
 // counterpart: a task's combined sums become its MapOutput, key k in
 // bucket bucket(k), each strictly ascending by key. A counting pass
-// lays the buckets out back to back in one slice of (key, sum) entries
-// and a second pass scatters the table into it; each bucket's run of
-// entries is then sorted on the key alone — a radix sort for int64 keys
-// — and copied into the bucket in order. A bucket is allocated once, at
-// its length, each its own allocation, because the store decides how
-// long each one lives (DESIGN §7). size is what one record of key k adds
-// to MapOutput.Bytes.
-func bucketRuns[T any, K cmp.Ordered](sums map[K]int64, parts int, bucket func(K) int, mk func(K, int64) T, size func(K) int64) MapOutput {
-	// ends[r] is where bucket r's run starts in ents until the scatter,
+// lays the buckets out back to back in one slice of records and a
+// second pass scatters the table into it; each bucket's run of records
+// is then sorted into the bucket — for KV runs a radix sort that uses
+// the run as its scratch, for others a comparison sort in place and a
+// copy. A bucket is allocated once, at its length, each its own
+// allocation, because the store decides how long each one lives
+// (DESIGN §7). size is what one record of key k adds to MapOutput.Bytes.
+func bucketRuns[T any, K cmp.Ordered](sums map[K]int64, parts int, bucket func(K) int, byKey func(T, T) int, mk func(K, int64) T, size func(K) int64) MapOutput {
+	// ends[r] is where bucket r's run starts in recs until the scatter,
 	// where it ends after.
 	ends := make([]int, parts)
 	for k := range sums {
 		ends[bucket(k)]++
 	}
-	longest, at := 0, 0
+	at := 0
 	for r, n := range ends {
-		ends[r], at, longest = at, at+n, max(longest, n)
-	}
-	ents := make([]entry[K], len(sums))
-	for k, v := range sums {
-		r := bucket(k)
-		ents[ends[r]] = entry[K]{k, v}
-		ends[r]++
+		ends[r], at = at, at+n
 	}
 	out := MapOutput{Buckets: make([]any, parts), Records: int64(len(sums))}
-	var scratch []entry[int64] // the radix sort's, made for the longest run on first use
+	recs := make([]T, len(sums))
+	for k, v := range sums {
+		r := bucket(k)
+		recs[ends[r]] = mk(k, v)
+		ends[r]++
+		out.Bytes += size(k)
+	}
 	start := 0
 	for r, end := range ends {
-		run := ents[start:end]
+		run := recs[start:end]
 		start = end
 		if len(run) == 0 {
 			continue
 		}
-		if ints, ok := any(run).([]entry[int64]); ok && len(run) >= radixMin {
-			if scratch == nil {
-				scratch = make([]entry[int64], longest)
-			}
-			radixSort(ints, scratch)
-		} else {
-			slices.SortFunc(run, func(x, y entry[K]) int { return cmp.Compare(x.k, y.k) })
-		}
 		b := make([]T, len(run))
-		for i, e := range run {
-			b[i] = mk(e.k, e.v)
-			out.Bytes += size(e.k)
+		if kvs, ok := any(run).([]KV); ok && len(run) >= radixMin {
+			radixSort(kvs, any(b).([]KV))
+		} else {
+			slices.SortFunc(run, byKey)
+			copy(b, run)
 		}
 		out.Buckets[r] = b
 	}
 	return out
 }
 
-// entry is one combined key and its sum.
-type entry[K cmp.Ordered] struct {
-	k K
-	v int64
-}
-
-// radixMin is the run length from which bucketRuns radix-sorts int64
-// keys: where the worst case breaks even. A run spread over the whole
-// int64 span takes eight passes, each clearing and summing 256 counts,
-// and matches slices.SortFunc at about 256 entries; a run of nearby keys
+// radixMin is the run length from which bucketRuns radix-sorts KV runs:
+// where the worst case breaks even. A run spread over the whole int64
+// span takes eight passes, each clearing and summing 256 counts, and
+// matches slices.SortFunc at about 256 entries; a run of nearby keys
 // takes two and wins well below that (64 entries in half the time), but
 // no built-in job makes runs between dispatch-fine's 16 entries and
 // shuffle-wide's thousands.
 const radixMin = 256
 
-// radixSort sorts run by key with an LSD radix sort, one byte a pass,
-// on each key's offset from the smallest: uint64(k - lo) orders as k
-// does over the whole int64 span, and a run's keys, however large, take
-// only as many passes as their span has bytes. A pass whose byte is the
-// same in every key is skipped. scratch is at least as long as run.
-func radixSort(run, scratch []entry[int64]) {
-	lo, hi := run[0].k, run[0].k
+// radixSort sorts run's records by key into dst, as long as run, with
+// an LSD radix sort, one byte a pass, on each key's offset from the
+// smallest: uint64(k - lo) orders as k does over the whole int64 span,
+// and a run's keys, however large, take only as many passes as their
+// span has bytes. A pass whose byte is the same in every key is
+// skipped. The passes alternate between the two slices, so run is left
+// in no particular order.
+func radixSort(run, dst []KV) {
+	lo, hi := run[0].K, run[0].K
 	for _, e := range run {
-		lo, hi = min(lo, e.k), max(hi, e.k)
+		lo, hi = min(lo, e.K), max(hi, e.K)
 	}
 	passes := (bits.Len64(uint64(hi)-uint64(lo)) + 7) / 8
-	src, dst := run, scratch[:len(run)]
+	src, out := run, dst
 	for p := range passes {
 		shift := 8 * p
 		var at [256]int
 		for _, e := range src {
-			at[byte((uint64(e.k)-uint64(lo))>>shift)]++
+			at[byte((uint64(e.K)-uint64(lo))>>shift)]++
 		}
-		if at[byte((uint64(src[0].k)-uint64(lo))>>shift)] == len(src) {
+		if at[byte((uint64(src[0].K)-uint64(lo))>>shift)] == len(src) {
 			continue
 		}
 		sum := 0
@@ -210,14 +200,14 @@ func radixSort(run, scratch []entry[int64]) {
 			at[d], sum = sum, sum+n
 		}
 		for _, e := range src {
-			d := byte((uint64(e.k) - uint64(lo)) >> shift)
-			dst[at[d]] = e
+			d := byte((uint64(e.K) - uint64(lo)) >> shift)
+			out[at[d]] = e
 			at[d]++
 		}
-		src, dst = dst, src
+		src, out = out, src
 	}
-	if &src[0] != &run[0] {
-		copy(run, src)
+	if &src[0] != &dst[0] {
+		copy(dst, src)
 	}
 }
 
@@ -285,13 +275,166 @@ func reduceRuns[T any, K cmp.Ordered](kc *keyCodec[K], chunks []any, rec func(T)
 	return encodeRun(kc, out, rec), nil
 }
 
-// mergeRuns is the Merge of every built-in job: a k-way merge of the
-// reduce partitions' encoded runs straight into the result run, nothing
-// materialised. A zero-length part is a partition that produced nothing.
-// Equal keys are summed — so the order they leave the heap in cannot
-// matter, and the bytes depend only on the inputs. A part whose keys
-// decrease is an error naming it, never a wrong result.
+// mergeRuns is the Merge of every built-in job. Parts whose key ranges
+// are ordered and disjoint — keyed-sum's, which range-partitions — are
+// concatenated (concatRuns); any others go through heapMergeRuns. Both
+// write the same bytes for the same parts, so which one ran cannot show.
 func mergeRuns[K cmp.Ordered](kc *keyCodec[K], parts [][]byte) ([]byte, error) {
+	if out, ok := concatRuns(kc, parts); ok {
+		return out, nil
+	}
+	return heapMergeRuns(kc, parts)
+}
+
+// runSpan is what scanning a part learns of it: its record count, its
+// first and last keys, and where its first key's encoding ends.
+type runSpan[K cmp.Ordered] struct {
+	count       uint64
+	first, last K
+	rest        int
+}
+
+// concatRuns is mergeRuns on parts that need no merging. It scans each
+// non-empty part in order and gives up (ok false) at the first one that
+// is not a run of canonical varints with strictly ascending keys, or
+// whose first key is not above the previous part's last key; it stops
+// at that first key, so interleaved parts cost the scan of one part.
+// Those inputs are the heap's work: a shared key must be summed, a
+// non-canonical varint re-encoded, damage reported. Otherwise it writes
+// the summed count, each part's first key against the previous part's
+// last key, and the rest of each part as it came, which is what the
+// heap would write, byte for byte.
+func concatRuns[K cmp.Ordered](kc *keyCodec[K], parts [][]byte) ([]byte, bool) {
+	scan := func(p []byte, floor K, bounded bool) (runSpan[K], bool) { return scanRun(kc, p, floor, bounded) }
+	if s, ok := any(scanIntRun).(func([]byte, K, bool) (runSpan[K], bool)); ok { // K is int64
+		scan = s
+	}
+	spans := make([]runSpan[K], len(parts))
+	var count uint64
+	total := 0
+	floor, bounded := kc.min, false // the last key of the parts before, if they hold one
+	for i, p := range parts {
+		if len(p) == 0 {
+			continue
+		}
+		s, ok := scan(p, floor, bounded)
+		if !ok {
+			return nil, false
+		}
+		if s.count > 0 {
+			spans[i], floor, bounded = s, s.last, true
+			count, total = count+s.count, total+len(p)
+		}
+	}
+	out := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+total), count)
+	prev := kc.min
+	for i, s := range spans {
+		if s.count > 0 {
+			out = append(kc.put(out, prev, s.first), parts[i][s.rest:]...)
+			prev = s.last
+		}
+	}
+	return out, true
+}
+
+// canonUvarint reads the uvarint at the head of b: its value and its
+// width, 0 unless b holds the shortest encoding of a 64-bit value —
+// only a one-byte uvarint may end in 0.
+func canonUvarint(b []byte) (uint64, int) {
+	x, n := binary.Uvarint(b)
+	if n <= 0 || n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return x, n
+}
+
+// scanRun scans a part for concatRuns: ok is false unless it is a run
+// whose every varint is canonical, whose keys strictly ascend from
+// above floor if bounded, and which ends where its last record does.
+// Both key encodings start with a uvarint (a delta, a length), which is
+// what is held canonical.
+func scanRun[K cmp.Ordered](kc *keyCodec[K], p []byte, floor K, bounded bool) (s runSpan[K], ok bool) {
+	n, at := canonUvarint(p)
+	if at == 0 {
+		return s, false
+	}
+	s.count, s.last = n, kc.min
+	for j := uint64(0); j < n; j++ {
+		k, kw := kc.get(p[at:], s.last)
+		if _, w := canonUvarint(p[at:]); w == 0 || kw == 0 || j > 0 && k <= s.last {
+			return s, false
+		}
+		_, vw := canonUvarint(p[at+kw:])
+		if vw == 0 {
+			return s, false
+		}
+		if j == 0 {
+			if bounded && k <= floor {
+				return s, false
+			}
+			s.first, s.rest = k, at+kw
+		}
+		s.last, at = k, at+kw+vw
+	}
+	return s, at == len(p)
+}
+
+// scanIntRun is scanRun for int64 keys with the codec inlined: the scan
+// reads every record of the job's result on the driver, between the
+// last reduce and the client.
+func scanIntRun(p []byte, floor int64, bounded bool) (s runSpan[int64], ok bool) {
+	n, at := canonUvarint(p)
+	if at == 0 {
+		return s, false
+	}
+	s.count, s.last = n, math.MinInt64
+	for j := uint64(0); j < n; j++ {
+		// A record of a one-byte key delta and a value of at most seven
+		// bytes is read from one eight-byte load: a varint ends at the
+		// first byte with the high bit clear. Any other record, and the
+		// last few bytes of the part, take canonUvarint.
+		d, kw, end := uint64(0), 1, 0
+		if at+8 <= len(p) {
+			x := binary.LittleEndian.Uint64(p[at:])
+			ends := ^x & 0x8080808080808080
+			vends := ends & (ends - 1)
+			w := bits.TrailingZeros64(vends)>>3 + 1
+			if ends&0x80 != 0 && vends != 0 && (w == 2 || byte(x>>(8*w-8)) != 0) {
+				d, end = x&0x7f, at+w
+			}
+		}
+		if end == 0 {
+			var vw int
+			if d, kw = canonUvarint(p[at:]); kw > 0 {
+				_, vw = canonUvarint(p[at+kw:])
+			}
+			if kw == 0 || vw == 0 {
+				return s, false
+			}
+			end = at + kw + vw
+		}
+		k := s.last + int64(d) // wraps to at most s.last exactly when it passes MaxInt64
+		if j > 0 && k <= s.last {
+			return s, false
+		}
+		if j == 0 {
+			if bounded && k <= floor {
+				return s, false
+			}
+			s.first, s.rest = k, at+kw
+		}
+		s.last, at = k, end
+	}
+	return s, at == len(p)
+}
+
+// heapMergeRuns is a k-way merge of the reduce partitions' encoded runs
+// straight into the result run, nothing materialised. A zero-length
+// part is a partition that produced nothing. Equal keys are summed — so
+// the order they leave the heap in cannot matter, and the bytes depend
+// only on the inputs. A part whose keys decrease is an error naming it,
+// never a wrong result.
+func heapMergeRuns[K cmp.Ordered](kc *keyCodec[K], parts [][]byte) ([]byte, error) {
 	type head struct {
 		k    K
 		v    int64
@@ -358,6 +501,8 @@ func kvRec(r KV) (int64, int64)    { return r.K, r.V }
 func skvRec(r SKV) (string, int64) { return r.K, r.V }
 func mkKV(k, v int64) KV           { return KV{K: k, V: v} }
 func mkSKV(k string, v int64) SKV  { return SKV{K: k, V: v} }
+func kvByKey(a, b KV) int          { return cmp.Compare(a.K, b.K) }
+func skvByKey(a, b SKV) int        { return cmp.Compare(a.K, b.K) }
 
 func mergeKVRuns(_ JobSpec, parts [][]byte) ([]byte, error)  { return mergeRuns(&intKeys, parts) }
 func mergeSKVRuns(_ JobSpec, parts [][]byte) ([]byte, error) { return mergeRuns(&strKeys, parts) }

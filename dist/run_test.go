@@ -2,7 +2,10 @@ package dist
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -250,7 +253,7 @@ func TestRunRoundTrip(t *testing.T) {
 	}
 }
 
-func mustRun(t *testing.T, kvs []KV) []byte {
+func mustRun(t testing.TB, kvs []KV) []byte {
 	t.Helper()
 	run, err := keyedSumReduce(JobSpec{}, 0, []any{kvs})
 	if err != nil {
@@ -372,8 +375,180 @@ func FuzzDecodeRun(f *testing.F) {
 	})
 }
 
+// FuzzMergeRuns: the driver's merge — a concatenation where the parts
+// allow one, the heap otherwise — held to the heap alone on every input
+// (the same bytes, the same error) and to the reference encoding on
+// every input that is a valid set of runs. Input is read two bytes to a
+// record, a key byte and a value byte, summed per key; the distinct
+// keys, in order, are dealt into parts by shape%5:
+//
+//	0: contiguous ranges, ascending — keyed-sum's reduce parts
+//	1: interleaved, key i to part i % parts — pagerank's and wordcount's
+//	2: as 0, each part also holding its successor's first key, with the
+//	   value split between the two — a boundary key that must be summed
+//	3: as 0, the parts in descending order
+//	4: as 0, each part holding its first key twice, the value split —
+//	   a repeated key within a part, which the heap also sums
+//
+// A part with no key is nil, zero bytes, or a run of no records, by its
+// index mod 3. Varint pad/parts of part pad%parts — 0 its count, then
+// each record's key and value — is written a byte longer than it needs
+// (still a valid run, which the heap re-encodes). A damage word names a
+// byte of the last non-empty part and XORs it with its low byte, or cuts
+// the part there if that is 0.
+func FuzzMergeRuns(f *testing.F) {
+	recs := func(n int, rec func(j int) [2]byte) []byte {
+		var data []byte
+		for j := 0; j < n; j++ {
+			r := rec(j)
+			data = append(data, r[:]...)
+		}
+		return data
+	}
+	wide := recs(200, func(j int) [2]byte { return [2]byte{byte(2 + j), byte(j)} })
+	const none = math.MaxUint16
+	for shape := uint8(0); shape < 5; shape++ {
+		f.Add(wide, uint8(3), shape, uint16(none), uint16(0))
+	}
+	f.Add([]byte{}, uint8(2), uint8(0), uint16(none), uint16(0))
+	f.Add(wide, uint8(0), uint8(0), uint16(none), uint16(0))     // a single part
+	f.Add(wide[:6], uint8(7), uint8(0), uint16(none), uint16(0)) // more parts than keys: nil, empty and no-record parts
+	// Both extremes of the key, values that wrap, 10-byte varints.
+	f.Add([]byte{0, 0, 1, 255, 128, 7, 254, 0, 255, 255}, uint8(1), uint8(0), uint16(none), uint16(0))
+	f.Add([]byte{0, 0, 1, 255, 128, 7, 254, 0, 255, 255}, uint8(1), uint8(2), uint16(none), uint16(0))
+	// Non-canonical: part 1's count, its second key, its first value
+	// and its third.
+	for _, v := range []uint16{0*4 + 1, 3*4 + 1, 2*4 + 1, 6*4 + 1} {
+		f.Add(wide, uint8(3), uint8(0), v, uint16(0))
+	}
+	// Damage: a byte flipped, a part cut short.
+	f.Add(wide, uint8(3), uint8(0), uint16(none), uint16(7<<8|0x40))
+	f.Add(wide, uint8(3), uint8(0), uint16(none), uint16(20<<8))
+	f.Fuzz(func(t *testing.T, data []byte, parts, shape uint8, pad, damage uint16) {
+		m := mergeCase{parts: 1 + int(parts%8), shape: int(shape % 5), pad: int(pad), damage: int(damage)}
+		checkMergeRuns(t, m, data, &intKeys, fuzzIntKey, mergeKVRuns, refKVRun,
+			func(prev, k int64) (uint64, string) { return uint64(k) - uint64(prev), "" })
+		checkMergeRuns(t, m, data, &strKeys, fuzzStrKey, mergeSKVRuns, refSKVRun,
+			func(_, k string) (uint64, string) { return uint64(len(k)), k })
+	})
+}
+
+// mergeCase is how FuzzMergeRuns lays out and damages one set of parts.
+type mergeCase struct{ parts, shape, pad, damage int }
+
+// checkMergeRuns builds one case's parts from data and checks the merge
+// on them. head is a key's leading uvarint and the bytes after it, the
+// layout run.go documents, written here by hand.
+func checkMergeRuns[K cmp.Ordered](t *testing.T, m mergeCase, data []byte, kc *keyCodec[K], key func(byte) K,
+	merge func(JobSpec, [][]byte) ([]byte, error), ref func(map[K]int64) []byte, head func(prev, k K) (uint64, string)) {
+	t.Helper()
+	sums := map[K]int64{}
+	for j := 0; 2*j+1 < len(data); j++ {
+		sums[key(data[2*j])] += fuzzValue(data[2*j+1])
+	}
+	keys := slices.Sorted(maps.Keys(sums))
+	type rec struct {
+		k K
+		v int64
+	}
+	dealt := make([][]rec, m.parts)
+	for i, k := range keys {
+		p := i * m.parts / len(keys)
+		if m.shape == 1 {
+			p = i % m.parts
+		}
+		dealt[p] = append(dealt[p], rec{k, sums[k]})
+	}
+	shared := false
+	if m.shape == 2 {
+		for p := 1; p < m.parts; p++ {
+			if len(dealt[p]) > 0 && len(dealt[p-1]) > 0 {
+				first := &dealt[p][0]
+				dealt[p-1] = append(dealt[p-1], rec{first.k, first.v >> 1})
+				first.v -= first.v >> 1
+				shared = true
+			}
+		}
+	}
+	if m.shape == 3 {
+		slices.Reverse(dealt)
+	}
+	if m.shape == 4 {
+		for p, rs := range dealt {
+			if len(rs) > 0 {
+				dealt[p] = append([]rec{{rs[0].k, rs[0].v >> 1}}, rs...)
+				dealt[p][1].v -= rs[0].v >> 1
+				shared = true
+			}
+		}
+	}
+	padded := false
+	uv := func(b []byte, x uint64, long bool) []byte {
+		b = binary.AppendUvarint(b, x)
+		if long && len(binary.AppendUvarint(nil, x)) < binary.MaxVarintLen64 {
+			b[len(b)-1] |= 0x80
+			b, padded = append(b, 0), true
+		}
+		return b
+	}
+	in := make([][]byte, m.parts)
+	lastFull := -1
+	for p, rs := range dealt {
+		if len(rs) == 0 {
+			in[p] = [][]byte{nil, {}, {0}}[p%3]
+			continue
+		}
+		long := func(i int) bool { return p == m.pad%m.parts && i == m.pad/m.parts }
+		b, prev := uv(nil, uint64(len(rs)), long(0)), kc.min
+		for i, r := range rs {
+			x, rest := head(prev, r.k)
+			b = binary.AppendVarint(append(uv(b, x, long(1+2*i)), rest...), r.v)
+			if long(2 + 2*i) {
+				b = uv(b[:len(b)-len(binary.AppendVarint(nil, r.v))], uint64(r.v<<1^r.v>>63), true)
+			}
+			prev = r.k
+		}
+		in[p], lastFull = b, p
+	}
+	damaged := m.damage != 0 && lastFull >= 0
+	if damaged {
+		b := slices.Clone(in[lastFull])
+		if at := (m.damage >> 8) % len(b); m.damage&0xff == 0 {
+			b = b[:at]
+		} else {
+			b[at] ^= byte(m.damage)
+		}
+		in[lastFull] = b
+	}
+
+	got, err := merge(JobSpec{}, in)
+	want, werr := heapMergeRuns(kc, in)
+	if fmt.Sprint(err) != fmt.Sprint(werr) || !bytes.Equal(got, want) {
+		t.Fatalf("%+v: merge gave % x, %v; the heap % x, %v", m, got, err, want, werr)
+	}
+	if damaged {
+		return
+	}
+	if err != nil || !bytes.Equal(got, ref(sums)) {
+		t.Fatalf("%+v: merge gave % x, %v; want % x", m, got, err, ref(sums))
+	}
+	// Ordered, disjoint, canonical parts are concatenated; a key shared
+	// across a boundary or repeated within a part never is.
+	_, concat := concatRuns(kc, in)
+	if m.shape == 0 && !padded && !concat {
+		t.Fatalf("%+v: contiguous parts were not concatenated", m)
+	}
+	if shared && concat {
+		t.Fatalf("%+v: parts sharing or repeating a key were concatenated", m)
+	}
+}
+
 // BenchmarkResultPath times shuffle-wide's result path in isolation:
-// four reduce partitions of eight sorted chunks each, then the merge.
+// four reduce partitions, each merging the two chunks of the eight it
+// gathers that its key range fills, then the merge, which concatenates
+// the partitions' ordered ranges. merge-interleaved merges the same
+// records dealt to the parts by key % 4, as pagerank deals its nodes
+// (and wordcount's hash interleaves its words), through the heap.
 func BenchmarkResultPath(b *testing.B) {
 	spec := JobSpec{Job: "keyed-sum", Records: 250_000, Keys: 250_000, MapParts: 8, ReduceParts: 4}
 	gathered := gatherSerially(b, spec)
@@ -391,19 +566,38 @@ func BenchmarkResultPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	kvs, err := DecodeKVs(out)
+	if err != nil {
+		b.Fatal(err)
+	}
+	interleaved := make([][]byte, spec.ReduceParts)
+	for r := range interleaved {
+		var part []KV
+		for _, kv := range kvs {
+			if kv.K%int64(spec.ReduceParts) == int64(r) {
+				part = append(part, kv)
+			}
+		}
+		interleaved[r] = mustRun(b, part)
+	}
 	b.Run("reduce", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			reduce()
 		}
 	})
-	b.Run("merge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mergeKVRuns(spec, parts); err != nil {
-				b.Fatal(err)
+	for _, m := range []struct {
+		name  string
+		parts [][]byte
+	}{{"merge", parts}, {"merge-interleaved", interleaved}} {
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got, err := mergeKVRuns(spec, m.parts); err != nil || len(got) != len(out) {
+					b.Fatal(len(got), err)
+				}
 			}
-		}
-		b.ReportMetric(float64(len(out))/float64(spec.Records), "B/rec")
-	})
+			b.ReportMetric(float64(len(out))/float64(spec.Records), "B/rec")
+		})
+	}
 	b.Run("decode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if kvs, err := DecodeKVs(out); err != nil || len(kvs) != int(spec.Records) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hpcmr/engine"
-	"hpcmr/fault"
 )
 
 // mapGauge counts gauge-map's Map calls in progress and the most there
@@ -149,7 +148,11 @@ func TestShutdownBehindFullWindow(t *testing.T) {
 // TestKillDuringWindowedMapStage: an executor killed in the middle of a
 // 400-task map stage takes a whole window of dispatched attempts with
 // it. Every one is requeued as a loss — no task spends its retry
-// budget — and the result is byte-identical to a clean run.
+// budget — and the result is byte-identical to a clean run. The kill
+// waits for an event, not a task count: once 100 tasks have completed,
+// the first attempt that starts on the victim with cores others already
+// in flight kills it before its own body runs, so the window is never
+// empty when it goes.
 func TestKillDuringWindowedMapStage(t *testing.T) {
 	spec := JobSpec{Job: "keyed-sum", MapParts: 400, ReduceParts: 3, Records: 100_000, Keys: 64}
 	clean, err := StartLocal(LocalConfig{Executors: 3, Logf: t.Logf})
@@ -163,15 +166,15 @@ func TestKillDuringWindowedMapStage(t *testing.T) {
 	}
 
 	const victim, cores = 1, 2
-	plan := fault.Plan{Events: []fault.Event{{Kind: fault.KindCrash, Node: victim, AfterTasks: 100}}}
-	lc, err := StartLocal(LocalConfig{Executors: 3, CoresPerExecutor: cores, Plan: plan, Logf: t.Logf})
+	lc, err := StartLocal(LocalConfig{Executors: 3, CoresPerExecutor: cores, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lc.Close()
 	rt := lc.Driver.Runtime()
 	var mu sync.Mutex
-	var running, peak, lost int
+	var running, peak, lost, completed int
+	killed := false
 	mapFailures := int64(-1) // the task failures recorded when the map stage ended
 	rt.AddListener(engine.FuncListener{
 		StageEnd: func(m engine.StageMetrics) {
@@ -188,18 +191,26 @@ func TestKillDuringWindowedMapStage(t *testing.T) {
 			mu.Lock()
 			running++
 			peak = max(peak, running)
+			kill := !killed && completed >= 100 && running > cores
+			killed = killed || kill
 			mu.Unlock()
+			if kill {
+				lc.Driver.killExecutor(victim)
+			}
 		},
 		TaskEnd: func(e engine.TaskEvent) {
+			mu.Lock()
+			defer mu.Unlock()
+			if !e.Failed {
+				completed++
+			}
 			if e.Executor != victim {
 				return
 			}
-			mu.Lock()
 			running--
 			if e.Failed {
 				lost++
 			}
-			mu.Unlock()
 		},
 	})
 	got, err := lc.Run(spec)

@@ -71,13 +71,9 @@ const (
 	// elbThreshold is the load balancer's pause threshold: a node 25 %
 	// above the average intermediate volume stops taking tasks.
 	elbThreshold = 0.25
-	// Speculation starts once speculationQuantile of a stage's tasks have
-	// completed; a task running longer than speculationMultiplier times
-	// the median completed duration then gets a second copy. Stragglers
-	// are looked for every speculationInterval.
-	speculationQuantile   = 0.75
-	speculationMultiplier = 1.5
-	speculationInterval   = 50 * time.Millisecond
+	// speculationInterval is how often a speculating stage looks for
+	// stragglers (sched.Stage.Speculate).
+	speculationInterval = 50 * time.Millisecond
 	// faultCheckInterval is the period of the time-based crash-trigger
 	// poll while a stage runs under a fault injector.
 	faultCheckInterval = 10 * time.Millisecond
@@ -111,11 +107,10 @@ type Config struct {
 	// fails (default 4, as in Spark).
 	MaxTaskFailures int
 	// Speculation enables speculative re-execution of stragglers (the
-	// LATE/Mantri family the paper's related work discusses): once
-	// speculationQuantile of a stage's tasks have completed, a task
-	// running longer than speculationMultiplier times the median
-	// completed duration gets a second copy on another slot; the first
-	// finisher wins.
+	// LATE/Mantri family the paper's related work discusses): once 75 %
+	// of a stage's tasks have completed, a task running longer than 1.5
+	// times the median completed duration gets a second copy on another
+	// slot; the first finisher wins.
 	Speculation bool
 	// SchedAudit, when set, receives scheduler decision events (ELB
 	// pause/resume, CAD throttle adjustments, delay-scheduling waits)
@@ -163,7 +158,7 @@ func (c Config) withDefaults() Config {
 		c.CoresPerExecutor = 1
 	}
 	if c.MaxTaskFailures <= 0 {
-		c.MaxTaskFailures = 4
+		c.MaxTaskFailures = sched.DefaultMaxFailures
 	}
 	if c.MaxFetchRetries <= 0 {
 		c.MaxFetchRetries = 3

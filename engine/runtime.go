@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -193,14 +192,14 @@ func (rt *Runtime) AuditRecovery(kind string, node int, value float64, detail st
 }
 
 // FailExecutor permanently removes an executor: its slots stop
-// dispatching, attempts in flight on it are discarded when they return
-// (and their tasks requeued), and every shuffle map output it produced
-// is invalidated so lineage re-execution rebuilds it. The invalidated
-// partitions are returned. Failing an already-dead executor is a no-op.
+// dispatching, the tasks of attempts dispatched to it are requeued on
+// the survivors at once (the attempts are discarded when they return),
+// and every shuffle map output it produced is invalidated so lineage
+// re-execution rebuilds it. The invalidated partitions are returned.
+// Failing an already-dead executor is a no-op.
 //
 // The executor's persistent workers stay alive and keep draining their
-// queue: each queued attempt hits the dead-executor abort in runTask,
-// which requeues the task on the survivors.
+// queue: each queued attempt hits the dead-executor abort in runTask.
 //
 // Fault plans call this through the injector's crash triggers; tests
 // and operators may call it directly.
@@ -445,66 +444,35 @@ func (rt *Runtime) launchAttempt(st *stageState, d sched.Decision, exec int) {
 	}
 }
 
-// stageState tracks one stage execution under the dispatcher lock.
-//
-// Accounting contract (the invariants the retry/speculation audit
-// fixed): remaining decrements exactly once per task, strictly together
-// with setting done; failures counts real failed attempts (not launch
-// indices), so a failed speculative copy cannot exhaust a task's budget
-// while a healthy sibling runs; retries never holds a task twice
-// (queued), and a task is only requeued when it has no live attempt
-// left; the stage exits when all tasks are done, or on failure once
-// in-flight attempts drain (inFlight) — even if tasks were never
-// launched.
+// stageState adapts one stage to the runtime: a sched.Stage — the
+// dispatcher the simulator drives too, with its sticky declines within a
+// sweep, retry-hint ticks that re-offer every node and a full pass for
+// forced tasks — decides every launch, requeue and stage failure. The
+// stage feeds it under mu from worker goroutines, time.AfterFunc timers
+// and executor losses, on the policy clock: seconds since the stage
+// started. What stays here is the runtime's side: the hand-off to
+// executor workers, listeners, metrics, fault injection, the
+// count-triggered crash checks and the driver wake-up.
 //
 // Dispatch is completion-driven: a finishing attempt re-offers the
-// freed slot inline (dispatchLocked) and the driver goroutine in
-// RunStage is only woken on terminal transitions (wakeDriverLocked), so
-// routine completions do not bounce through a cond-broadcast and a
-// driver wakeup per task.
+// freed slot inline and the driver goroutine in RunStage is only woken
+// on terminal transitions (wakeDriverLocked), so routine completions do
+// not bounce through a cond-broadcast and a driver wakeup per task.
 type stageState struct {
 	rt      *Runtime
 	stageID int
 	name    string
-	policy  sched.Policy
-	// window is each executor's window slots, the ones past its run
-	// slots (0 unless Config.RemoteBodies); local fills them, nil when
-	// there are none or the policy cannot.
-	window   int
-	local    sched.LocalOfferer
-	tasks    []TaskSpec
-	attempts []int
+	tasks   []TaskSpec
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// idle is the free slots per executor (0 forever once dead); a run
-	// slot is free while it exceeds window.
-	idle          []int
-	declined      []bool // sweepLocked's per-executor scratch
-	retries       []int  // failed or speculated tasks awaiting a launch
-	queued        []bool
-	failures      []int
-	liveOn        [][]int // executors currently running each task
-	remaining     int
-	inFlight      int
-	pendingTimers int // policy retry-hint timers outstanding
+	m    *sched.Stage
 	// crashChecks counts successful completions whose count-triggered
 	// crash check has not run yet; the stage resolves only at zero, so
 	// a crash due at a completion fires before RunStage returns.
 	crashChecks int
-	failed      error
 	finished    bool
 	start       time.Time
-
-	// speculation state
-	done       []bool
-	running    map[int]time.Time // task -> earliest live launch
-	speculated map[int]bool
-	// completedDurs is kept sorted (binary-search insertion on every
-	// completion) so each speculation scan reads the median directly
-	// instead of copying and sorting the slice.
-	completedDurs []float64
-	speculations  int
 }
 
 // now returns seconds since stage start (the policy clock).
@@ -532,39 +500,34 @@ func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 	rt.listeners.stageStart(name, len(tasks))
 
 	st := &stageState{
-		rt:         rt,
-		stageID:    stageID,
-		name:       name,
-		policy:     rt.cfg.newPolicy(),
-		tasks:      tasks,
-		attempts:   make([]int, len(tasks)),
-		idle:       make([]int, rt.cfg.Executors),
-		declined:   make([]bool, rt.cfg.Executors),
-		queued:     make([]bool, len(tasks)),
-		failures:   make([]int, len(tasks)),
-		liveOn:     make([][]int, len(tasks)),
-		remaining:  len(tasks),
-		start:      time.Now(),
-		done:       make([]bool, len(tasks)),
-		running:    make(map[int]time.Time),
-		speculated: make(map[int]bool),
-	}
-	if lo, ok := st.policy.(sched.LocalOfferer); ok && rt.cfg.RemoteBodies {
-		st.window, st.local = (windowPerCore-1)*rt.cfg.CoresPerExecutor, lo
+		rt:      rt,
+		stageID: stageID,
+		name:    name,
+		tasks:   tasks,
+		start:   time.Now(),
 	}
 	st.cond = sync.NewCond(&st.mu)
-	// One contiguous backing array serves every task's first (and almost
-	// always only) live-attempt record; speculation's second attempt is
-	// the rare case that grows past cap 1 and reallocates.
-	liveBack := make([]int, len(tasks))
-	for i := range st.liveOn {
-		st.liveOn[i] = liveBack[i : i : i+1]
-	}
-	for i := range st.idle {
+	slots := make([]int, rt.cfg.Executors)
+	for i := range slots {
 		if !rt.ExecutorDead(i) {
-			st.idle[i] = rt.cfg.CoresPerExecutor + st.window
+			slots[i] = rt.cfg.CoresPerExecutor
 		}
 	}
+	window := 0
+	if rt.cfg.RemoteBodies {
+		window = (windowPerCore - 1) * rt.cfg.CoresPerExecutor
+	}
+	st.m = sched.NewStage(sched.StageConfig{
+		Name:        name,
+		Policy:      rt.cfg.newPolicy(),
+		Slots:       slots,
+		Window:      window,
+		MaxFailures: rt.cfg.MaxTaskFailures,
+		Speculate:   rt.cfg.Speculation,
+		Launch:      func(d sched.Decision, exec int) { rt.launchAttempt(st, d, exec) },
+		Timer:       st.scheduleRetry,
+		Audit:       rt.cfg.SchedAudit,
+	}, len(tasks))
 	rt.mu.Lock()
 	rt.stages[st] = struct{}{}
 	rt.mu.Unlock()
@@ -588,21 +551,18 @@ func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 	}
 
 	st.mu.Lock()
-	st.policy.StageStart(infos, st.now())
 	stageStart := time.Now()
 	if rt.AliveExecutors() == 0 {
-		st.failed = ErrAllExecutorsLost
+		st.m.Abort(ErrAllExecutorsLost)
 	}
-	st.dispatchLocked()
+	st.m.Start(infos, st.now())
 	for !st.resolvedLocked() {
 		st.cond.Wait()
-		if st.remaining > 0 && st.failed == nil {
-			st.dispatchLocked()
-		}
+		st.m.Dispatch(st.now())
 	}
 	st.finished = true
-	err := st.failed
-	specs := st.speculations
+	err := st.m.Err()
+	specs := st.m.Speculations()
 	st.mu.Unlock()
 
 	sm := StageMetrics{Name: name, Tasks: len(tasks), Duration: time.Since(stageStart), Success: err == nil}
@@ -615,191 +575,28 @@ func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 	return nil
 }
 
-// requeueLocked ensures a task will run again, unless it is already
-// done, already queued, or still has a live attempt that may yet
-// succeed (in which case that attempt's own completion decides).
-func (st *stageState) requeueLocked(id int) {
-	if st.done[id] || st.queued[id] || len(st.liveOn[id]) > 0 {
-		return
-	}
-	st.queued[id] = true
-	st.retries = append(st.retries, id)
-	delete(st.running, id)
-}
-
-// removeLiveLocked drops one live-attempt record of task id on exec;
-// absent records (already dropped by executorLost) are tolerated.
-func (st *stageState) removeLiveLocked(id, exec int) {
-	live := st.liveOn[id]
-	for i, e := range live {
-		if e == exec {
-			st.liveOn[id] = append(live[:i], live[i+1:]...)
-			return
-		}
-	}
-}
-
-// executorLost reacts to an executor failure while the stage runs:
-// its slots are withdrawn, tasks whose only live attempts were on it
-// are requeued, and the stage fails outright if no executor survives.
+// executorLost reacts to an executor failure while the stage runs: the
+// machine withdraws its slots and requeues its attempts' tasks, and the
+// stage fails outright if no executor survives.
 func (st *stageState) executorLost(exec int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.finished || exec < 0 || exec >= len(st.idle) {
+	if st.finished {
 		return
 	}
-	st.idle[exec] = 0
-	for id := range st.tasks {
-		if st.done[id] {
-			continue
-		}
-		live := st.liveOn[id][:0]
-		lostAttempt := false
-		for _, e := range st.liveOn[id] {
-			if e == exec {
-				lostAttempt = true
-			} else {
-				live = append(live, e)
-			}
-		}
-		st.liveOn[id] = live
-		if lostAttempt && len(live) == 0 {
-			st.rt.auditFault("requeue", exec, float64(id),
-				fmt.Sprintf("stage=%s task=%d lost with executor", st.name, id))
-			st.requeueLocked(id)
-		}
+	st.m.NodeLost(exec)
+	if st.rt.AliveExecutors() == 0 {
+		st.m.Abort(ErrAllExecutorsLost)
 	}
-	if st.rt.AliveExecutors() == 0 && st.failed == nil {
-		st.failed = ErrAllExecutorsLost
-	}
-	if st.failed == nil {
-		st.dispatchLocked()
-	}
+	st.m.Dispatch(st.now())
 	st.cond.Broadcast()
-}
-
-// dispatchLocked offers every free slot to the policy. Called with
-// st.mu held. Run slots — free while fewer than CoresPerExecutor of an
-// executor's attempts are in flight — take retries first, each on the
-// executor with the most free run slots, then what the policy's Offer
-// gives in one round-robin sweep, stealing included. This is the
-// simulator's order (internal/core offerAll). Window slots are offered
-// only after every run slot, and take only what OfferLocal gives: an
-// attempt queued behind others must not hold a task its owner could
-// start first.
-func (st *stageState) dispatchLocked() {
-	if st.failed != nil {
-		return
-	}
-	for pass := 0; ; pass++ {
-		// Retried and speculated tasks run before fresh offers; entries
-		// whose task has meanwhile completed are dropped. Each goes to
-		// the executor with the most free run slots so a retry burst
-		// spreads across the cluster instead of piling onto executor 0.
-		for len(st.retries) > 0 {
-			id := st.retries[0]
-			if st.done[id] {
-				st.retries = st.retries[1:]
-				st.queued[id] = false
-				continue
-			}
-			best := -1
-			for exec := range st.idle {
-				if st.idle[exec] > st.window && (best < 0 || st.idle[exec] > st.idle[best]) {
-					best = exec
-				}
-			}
-			if best < 0 {
-				break // every run slot busy
-			}
-			st.retries = st.retries[1:]
-			st.queued[id] = false
-			st.idle[best]--
-			st.inFlight++
-			st.rt.launchAttempt(st, sched.Decision{TaskID: id, Local: false}, best)
-		}
-		st.sweepLocked(false)
-		if st.local != nil {
-			st.sweepLocked(true)
-		}
-		// Wedge breaker: nothing is running, nothing is queued, no
-		// retry timer is armed, yet tasks remain — the policy has
-		// stranded them (e.g. tasks pinned to a crashed executor, or a
-		// load balancer pausing every surviving node with no completion
-		// left to resume it). Force the stranded tasks through the
-		// retry queue so the stage always either progresses or fails.
-		if pass == 0 && st.inFlight == 0 && st.remaining > 0 &&
-			len(st.retries) == 0 && st.pendingTimers == 0 {
-			forced := 0
-			for id := range st.tasks {
-				if !st.done[id] && !st.queued[id] && len(st.liveOn[id]) == 0 {
-					st.requeueLocked(id)
-					forced++
-				}
-			}
-			if forced > 0 {
-				st.rt.auditFault("force-dispatch", -1, float64(forced),
-					fmt.Sprintf("stage=%s stranded tasks forced past the policy", st.name))
-				continue
-			}
-		}
-		return
-	}
-}
-
-// sweepLocked offers free slots round-robin, one per executor per
-// pass, until every executor has declined or filled: run slots through
-// Offer, or, with window set, window slots through OfferLocal. Run
-// slots go round-robin so that a stage smaller than the cluster spreads
-// over executors and every executor is offered a slot before any
-// executor's second core can steal (popAny) a task preferring a node
-// not yet offered; window slots, so that local work spreads over its
-// owners' windows in turn. Declines are sticky within one sweep —
-// the queue only shrinks and pause state only changes on completions,
-// so a declined executor stays declined.
-func (st *stageState) sweepLocked(window bool) {
-	floor := st.window // a run slot is free while idle exceeds it
-	if window {
-		floor = 0
-	}
-	clear(st.declined)
-	for progressed := true; progressed; {
-		progressed = false
-		for exec := range st.idle {
-			if st.idle[exec] <= floor || st.declined[exec] {
-				continue
-			}
-			var d sched.Decision
-			if window {
-				d = st.local.OfferLocal(exec, st.now())
-			} else {
-				d = st.policy.Offer(exec, st.now())
-			}
-			if d.TaskID < 0 {
-				if d.Retry > 0 {
-					st.scheduleRetry(d.Retry)
-				}
-				st.declined[exec] = true
-				continue
-			}
-			progressed = true
-			if st.done[d.TaskID] {
-				// The policy re-issued a task the stage already
-				// force-dispatched; drop the stale assignment.
-				continue
-			}
-			st.idle[exec]--
-			st.inFlight++
-			st.rt.launchAttempt(st, d, exec)
-		}
-	}
 }
 
 // resolvedLocked is RunStage's exit condition: all tasks settled, or a
 // failed stage's in-flight attempts fully drained — and either way no
 // crash check still pending.
 func (st *stageState) resolvedLocked() bool {
-	return (st.remaining == 0 || (st.failed != nil && st.inFlight == 0)) && st.crashChecks == 0
+	return st.m.Settled() && st.crashChecks == 0
 }
 
 // wakeDriverLocked wakes the RunStage driver only when its wait
@@ -811,17 +608,13 @@ func (st *stageState) wakeDriverLocked() {
 	}
 }
 
-// scheduleRetry wakes the dispatcher after the policy-requested wait.
+// scheduleRetry ticks the machine after the policy-requested wait.
 func (st *stageState) scheduleRetry(after float64) {
-	st.pendingTimers++
 	time.AfterFunc(time.Duration(after*float64(time.Second))+time.Millisecond, func() {
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		st.pendingTimers--
-		if st.remaining > 0 && st.failed == nil {
-			st.dispatchLocked()
-			st.cond.Broadcast()
-		}
+		st.m.Tick(st.now())
+		st.cond.Broadcast()
 	})
 }
 
@@ -829,12 +622,11 @@ func (st *stageState) scheduleRetry(after float64) {
 func (st *stageState) scheduleSpeculationCheck() {
 	time.AfterFunc(speculationInterval, func() {
 		st.mu.Lock()
-		if st.finished || st.remaining == 0 || st.failed != nil {
+		if st.finished || st.m.Remaining() == 0 || st.m.Err() != nil {
 			st.mu.Unlock()
 			return
 		}
-		st.speculateLocked()
-		st.dispatchLocked()
+		st.m.Speculate(st.now())
 		st.cond.Broadcast()
 		st.mu.Unlock()
 		st.scheduleSpeculationCheck()
@@ -845,7 +637,7 @@ func (st *stageState) scheduleSpeculationCheck() {
 func (st *stageState) scheduleFaultCheck() {
 	time.AfterFunc(faultCheckInterval, func() {
 		st.mu.Lock()
-		fin := st.finished || st.remaining == 0
+		fin := st.finished || st.m.Remaining() == 0
 		st.mu.Unlock()
 		if fin {
 			return
@@ -853,40 +645,6 @@ func (st *stageState) scheduleFaultCheck() {
 		st.rt.checkTimeCrashes()
 		st.scheduleFaultCheck()
 	})
-}
-
-// recordCompletedDurLocked inserts one completed duration keeping
-// completedDurs sorted, so speculation scans are O(1) median reads
-// instead of re-copying and re-sorting per scan.
-func (st *stageState) recordCompletedDurLocked(dur float64) {
-	i := sort.SearchFloat64s(st.completedDurs, dur)
-	st.completedDurs = append(st.completedDurs, 0)
-	copy(st.completedDurs[i+1:], st.completedDurs[i:])
-	st.completedDurs[i] = dur
-}
-
-// speculateLocked queues second copies of straggling tasks. Called with
-// st.mu held; completedDurs is already sorted.
-func (st *stageState) speculateLocked() {
-	total := len(st.tasks)
-	if float64(len(st.completedDurs)) < speculationQuantile*float64(total) {
-		return
-	}
-	threshold := st.completedDurs[len(st.completedDurs)/2] * speculationMultiplier
-	now := time.Now()
-	for id, since := range st.running {
-		if st.done[id] || st.speculated[id] || st.queued[id] {
-			continue
-		}
-		if now.Sub(since).Seconds() > threshold {
-			st.speculated[id] = true
-			st.speculations++
-			// Deliberately duplicates a live task: queued is set so the
-			// duplicate cannot itself be duplicated before launching.
-			st.queued[id] = true
-			st.retries = append(st.retries, id)
-		}
-	}
 }
 
 // runTask executes one attempt on an executor worker (or an overflow
@@ -897,29 +655,20 @@ func (st *stageState) runTask(d sched.Decision, exec int, scratch *TaskContext) 
 	inj := rt.cfg.Faults
 
 	st.mu.Lock()
-	if st.done[d.TaskID] || rt.ExecutorDead(exec) {
-		// Launch aborted: the task already completed, or the executor
-		// died between dispatch and launch. A failed stage does NOT
-		// abort here — dispatched attempts drain normally.
-		if !rt.ExecutorDead(exec) {
-			st.idle[exec]++
-		}
-		st.inFlight--
-		if !st.done[d.TaskID] && st.failed == nil {
-			st.requeueLocked(d.TaskID)
-		}
-		if st.failed == nil {
-			st.dispatchLocked()
-		}
+	attempt, run := 0, false
+	if rt.ExecutorDead(exec) {
+		st.m.Finished(d.TaskID, exec, st.now(), sched.Loss, sched.TaskStats{}, nil)
+	} else {
+		attempt, run = st.m.Started(d.TaskID, exec, st.now())
+	}
+	if !run {
+		// Launch aborted: the executor died between dispatch and launch,
+		// or a sibling settled the task. A failed stage does NOT abort
+		// here — dispatched attempts drain normally.
+		st.m.Dispatch(st.now())
 		st.wakeDriverLocked()
 		st.mu.Unlock()
 		return
-	}
-	attempt := st.attempts[d.TaskID]
-	st.attempts[d.TaskID]++
-	st.liveOn[d.TaskID] = append(st.liveOn[d.TaskID], exec)
-	if _, live := st.running[d.TaskID]; !live {
-		st.running[d.TaskID] = time.Now()
 	}
 	st.mu.Unlock()
 
@@ -982,69 +731,25 @@ func (st *stageState) runTask(d sched.Decision, exec int, scratch *TaskContext) 
 	})
 
 	st.mu.Lock()
-	lost := rt.ExecutorDead(exec) // died while the attempt ran
-	st.removeLiveLocked(d.TaskID, exec)
-	st.inFlight--
-	if !lost {
-		st.idle[exec]++
-	}
-	if st.done[d.TaskID] {
-		// A sibling attempt already settled this task; discard.
-		if st.failed == nil {
-			st.dispatchLocked()
-		}
-		st.wakeDriverLocked()
-		st.mu.Unlock()
-		return
-	}
-	if lost {
+	out := sched.Success
+	switch {
+	case rt.ExecutorDead(exec):
 		// The attempt went down with its executor: that is a loss, not
 		// a failure — it does not burn the task's retry budget.
-		rt.auditFault("task-lost", exec, float64(d.TaskID),
-			fmt.Sprintf("stage=%s attempt=%d discarded", st.name, attempt))
-		st.requeueLocked(d.TaskID)
-		if st.failed == nil {
-			st.dispatchLocked()
-		}
-		st.wakeDriverLocked()
-		st.mu.Unlock()
-		return
+		out = sched.Loss
+	case err != nil:
+		out = sched.Failure
 	}
-	st.policy.Completed(d.TaskID, exec, st.now(), sched.TaskStats{
-		Duration:          dur,
-		IntermediateBytes: tc.shuffleBytes,
-	})
-	rt.metrics.recordTask(dur, tc.shuffleBytes, tc.shuffleRecords, d.Local, err != nil)
-	success := err == nil
-	switch {
-	case success:
-		st.done[d.TaskID] = true
-		delete(st.running, d.TaskID)
-		st.recordCompletedDurLocked(dur)
-		st.remaining--
-	default:
-		st.failures[d.TaskID]++
-		if st.failures[d.TaskID] >= rt.cfg.MaxTaskFailures {
-			if st.failed == nil {
-				st.failed = fmt.Errorf("task %d failed after %d attempts: %w",
-					d.TaskID, st.failures[d.TaskID], err)
-			}
-			st.done[d.TaskID] = true
-			delete(st.running, d.TaskID)
-			st.remaining-- // give up on this task; drain the rest
-		} else {
-			// Requeue unless a live sibling attempt may still succeed;
-			// if that sibling fails too, its completion requeues.
-			st.requeueLocked(d.TaskID)
-		}
+	counted := st.m.Finished(d.TaskID, exec, st.now(), out,
+		sched.TaskStats{Duration: dur, IntermediateBytes: tc.shuffleBytes}, err)
+	if counted {
+		rt.metrics.recordTask(dur, tc.shuffleBytes, tc.shuffleRecords, d.Local, err != nil)
 	}
-	crashCheck := inj != nil && success
+	crashCheck := inj != nil && counted && out == sched.Success
 	if crashCheck {
 		st.crashChecks++
 	}
-	if st.failed == nil {
-		st.dispatchLocked()
-	}
+	st.m.Dispatch(st.now())
 	st.wakeDriverLocked()
 	st.mu.Unlock()
 

@@ -112,12 +112,11 @@ type Node struct {
 	// SSD is the raw SSD beneath the page cache, when configured.
 	SSD *storage.SSD
 
-	speed     float64
-	drift     float64
-	phase     float64
-	period    float64
-	idleCores int
-	down      bool
+	speed  float64
+	drift  float64
+	phase  float64
+	period float64
+	down   bool
 }
 
 // Cluster is the assembled machine.
@@ -154,13 +153,12 @@ func New(cfg Config) *Cluster {
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &Node{
-			ID:        i,
-			Cores:     cfg.CoresPerNode,
-			idleCores: cfg.CoresPerNode,
-			speed:     math.Exp(rng.NormFloat64() * cfg.Skew.Sigma),
-			drift:     cfg.Skew.DriftAmplitude,
-			phase:     rng.Float64() * 2 * math.Pi,
-			period:    cfg.Skew.DriftPeriod,
+			ID:     i,
+			Cores:  cfg.CoresPerNode,
+			speed:  math.Exp(rng.NormFloat64() * cfg.Skew.Sigma),
+			drift:  cfg.Skew.DriftAmplitude,
+			phase:  rng.Float64() * 2 * math.Pi,
+			period: cfg.Skew.DriftPeriod,
 		}
 		switch cfg.LocalDevice {
 		case RAMDiskDevice:
@@ -194,32 +192,13 @@ func (n *Node) Speed(t float64) float64 {
 	return s
 }
 
-// IdleCores returns the node's free core slots.
-func (n *Node) IdleCores() int { return n.idleCores }
-
 // Alive reports whether the node is still part of the cluster.
 func (n *Node) Alive() bool { return !n.down }
 
-// Fail permanently removes the node: it stops accepting task launches
-// and its core accounting is frozen. Work already dispatched to it is
-// the scheduler's problem (see core's stageRunner.nodeLost).
+// Fail permanently removes the node: it stops accepting task launches.
+// Work already dispatched to it is the scheduler's problem (see
+// sched.Stage.NodeLost).
 func (n *Node) Fail() { n.down = true }
-
-// AcquireCore takes a core slot; it reports false when none are free.
-func (n *Node) AcquireCore() bool {
-	if n.idleCores <= 0 {
-		return false
-	}
-	n.idleCores--
-	return true
-}
-
-// ReleaseCore frees a core slot.
-func (n *Node) ReleaseCore() {
-	if n.idleCores < n.Cores {
-		n.idleCores++
-	}
-}
 
 // LocalDevices returns the per-node local devices as a slice usable by
 // the DFS layer; entries are nil when the cluster has no local device.

@@ -83,31 +83,6 @@ func TestNoLocalDevice(t *testing.T) {
 	}
 }
 
-func TestCoreAccounting(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.CoresPerNode = 2
-	c := New(cfg)
-	n := c.Nodes[0]
-	if n.IdleCores() != 2 {
-		t.Fatalf("idle = %d", n.IdleCores())
-	}
-	if !n.AcquireCore() || !n.AcquireCore() {
-		t.Fatal("acquire failed")
-	}
-	if n.AcquireCore() {
-		t.Fatal("acquired a third core of two")
-	}
-	n.ReleaseCore()
-	if n.IdleCores() != 1 {
-		t.Fatalf("idle after release = %d", n.IdleCores())
-	}
-	n.ReleaseCore()
-	n.ReleaseCore() // over-release is clamped
-	if n.IdleCores() != 2 {
-		t.Fatalf("idle = %d, want 2", n.IdleCores())
-	}
-}
-
 func TestSpeedPositiveProperty(t *testing.T) {
 	cfg := DefaultConfig(20)
 	cfg.Skew = SkewConfig{Sigma: 0.5, DriftAmplitude: 0.3, DriftPeriod: 100}

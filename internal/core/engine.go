@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hpcmr/fault"
 	"hpcmr/internal/cluster"
@@ -77,11 +78,8 @@ func (e *Engine) stageStarted(r *stageRunner) {
 
 // stageDone removes a finished stage from the crash fan-out set.
 func (e *Engine) stageDone(r *stageRunner) {
-	for i, s := range e.activeStages {
-		if s == r {
-			e.activeStages = append(e.activeStages[:i], e.activeStages[i+1:]...)
-			return
-		}
+	if i := slices.Index(e.activeStages, r); i >= 0 {
+		e.activeStages = slices.Delete(e.activeStages, i, i+1)
 	}
 }
 
@@ -95,8 +93,7 @@ func (e *Engine) crashNode(node int) {
 	e.Tracer.InstantEvent(trace.CatFault, "fault:crash", node, 0, "node failed")
 	// Snapshot: nodeLost re-offers slots, which can finish stages and
 	// mutate activeStages under us.
-	stages := append([]*stageRunner(nil), e.activeStages...)
-	for _, r := range stages {
+	for _, r := range slices.Clone(e.activeStages) {
 		r.nodeLost(node)
 	}
 }

@@ -18,8 +18,8 @@ type ELB struct {
 	// per-node load snapshot) every time a node's exclusion state flips.
 	Audit AuditFunc
 
+	queueBase
 	nodes     int
-	q         *taskQueue
 	nodeBytes []float64
 	total     float64
 	paused    []bool // last audited exclusion state, per node
@@ -34,11 +34,6 @@ func NewELB(nodes int, threshold float64) *ELB {
 		threshold = 0.25
 	}
 	return &ELB{Threshold: threshold, nodes: nodes, nodeBytes: make([]float64, nodes)}
-}
-
-// StageStart implements Policy. Task locality preferences are ignored.
-func (p *ELB) StageStart(tasks []TaskInfo, now float64) {
-	p.q = newTaskQueue(tasks)
 }
 
 // average returns the mean intermediate volume per node.
@@ -115,12 +110,4 @@ func (p *ELB) auditTransitions(now float64) {
 				p.nodeBytes[n], avg, p.Threshold, now),
 		})
 	}
-}
-
-// Pending implements Policy.
-func (p *ELB) Pending() int {
-	if p.q == nil {
-		return 0
-	}
-	return p.q.len()
 }

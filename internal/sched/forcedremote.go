@@ -5,16 +5,11 @@ package sched
 // task execution times with local versus remote data to show that
 // pipelining input with computation erases the locality benefit.
 type ForcedRemote struct {
-	q *taskQueue
+	queueBase
 }
 
 // NewForcedRemote returns the anti-locality policy.
 func NewForcedRemote() *ForcedRemote { return &ForcedRemote{} }
-
-// StageStart implements Policy.
-func (p *ForcedRemote) StageStart(tasks []TaskInfo, now float64) {
-	p.q = newTaskQueue(tasks)
-}
 
 // Offer implements Policy: pick the oldest pending task not local to the
 // offering node; fall back to a local task only when nothing else is
@@ -38,15 +33,4 @@ func (p *ForcedRemote) Offer(node int, now float64) Decision {
 		return Decline(0)
 	}
 	return Decision{TaskID: t.ID, Local: isLocal(t, node)}
-}
-
-// Completed implements Policy.
-func (p *ForcedRemote) Completed(task, node int, now float64, stats TaskStats) {}
-
-// Pending implements Policy.
-func (p *ForcedRemote) Pending() int {
-	if p.q == nil {
-		return 0
-	}
-	return p.q.len()
 }

@@ -5,18 +5,11 @@ package sched
 // lives on a specific node and therefore cannot move. Wrap it with CAD
 // to throttle the dispatch of exactly these tasks, as Section VI-B does.
 type Pinned struct {
-	q *taskQueue
+	queueBase
 }
 
 // NewPinned returns a pinned-task dispatcher.
 func NewPinned() *Pinned { return &Pinned{} }
-
-// StageStart implements Policy. Every task must carry at least one
-// preferred node; tasks without preferences are treated as runnable
-// anywhere.
-func (p *Pinned) StageStart(tasks []TaskInfo, now float64) {
-	p.q = newTaskQueue(tasks)
-}
 
 // Offer implements Policy.
 func (p *Pinned) Offer(node int, now float64) Decision {
@@ -31,15 +24,4 @@ func (p *Pinned) Offer(node int, now float64) Decision {
 		return Decision{TaskID: t.ID, Local: true}
 	}
 	return Decline(0)
-}
-
-// Completed implements Policy.
-func (p *Pinned) Completed(task, node int, now float64, stats TaskStats) {}
-
-// Pending implements Policy.
-func (p *Pinned) Pending() int {
-	if p.q == nil {
-		return 0
-	}
-	return p.q.len()
 }

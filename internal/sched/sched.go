@@ -19,13 +19,14 @@
 //     by 2x, the per-node in-flight bound halves; when it drops by half,
 //     the bound grows by one.
 //
-// The runtime contract: the executor framework calls StageStart once per
-// stage, Offer whenever a node has a free slot, and Completed when a task
-// finishes. Offer either assigns a task or declines with an optional
-// retry hint; runtimes also re-offer idle slots whenever any task
-// completes. Both runtimes offer in the same order: retries first, each
-// to the node with the most idle slots, then one slot per node per
-// round-robin sweep.
+// The runtime contract: StageStart once per stage, Offer whenever a node
+// has a free slot, Completed when an attempt succeeds or fails. Offer
+// assigns a task or declines with an optional retry hint. No runtime
+// calls a policy itself: the simulator and the engine both drive one
+// Stage, the dispatcher that decides which slot is offered next —
+// declines stick for the rest of a sweep, a retry hint's tick re-offers
+// every node, and stranded tasks forced past the policy get a full pass
+// — so both place tasks alike.
 package sched
 
 import "fmt"
@@ -102,27 +103,14 @@ func newTaskQueue(tasks []TaskInfo) *taskQueue {
 	return q
 }
 
-// popNoPref removes and returns the oldest preference-free pending
-// task, or ok=false.
-func (q *taskQueue) popNoPref() (TaskInfo, bool) {
-	for len(q.noPref) > 0 {
-		id := q.noPref[0]
-		q.noPref = q.noPref[1:]
-		if t, ok := q.pending[id]; ok {
-			delete(q.pending, id)
-			return t, true
-		}
-	}
-	return TaskInfo{}, false
-}
-
 func (q *taskQueue) len() int { return len(q.pending) }
 
-// popAny removes and returns the oldest pending task, or ok=false.
-func (q *taskQueue) popAny() (TaskInfo, bool) {
-	for len(q.order) > 0 {
-		id := q.order[0]
-		q.order = q.order[1:]
+// pop removes and returns the first task of ids still pending, or
+// ok=false; it drops the entries it passes.
+func (q *taskQueue) pop(ids *[]int) (TaskInfo, bool) {
+	for len(*ids) > 0 {
+		id := (*ids)[0]
+		*ids = (*ids)[1:]
 		if t, ok := q.pending[id]; ok {
 			delete(q.pending, id)
 			return t, true
@@ -131,21 +119,39 @@ func (q *taskQueue) popAny() (TaskInfo, bool) {
 	return TaskInfo{}, false
 }
 
-// popLocal removes and returns the oldest pending task preferring node,
-// or ok=false.
+// popNoPref removes and returns the oldest preference-free pending task.
+func (q *taskQueue) popNoPref() (TaskInfo, bool) { return q.pop(&q.noPref) }
+
+// popAny removes and returns the oldest pending task.
+func (q *taskQueue) popAny() (TaskInfo, bool) { return q.pop(&q.order) }
+
+// popLocal removes and returns the oldest pending task preferring node.
 func (q *taskQueue) popLocal(node int) (TaskInfo, bool) {
 	ids := q.byNode[node]
-	for len(ids) > 0 {
-		id := ids[0]
-		ids = ids[1:]
-		if t, ok := q.pending[id]; ok {
-			q.byNode[node] = ids
-			delete(q.pending, id)
-			return t, true
-		}
-	}
+	t, ok := q.pop(&ids)
 	q.byNode[node] = ids
-	return TaskInfo{}, false
+	return t, ok
+}
+
+// queueBase is the pending-task queue of a placement policy, with the
+// Policy methods the policies share: a fresh queue per stage, nothing
+// to learn from completions, and Pending.
+type queueBase struct {
+	q *taskQueue
+}
+
+// StageStart implements Policy.
+func (b *queueBase) StageStart(tasks []TaskInfo, now float64) { b.q = newTaskQueue(tasks) }
+
+// Completed implements Policy.
+func (b *queueBase) Completed(task, node int, now float64, stats TaskStats) {}
+
+// Pending implements Policy.
+func (b *queueBase) Pending() int {
+	if b.q == nil {
+		return 0
+	}
+	return b.q.len()
 }
 
 func isLocal(t TaskInfo, node int) bool {
@@ -159,14 +165,11 @@ func isLocal(t TaskInfo, node int) bool {
 
 // FIFO launches tasks in ID order on any offering slot.
 type FIFO struct {
-	q *taskQueue
+	queueBase
 }
 
 // NewFIFO returns the compute-centric baseline policy.
 func NewFIFO() *FIFO { return &FIFO{} }
-
-// StageStart implements Policy.
-func (p *FIFO) StageStart(tasks []TaskInfo, now float64) { p.q = newTaskQueue(tasks) }
 
 // Offer implements Policy.
 func (p *FIFO) Offer(node int, now float64) Decision {
@@ -196,31 +199,15 @@ func (p *FIFO) OfferLocal(node int, now float64) Decision {
 	return Decision{TaskID: t.ID, Local: true}
 }
 
-// Completed implements Policy.
-func (p *FIFO) Completed(task, node int, now float64, stats TaskStats) {}
-
-// Pending implements Policy.
-func (p *FIFO) Pending() int {
-	if p.q == nil {
-		return 0
-	}
-	return p.q.len()
-}
-
 // LocalityPreferring launches a node-local task when one is pending and
 // otherwise immediately launches any task — locality as a preference,
 // never a wait.
 type LocalityPreferring struct {
-	q *taskQueue
+	queueBase
 }
 
 // NewLocalityPreferring returns the no-wait locality policy.
 func NewLocalityPreferring() *LocalityPreferring { return &LocalityPreferring{} }
-
-// StageStart implements Policy.
-func (p *LocalityPreferring) StageStart(tasks []TaskInfo, now float64) {
-	p.q = newTaskQueue(tasks)
-}
 
 // Offer implements Policy.
 func (p *LocalityPreferring) Offer(node int, now float64) Decision {
@@ -237,17 +224,6 @@ func (p *LocalityPreferring) Offer(node int, now float64) Decision {
 	return Decision{TaskID: t.ID, Local: isLocal(t, node)}
 }
 
-// Completed implements Policy.
-func (p *LocalityPreferring) Completed(task, node int, now float64, stats TaskStats) {}
-
-// Pending implements Policy.
-func (p *LocalityPreferring) Pending() int {
-	if p.q == nil {
-		return 0
-	}
-	return p.q.len()
-}
-
 // Delay implements Spark's delay scheduling: a slot whose node holds no
 // pending local task is declined until the stage has gone Wait seconds
 // without a *local* launch, at which point locality is given up and
@@ -261,7 +237,7 @@ type Delay struct {
 	// declined while the policy holds out for locality.
 	Audit AuditFunc
 
-	q          *taskQueue
+	queueBase
 	lastLaunch float64
 }
 
@@ -307,15 +283,4 @@ func (p *Delay) Offer(node int, now float64) Decision {
 	// The wait stays expired until the next local launch, so the
 	// backlog drains instead of trickling one task per wait period.
 	return Decision{TaskID: t.ID, Local: isLocal(t, node)}
-}
-
-// Completed implements Policy.
-func (p *Delay) Completed(task, node int, now float64, stats TaskStats) {}
-
-// Pending implements Policy.
-func (p *Delay) Pending() int {
-	if p.q == nil {
-		return 0
-	}
-	return p.q.len()
 }

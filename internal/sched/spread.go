@@ -6,9 +6,8 @@ package sched
 // executor rather than packing the first executors' slots, which would
 // funnel all shuffle traffic into a few NICs.
 type Spread struct {
-	nodes int
-
-	q        *taskQueue
+	queueBase
+	nodes    int
 	launched []int
 	quota    int
 }
@@ -44,15 +43,4 @@ func (p *Spread) Offer(node int, now float64) Decision {
 		p.launched[node]++
 	}
 	return Decision{TaskID: t.ID, Local: isLocal(t, node)}
-}
-
-// Completed implements Policy.
-func (p *Spread) Completed(task, node int, now float64, stats TaskStats) {}
-
-// Pending implements Policy.
-func (p *Spread) Pending() int {
-	if p.q == nil {
-		return 0
-	}
-	return p.q.len()
 }

@@ -1,12 +1,11 @@
 package rdd
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 )
 
-// ErrEmpty is returned by Reduce/First on an empty RDD.
+// ErrEmpty is returned by Reduce on an empty RDD.
 var ErrEmpty = errors.New("rdd: empty collection")
 
 // Collect returns all elements, concatenated in partition order.
@@ -57,101 +56,6 @@ func (r *RDD[T]) Reduce(f func(T, T) T) (T, error) {
 	return acc, nil
 }
 
-// Fold combines all elements starting from zero.
-func (r *RDD[T]) Fold(zero T, f func(T, T) T) (T, error) {
-	acc := zero
-	err := r.n.runJob("fold", func(_ int, chunks []any) error {
-		for _, ch := range chunks {
-			for _, v := range asChunk[T](ch) {
-				acc = f(acc, v)
-			}
-		}
-		return nil
-	})
-	return acc, err
-}
-
-// Aggregate folds elements into an accumulator of a different type.
-func Aggregate[T, U any](r *RDD[T], zero U, seq func(U, T) U) (U, error) {
-	acc := zero
-	err := r.n.runJob("aggregate", func(_ int, chunks []any) error {
-		for _, ch := range chunks {
-			for _, v := range asChunk[T](ch) {
-				acc = seq(acc, v)
-			}
-		}
-		return nil
-	})
-	return acc, err
-}
-
-// Take returns up to n elements in partition order. The full lineage
-// runs (no incremental partition scan — documented trade-off of this
-// implementation).
-func (r *RDD[T]) Take(n int) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	out := make([]T, 0, n)
-	err := r.n.runJob("take", func(_ int, chunks []any) error {
-		for _, ch := range chunks {
-			for _, v := range asChunk[T](ch) {
-				if len(out) >= n {
-					return nil
-				}
-				out = append(out, v)
-			}
-		}
-		return nil
-	})
-	return out, err
-}
-
-// First returns the first element.
-func (r *RDD[T]) First() (T, error) {
-	var zero T
-	vs, err := r.Take(1)
-	if err != nil {
-		return zero, err
-	}
-	if len(vs) == 0 {
-		return zero, ErrEmpty
-	}
-	return vs[0], nil
-}
-
-// Foreach applies f to every element inside the executor tasks; f must
-// be safe for concurrent use.
-func (r *RDD[T]) Foreach(f func(T)) error {
-	// Wrap as a Map so f runs in tasks, then drain.
-	drained := Map(r, func(v T) struct{} { f(v); return struct{}{} })
-	return drained.n.runJob("foreach", func(_ int, _ []any) error { return nil })
-}
-
-// CountByValue returns how many times each element occurs.
-func CountByValue[T comparable](r *RDD[T]) (map[T]int64, error) {
-	out := make(map[T]int64)
-	err := r.n.runJob("countByValue", func(_ int, chunks []any) error {
-		for _, ch := range chunks {
-			for _, v := range asChunk[T](ch) {
-				out[v]++
-			}
-		}
-		return nil
-	})
-	return out, err
-}
-
-// CountByKey returns the number of pairs per key. Counting routes
-// through ReduceByKey so the map-side combiner collapses each key to
-// one partial count per map partition before the shuffle, instead of
-// dragging every pair to the driver.
-func CountByKey[K comparable, V any](r *RDD[Pair[K, V]]) (map[K]int64, error) {
-	ones := MapValues(r, func(V) int64 { return 1 })
-	counts := ReduceByKey(ones, func(a, b int64) int64 { return a + b }, 0)
-	return CollectAsMap(counts)
-}
-
 // CollectAsMap returns pair elements as a map (later pairs win on
 // duplicate keys).
 func CollectAsMap[K comparable, V any](r *RDD[Pair[K, V]]) (map[K]V, error) {
@@ -167,30 +71,18 @@ func CollectAsMap[K comparable, V any](r *RDD[Pair[K, V]]) (map[K]V, error) {
 	return out, err
 }
 
-// Max returns the largest element of an ordered RDD.
-func Max[T cmp.Ordered](r *RDD[T]) (T, error) {
-	return r.Reduce(func(a, b T) T {
-		if a >= b {
-			return a
-		}
-		return b
-	})
-}
-
-// Min returns the smallest element of an ordered RDD.
-func Min[T cmp.Ordered](r *RDD[T]) (T, error) {
-	return r.Reduce(func(a, b T) T {
-		if a <= b {
-			return a
-		}
-		return b
-	})
-}
-
-// Sum adds all elements of a numeric RDD.
+// Sum adds all elements of a numeric RDD; an empty RDD sums to 0.
 func Sum[T int | int32 | int64 | float32 | float64](r *RDD[T]) (T, error) {
-	var zero T
-	return r.Fold(zero, func(a, b T) T { return a + b })
+	var acc T
+	err := r.n.runJob("sum", func(_ int, chunks []any) error {
+		for _, ch := range chunks {
+			for _, v := range asChunk[T](ch) {
+				acc += v
+			}
+		}
+		return nil
+	})
+	return acc, err
 }
 
 // String renders a short description.

@@ -9,8 +9,8 @@ import "reflect"
 // is where a memory-resident engine's time goes (M3R, Sparkle).
 //
 // Contract: a chunk sunk downstream is immutable from that point on —
-// consumers may alias it (the cache and PartitionBy do), so producers
-// must not reuse or mutate a chunk's backing array after sinking it, and
+// consumers may alias it (the cache does), so producers must not reuse
+// or mutate a chunk's backing array after sinking it, and
 // transformations always build fresh output slices. Empty chunks are
 // never sunk. Within an RDD[T], every chunk is a []T; the static type is
 // restored with asChunk at each consumption site.
@@ -40,15 +40,6 @@ func chunkRecords[E any](chunks []any) int {
 // data, they do not copy it.
 func elemBytes[E any]() int64 {
 	return int64(reflect.TypeOf((*E)(nil)).Elem().Size())
-}
-
-// flattenChunks concatenates chunks into one exactly-sized slice.
-func flattenChunks[E any](chunks []any) []E {
-	out := make([]E, 0, chunkRecords[E](chunks))
-	for _, ch := range chunks {
-		out = append(out, asChunk[E](ch)...)
-	}
-	return out
 }
 
 // executorPrefs builds the shared preferred-location singletons for

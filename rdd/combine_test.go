@@ -39,11 +39,11 @@ func sortedByKey[V any](pairs []Pair[int64, V]) []Pair[int64, V] {
 }
 
 // TestCombineEquivalenceProperty is the map-side-combine equivalence
-// property: for random inputs and seeds, ReduceByKey and CombineByKey
-// with the combiner enabled produce byte-identical sorted output to the
-// combine-disabled path — including per-key value order for
-// order-sensitive combiners, which pins down the determinism lineage
-// recovery depends on.
+// property: for random inputs and seeds, ReduceByKey with the combiner
+// enabled produces byte-identical sorted output to the combine-disabled
+// path — including per-key value order for an associative but not
+// commutative f, which pins down the determinism lineage recovery
+// depends on.
 func TestCombineEquivalenceProperty(t *testing.T) {
 	for trial, tc := range []struct {
 		seed          uint64
@@ -76,13 +76,11 @@ func TestCombineEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Order-sensitive combiner: value arrival order is visible in
-			// the concatenation, so any ordering divergence between the
-			// paths shows up as a string mismatch.
-			lists, err := CombineByKey(pairs, tc.redP,
-				func(v int64) string { return fmt.Sprint(v) },
-				func(acc string, v int64) string { return acc + "," + fmt.Sprint(v) },
-				func(a, b string) string { return a + ";" + b }).Collect()
+			// Order-sensitive f: value arrival order is visible in the
+			// concatenation, so any ordering divergence between the paths
+			// shows up as a string mismatch.
+			lists, err := ReduceByKey(MapValues(pairs, func(v int64) string { return fmt.Sprint(v) }),
+				func(a, b string) string { return a + "," + b }, tc.redP).Collect()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,27 +101,8 @@ func TestCombineEquivalenceProperty(t *testing.T) {
 		if len(combined.sums) != len(distinct) {
 			t.Fatalf("trial %d: %d result keys, want %d", trial, len(combined.sums), len(distinct))
 		}
-		// The two paths seed combiners at different times (map side vs
-		// reduce side), so the merge structure differs, but the values and
-		// their order must not: normalize the structural separators away.
-		norm := func(ps []Pair[int64, string]) []Pair[int64, string] {
-			out := append([]Pair[int64, string](nil), ps...)
-			for i := range out {
-				v := out[i].Value
-				b := make([]byte, len(v))
-				for j := 0; j < len(v); j++ {
-					if v[j] == ';' {
-						b[j] = ','
-					} else {
-						b[j] = v[j]
-					}
-				}
-				out[i].Value = string(b)
-			}
-			return out
-		}
-		if !slices.Equal(norm(combined.lists), norm(plain.lists)) {
-			t.Fatalf("trial %d: CombineByKey value order diverges:\n combined=%v\n disabled=%v",
+		if !slices.Equal(combined.lists, plain.lists) {
+			t.Fatalf("trial %d: ReduceByKey value order diverges:\n combined=%v\n disabled=%v",
 				trial, combined.lists, plain.lists)
 		}
 	}
@@ -162,32 +141,5 @@ func TestMapSideCombineShrinksShuffle(t *testing.T) {
 	}
 	if combBytes <= 0 || combBytes >= plainBytes {
 		t.Fatalf("combined bytes %.0f not below disabled bytes %.0f", combBytes, plainBytes)
-	}
-}
-
-// TestCountByKeyCombines verifies CountByKey's reroute through
-// ReduceByKey: same answer, map-side-combined volume.
-func TestCountByKeyCombines(t *testing.T) {
-	const n, keys = 5000, 8
-	ctx, err := NewContext(engine.Config{Executors: 2, CoresPerExecutor: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctx.Stop()
-	pairs := KeyBy(Range(ctx, 0, n, 4), func(i int64) int64 { return i % keys })
-	counts, err := CountByKey(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != keys {
-		t.Fatalf("%d keys, want %d", len(counts), keys)
-	}
-	for k, c := range counts {
-		if c != n/keys {
-			t.Fatalf("key %d count = %d, want %d", k, c, n/keys)
-		}
-	}
-	if recs := ctx.Runtime().Metrics().ShuffleRecords(); recs <= 0 || recs >= n {
-		t.Fatalf("CountByKey moved %d shuffle records, want combined (< %d)", recs, n)
 	}
 }

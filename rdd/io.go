@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"hpcmr/engine"
 )
@@ -22,7 +21,7 @@ func TextFile(c *Context, path string, parts int) (*RDD[string], error) {
 	}
 	size := info.Size()
 	if parts <= 0 {
-		parts = c.Executors()
+		parts = c.executors()
 	}
 	if parts < 1 {
 		parts = 1
@@ -30,7 +29,7 @@ func TextFile(c *Context, path string, parts int) (*RDD[string], error) {
 	if int64(parts) > size && size > 0 {
 		parts = int(size)
 	}
-	execs := c.Executors()
+	execs := c.executors()
 	prefs := executorPrefs(execs)
 	n := newNode(c, parts, nil, nil,
 		func(part int, _ *engine.TaskContext, sink func(any)) error {
@@ -95,33 +94,4 @@ func readSplit(path string, size int64, part, parts int, sink func(any)) error {
 	}
 	flush()
 	return nil
-}
-
-// SaveAsTextFile writes one part-NNNNN file per partition under dir
-// (created if absent), one element per line via fmt.Sprint.
-func SaveAsTextFile[T any](r *RDD[T], dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("rdd: SaveAsTextFile: %w", err)
-	}
-	return r.n.runJob("saveAsTextFile", func(part int, chunks []any) error {
-		name := filepath.Join(dir, fmt.Sprintf("part-%05d", part))
-		f, err := os.Create(name)
-		if err != nil {
-			return err
-		}
-		w := bufio.NewWriter(f)
-		for _, ch := range chunks {
-			for _, v := range asChunk[T](ch) {
-				if _, err := fmt.Fprintln(w, v); err != nil {
-					f.Close()
-					return err
-				}
-			}
-		}
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	})
 }

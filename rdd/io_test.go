@@ -6,40 +6,6 @@ import (
 	"testing"
 )
 
-func TestDescribe(t *testing.T) {
-	c := ctx(t)
-	base := Parallelize(c, ints(10), 2).Cache()
-	pairs := Map(base, func(v int) Pair[int, int] { return Pair[int, int]{v % 2, v} })
-	reduced := ReduceByKey(pairs, func(a, b int) int { return a + b }, 3)
-	out := reduced.Describe()
-	if !strings.Contains(out, "3 partitions") {
-		t.Fatalf("Describe missing reduced node:\n%s", out)
-	}
-	if !strings.Contains(out, "<shuffle into 3 partitions>") {
-		t.Fatalf("Describe missing shuffle edge:\n%s", out)
-	}
-	if !strings.Contains(out, "[cached]") {
-		t.Fatalf("Describe missing cache marker:\n%s", out)
-	}
-}
-
-func TestDotGraph(t *testing.T) {
-	c := ctx(t)
-	a := Parallelize(c, []Pair[int, string]{{1, "x"}}, 1)
-	b := Parallelize(c, []Pair[int, int]{{1, 2}}, 1)
-	joined := Join(a, b, 2)
-	dot := DotGraph(joined)
-	if !strings.HasPrefix(dot, "digraph lineage {") || !strings.HasSuffix(dot, "}\n") {
-		t.Fatalf("not a digraph:\n%s", dot)
-	}
-	if strings.Count(dot, "style=dashed") != 2 {
-		t.Fatalf("join should show two shuffle edges:\n%s", dot)
-	}
-	if !strings.Contains(dot, "shape=box") {
-		t.Fatalf("missing node shapes:\n%s", dot)
-	}
-}
-
 // FuzzReadSplit fuzzes the TextFile split-boundary rule: for any file
 // content and partition count, the union of all splits must reproduce
 // exactly the file's lines — no loss, no duplication.
@@ -57,7 +23,7 @@ func FuzzReadSplit(f *testing.F) {
 		// Normalize: readSplit works on byte offsets of the raw file.
 		dir := t.TempDir()
 		path := dir + "/f.txt"
-		if err := writeFile(path, content); err != nil {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		size := int64(len(content))
@@ -109,8 +75,4 @@ func splitLines(content string) []string {
 		parts = parts[:len(parts)-1]
 	}
 	return parts
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
 }

@@ -133,8 +133,8 @@ func (c *Context) materialize(d *shuffleDep) error {
 // recoverMissing re-executes the missing map partitions of the shuffle
 // miss points at — the lineage-based shuffle re-execution path after an
 // executor loss. Only the invalidated partitions rerun; partitions whose
-// producing node survived, and anything cached or checkpointed upstream,
-// are not recomputed.
+// producing node survived, and anything cached upstream, are not
+// recomputed.
 func (c *Context) recoverMissing(miss *engine.MapOutputMissingError, depth int) error {
 	if depth > maxLineageDepth {
 		return fmt.Errorf("rdd: lineage recovery deeper than %d levels: %w", maxLineageDepth, miss)

@@ -1,9 +1,7 @@
 package rdd
 
 import (
-	"cmp"
 	"hash/maphash"
-	"slices"
 	"sync"
 
 	"hpcmr/engine"
@@ -21,8 +19,8 @@ type JoinValue[V, W any] struct {
 	Right W
 }
 
-// CoGrouped holds the grouped values of both sides of CoGroup.
-type CoGrouped[V, W any] struct {
+// coGrouped holds the grouped values of both sides of coGroup.
+type coGrouped[V, W any] struct {
 	Left  []V
 	Right []W
 }
@@ -78,21 +76,20 @@ func hashWriter[K comparable, V any](c *Context, parts int) func([]any) ([]any, 
 }
 
 // combiningWriter is the hash-aggregating map-side writer behind
-// CombineByKey: one pass folds every record into its key's accumulator,
-// computing the key's reduce bucket once — when first seen — and
+// ReduceByKey: one pass folds every record into its key's accumulator
+// with f, computing the key's reduce bucket once — when first seen — and
 // counting it toward that bucket. A second pass over the distinct keys
 // (not the input records) fills exactly presized buckets, so the shuffle
-// carries one Pair[K,C] per (key, map partition) instead of one record
+// carries one Pair[K,V] per (key, map partition) instead of one record
 // per input pair. Key order within a bucket is first-seen order, keeping
 // output deterministic for a given input ordering — lineage re-execution
 // reproduces combined chunks bit for bit.
-func combiningWriter[K comparable, V, C any](c *Context, parts int,
-	createCombiner func(V) C, mergeValue func(C, V) C) func([]any) ([]any, int, int64) {
+func combiningWriter[K comparable, V any](c *Context, parts int, f func(V, V) V) func([]any) ([]any, int, int64) {
 	return func(chunks []any) ([]any, int, int64) {
 		total := chunkRecords[Pair[K, V]](chunks)
 		idx := make(map[K]int, total)
 		order := make([]K, 0, total)
-		accs := make([]C, 0, total)
+		accs := make([]V, 0, total)
 		assign := make([]int32, 0, total)
 		counts := make([]int, parts)
 		for _, ch := range chunks {
@@ -102,46 +99,26 @@ func combiningWriter[K comparable, V, C any](c *Context, parts int,
 					b := bucketFor(c, p.Key, parts)
 					idx[p.Key] = len(order)
 					order = append(order, p.Key)
-					accs = append(accs, createCombiner(p.Value))
+					accs = append(accs, p.Value)
 					assign = append(assign, int32(b))
 					counts[b]++
 					continue
 				}
-				accs[i] = mergeValue(accs[i], p.Value)
+				accs[i] = f(accs[i], p.Value)
 			}
 		}
-		buckets := make([][]Pair[K, C], parts)
+		buckets := make([][]Pair[K, V], parts)
 		for b, n := range counts {
 			if n > 0 {
-				buckets[b] = make([]Pair[K, C], 0, n)
+				buckets[b] = make([]Pair[K, V], 0, n)
 			}
 		}
 		for i, k := range order {
 			b := assign[i]
-			buckets[b] = append(buckets[b], Pair[K, C]{Key: k, Value: accs[i]})
+			buckets[b] = append(buckets[b], Pair[K, V]{Key: k, Value: accs[i]})
 		}
 		n := len(order)
-		return boxBuckets(buckets), n, int64(n) * elemBytes[Pair[K, C]]()
-	}
-}
-
-// seedingWriter is the combine-disabled counterpart of combiningWriter:
-// every input record becomes one seeded single-value combiner and ships
-// as-is, leaving all merging to the reduce side. Used when the context
-// was built with DisableMapSideCombine — the A/B baseline that measures
-// what map-side aggregation saves.
-func seedingWriter[K comparable, V, C any](c *Context, parts int,
-	createCombiner func(V) C) func([]any) ([]any, int, int64) {
-	return func(chunks []any) ([]any, int, int64) {
-		seeded := make([]Pair[K, C], 0, chunkRecords[Pair[K, V]](chunks))
-		for _, ch := range chunks {
-			for _, p := range asChunk[Pair[K, V]](ch) {
-				seeded = append(seeded, Pair[K, C]{Key: p.Key, Value: createCombiner(p.Value)})
-			}
-		}
-		return countedWriter([]any{seeded}, parts, func(p Pair[K, C]) int {
-			return bucketFor(c, p.Key, parts)
-		})
+		return boxBuckets(buckets), n, int64(n) * elemBytes[Pair[K, V]]()
 	}
 }
 
@@ -227,21 +204,19 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], parts int) *RDD[Pair[K,
 			sink(out)
 			return nil
 		}, shufflePrefs(c, []*shuffleDep{dep}, parts))
-	n.hashParts = parts
 	return &RDD[Pair[K, []V]]{n: n}
 }
 
-// CombineByKey is the general aggregation shuffle: createCombiner seeds
-// a per-key accumulator, mergeValue folds map-side values into it
-// (map-side combining shrinks shuffle volume, as in Spark), and
-// mergeCombiners merges accumulators reduce-side.
-func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]], parts int,
-	createCombiner func(V) C, mergeValue func(C, V) C, mergeCombiners func(C, C) C) *RDD[Pair[K, C]] {
+// ReduceByKey merges each key's values with f (associative). Each map
+// partition folds its values per key before the shuffle (map-side
+// combining shrinks shuffle volume, as in Spark), and the reduce side
+// merges the partial results with f again.
+func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], f func(V, V) V, parts int) *RDD[Pair[K, V]] {
 	c := r.n.ctx
 	parts = defaultParts(r.n, parts)
-	write := combiningWriter[K](c, parts, createCombiner, mergeValue)
+	write := combiningWriter[K](c, parts, f)
 	if c.opts.DisableMapSideCombine {
-		write = seedingWriter[K, V](c, parts, createCombiner)
+		write = hashWriter[K, V](c, parts)
 	}
 	dep := &shuffleDep{parent: r.n, reduceParts: parts, write: write}
 	n := newNode(c, parts, nil, []*shuffleDep{dep},
@@ -250,12 +225,12 @@ func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]], parts int,
 			if err != nil {
 				return err
 			}
-			total := chunkRecords[Pair[K, C]](chunks)
+			total := chunkRecords[Pair[K, V]](chunks)
 			idx := make(map[K]int, total)
 			order := make([]K, 0, total)
-			accs := make([]C, 0, total)
+			accs := make([]V, 0, total)
 			for _, ch := range chunks {
-				for _, p := range asChunk[Pair[K, C]](ch) {
+				for _, p := range asChunk[Pair[K, V]](ch) {
 					i, ok := idx[p.Key]
 					if !ok {
 						idx[p.Key] = len(order)
@@ -263,67 +238,28 @@ func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]], parts int,
 						accs = append(accs, p.Value)
 						continue
 					}
-					accs[i] = mergeCombiners(accs[i], p.Value)
+					accs[i] = f(accs[i], p.Value)
 				}
 			}
 			if len(order) == 0 {
 				return nil
 			}
-			out := make([]Pair[K, C], len(order))
+			out := make([]Pair[K, V], len(order))
 			for i, k := range order {
-				out[i] = Pair[K, C]{Key: k, Value: accs[i]}
+				out[i] = Pair[K, V]{Key: k, Value: accs[i]}
 			}
 			sink(out)
 			return nil
 		}, shufflePrefs(c, []*shuffleDep{dep}, parts))
-	n.hashParts = parts
-	return &RDD[Pair[K, C]]{n: n}
-}
-
-// ReduceByKey merges each key's values with f (associative).
-func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], f func(V, V) V, parts int) *RDD[Pair[K, V]] {
-	return CombineByKey(r, parts,
-		func(v V) V { return v },
-		func(acc, v V) V { return f(acc, v) },
-		f)
-}
-
-// PartitionBy re-distributes pairs by key hash without aggregation.
-func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], parts int) *RDD[Pair[K, V]] {
-	c := r.n.ctx
-	parts = defaultParts(r.n, parts)
-	if r.n.hashParts == parts {
-		// Already hash-partitioned into exactly these buckets under this
-		// context's seed: re-shuffling would move every record back to
-		// the partition it is in. Skip the shuffle entirely — the
-		// superstep boundary of an iterative job becomes a no-op here.
-		return r
-	}
-	dep := &shuffleDep{parent: r.n, reduceParts: parts, write: hashWriter[K, V](c, parts)}
-	n := newNode(c, parts, nil, []*shuffleDep{dep},
-		func(part int, tc *engine.TaskContext, sink func(any)) error {
-			chunks, err := c.rt.FetchShuffleChunks(tc, dep.engineID, part)
-			if err != nil {
-				return err
-			}
-			// Fetched bucket chunks are re-sunk as-is: zero copy.
-			for _, ch := range chunks {
-				if len(asChunk[Pair[K, V]](ch)) > 0 {
-					sink(ch)
-				}
-			}
-			return nil
-		}, shufflePrefs(c, []*shuffleDep{dep}, parts))
-	n.hashParts = parts
 	return &RDD[Pair[K, V]]{n: n}
 }
 
-// CoGroup groups both RDDs' values per key: the result holds, for every
+// coGroup groups both RDDs' values per key: the result holds, for every
 // key present in either side, all left values and all right values.
-func CoGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], parts int) *RDD[Pair[K, CoGrouped[V, W]]] {
+func coGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], parts int) *RDD[Pair[K, coGrouped[V, W]]] {
 	c := a.n.ctx
 	if b.n.ctx != c {
-		panic("rdd: CoGroup across contexts")
+		panic("rdd: Join across contexts")
 	}
 	parts = defaultParts(a.n, parts)
 	depA := &shuffleDep{parent: a.n, reduceParts: parts, write: hashWriter[K, V](c, parts)}
@@ -341,14 +277,14 @@ func CoGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], par
 			total := chunkRecords[Pair[K, V]](chunksA) + chunkRecords[Pair[K, W]](chunksB)
 			idx := make(map[K]int, total)
 			order := make([]K, 0, total)
-			groups := make([]CoGrouped[V, W], 0, total)
+			groups := make([]coGrouped[V, W], 0, total)
 			locate := func(k K) int {
 				i, ok := idx[k]
 				if !ok {
 					i = len(order)
 					idx[k] = i
 					order = append(order, k)
-					groups = append(groups, CoGrouped[V, W]{})
+					groups = append(groups, coGrouped[V, W]{})
 				}
 				return i
 			}
@@ -367,22 +303,21 @@ func CoGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], par
 			if len(order) == 0 {
 				return nil
 			}
-			out := make([]Pair[K, CoGrouped[V, W]], len(order))
+			out := make([]Pair[K, coGrouped[V, W]], len(order))
 			for i, k := range order {
-				out[i] = Pair[K, CoGrouped[V, W]]{Key: k, Value: groups[i]}
+				out[i] = Pair[K, coGrouped[V, W]]{Key: k, Value: groups[i]}
 			}
 			sink(out)
 			return nil
 		}, shufflePrefs(c, []*shuffleDep{depA, depB}, parts))
-	n.hashParts = parts
-	return &RDD[Pair[K, CoGrouped[V, W]]]{n: n}
+	return &RDD[Pair[K, coGrouped[V, W]]]{n: n}
 }
 
 // Join inner-joins two pair RDDs on key, emitting every left/right
 // combination.
 func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], parts int) *RDD[Pair[K, JoinValue[V, W]]] {
-	cg := CoGroup(a, b, parts)
-	return FlatMap(cg, func(p Pair[K, CoGrouped[V, W]]) []Pair[K, JoinValue[V, W]] {
+	cg := coGroup(a, b, parts)
+	return FlatMap(cg, func(p Pair[K, coGrouped[V, W]]) []Pair[K, JoinValue[V, W]] {
 		if len(p.Value.Left) == 0 || len(p.Value.Right) == 0 {
 			return nil
 		}
@@ -403,19 +338,12 @@ func Distinct[T comparable](r *RDD[T]) *RDD[T] {
 	return Map(reduced, func(p Pair[T, struct{}]) T { return p.Key })
 }
 
-// Keys projects the keys of a pair RDD.
-func Keys[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[K] {
-	return Map(r, func(p Pair[K, V]) K { return p.Key })
-}
-
 // Values projects the values of a pair RDD.
 func Values[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[V] {
 	return Map(r, func(p Pair[K, V]) V { return p.Value })
 }
 
-// MapValues transforms values, keeping keys — and, unlike Map, keeping
-// hash partitioning: keys don't move, so a downstream PartitionBy into
-// the same partition count stays a no-op.
+// MapValues transforms values, keeping keys.
 func MapValues[K comparable, V, U any](r *RDD[Pair[K, V]], f func(V) U) *RDD[Pair[K, U]] {
 	p := r.n
 	n := newNode(p.ctx, p.parts, []*node{p}, nil,
@@ -432,73 +360,5 @@ func MapValues[K comparable, V, U any](r *RDD[Pair[K, V]], f func(V) U) *RDD[Pai
 				sink(out)
 			})
 		}, p.preferred)
-	n.hashParts = p.hashParts
 	return &RDD[Pair[K, U]]{n: n}
-}
-
-// SortByKey globally sorts a pair RDD by key using range partitioning
-// over a sampled key distribution (this runs a sampling job eagerly,
-// like Spark's sortByKey) followed by per-partition sorts.
-func SortByKey[K cmp.Ordered, V any](r *RDD[Pair[K, V]], parts int, ascending bool) (*RDD[Pair[K, V]], error) {
-	c := r.n.ctx
-	parts = defaultParts(r.n, parts)
-	keys, err := Keys(r).Sample(0.1, 42).Collect()
-	if err != nil {
-		return nil, err
-	}
-	if len(keys) < parts*4 {
-		// Thin sample: fall back to all keys.
-		keys, err = Keys(r).Collect()
-		if err != nil {
-			return nil, err
-		}
-	}
-	slices.Sort(keys)
-	bounds := make([]K, 0, parts-1)
-	for i := 1; i < parts; i++ {
-		if len(keys) == 0 {
-			break
-		}
-		bounds = append(bounds, keys[i*len(keys)/parts])
-	}
-	rangeOf := func(k K) int {
-		lo, _ := slices.BinarySearch(bounds, k)
-		if !ascending {
-			lo = len(bounds) - lo
-		}
-		if lo >= parts {
-			lo = parts - 1
-		}
-		return lo
-	}
-	dep := &shuffleDep{
-		parent:      r.n,
-		reduceParts: parts,
-		write: func(chunks []any) ([]any, int, int64) {
-			return countedWriter(chunks, parts, func(p Pair[K, V]) int {
-				return rangeOf(p.Key)
-			})
-		},
-	}
-	n := newNode(c, parts, nil, []*shuffleDep{dep},
-		func(part int, tc *engine.TaskContext, sink func(any)) error {
-			chunks, err := c.rt.FetchShuffleChunks(tc, dep.engineID, part)
-			if err != nil {
-				return err
-			}
-			all := flattenChunks[Pair[K, V]](chunks)
-			if len(all) == 0 {
-				return nil
-			}
-			slices.SortStableFunc(all, func(x, y Pair[K, V]) int {
-				if ascending {
-					return cmp.Compare(x.Key, y.Key)
-				}
-				return cmp.Compare(y.Key, x.Key)
-			})
-			sink(all)
-			return nil
-		}, shufflePrefs(c, []*shuffleDep{dep}, parts))
-	// Range-partitioned, not hash-partitioned: hashParts stays zero.
-	return &RDD[Pair[K, V]]{n: n}, nil
 }

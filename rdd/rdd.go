@@ -3,12 +3,12 @@
 // local multi-executor runtime of package engine.
 //
 // An RDD is a lazily evaluated, partitioned collection with a lineage of
-// narrow transformations (Map, Filter, FlatMap, Union, ...) pipelined
+// narrow transformations (Map, FlatMap, Filter, MapValues) pipelined
 // inside stages, and shuffle transformations (GroupByKey, ReduceByKey,
-// Join, SortByKey, ...) that split the job into stages connected through
-// an in-memory shuffle. Actions (Collect, Count, Reduce, ...) trigger
-// execution: parent shuffle stages run first, in dependency order, then
-// the result stage computes the action.
+// Join, Distinct) that split the job into stages connected through an
+// in-memory shuffle. Actions (Collect, Count, Reduce, Sum, CollectAsMap)
+// trigger execution: parent shuffle stages run first, in dependency
+// order, then the result stage computes the action.
 //
 // Cache() keeps computed partitions in memory across jobs — the
 // memory-resident feature that makes iterative workloads (logistic
@@ -19,7 +19,6 @@
 package rdd
 
 import (
-	"fmt"
 	"hash/maphash"
 	"sync"
 
@@ -30,10 +29,10 @@ import (
 // Options tunes a Context's execution strategy.
 type Options struct {
 	// DisableMapSideCombine turns off the hash-aggregating map-side
-	// combine pass of CombineByKey/ReduceByKey, shipping one shuffle
-	// record per input pair instead of one per distinct key. Results are
-	// identical either way; the switch exists for equivalence tests and
-	// for perf A/B scenarios that measure what the combiner saves.
+	// combine pass of ReduceByKey, shipping one shuffle record per input
+	// pair instead of one per distinct key. Results are identical either
+	// way; the switch exists for equivalence tests and for perf A/B
+	// scenarios that measure what the combiner saves.
 	DisableMapSideCombine bool
 }
 
@@ -71,8 +70,8 @@ func (c *Context) Runtime() *engine.Runtime { return c.rt }
 // Stop shuts the context down; subsequent actions fail.
 func (c *Context) Stop() { c.rt.Close() }
 
-// Executors returns the runtime's executor count.
-func (c *Context) Executors() int { return c.rt.Config().Executors }
+// executors returns the runtime's executor count.
+func (c *Context) executors() int { return c.rt.Config().Executors }
 
 func (c *Context) newID() int {
 	c.mu.Lock()
@@ -110,14 +109,6 @@ type node struct {
 	compute func(part int, tc *engine.TaskContext, sink func(chunk any)) error
 	// preferred lists executor IDs holding partition part (may be nil).
 	preferred func(part int) []int
-	// hashParts, when nonzero, records that partition p holds exactly
-	// the keys hashing to bucket p under the context seed's hash
-	// partitioner with hashParts buckets. Set by the hash shuffles
-	// (GroupByKey, CombineByKey, PartitionBy, CoGroup) and propagated
-	// through key-preserving narrow transformations; PartitionBy into
-	// the same partition count short-circuits to a no-op — the
-	// partition-stable affinity that keeps iterative jobs shuffle-local.
-	hashParts int
 
 	// cache, while the RDD is cached, holds each partition's chunk list
 	// in a block of the runtime's tier, so on a budgeted runtime cached
@@ -131,12 +122,6 @@ type RDD[T any] struct {
 	n *node
 }
 
-// Partitions returns the RDD's partition count.
-func (r *RDD[T]) Partitions() int { return r.n.parts }
-
-// Context returns the owning context.
-func (r *RDD[T]) Context() *Context { return r.n.ctx }
-
 // Cache marks the RDD memory-resident: each partition is kept after its
 // first computation and reused by later jobs. Returns the receiver.
 func (r *RDD[T]) Cache() *RDD[T] {
@@ -147,18 +132,6 @@ func (r *RDD[T]) Cache() *RDD[T] {
 	}
 	n.cacheMu.Unlock()
 	return r
-}
-
-// Uncache drops cached partitions, their spill files and budgeted bytes
-// with them.
-func (r *RDD[T]) Uncache() {
-	n := r.n
-	n.cacheMu.Lock()
-	for i := range n.cache {
-		n.cache[i].Drop()
-	}
-	n.cache = nil
-	n.cacheMu.Unlock()
 }
 
 // iterate produces partition part's chunks, serving and populating the
@@ -216,7 +189,7 @@ func newNode(ctx *Context, parts int, parents []*node, deps []*shuffleDep,
 // one partition per executor.
 func Parallelize[T any](c *Context, data []T, parts int) *RDD[T] {
 	if parts <= 0 {
-		parts = c.Executors()
+		parts = c.executors()
 	}
 	if parts > len(data) && len(data) > 0 {
 		parts = len(data)
@@ -230,7 +203,7 @@ func Parallelize[T any](c *Context, data []T, parts int) *RDD[T] {
 		hi := (i + 1) * len(data) / parts
 		chunks[i] = data[lo:hi]
 	}
-	execs := c.Executors()
+	execs := c.executors()
 	prefs := executorPrefs(execs)
 	n := newNode(c, parts, nil, nil,
 		func(part int, _ *engine.TaskContext, sink func(any)) error {
@@ -253,12 +226,12 @@ func Range(c *Context, start, end int64, parts int) *RDD[int64] {
 		total = 0
 	}
 	if parts <= 0 {
-		parts = c.Executors()
+		parts = c.executors()
 	}
 	if parts < 1 {
 		parts = 1
 	}
-	execs := c.Executors()
+	execs := c.executors()
 	prefs := executorPrefs(execs)
 	n := newNode(c, parts, nil, nil,
 		func(part int, _ *engine.TaskContext, sink func(any)) error {
@@ -320,24 +293,6 @@ func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
 	return &RDD[U]{n: n}
 }
 
-// MapPartitions transforms each partition as a whole.
-func MapPartitions[T, U any](r *RDD[T], f func(part int, vals []T) []U) *RDD[U] {
-	p := r.n
-	n := newNode(p.ctx, p.parts, []*node{p}, nil,
-		func(part int, tc *engine.TaskContext, sink func(any)) error {
-			var chunks []any
-			if err := p.iterate(part, tc, func(ch any) { chunks = append(chunks, ch) }); err != nil {
-				return err
-			}
-			// f's result is sunk whole — the partition's single chunk.
-			if out := f(part, flattenChunks[T](chunks)); len(out) > 0 {
-				sink(out)
-			}
-			return nil
-		}, p.preferred)
-	return &RDD[U]{n: n}
-}
-
 // Filter keeps elements satisfying pred.
 func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 	p := r.n
@@ -355,92 +310,6 @@ func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 				}
 			})
 		}, p.preferred)
-	// Filtering keeps keys and partition membership: hash partitioning
-	// survives.
-	n.hashParts = p.hashParts
-	return &RDD[T]{n: n}
-}
-
-// Union concatenates two RDDs (narrow; partitions are appended).
-func (r *RDD[T]) Union(o *RDD[T]) *RDD[T] {
-	a, b := r.n, o.n
-	if a.ctx != b.ctx {
-		panic("rdd: Union across contexts")
-	}
-	n := newNode(a.ctx, a.parts+b.parts, []*node{a, b}, nil,
-		func(part int, tc *engine.TaskContext, sink func(any)) error {
-			if part < a.parts {
-				return a.iterate(part, tc, sink)
-			}
-			return b.iterate(part-a.parts, tc, sink)
-		},
-		func(part int) []int {
-			if part < a.parts {
-				if a.preferred != nil {
-					return a.preferred(part)
-				}
-				return nil
-			}
-			if b.preferred != nil {
-				return b.preferred(part - a.parts)
-			}
-			return nil
-		})
-	return &RDD[T]{n: n}
-}
-
-// Sample keeps each element with probability frac, deterministically
-// from seed.
-func (r *RDD[T]) Sample(frac float64, seed uint64) *RDD[T] {
-	if frac < 0 || frac > 1 {
-		panic(fmt.Sprintf("rdd: Sample fraction %v out of [0,1]", frac))
-	}
-	p := r.n
-	n := newNode(p.ctx, p.parts, []*node{p}, nil,
-		func(part int, tc *engine.TaskContext, sink func(any)) error {
-			// splitmix64 stream per partition: deterministic and cheap.
-			state := seed + uint64(part)*0x9E3779B97F4A7C15
-			next := func() float64 {
-				state += 0x9E3779B97F4A7C15
-				z := state
-				z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-				z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-				z ^= z >> 31
-				return float64(z>>11) / float64(1<<53)
-			}
-			return p.iterate(part, tc, func(ch any) {
-				var out []T
-				for _, v := range asChunk[T](ch) {
-					if next() < frac {
-						out = append(out, v)
-					}
-				}
-				if len(out) > 0 {
-					sink(out)
-				}
-			})
-		}, p.preferred)
-	return &RDD[T]{n: n}
-}
-
-// Coalesce reduces the partition count by concatenating ranges of
-// parent partitions (narrow).
-func (r *RDD[T]) Coalesce(parts int) *RDD[T] {
-	p := r.n
-	if parts <= 0 || parts >= p.parts {
-		return r
-	}
-	n := newNode(p.ctx, parts, []*node{p}, nil,
-		func(part int, tc *engine.TaskContext, sink func(any)) error {
-			lo := part * p.parts / parts
-			hi := (part + 1) * p.parts / parts
-			for q := lo; q < hi; q++ {
-				if err := p.iterate(q, tc, sink); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, nil)
 	return &RDD[T]{n: n}
 }
 
@@ -448,6 +317,3 @@ func (r *RDD[T]) Coalesce(parts int) *RDD[T] {
 func KeyBy[T any, K comparable](r *RDD[T], key func(T) K) *RDD[Pair[K, T]] {
 	return Map(r, func(v T) Pair[K, T] { return Pair[K, T]{Key: key(v), Value: v} })
 }
-
-// Zip unavailable by design: Go generics cannot express Spark's zip
-// over unequal types as a method; use Join on KeyBy(index) instead.

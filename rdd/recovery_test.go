@@ -1,7 +1,6 @@
 package rdd
 
 import (
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -166,46 +165,6 @@ func TestJobSurvivesMixedFaultPlan(t *testing.T) {
 	counts, c := runWordCount(t, cfg)
 	defer c.Stop()
 	assertGolden(t, counts)
-}
-
-// TestCheckpointShortCircuitsRecovery: when the shuffle's parent is a
-// checkpointed RDD, recovery after executor loss reads the gob files
-// instead of re-running the pre-checkpoint lineage.
-func TestCheckpointShortCircuitsRecovery(t *testing.T) {
-	c, err := NewContext(engine.Config{Executors: 4, CoresPerExecutor: 2, MaxTaskFailures: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-
-	var upstream int64
-	words := []string{"a", "b", "a", "c", "b", "a", "d", "e", "a", "b", "c", "f"}
-	base := Map(Parallelize(c, words, 6), func(w string) string {
-		atomic.AddInt64(&upstream, 1)
-		return w
-	})
-	ck, err := Checkpoint(base, filepath.Join(t.TempDir(), "ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	afterCkpt := atomic.LoadInt64(&upstream)
-
-	pairs := Map(ck, func(w string) Pair[string, int] { return Pair[string, int]{Key: w, Value: 1} })
-	reduced := ReduceByKey(pairs, func(a, b int) int { return a + b }, 4)
-	if _, err := reduced.Count(); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Runtime().FailExecutor(1)) == 0 {
-		t.Skip("executor 1 produced no map output this run; nothing to recover")
-	}
-	counts, err := CollectAsMap(reduced)
-	if err != nil {
-		t.Fatalf("job after executor loss: %v", err)
-	}
-	assertGolden(t, counts)
-	if got := atomic.LoadInt64(&upstream); got != afterCkpt {
-		t.Fatalf("recovery re-ran the pre-checkpoint lineage %d times; the checkpoint should short-circuit it", got-afterCkpt)
-	}
 }
 
 // TestRecoveryMultiStageChain: two chained shuffles; crashing after both

@@ -1,7 +1,9 @@
 // Command mrbench regenerates the paper's tables and figures. With no
 // arguments it runs the full suite in paper order; pass experiment IDs
 // (e.g. "fig7a fig14") to run a subset. -quick runs a proportionally
-// scaled-down cluster for fast smoke runs.
+// scaled-down cluster for fast smoke runs. Each experiment's wall time
+// goes to stderr, so stdout is byte-comparable across runs
+// (testdata/full.stdout is the full-scale run at the default seed).
 //
 // mrbench reports the *modeled* numbers (virtual job times, ratios);
 // for wall-clock performance measurement and regression gating use
@@ -51,8 +53,8 @@ func main() {
 		}
 		start := time.Now()
 		e := run(opt)
-		fmt.Print(e.String())
-		fmt.Printf("  (generated in %.1fs wall time)\n\n", time.Since(start).Seconds())
+		fmt.Println(e.String())
+		fmt.Fprintf(os.Stderr, "%s: generated in %.1fs wall time\n", id, time.Since(start).Seconds())
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, e); err != nil {
 				fmt.Fprintln(os.Stderr, err)

@@ -14,10 +14,6 @@
 // task-attempt, and scheduler-decision spans) for chrome://tracing,
 // Perfetto, or mrtrace; -trace-jsonl FILE writes the same events as
 // JSONL.
-//
-// -cluster ADDR submits the job to a running mrcluster driver (its
-// client address, printed by `mrcluster up`) instead of executing in
-// this process; only wordcount has a cluster-side job.
 package main
 
 import (
@@ -29,7 +25,6 @@ import (
 	"sort"
 	"strings"
 
-	"hpcmr/dist"
 	"hpcmr/engine"
 	"hpcmr/rdd"
 	"hpcmr/trace"
@@ -41,7 +36,6 @@ var (
 	policy     = flag.String("policy", "fifo", "scheduling policy: fifo | locality | delay | elb | cad")
 	top        = flag.Int("top", 20, "wordcount: show the N most frequent words")
 	parts      = flag.Int("parts", 0, "input partitions (0 = one per executor)")
-	cluster    = flag.String("cluster", "", "submit to a running mrcluster driver at this client address")
 	traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
 	traceJSONL = flag.String("trace-jsonl", "", "write trace events as JSONL to this file")
 )
@@ -124,13 +118,6 @@ func main() {
 	if len(args) < 1 {
 		usage()
 	}
-	if *cluster != "" {
-		if args[0] != "wordcount" || len(args) != 2 {
-			fatal("-cluster supports only `mrrun -cluster ADDR wordcount <file>`")
-		}
-		clusterWordcount(*cluster, args[1])
-		return
-	}
 	switch args[0] {
 	case "wordcount":
 		if len(args) != 2 {
@@ -183,35 +170,6 @@ func wordcount(path string) {
 		fmt.Printf("%8d  %s\n", p.Value, p.Key)
 	}
 	fmt.Printf("# %d distinct words; engine: %s\n", len(counts), ctx.Runtime().Metrics())
-}
-
-// clusterWordcount submits the registered wordcount job to a running
-// mrcluster driver and renders the result the way the local path does
-// (heaviest first, ties by word). The file path must be readable by the
-// executor processes — with mrcluster's local process cluster they
-// share this machine's filesystem.
-func clusterWordcount(addr, path string) {
-	out, err := dist.Submit(addr, dist.JobSpec{Job: "wordcount", Path: path})
-	if err != nil {
-		fatal("%v", err)
-	}
-	counts, err := dist.DecodeSKVs(out)
-	if err != nil {
-		fatal("%v", err)
-	}
-	sort.Slice(counts, func(i, j int) bool {
-		if counts[i].V != counts[j].V {
-			return counts[i].V > counts[j].V
-		}
-		return counts[i].K < counts[j].K
-	})
-	for i, kv := range counts {
-		if i >= *top {
-			break
-		}
-		fmt.Printf("%8d  %s\n", kv.V, kv.K)
-	}
-	fmt.Printf("# %d distinct words via cluster %s\n", len(counts), addr)
 }
 
 func grep(pattern, path string) {

@@ -25,9 +25,11 @@ type DriverConfig struct {
 	// ControlAddr/ClientAddr are the listen addresses; "" picks an
 	// ephemeral loopback port.
 	ControlAddr, ClientAddr string
-	// Plan is the fault plan: crash events execute driver-side as real
-	// executor kills (via Killer), transient events ship to executors in
-	// the HelloAck and replay in-process.
+	// Plan is the fault plan. The driver's engine decides crashes, hangs
+	// and injected task failures as for any attempt, and a crash becomes
+	// a real executor kill (via Killer); slow windows and fetch loss act
+	// on the executor itself, so they ship in the HelloAck and replay
+	// in-process.
 	Plan fault.Plan
 	// Killer physically kills executor id when a crash event fires —
 	// SIGKILL for process clusters, Executor.Kill for in-process ones.
@@ -54,7 +56,8 @@ type Driver struct {
 
 	transientPlan []byte
 
-	goneMu sync.Mutex // orders ownership invalidation before the dead mark
+	goneMu sync.Mutex     // orders ownership invalidation before the dead mark
+	kills  sync.WaitGroup // crash-plan kills still running; Shutdown waits
 
 	mu         sync.Mutex
 	execs      map[int]*execConn
@@ -117,11 +120,11 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 		if err := cfg.Plan.Validate(); err != nil {
 			return nil, fmt.Errorf("dist: fault plan: %w", err)
 		}
-		crash := cfg.Plan.Filter(fault.KindCrash)
-		if len(crash.Events) > 0 {
-			ecfg.Faults = &killInjector{d: d, inner: fault.NewInjector(crash)}
+		decided := cfg.Plan.Filter(fault.KindCrash, fault.KindHang, fault.KindTaskFail)
+		if len(decided.Events) > 0 {
+			ecfg.Faults = &killInjector{Injector: fault.NewInjector(decided), d: d}
 		}
-		transient := cfg.Plan.Filter(fault.TransientKinds...)
+		transient := cfg.Plan.Filter(fault.KindSlow, fault.KindFetchLoss)
 		if len(transient.Events) > 0 {
 			enc, err := transient.Encode()
 			if err != nil {
@@ -190,6 +193,7 @@ func (d *Driver) WaitReady(timeout time.Duration) error {
 // Shutdown tears the cluster down: executors get a ShutdownReq, the
 // listeners close, the engine winds down. Idempotent.
 func (d *Driver) Shutdown() {
+	d.kills.Wait()
 	d.mu.Lock()
 	if d.down {
 		d.mu.Unlock()
@@ -361,7 +365,7 @@ func (d *Driver) executorGone(id int, reason string) {
 
 // killExecutor is the crash plan's trigger: physically kill the
 // executor, then run the loss path. The engine calls FailExecutor
-// itself right after the injector returns; the duplicate is a no-op.
+// itself once the injector returns; whichever runs second is a no-op.
 func (d *Driver) killExecutor(id int) {
 	d.logf("fault plan: killing executor %d", id)
 	if d.cfg.Killer != nil {
@@ -370,35 +374,34 @@ func (d *Driver) killExecutor(id int) {
 	d.executorGone(id, "crash plan")
 }
 
-// killInjector adapts the crash slice of a fault plan into the engine's
-// injector interface: crash triggers become real executor kills, and
-// every transient query answers "healthy" — transient faults replay
-// inside the executors, not here.
+// killInjector is the engine's injector over the driver's share of the
+// plan (crash, hang, task-fail), whose crash triggers also kill the
+// executor for real. The kill runs on its own goroutine, which Shutdown
+// waits for: a stage asks for count-triggered crashes under its lock,
+// and the loss path (executorGone → FailExecutor) takes that lock.
 type killInjector struct {
-	d     *Driver
-	inner *fault.Injector
+	*fault.Injector
+	d *Driver
 }
 
 func (k *killInjector) TimeCrashes(now float64) []int {
-	execs := k.inner.TimeCrashes(now)
-	for _, e := range execs {
-		k.d.killExecutor(e)
-	}
-	return execs
+	return k.kill(k.Injector.TimeCrashes(now))
 }
 
 func (k *killInjector) TaskCompleted(now float64) []int {
-	execs := k.inner.TaskCompleted(now)
+	return k.kill(k.Injector.TaskCompleted(now))
+}
+
+func (k *killInjector) kill(execs []int) []int {
 	for _, e := range execs {
-		k.d.killExecutor(e)
+		k.d.kills.Add(1)
+		go func() {
+			defer k.d.kills.Done()
+			k.d.killExecutor(e)
+		}()
 	}
 	return execs
 }
-
-func (k *killInjector) SlowFactor(node int, now float64) float64      { return 1 }
-func (k *killInjector) HangDuration(node int, now float64) float64    { return 0 }
-func (k *killInjector) TaskFailure(node, task int, now float64) error { return nil }
-func (k *killInjector) FetchFailure(node int, now float64) error      { return nil }
 
 // ---- task dispatch ----
 
@@ -426,8 +429,11 @@ func (d *Driver) dispatch(exec int, t *RunTask) (*TaskDone, error) {
 		// A failed write means the control connection is broken: declare
 		// the executor lost NOW, before returning, so the engine sees it
 		// dead when this attempt settles and requeues the task instead of
-		// burning its retry budget.
-		d.executorGone(exec, fmt.Sprintf("dispatch write failed: %v", err))
+		// burning its retry budget. After Shutdown (a hung attempt may wake
+		// that late) it only means the driver closed it.
+		if !d.shuttingDown() {
+			d.executorGone(exec, fmt.Sprintf("dispatch write failed: %v", err))
+		}
 		return nil, fmt.Errorf("dist: dispatch to executor %d: %w", exec, err)
 	}
 	done := <-p.ch

@@ -236,29 +236,20 @@ func (e *Executor) runTask(t *RunTask) {
 	}
 }
 
-// execute runs one attempt under the executor's transient fault plan
-// and folds whatever went wrong into the TaskDone: every failure —
-// injected, a missing map output found by the gather, a job function's
-// error or panic — leaves through the one translation at the bottom.
+// execute runs one attempt under the executor's slow windows and folds
+// whatever went wrong into the TaskDone: every failure — a missing map
+// output found by the gather, a job function's error or panic — leaves
+// through the one translation at the bottom. The driver has already
+// carried out the attempt's hang and injected failure.
 func (e *Executor) execute(t *RunTask) *TaskDone {
 	done := &TaskDone{MissMapPart: -1, UnreachableExec: -1}
-	now := e.elapsed()
-	var err error
+	now, started := e.elapsed(), time.Now()
+	err := e.runBody(t, done)
 	if e.inj != nil {
-		if d := e.inj.HangDuration(e.cfg.ID, now); d > 0 {
-			time.Sleep(time.Duration(d * float64(time.Second)))
-		}
-		err = e.inj.TaskFailure(e.cfg.ID, t.Part, now)
-	}
-	if err == nil {
-		started := time.Now()
-		err = e.runBody(t, done)
-		if e.inj != nil {
-			if f := e.inj.SlowFactor(e.cfg.ID, now); f > 1 {
-				// The injector's slow factor divides effective speed; stretch
-				// the attempt's wall time to match.
-				time.Sleep(time.Duration(float64(time.Since(started)) * (f - 1)))
-			}
+		if f := e.inj.SlowFactor(e.cfg.ID, now); f > 1 {
+			// The injector's slow factor divides effective speed; stretch
+			// the attempt's wall time to match.
+			time.Sleep(time.Duration(float64(time.Since(started)) * (f - 1)))
 		}
 	}
 	if err != nil {

@@ -57,9 +57,9 @@ type Hello struct {
 
 // HelloAck accepts or rejects a registration. On acceptance it carries
 // the cluster geometry — Cores is how many tasks the executor runs at
-// once — and the JSON-encoded transient fault plan (slow, fetch-loss,
-// task-fail, hang events) the executor must replay in-process; crash
-// events stay driver-side where they become real process kills.
+// once — and the JSON-encoded part of the fault plan that acts on the
+// executor itself (slow and fetch-loss events), which it replays
+// in-process; the driver decides crashes, hangs and task failures.
 type HelloAck struct {
 	OK            bool
 	Reason        string

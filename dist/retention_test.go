@@ -219,13 +219,14 @@ func (a *attemptCount) idle() bool {
 }
 
 // speculate replaces the driver's runtime, before any job runs, with
-// one that speculates stragglers: the distributed driver never does,
-// but the retention window must hold against the late attempts a
+// one that speculates stragglers and keeps the driver's fault injector
+// (which decides hangs): the distributed driver never speculates, but
+// the retention window must hold against the late attempts a
 // speculated task leaves behind.
 func speculate(t *testing.T, lc *LocalCluster, executors int) {
 	t.Helper()
 	rt, err := engine.New(engine.Config{Executors: executors, CoresPerExecutor: 2,
-		Policy: engine.ShuffleLocality, Speculation: true})
+		Policy: engine.ShuffleLocality, Speculation: true, Faults: lc.Driver.rt.Config().Faults})
 	if err != nil {
 		t.Fatal(err)
 	}

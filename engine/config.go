@@ -120,10 +120,12 @@ type Config struct {
 	// its decision audit. Callbacks run under the stage dispatcher and
 	// must be cheap.
 	SchedAudit sched.AuditFunc
-	// Faults, when set, is consulted at every fault-injection decision
-	// point (task launch, fetch attempt, task completion, and a
-	// periodic crash-trigger check). Pass a *fault.Injector to replay a
-	// deterministic fault plan against the runtime.
+	// Faults, when set, replays a deterministic fault plan against the
+	// runtime (pass a *fault.Injector). Each stage's dispatcher takes
+	// hangs, injected failures and count-triggered crashes from it; the
+	// runtime asks it for slowdowns, fetch losses and, periodically,
+	// time-triggered crashes. A task absorbs at most MaxTaskFailures-1
+	// injected failures.
 	Faults FaultInjector
 	// MaxFetchRetries is how many attempts FetchShuffleChunks makes against
 	// transient fetch faults before giving up (default 3).

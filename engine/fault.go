@@ -3,30 +3,27 @@ package engine
 import (
 	"errors"
 	"fmt"
+
+	"hpcmr/internal/sched"
 )
 
 // FaultInjector is the engine's view of a deterministic fault source
-// (satisfied by *fault.Injector). The runtime consults it at fixed
-// decision points: before running a task attempt (hang, injected
-// failure, slowdown), on every shuffle fetch attempt (loss), and on
-// every task completion plus a periodic timer (crash triggers). now is
-// seconds since the runtime was built.
+// (satisfied by *fault.Injector). now is seconds since the runtime was
+// built. Each stage's sched.Stage consults the sched.Injector part: a
+// launch's hang, an attempt's injected failure, and the count-triggered
+// crashes a completion fires. The runtime consults the rest itself: the
+// slowdown of a finished attempt, every shuffle fetch attempt (loss),
+// and a periodic timer (time-triggered crashes).
 //
 // Because the engine's shuffle store is a single in-process service
 // rather than per-node servers, fetch faults are keyed by the fetching
 // executor.
 type FaultInjector interface {
+	sched.Injector
 	// TimeCrashes returns executors newly crashed by time triggers.
 	TimeCrashes(now float64) []int
-	// TaskCompleted advances the completed-task counter and returns
-	// executors newly crashed by count triggers.
-	TaskCompleted(now float64) []int
 	// SlowFactor returns the executor's slowdown divisor (1 = healthy).
 	SlowFactor(node int, now float64) float64
-	// HangDuration returns seconds a newly launched attempt stalls.
-	HangDuration(node int, now float64) float64
-	// TaskFailure returns an injected error for a task attempt, or nil.
-	TaskFailure(node, task int, now float64) error
 	// FetchFailure returns an injected error for a fetch attempt, or nil.
 	FetchFailure(node int, now float64) error
 }

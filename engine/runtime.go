@@ -446,13 +446,14 @@ func (rt *Runtime) launchAttempt(st *stageState, d sched.Decision, exec int) {
 
 // stageState adapts one stage to the runtime: a sched.Stage — the
 // dispatcher the simulator drives too, with its sticky declines within a
-// sweep, retry-hint ticks that re-offer every node and a full pass for
-// forced tasks — decides every launch, requeue and stage failure. The
-// stage feeds it under mu from worker goroutines, time.AfterFunc timers
-// and executor losses, on the policy clock: seconds since the stage
-// started. What stays here is the runtime's side: the hand-off to
-// executor workers, listeners, metrics, fault injection, the
-// count-triggered crash checks and the driver wake-up.
+// sweep, one retry-hint timer whose tick re-offers every node and a full
+// pass for forced tasks — decides every launch, requeue, stage failure
+// and task-level fault. The stage feeds it under mu from worker
+// goroutines, time.AfterFunc timers and executor losses, on the fault
+// clock (Runtime.elapsed), whose differences are all a policy reads.
+// What stays here is the runtime's side: the hand-off to executor
+// workers, listeners, metrics, carrying out the machine's hangs,
+// injected failures and crashes, and the driver wake-up.
 //
 // Dispatch is completion-driven: a finishing attempt re-offers the
 // freed slot inline and the driver goroutine in RunStage is only woken
@@ -467,16 +468,12 @@ type stageState struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	m    *sched.Stage
-	// crashChecks counts successful completions whose count-triggered
-	// crash check has not run yet; the stage resolves only at zero, so
-	// a crash due at a completion fires before RunStage returns.
+	// crashChecks counts completions whose count-triggered crashes have
+	// not been carried out yet; the stage resolves only at zero, so a
+	// crash due at a completion fires before RunStage returns.
 	crashChecks int
 	finished    bool
-	start       time.Time
 }
-
-// now returns seconds since stage start (the policy clock).
-func (st *stageState) now() float64 { return time.Since(st.start).Seconds() }
 
 // RunStage executes tasks to completion and returns the first fatal
 // error. Tasks that error or panic are retried (on any executor) until
@@ -504,7 +501,6 @@ func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 		stageID: stageID,
 		name:    name,
 		tasks:   tasks,
-		start:   time.Now(),
 	}
 	st.cond = sync.NewCond(&st.mu)
 	slots := make([]int, rt.cfg.Executors)
@@ -526,6 +522,7 @@ func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 		Speculate:   rt.cfg.Speculation,
 		Launch:      func(d sched.Decision, exec int) { rt.launchAttempt(st, d, exec) },
 		Timer:       st.scheduleRetry,
+		Faults:      rt.cfg.Faults,
 		Audit:       rt.cfg.SchedAudit,
 	}, len(tasks))
 	rt.mu.Lock()
@@ -555,10 +552,10 @@ func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 	if rt.AliveExecutors() == 0 {
 		st.m.Abort(ErrAllExecutorsLost)
 	}
-	st.m.Start(infos, st.now())
+	st.m.Start(infos, rt.elapsed())
 	for !st.resolvedLocked() {
 		st.cond.Wait()
-		st.m.Dispatch(st.now())
+		st.m.Dispatch(rt.elapsed())
 	}
 	st.finished = true
 	err := st.m.Err()
@@ -588,7 +585,7 @@ func (st *stageState) executorLost(exec int) {
 	if st.rt.AliveExecutors() == 0 {
 		st.m.Abort(ErrAllExecutorsLost)
 	}
-	st.m.Dispatch(st.now())
+	st.m.Dispatch(st.rt.elapsed())
 	st.cond.Broadcast()
 }
 
@@ -613,7 +610,7 @@ func (st *stageState) scheduleRetry(after float64) {
 	time.AfterFunc(time.Duration(after*float64(time.Second))+time.Millisecond, func() {
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		st.m.Tick(st.now())
+		st.m.Tick(st.rt.elapsed())
 		st.cond.Broadcast()
 	})
 }
@@ -626,7 +623,7 @@ func (st *stageState) scheduleSpeculationCheck() {
 			st.mu.Unlock()
 			return
 		}
-		st.m.Speculate(st.now())
+		st.m.Speculate(st.rt.elapsed())
 		st.cond.Broadcast()
 		st.mu.Unlock()
 		st.scheduleSpeculationCheck()
@@ -655,29 +652,27 @@ func (st *stageState) runTask(d sched.Decision, exec int, scratch *TaskContext) 
 	inj := rt.cfg.Faults
 
 	st.mu.Lock()
-	attempt, run := 0, false
+	attempt, hang, run := 0, 0.0, false
 	if rt.ExecutorDead(exec) {
-		st.m.Finished(d.TaskID, exec, st.now(), sched.Loss, sched.TaskStats{}, nil)
+		st.m.Finished(d.TaskID, exec, rt.elapsed(), sched.Loss, sched.TaskStats{}, nil)
 	} else {
-		attempt, run = st.m.Started(d.TaskID, exec, st.now())
+		attempt, hang, run = st.m.Started(d.TaskID, exec, rt.elapsed())
 	}
 	if !run {
 		// Launch aborted: the executor died between dispatch and launch,
 		// or a sibling settled the task. A failed stage does NOT abort
 		// here — dispatched attempts drain normally.
-		st.m.Dispatch(st.now())
+		st.m.Dispatch(rt.elapsed())
 		st.wakeDriverLocked()
 		st.mu.Unlock()
 		return
 	}
 	st.mu.Unlock()
 
-	if inj != nil {
-		if hd := inj.HangDuration(exec, rt.elapsed()); hd > 0 {
-			rt.auditFault("hang", exec, hd,
-				fmt.Sprintf("stage=%s task=%d attempt=%d", st.name, d.TaskID, attempt))
-			time.Sleep(time.Duration(hd * float64(time.Second)))
-		}
+	if hang > 0 {
+		rt.auditFault("hang", exec, hang,
+			fmt.Sprintf("stage=%s task=%d attempt=%d", st.name, d.TaskID, attempt))
+		time.Sleep(time.Duration(hang * float64(time.Second)))
 	}
 
 	tc := scratch
@@ -700,7 +695,10 @@ func (st *stageState) runTask(d sched.Decision, exec int, scratch *TaskContext) 
 	})
 	var err error
 	if inj != nil {
-		if err = inj.TaskFailure(exec, d.TaskID, rt.elapsed()); err != nil {
+		st.mu.Lock()
+		_, err = st.m.InjectedFailure(d.TaskID, exec, rt.elapsed())
+		st.mu.Unlock()
+		if err != nil {
 			rt.auditFault("task-fail", exec, float64(d.TaskID),
 				fmt.Sprintf("stage=%s attempt=%d injected", st.name, attempt))
 		}
@@ -740,26 +738,24 @@ func (st *stageState) runTask(d sched.Decision, exec int, scratch *TaskContext) 
 	case err != nil:
 		out = sched.Failure
 	}
-	counted := st.m.Finished(d.TaskID, exec, st.now(), out,
+	counted, crashed := st.m.Finished(d.TaskID, exec, rt.elapsed(), out,
 		sched.TaskStats{Duration: dur, IntermediateBytes: tc.shuffleBytes}, err)
 	if counted {
 		rt.metrics.recordTask(dur, tc.shuffleBytes, tc.shuffleRecords, d.Local, err != nil)
 	}
-	crashCheck := inj != nil && counted && out == sched.Success
-	if crashCheck {
+	if len(crashed) > 0 {
 		st.crashChecks++
 	}
-	st.m.Dispatch(st.now())
+	st.m.Dispatch(rt.elapsed())
 	st.wakeDriverLocked()
 	st.mu.Unlock()
 
-	// Count-based crash triggers fire on successful completions, after
-	// the stage lock is released (FailExecutor re-enters stage state),
-	// but before the stage can resolve: a crash due at this completion
-	// lands while the stage is still running, never after RunStage has
-	// returned.
-	if crashCheck {
-		for _, e := range inj.TaskCompleted(rt.elapsed()) {
+	// The crashes this completion triggered run after the stage lock is
+	// released (FailExecutor re-enters stage state), but before the stage
+	// can resolve: they land while the stage is still running, never
+	// after RunStage has returned.
+	if len(crashed) > 0 {
+		for _, e := range crashed {
 			rt.FailExecutor(e)
 		}
 		st.mu.Lock()

@@ -17,7 +17,8 @@
 //     (the Lustre lock-revocation pathology of Figs 6-7 at its worst);
 //     recoverable by bounded retry with backoff.
 //   - task-fail: task attempts on a node error out (bad local device,
-//     OOM kill), driving the per-task retry budget.
+//     OOM kill), spending the per-task retry budget, but never all of
+//     it: a plan degrades a job and never fails it.
 //   - hang: task attempts on a node stall for Duration seconds before
 //     running (kernel writeback stall); speculation's territory.
 //
@@ -180,9 +181,9 @@ func Decode(data []byte) (Plan, error) {
 
 // Filter returns a sub-plan holding only the events of the given
 // kinds, preserving order and the seed. The distributed runtime splits
-// a plan this way: crash events stay driver-side (where they become
-// real process kills), while the transient kinds (slow, fetch-loss,
-// task-fail, hang) ship to the executor processes and replay there.
+// a plan this way: crash, hang and task-fail events stay driver-side,
+// where its engine decides them, while slow and fetch-loss events ship
+// to the executor processes and replay there.
 func (p Plan) Filter(kinds ...Kind) Plan {
 	keep := make(map[Kind]bool, len(kinds))
 	for _, k := range kinds {
@@ -196,11 +197,6 @@ func (p Plan) Filter(kinds ...Kind) Plan {
 	}
 	return out
 }
-
-// TransientKinds are the fault kinds that do not permanently remove a
-// node: they degrade or fail individual operations and are replayed
-// in-process on whichever backend hosts the operation.
-var TransientKinds = []Kind{KindSlow, KindFetchLoss, KindTaskFail, KindHang}
 
 // CrashTimes returns the distinct time triggers of the plan's
 // time-based crash events, ascending — the instants a simulator must

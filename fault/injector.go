@@ -20,10 +20,12 @@ func (e *InjectedError) Error() string {
 }
 
 // Injector replays one Plan as a sequence of deterministic answers to
-// backend queries. Both backends consult it at the same decision
-// points — before running a task attempt, before serving a shuffle
-// fetch, and on every task completion — so a plan produces the same
-// fault sequence wherever it runs. One Injector replays one run; build
+// backend queries. Every backend's stage dispatcher (sched.Stage) asks
+// it for a launch's hang, an attempt's injected failure and a
+// completion's crashes; the backend itself asks for slowdowns, fetch
+// losses and time-triggered crashes. Both backends query at the same
+// decision points, so a plan produces the same fault sequence wherever
+// it runs. One Injector replays one run; build
 // a fresh Injector (or call Reset) for every replay.
 //
 // All methods are safe for concurrent use: the real engine queries from
@@ -64,25 +66,11 @@ func (in *Injector) Reset() {
 // Plan.CrashTimes); the simulator schedules a visit at each.
 func (in *Injector) CrashTimes() []float64 { return in.plan.CrashTimes() }
 
-// Down reports whether node has crashed by now. It also triggers
-// pending time-based crashes for the node, so polling backends need no
-// separate trigger bookkeeping.
-func (in *Injector) Down(node int, now float64) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.triggerTimeCrashesLocked(now)
-	return in.crashed[node]
-}
-
 // TimeCrashes triggers every time-based crash due by now and returns
 // the newly-down nodes, ascending.
 func (in *Injector) TimeCrashes(now float64) []int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.triggerTimeCrashesLocked(now)
-}
-
-func (in *Injector) triggerTimeCrashesLocked(now float64) []int {
 	var newly []int
 	for _, e := range in.plan.Events {
 		if e.Kind != KindCrash || e.AfterTasks > 0 || now < e.At || in.crashed[e.Node] {
@@ -96,8 +84,8 @@ func (in *Injector) triggerTimeCrashesLocked(now float64) []int {
 }
 
 // TaskCompleted advances the global completed-task counter and returns
-// nodes newly crashed by count triggers, ascending. Backends call it
-// once per successful task completion.
+// nodes newly crashed by count triggers, ascending. A stage calls it
+// once per counted successful completion.
 func (in *Injector) TaskCompleted(now float64) []int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -112,13 +100,6 @@ func (in *Injector) TaskCompleted(now float64) []int {
 	}
 	sort.Ints(newly)
 	return newly
-}
-
-// CompletedTasks returns the number of completions observed so far.
-func (in *Injector) CompletedTasks() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.tasksDone
 }
 
 // SlowFactor returns the node's compound slowdown divisor at now: 1
@@ -136,7 +117,7 @@ func (in *Injector) SlowFactor(node int, now float64) float64 {
 }
 
 // HangDuration consumes one hang budget unit armed for node and returns
-// the stall in seconds, or 0. Backends call it once per task launch.
+// the stall in seconds, or 0. A stage calls it once per started attempt.
 func (in *Injector) HangDuration(node int, now float64) float64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -150,9 +131,9 @@ func (in *Injector) HangDuration(node int, now float64) float64 {
 }
 
 // TaskFailure consumes one task-fail budget unit armed for node and
-// returns the injected error, or nil. Backends call it once per task
-// attempt; the task index is part of the signature for symmetry and
-// audit detail only.
+// returns the injected error, or nil. A stage calls it once per attempt
+// whose body is about to run, while the task is under its cap; the task
+// index is part of the signature for symmetry and audit detail only.
 func (in *Injector) TaskFailure(node, task int, now float64) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -10,23 +10,19 @@ func TestInjectorTimeCrash(t *testing.T) {
 		{Kind: KindCrash, Node: 2, At: 5},
 		{Kind: KindCrash, Node: 4, At: 10},
 	}})
-	if in.Down(2, 4.9) {
-		t.Fatal("node down before trigger")
+	if early := in.TimeCrashes(4.9); len(early) != 0 {
+		t.Fatalf("TimeCrashes(4.9) = %v, want none before the trigger", early)
 	}
 	newly := in.TimeCrashes(5)
 	if len(newly) != 1 || newly[0] != 2 {
 		t.Fatalf("TimeCrashes(5) = %v, want [2]", newly)
 	}
-	if !in.Down(2, 5) || in.Down(4, 5) {
-		t.Fatal("crash state wrong after first trigger")
-	}
 	// Triggering is one-shot.
 	if again := in.TimeCrashes(6); len(again) != 0 {
 		t.Fatalf("repeat TimeCrashes = %v, want none", again)
 	}
-	// Down also triggers lazily.
-	if !in.Down(4, 11) {
-		t.Fatal("node 4 should be down at t=11")
+	if late := in.TimeCrashes(11); len(late) != 1 || late[0] != 4 {
+		t.Fatalf("TimeCrashes(11) = %v, want [4]", late)
 	}
 }
 
@@ -41,8 +37,9 @@ func TestInjectorCountCrash(t *testing.T) {
 	if len(newly) != 1 || newly[0] != 1 {
 		t.Fatalf("TaskCompleted #3 = %v, want [1]", newly)
 	}
-	if in.CompletedTasks() != 3 {
-		t.Fatalf("CompletedTasks = %d, want 3", in.CompletedTasks())
+	// Triggering is one-shot.
+	if again := in.TaskCompleted(0); len(again) != 0 {
+		t.Fatalf("TaskCompleted #4 = %v, want none", again)
 	}
 }
 
@@ -100,17 +97,29 @@ func TestInjectorBudgets(t *testing.T) {
 
 func TestInjectorReset(t *testing.T) {
 	in := NewInjector(Plan{Events: []Event{
-		{Kind: KindCrash, Node: 0, AfterTasks: 1},
+		{Kind: KindCrash, Node: 0, AfterTasks: 2},
+		{Kind: KindCrash, Node: 2, At: 1},
 		{Kind: KindTaskFail, Node: 1, Count: 1},
 	}})
 	in.TaskCompleted(0)
-	in.TaskFailure(1, 0, 0)
-	if !in.Down(0, 0) {
-		t.Fatal("node 0 should be down")
+	if newly := in.TaskCompleted(0); len(newly) != 1 || newly[0] != 0 {
+		t.Fatalf("TaskCompleted #2 = %v, want [0]", newly)
 	}
+	if newly := in.TimeCrashes(1); len(newly) != 1 || newly[0] != 2 {
+		t.Fatalf("TimeCrashes(1) = %v, want [2]", newly)
+	}
+	in.TaskFailure(1, 0, 0)
 	in.Reset()
-	if in.Down(0, 0) || in.CompletedTasks() != 0 {
-		t.Fatal("Reset did not rewind crash state")
+	// The completion count rewinds with the crashes: one completion no
+	// longer reaches the trigger, the second fires it again.
+	if newly := in.TaskCompleted(0); len(newly) != 0 {
+		t.Fatalf("TaskCompleted #1 after Reset = %v, want none", newly)
+	}
+	if newly := in.TaskCompleted(0); len(newly) != 1 || newly[0] != 0 {
+		t.Fatal("Reset did not rewind the count-triggered crash")
+	}
+	if newly := in.TimeCrashes(1); len(newly) != 1 || newly[0] != 2 {
+		t.Fatal("Reset did not rewind the time-triggered crash")
 	}
 	if err := in.TaskFailure(1, 0, 0); err == nil {
 		t.Fatal("Reset did not rewind budgets")
@@ -129,7 +138,7 @@ func decisionLog(in *Injector) []any {
 		log = append(log, in.TaskFailure(node, step, now) != nil)
 		log = append(log, in.FetchFailure(node, now) != nil)
 		log = append(log, in.TaskCompleted(now))
-		log = append(log, in.Down(node, now))
+		log = append(log, in.TimeCrashes(now))
 	}
 	return log
 }

@@ -13,19 +13,14 @@ import (
 // with the task's stats.
 type taskExec func(id, node int, launch float64, done func(stats sched.TaskStats))
 
-// maxInjectedTaskFails bounds how many injected task-fail events one
-// task absorbs before it is allowed to run anyway — fault plans must
-// degrade a simulated job, never wedge it. It stays below
-// sched.DefaultMaxFailures, so no simulated stage spends its budget.
-const maxInjectedTaskFails = 3
-
 // stageRunner adapts one simulated stage to the virtual clock: a
-// sched.Stage decides every launch and requeue, and the runner feeds it
-// from simclock events and runs what it launches — the centralized
-// master's dispatch cost, injected hangs and failures, then the task
-// body. Attempts on a crashed node become zombies in the machine, their
-// tasks requeued on the survivors; only the final successful run of a
-// task reaches the timeline and the tracer.
+// sched.Stage decides every launch, requeue and task-level fault, and
+// the runner feeds it from simclock events and carries out what it
+// decides — the centralized master's dispatch cost, injected hangs and
+// failures, the task body, and the crashes a completion triggers.
+// Attempts on a crashed node become zombies in the machine, their tasks
+// requeued on the survivors; only the final successful run of a task
+// reaches the timeline and the tracer.
 type stageRunner struct {
 	eng      *Engine
 	name     string
@@ -34,10 +29,9 @@ type stageRunner struct {
 	timeline *metrics.Timeline
 	onDone   func()
 
-	active  bool
-	local   int
-	remote  int
-	failCnt []int // injected failures absorbed per task
+	active bool
+	local  int
+	remote int
 }
 
 // runStage executes tasks under policy and calls onDone(timeline,
@@ -59,7 +53,6 @@ func runStage(e *Engine, name string, policy sched.Policy, tasks []sched.TaskInf
 		exec:     exec,
 		timeline: tl,
 		active:   true,
-		failCnt:  make([]int, len(tasks)),
 	}
 	slots := make([]int, len(c.Nodes))
 	for i, n := range c.Nodes {
@@ -67,7 +60,7 @@ func runStage(e *Engine, name string, policy sched.Policy, tasks []sched.TaskInf
 			slots[i] = n.Cores
 		}
 	}
-	r.m = sched.NewStage(sched.StageConfig{
+	cfg := sched.StageConfig{
 		Name:        name,
 		Policy:      policy,
 		Slots:       slots,
@@ -77,7 +70,11 @@ func runStage(e *Engine, name string, policy sched.Policy, tasks []sched.TaskInf
 		Audit: func(ev sched.AuditEvent) {
 			e.Tracer.InstantEvent(trace.CatFault, "fault:"+ev.Kind, ev.Node, ev.Value, ev.Detail)
 		},
-	}, len(tasks))
+	}
+	if e.Faults != nil {
+		cfg.Faults = e.Faults
+	}
+	r.m = sched.NewStage(cfg, len(tasks))
 	start := c.Sim.Now()
 	r.onDone = func() {
 		r.active = false
@@ -105,7 +102,7 @@ func (r *stageRunner) nodeLost(node int) {
 }
 
 // launch runs one launched attempt: the centralized master's per-task
-// dispatch cost, then fault-injection checks (hang, injected failure),
+// dispatch cost, then the machine's hang and injected-failure verdicts,
 // then the task body.
 func (r *stageRunner) launch(d sched.Decision, node int) {
 	if d.Local {
@@ -115,13 +112,12 @@ func (r *stageRunner) launch(d sched.Decision, node int) {
 	}
 	c, id, n := r.eng.C, d.TaskID, r.eng.C.Nodes[node]
 	c.Dispatch(func() {
-		attempt, ok := r.m.Started(id, node, c.Sim.Now())
+		attempt, hang, ok := r.m.Started(id, node, c.Sim.Now())
 		if !ok {
 			// The node crashed, or the task settled, before launch.
 			r.m.Dispatch(c.Sim.Now())
 			return
 		}
-		inj := r.eng.Faults
 		body := func() {
 			now := c.Sim.Now()
 			if !n.Alive() {
@@ -130,27 +126,22 @@ func (r *stageRunner) launch(d sched.Decision, node int) {
 				r.m.Dispatch(now)
 				return
 			}
-			if inj != nil && r.failCnt[id] < maxInjectedTaskFails {
-				if err := inj.TaskFailure(node, id, now); err != nil {
-					r.failCnt[id]++
-					r.eng.Tracer.InstantEvent(trace.CatFault, "fault:task-fail", node, float64(id),
-						fmt.Sprintf("stage=%s fail %d: %v", r.name, r.failCnt[id], err))
-					r.m.Finished(id, node, now, sched.Failure, sched.TaskStats{}, err)
-					r.m.Dispatch(now)
-					return
-				}
+			if fails, err := r.m.InjectedFailure(id, node, now); err != nil {
+				r.eng.Tracer.InstantEvent(trace.CatFault, "fault:task-fail", node, float64(id),
+					fmt.Sprintf("stage=%s fail %d: %v", r.name, fails, err))
+				r.m.Finished(id, node, now, sched.Failure, sched.TaskStats{}, err)
+				r.m.Dispatch(now)
+				return
 			}
 			r.exec(id, node, now, func(stats sched.TaskStats) {
 				r.finish(d, node, attempt, now, stats)
 			})
 		}
-		if inj != nil {
-			if hd := inj.HangDuration(node, c.Sim.Now()); hd > 0 {
-				r.eng.Tracer.InstantEvent(trace.CatFault, "fault:hang", node, hd,
-					fmt.Sprintf("stage=%s task=%d stalled", r.name, id))
-				c.Sim.After(hd, body)
-				return
-			}
+		if hang > 0 {
+			r.eng.Tracer.InstantEvent(trace.CatFault, "fault:hang", node, hang,
+				fmt.Sprintf("stage=%s task=%d stalled", r.name, id))
+			c.Sim.After(hang, body)
+			return
 		}
 		body()
 	})
@@ -165,7 +156,8 @@ func (r *stageRunner) finish(d sched.Decision, node, attempt int, launch float64
 		// Fill in measured duration when the body did not.
 		stats.Duration = now - launch
 	}
-	if !r.m.Finished(d.TaskID, node, now, sched.Success, stats, nil) {
+	counted, crashed := r.m.Finished(d.TaskID, node, now, sched.Success, stats, nil)
+	if !counted {
 		r.m.Dispatch(now)
 		return
 	}
@@ -182,12 +174,9 @@ func (r *stageRunner) finish(d sched.Decision, node, attempt int, launch float64
 		detail = "local"
 	}
 	r.eng.Tracer.TaskSpan(r.name, d.TaskID, attempt, node, launch, now-launch, stats.IntermediateBytes, detail)
-	// Count-triggered crashes fire on successful completions, before the
-	// next offer pass.
-	if r.eng.Faults != nil {
-		for _, node := range r.eng.Faults.TaskCompleted(now) {
-			r.eng.crashNode(node)
-		}
+	// Count-triggered crashes fire before the next offer pass.
+	for _, node := range crashed {
+		r.eng.crashNode(node)
 	}
 	if r.m.Remaining() == 0 {
 		r.onDone()

@@ -28,6 +28,19 @@ const (
 	Loss
 )
 
+// Injector is the part of a fault plan a stage decides (satisfied by
+// *fault.Injector): each launch's hang, each attempt's injected failure
+// and the count-triggered crashes a successful completion fires.
+type Injector interface {
+	// HangDuration returns the seconds a newly launched attempt stalls.
+	HangDuration(node int, now float64) float64
+	// TaskFailure returns an injected error for an attempt, or nil.
+	TaskFailure(node, task int, now float64) error
+	// TaskCompleted counts a successful completion and returns the nodes
+	// it crashes.
+	TaskCompleted(now float64) []int
+}
+
 // StageConfig parameterizes one stage's dispatcher.
 type StageConfig struct {
 	Name   string // labels the stage in audit details
@@ -44,6 +57,11 @@ type StageConfig struct {
 	Launch func(d Decision, node int)
 	// Timer asks for a Tick after the given seconds (a retry hint).
 	Timer func(after float64)
+	// Faults is the backend's fault plan, nil without one. The stage
+	// takes every hang (Started), injected failure (InjectedFailure) and
+	// count-triggered crash (Finished) from it, on the caller's now,
+	// which must then be the injector's clock.
+	Faults Injector
 	// Audit receives "task-lost" (an attempt went down with its node)
 	// and "force-dispatch" (stranded tasks forced past the policy) under
 	// Policy "fault".
@@ -54,7 +72,9 @@ type StageConfig struct {
 // free of any clock. Both runtimes drive it — the simulator from its
 // event kernel, the engine under a mutex from worker goroutines and
 // timers — and every input carries the caller's now. It decides every
-// launch, requeue and stage failure; the caller runs what it launches.
+// launch, requeue, stage failure and task-level fault (a launch's hang,
+// an attempt's injected failure, the crashes a completion triggers); the
+// caller carries out what it decides.
 //
 // An attempt is live from its launch until it finishes or its node is
 // lost. A lost node's attempts become zombies: their tasks are requeued
@@ -71,10 +91,12 @@ type StageConfig struct {
 // or filled; a decline is sticky for the rest of the sweep, since the
 // queue only shrinks and pause state only changes on completions. Window
 // slots are swept the same way through OfferLocal, after every run slot.
-// If the pass leaves nothing running, queued or timed, yet tasks remain,
-// the policy has stranded them (pinned to a dead node, or paused with no
-// completion left to resume it): they are forced into the retry queue
-// and the pass runs once more.
+// A decline's retry hint asks for a timer only when it falls before the
+// one the stage holds; the pass that timer runs asks again for any later
+// hint still wanted. If the pass leaves nothing running, queued or
+// timed, yet tasks remain, the policy has stranded them (pinned to a dead
+// node, or paused with no completion left to resume it): they are forced
+// into the retry queue and the pass runs once more.
 type Stage struct {
 	cfg    StageConfig
 	local  LocalOfferer // fills window slots; nil without them
@@ -86,11 +108,14 @@ type Stage struct {
 	queued   []bool // task has an entry in retries
 	done     []bool
 	failures []int
+	injected []int   // injected failures absorbed per task; nil without Faults
 	starts   []int   // attempts started per task
 	liveOn   [][]int // nodes of each task's live attempts
 
-	remaining, inFlight, timers int
-	err                         error
+	remaining, inFlight int
+	err                 error
+	timed               bool    // the stage holds a timer,
+	timerAt             float64 // due then
 
 	// Speculation state; nil unless cfg.Speculate.
 	since        []float64 // earliest start of a task's live attempts, -1 when none
@@ -125,6 +150,9 @@ func NewStage(cfg StageConfig, n int) *Stage {
 	back := make([]int, n)
 	for i := range s.liveOn {
 		s.liveOn[i] = back[i : i : i+1]
+	}
+	if cfg.Faults != nil {
+		s.injected = make([]int, n)
 	}
 	if cfg.Speculate {
 		s.since = make([]float64, n)
@@ -227,8 +255,7 @@ func (s *Stage) sweep(now float64, window bool) {
 			}
 			if d.TaskID < 0 {
 				if d.Retry > 0 {
-					s.timers++
-					s.cfg.Timer(d.Retry)
+					s.retryAfter(now, d.Retry)
 				}
 				s.declined[n] = true
 				continue
@@ -245,11 +272,20 @@ func (s *Stage) sweep(now float64, window bool) {
 	}
 }
 
+// retryAfter asks for a Tick after the given seconds, unless the stage
+// already holds a timer due no later.
+func (s *Stage) retryAfter(now, after float64) {
+	if at := now + after; !s.timed || at < s.timerAt {
+		s.timed, s.timerAt = true, at
+		s.cfg.Timer(after)
+	}
+}
+
 // forceStranded breaks a wedge: when nothing is running, queued or
 // timed, yet tasks remain, every task without a live attempt is forced
 // into the retry queue. It reports whether it forced any.
 func (s *Stage) forceStranded() bool {
-	if s.inFlight > 0 || len(s.retries) > 0 || s.timers > 0 {
+	if s.inFlight > 0 || len(s.retries) > 0 || s.timed {
 		return false
 	}
 	forced := 0
@@ -305,60 +341,86 @@ func (s *Stage) lost(task, node int) {
 	s.requeue(task)
 }
 
-// Started reports that an attempt launched on node begins to run, and
-// numbers it among its task's attempts from 0. ok=false means it must
-// not run: a sibling settled its task (its slot is freed), or its node
-// was lost (a zombie). Either way the attempt is over.
-func (s *Stage) Started(task, node int, now float64) (attempt int, ok bool) {
+// Started reports that an attempt launched on node begins to run,
+// numbers it among its task's attempts from 0, and returns the seconds
+// the plan stalls it before its body. ok=false means it must not run: a
+// sibling settled its task (its slot is freed), or its node was lost (a
+// zombie). Either way the attempt is over.
+func (s *Stage) Started(task, node int, now float64) (attempt int, hang float64, ok bool) {
 	if !s.done[task] && slices.Contains(s.liveOn[task], node) {
 		if s.since != nil && s.since[task] < 0 {
 			s.since[task] = now
 		}
 		s.starts[task]++
-		return s.starts[task] - 1, true
+		if s.cfg.Faults != nil {
+			hang = s.cfg.Faults.HangDuration(node, now)
+		}
+		return s.starts[task] - 1, hang, true
 	}
 	s.inFlight--
 	if s.dropLive(task, node) {
 		s.idle[node]++
 	}
-	return 0, false
+	return 0, 0, false
+}
+
+// InjectedFailure is the plan's verdict on an attempt whose body is about
+// to run: the error to fail it with, or nil, and how many injected
+// failures its task has absorbed. A task absorbs at most MaxFailures-1,
+// so a plan degrades a stage and never fails it.
+func (s *Stage) InjectedFailure(task, node int, now float64) (int, error) {
+	if s.injected == nil || s.injected[task] >= s.cfg.MaxFailures-1 {
+		return 0, nil
+	}
+	err := s.cfg.Faults.TaskFailure(node, task, now)
+	if err != nil {
+		s.injected[task]++
+	}
+	return s.injected[task], err
 }
 
 // Finished reports an attempt's end. It returns whether the attempt
 // counted — reached the policy as a success or a failure — rather than
-// being a zombie, a loss, or the loser to a sibling.
-func (s *Stage) Finished(task, node int, now float64, out Outcome, stats TaskStats, err error) bool {
+// being a zombie, a loss, or the loser to a sibling, and, for a counted
+// success, the nodes whose count-triggered crash it fires. The caller
+// crashes them before the stage's next offer pass.
+func (s *Stage) Finished(task, node int, now float64, out Outcome, stats TaskStats, err error) (counted bool, crashed []int) {
 	s.inFlight--
 	if !s.dropLive(task, node) {
-		return false
+		return false, nil
 	}
 	if out != Loss {
 		s.idle[node]++
 	}
 	if s.done[task] {
-		return false
+		return false, nil
 	}
 	if out == Loss {
 		s.lost(task, node)
-		return false
+		return false, nil
 	}
 	s.cfg.Policy.Completed(task, node, now, stats)
 	if out == Failure {
 		if s.failures[task]++; s.failures[task] < s.cfg.MaxFailures {
 			s.requeue(task)
-			return true
+			return true, nil
 		}
 		s.Abort(fmt.Errorf("task %d failed after %d attempts: %w", task, s.failures[task], err))
-	} else if s.durs != nil {
-		i := sort.SearchFloat64s(s.durs, stats.Duration)
-		s.durs = slices.Insert(s.durs, i, stats.Duration)
+	} else {
+		if s.durs != nil {
+			i := sort.SearchFloat64s(s.durs, stats.Duration)
+			s.durs = slices.Insert(s.durs, i, stats.Duration)
+		}
+		if s.cfg.Faults != nil {
+			crashed = s.cfg.Faults.TaskCompleted(now)
+		}
 	}
 	s.done[task] = true
 	s.remaining--
 	if s.since != nil {
 		s.since[task] = -1
 	}
-	return true
+	return true, crashed
 }
 
 // NodeLost withdraws a node's slots and turns its live attempts into
@@ -376,9 +438,13 @@ func (s *Stage) NodeLost(node int) {
 	}
 }
 
-// Tick answers a Timer request with a full offer pass.
+// Tick answers a Timer request with a full offer pass. The tick of a
+// timer the stage no longer holds — an earlier hint superseded it — only
+// runs the pass.
 func (s *Stage) Tick(now float64) {
-	s.timers--
+	if s.timed && now >= s.timerAt {
+		s.timed = false
+	}
 	s.Dispatch(now)
 }
 

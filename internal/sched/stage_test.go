@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 )
@@ -38,7 +39,7 @@ func newRig(t *testing.T, p Policy, slots []int, window int, speculate bool, tas
 // start reports an attempt's start and requires it to run.
 func (r *rig) start(task, node int) int {
 	r.t.Helper()
-	attempt, ok := r.s.Started(task, node, r.now)
+	attempt, _, ok := r.s.Started(task, node, r.now)
 	if !ok {
 		r.t.Fatalf("attempt of task %d on node %d refused to start", task, node)
 	}
@@ -52,7 +53,7 @@ func (r *rig) finish(task, node int, out Outcome, dur float64) bool {
 	if out == Failure {
 		err = errors.New("injected")
 	}
-	counted := r.s.Finished(task, node, r.now, out, TaskStats{Duration: dur}, err)
+	counted, _ := r.s.Finished(task, node, r.now, out, TaskStats{Duration: dur}, err)
 	r.s.Dispatch(r.now)
 	return counted
 }
@@ -113,21 +114,22 @@ func TestStageForcesStrandedPinnedTask(t *testing.T) {
 	}
 }
 
-// TestStageRetryHintTimer: a decline's retry hint becomes a timer of
-// exactly that delay, and its tick re-offers every node, not only the
-// one that asked.
+// TestStageRetryHintTimer: the declines' retry hints become one timer,
+// at the deadline they asked for; a pass that re-declines before it
+// fires asks for no other, and its tick re-offers every node, not only
+// the one that asked.
 func TestStageRetryHintTimer(t *testing.T) {
 	const wait = 3.0
 	r := newRig(t, NewDelay(wait), []int{1, 1, 1}, 0, false, prefer([]int{0}, []int{0}, []int{0}, []int{0}))
 	r.wantLaunches(placed{0, 0})
-	if want := []float64{wait, wait}; !slices.Equal(r.timers, want) {
-		t.Fatalf("timers at %v, want %v (nodes 1 and 2 wait out the locality wait)", r.timers, want)
+	if want := []float64{wait}; !slices.Equal(r.timers, want) {
+		t.Fatalf("timers at %v, want %v (nodes 1 and 2 wait out the locality wait on one timer)", r.timers, want)
 	}
 	r.now = 2.5
 	r.s.Dispatch(r.now) // a completion-driven pass before the wait ends
 	r.wantLaunches(placed{0, 0})
-	if got := r.timers[2:]; !slices.Equal(got, []float64{wait, wait}) {
-		t.Fatalf("re-declines asked for ticks at %v, want %v", got, []float64{wait, wait})
+	if len(r.timers) != 1 {
+		t.Fatalf("re-declines asked for ticks at %v besides the one held at %v", r.timers[1:], wait)
 	}
 	r.tickFirst()
 	r.wantLaunches(placed{0, 0}, placed{1, 1}, placed{2, 2})
@@ -135,6 +137,34 @@ func TestStageRetryHintTimer(t *testing.T) {
 		r.tickFirst()
 	}
 	r.wantLaunches(placed{0, 0}, placed{1, 1}, placed{2, 2})
+}
+
+// hinted declines every offer with its node's retry hint.
+type hinted []float64
+
+func (h hinted) StageStart([]TaskInfo, float64)         {}
+func (h hinted) Offer(node int, _ float64) Decision     { return Decline(h[node]) }
+func (h hinted) Completed(int, int, float64, TaskStats) {}
+func (h hinted) Pending() int                           { return 1 }
+
+// TestStageHoldsEarliestTimer: a hint due before the held timer asks for
+// a new one, a hint due at or after it asks for none; the held timer's
+// tick asks again for what is still wanted, and the tick of a superseded
+// timer only runs a pass.
+func TestStageHoldsEarliestTimer(t *testing.T) {
+	r := newRig(t, hinted{5, 2, 7}, []int{1, 1, 1}, 0, false, prefer(nil))
+	if want := []float64{5, 2}; !slices.Equal(r.timers, want) {
+		t.Fatalf("timers at %v, want %v", r.timers, want)
+	}
+	r.tickFirst() // at 2, the held timer: hints now due at 7, 4 and 9
+	if want := []float64{5, 7, 4}; !slices.Equal(r.timers, want) {
+		t.Fatalf("timers at %v after the held tick, want %v", r.timers, want)
+	}
+	r.tickFirst() // at 4: due at 9, 6 and 11
+	r.tickFirst() // at 5, superseded: 10, 7 and 12 are all after the held 6
+	if want := []float64{7, 9, 6}; !slices.Equal(r.timers, want) {
+		t.Fatalf("timers at %v after the superseded tick, want %v", r.timers, want)
+	}
 }
 
 // TestStageZombieAfterLoss: a lost node's attempts are requeued at
@@ -149,7 +179,7 @@ func TestStageZombieAfterLoss(t *testing.T) {
 	r.s.NodeLost(0)
 	r.s.NodeLost(1) // task 1 was launched there, never started
 	r.s.Dispatch(r.now)
-	if _, ok := r.s.Started(1, 1, r.now); ok {
+	if _, _, ok := r.s.Started(1, 1, r.now); ok {
 		t.Fatal("an attempt on a lost node started")
 	}
 	r.finish(2, 2, Success, 1)
@@ -249,18 +279,60 @@ func TestStageCompletionDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// scripted is a fault plan that answers each query from a byte script:
+// a hang, an injected failure or a count-triggered crash whenever the
+// next byte says so.
+type scripted struct {
+	script      []byte
+	next, nodes int
+	completions int // TaskCompleted calls
+}
+
+func (f *scripted) byte() byte {
+	f.next++
+	return f.script[f.next%len(f.script)]
+}
+
+func (f *scripted) HangDuration(int, float64) float64 {
+	if f.byte()%4 == 0 {
+		return 0.1
+	}
+	return 0
+}
+
+func (f *scripted) TaskFailure(node, _ int, _ float64) error {
+	if f.byte()%2 == 0 {
+		return fmt.Errorf("injected on node %d", node)
+	}
+	return nil
+}
+
+func (f *scripted) TaskCompleted(float64) []int {
+	f.completions++
+	if b := f.byte(); b%5 == 0 {
+		return []int{int(b/5) % f.nodes}
+	}
+	return nil
+}
+
 // FuzzStageMachine drives a Stage with random event sequences — starts,
 // successes, failures, losses, node kills delivered late, zombie
-// reports, ticks and speculation scans — under every queue policy, and
-// checks the machine's invariants after every event: in-flight never
-// goes negative, no task is both queued and live unless speculated, a
-// live node's slots are free or held by an attempt, and every task
-// settles exactly once.
+// reports, ticks and speculation scans, and, with a fault plan, its
+// hangs, injected failures and count-triggered crashes — under every
+// queue policy, and checks the machine's invariants after every event:
+// in-flight never goes negative, no task is both queued and live unless
+// speculated, a live node's slots are free or held by an attempt, every
+// task settles exactly once, the stage never asks for a timer at or
+// after the deadline of the one it holds, no task absorbs more than
+// MaxFailures-1 injected failures, and the plan hears of every counted
+// success, and of nothing else, and crashes come back only from one.
 func FuzzStageMachine(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{3, 9, 2, 7, 7, 7, 1, 1, 4, 4, 4, 6, 6, 6, 0, 5, 5, 8})
 	f.Add([]byte{5, 17, 1, 200, 31, 64, 64, 64, 9, 9, 128, 255, 3, 3, 3})
+	f.Add([]byte{3, 7, 5, 32, 0, 2, 10, 3, 0, 0, 2, 2, 3, 6, 0, 2, 7, 7, 0, 3, 2, 15})
+	f.Add([]byte{2, 11, 12, 48, 1, 0, 2, 2, 8, 3, 5, 0, 6, 2, 0, 3, 4, 15, 7, 0, 2, 10})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 4 {
 			return
@@ -277,6 +349,11 @@ func FuzzStageMachine(f *testing.F) {
 		}
 		policy := policies[int(in[2])%len(policies)]()
 		window, speculate := int(in[3]>>3)&1, in[3]&16 != 0
+		var faults Injector
+		plan := &scripted{script: in, nodes: nodes}
+		if in[3]&32 != 0 {
+			faults = plan
+		}
 		infos := make([]TaskInfo, tasks)
 		for i := range infos {
 			infos[i].ID = i
@@ -295,25 +372,37 @@ func FuzzStageMachine(f *testing.F) {
 		}
 		var live []attempt
 		var timers []float64
-		now := 0.0
+		now, held := 0.0, math.Inf(1) // held: the deadline of the timer the stage holds
 		dead := make([]bool, nodes)   // killed
 		lost := make([]bool, nodes)   // loss delivered to the stage
 		settles := make([]int, tasks) // counted successes, plus the give-up
+		injected := make([]int, tasks)
+		successes := 0 // counted
 		s := NewStage(StageConfig{
 			Name: "fuzz", Policy: policy, Slots: slots, Window: window,
-			MaxFailures: DefaultMaxFailures, Speculate: speculate,
+			MaxFailures: DefaultMaxFailures, Speculate: speculate, Faults: faults,
 			Launch: func(d Decision, node int) {
 				if lost[node] {
 					t.Fatalf("launched task %d on lost node %d", d.TaskID, node)
 				}
 				live = append(live, attempt{d.TaskID, node, false})
 			},
-			Timer: func(after float64) { timers = append(timers, now+after) },
+			Timer: func(after float64) {
+				if at := now + after; at >= held {
+					t.Fatalf("asked for a timer at %v while holding one at %v", at, held)
+				} else {
+					held = at
+					timers = append(timers, at)
+				}
+			},
 		}, tasks)
 		check := func(step int) {
 			t.Helper()
 			if s.inFlight < 0 || s.inFlight != len(live) {
 				t.Fatalf("step %d: in flight %d, attempts outstanding %d", step, s.inFlight, len(live))
+			}
+			if faults != nil && plan.completions != successes {
+				t.Fatalf("step %d: the plan heard of %d completions, %d successes counted", step, plan.completions, successes)
 			}
 			done := 0
 			for id := range infos {
@@ -322,6 +411,9 @@ func FuzzStageMachine(f *testing.F) {
 				}
 				if settles[id] > 1 {
 					t.Fatalf("step %d: task %d settled %d times", step, id, settles[id])
+				}
+				if injected[id] > DefaultMaxFailures-1 {
+					t.Fatalf("step %d: task %d absorbed %d injected failures", step, id, injected[id])
 				}
 				if s.done[id] {
 					done++
@@ -355,9 +447,31 @@ func FuzzStageMachine(f *testing.F) {
 				err = errors.New("fuzz")
 			}
 			wasDone := s.done[a.task]
-			if s.Finished(a.task, a.node, now, out, TaskStats{Duration: 0.1}, err) && !wasDone && s.done[a.task] {
+			counted, crashed := s.Finished(a.task, a.node, now, out, TaskStats{Duration: 0.1}, err)
+			if counted && !wasDone && s.done[a.task] {
 				settles[a.task]++
 			}
+			if counted && out == Success {
+				successes++
+			} else if len(crashed) > 0 {
+				t.Fatalf("crashes %v from an attempt that counted %v with outcome %v", crashed, counted, out)
+			}
+			for _, n := range crashed {
+				// Carried out before the next pass, sparing the last node.
+				if !dead[n] && slices.Index(dead[n+1:], false)+slices.Index(dead[:n], false) > -2 {
+					dead[n], lost[n] = true, true
+					s.NodeLost(n)
+				}
+			}
+		}
+		tick := func() {
+			i := slices.Index(timers, slices.Min(timers))
+			now = max(now, timers[i])
+			timers = slices.Delete(timers, i, i+1)
+			if now >= held {
+				held = math.Inf(1)
+			}
+			s.Tick(now)
 		}
 		s.Start(infos, now)
 		check(-1)
@@ -370,7 +484,10 @@ func FuzzStageMachine(f *testing.F) {
 					if i := (pick + k) % len(live); !live[i].started {
 						if dead[live[i].node] {
 							report(i, Loss) // its executor died before it could start
-						} else if _, ok := s.Started(live[i].task, live[i].node, now); ok {
+						} else if _, hang, ok := s.Started(live[i].task, live[i].node, now); ok {
+							if hang != 0 && faults == nil {
+								t.Fatalf("a %v s hang without a plan", hang)
+							}
 							live[i].started = true
 						} else {
 							live = slices.Delete(live, i, i+1)
@@ -378,10 +495,21 @@ func FuzzStageMachine(f *testing.F) {
 						break
 					}
 				}
-			case 2, 3: // a started attempt succeeds
+			case 2, 3: // a started attempt's body runs, unless the plan fails it, and succeeds
 				for k := range live {
 					if i := (pick + k) % len(live); live[i].started {
-						report(i, Success)
+						a := live[i]
+						out := Success
+						if !dead[a.node] {
+							if n, err := s.InjectedFailure(a.task, a.node, now); err != nil {
+								injected[a.task]++
+								if n != injected[a.task] {
+									t.Fatalf("task %d: verdict counts %d injected failures, %d seen", a.task, n, injected[a.task])
+								}
+								out = Failure
+							}
+						}
+						report(i, out)
 						break
 					}
 				}
@@ -403,10 +531,9 @@ func FuzzStageMachine(f *testing.F) {
 						s.NodeLost(n)
 					}
 				}
-			case 7: // a timer fires, or a speculation scan runs
+			case 7: // the earliest timer fires, or a speculation scan runs
 				if len(timers) > 0 && pick%2 == 0 {
-					timers = timers[1:]
-					s.Tick(now)
+					tick()
 				} else {
 					s.Speculate(now)
 				}
@@ -425,9 +552,8 @@ func FuzzStageMachine(f *testing.F) {
 		for rounds := 0; (len(live) > 0 || len(timers) > 0) && rounds < 10*tasks+100; rounds++ {
 			now += 1
 			if len(live) == 0 {
-				timers = timers[1:]
-				s.Tick(now)
-			} else if _, ok := s.Started(live[0].task, live[0].node, now); ok {
+				tick()
+			} else if _, _, ok := s.Started(live[0].task, live[0].node, now); ok {
 				live[0].started = true
 				report(0, Success)
 			} else {

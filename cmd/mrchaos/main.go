@@ -1,19 +1,23 @@
-// Command mrchaos runs seeded chaos trials against the simulator: each
-// trial generates a deterministic fault plan from a seed, replays it on
-// a fresh simulated cluster, and checks the job against a fault-free
-// golden run (result equivalence, no duplicate completions, no work on
-// dead nodes, metrics balance, ELB starvation freedom).
+// Command mrchaos runs seeded chaos trials: each trial generates a
+// deterministic fault plan from a seed, replays it on a fresh cluster of
+// the chosen backend, and judges the job against a fault-free run of the
+// same job on the same backend (result equivalence, no task counted
+// twice, no counted work on dead nodes, metrics balance, ELB starvation
+// freedom).
 //
-//	go run ./cmd/mrchaos -seed 42            # one trial
+//	go run ./cmd/mrchaos -seed 42            # one simulator trial
 //	go run ./cmd/mrchaos -seed 1 -runs 100   # sweep seeds 1..100
 //	go run ./cmd/mrchaos -seed 7 -out t.jsonl  # also dump the trace
-//	go run ./cmd/mrchaos -engine -seed 1 -runs 25  # real-runtime trials
+//	go run ./cmd/mrchaos -backend engine -seed 1 -runs 25  # real runtime
+//	go run ./cmd/mrchaos -backend dist -seed 1 -runs 25 -budget 2048
 //
-// With -engine, each trial replays its plan against the real engine
-// runtime instead of the simulator: a keyed-sum job with map-side
-// combining enabled, judged against analytically computed golden sums
-// (the sharpest detector for duplicated or lost combined chunks under
-// lineage recovery). Engine trials have no trace dump or shrinker.
+// -backend sim (the default) runs a GroupBy job on the simulator, shaped
+// by -nodes, -cores, -tasks and -policy. -backend engine runs a keyed-sum
+// job with map-side combining through the engine runtime, and -backend
+// dist the same job on an in-process dist cluster over loopback TCP;
+// both are also judged against analytically computed sums (the sharpest
+// detector for duplicated or lost combined chunks under lineage
+// recovery), and -budget bounds their resident memory.
 //
 // A failing seed reproduces from the seed alone; its plan is shrunk to
 // a minimal failing event set and printed as JSON. Exit status is 1
@@ -25,7 +29,6 @@ import (
 	"fmt"
 	"os"
 
-	"hpcmr/fault"
 	"hpcmr/fault/chaostest"
 	"hpcmr/sim"
 	"hpcmr/trace"
@@ -41,27 +44,33 @@ func main() {
 	shrink := flag.Bool("shrink", true, "minimize failing plans before reporting")
 	out := flag.String("out", "", "write the last trial's trace as JSONL to this file")
 	verbose := flag.Bool("v", false, "print every trial, not only failures")
-	engineTrials := flag.Bool("engine", false, "run trials against the real engine runtime (combiners on) instead of the simulator")
-	budget := flag.Int64("budget", 0, "engine trials: resident memory budget in bytes; map outputs spill above it (0 = unbounded)")
+	backend := flag.String("backend", "sim", "sim|engine|dist: the simulator, the engine runtime, or an in-process dist cluster")
+	budget := flag.Int64("budget", 0, "engine and dist: resident memory budget in bytes; map outputs spill above it (0 = unbounded)")
 	flag.Parse()
 
-	if *engineTrials {
-		runEngineSweep(*seed, *runs, *budget, *verbose)
-		return
-	}
-
-	cfg := chaostest.Config{
-		Nodes:        *nodes,
-		CoresPerNode: *cores,
-		Tasks:        *tasks,
-		Policy:       sim.Policy(*policy),
+	var b chaostest.Backend
+	switch *backend {
+	case "sim":
+		b = chaostest.Sim(chaostest.Config{
+			Nodes:        *nodes,
+			CoresPerNode: *cores,
+			Tasks:        *tasks,
+			Policy:       sim.Policy(*policy),
+		})
+	case "engine":
+		b = chaostest.Engine(*budget)
+	case "dist":
+		b = chaostest.Dist(*budget)
+	default:
+		fmt.Fprintf(os.Stderr, "mrchaos: unknown backend %q (want sim, engine or dist)\n", *backend)
+		os.Exit(2)
 	}
 
 	failures := 0
 	var lastEvents []trace.Event
 	for i := 0; i < *runs; i++ {
 		s := *seed + int64(i)
-		rep, err := chaostest.RunSeed(cfg, s)
+		rep, err := chaostest.RunSeed(b, s)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mrchaos: seed %d: %v\n", s, err)
 			os.Exit(2)
@@ -70,7 +79,18 @@ func main() {
 		if rep.Failed() {
 			failures++
 			fmt.Printf("seed %d %s\n", s, rep.Summary())
-			reportPlan(cfg, rep.Plan, *shrink)
+			plan := rep.Plan
+			if *shrink {
+				if min, err := chaostest.Shrink(b, plan); err == nil {
+					plan = min
+				}
+			}
+			enc, err := plan.Encode()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "mrchaos: encode plan: %v\n", err)
+				continue
+			}
+			fmt.Printf("  failing plan (%d events): %s\n", len(plan.Events), enc)
 		} else if *verbose {
 			fmt.Printf("seed %d %s\n", s, rep.Summary())
 		}
@@ -85,49 +105,4 @@ func main() {
 	if failures > 0 {
 		os.Exit(1)
 	}
-}
-
-// runEngineSweep runs consecutive seeds against the real runtime and
-// exits non-zero on any violation. A non-zero budget routes every trial
-// through the spill path so faults land on disk-resident partitions.
-func runEngineSweep(seed int64, runs int, budget int64, verbose bool) {
-	failures := 0
-	for i := 0; i < runs; i++ {
-		s := seed + int64(i)
-		rep, err := chaostest.RunEngineSeed(chaostest.EngineConfig{MemoryBudget: budget}, s)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrchaos: seed %d: %v\n", s, err)
-			os.Exit(2)
-		}
-		if rep.Failed() {
-			failures++
-			fmt.Printf("engine seed %d %s\n", s, rep.Summary())
-			if enc, err := rep.Plan.Encode(); err == nil {
-				fmt.Printf("  failing plan (%d events): %s\n", len(rep.Plan.Events), enc)
-			}
-		} else if verbose {
-			fmt.Printf("engine seed %d %s\n", s, rep.Summary())
-		}
-	}
-	fmt.Printf("mrchaos: %d/%d engine trials passed\n", runs-failures, runs)
-	if failures > 0 {
-		os.Exit(1)
-	}
-}
-
-// reportPlan prints the failing plan, shrunk to a minimal event set
-// when requested.
-func reportPlan(cfg chaostest.Config, plan fault.Plan, shrink bool) {
-	if shrink {
-		min, err := chaostest.Shrink(cfg, plan)
-		if err == nil {
-			plan = min
-		}
-	}
-	enc, err := plan.Encode()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mrchaos: encode plan: %v\n", err)
-		return
-	}
-	fmt.Printf("  failing plan (%d events): %s\n", len(plan.Events), enc)
 }

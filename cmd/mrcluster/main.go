@@ -46,7 +46,6 @@ import (
 
 	"hpcmr/dist"
 	"hpcmr/fault"
-	"hpcmr/fault/chaostest"
 )
 
 func usage() {
@@ -385,7 +384,7 @@ func chaos(args []string) {
 	if err != nil {
 		fatal("%v", err)
 	}
-	golden := chaostest.KeyedSumGolden(*records, *keys)
+	golden := dist.KeyedSumGolden(*records, *keys)
 	if int64(len(kvs)) != *keys {
 		fatal("got %d keys, want %d", len(kvs), *keys)
 	}

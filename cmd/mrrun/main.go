@@ -72,7 +72,6 @@ func newContext() *rdd.Context {
 	}
 	if *traceOut != "" || *traceJSONL != "" {
 		tracer = trace.NewWall(trace.Options{})
-		cfg.SchedAudit = trace.SchedAudit(tracer)
 	}
 	ctx, err := rdd.NewContext(cfg)
 	if err != nil {

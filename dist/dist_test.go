@@ -12,7 +12,6 @@ import (
 
 	"hpcmr/engine"
 	"hpcmr/fault"
-	"hpcmr/fault/chaostest"
 	"hpcmr/internal/spill"
 )
 
@@ -26,7 +25,7 @@ func checkKeyedSum(t *testing.T, out []byte, records, keys int64) {
 	if err != nil {
 		t.Fatalf("decode result: %v", err)
 	}
-	want := chaostest.KeyedSumGolden(records, keys)
+	want := KeyedSumGolden(records, keys)
 	if int64(len(kvs)) != keys {
 		t.Fatalf("got %d keys, want %d", len(kvs), keys)
 	}

@@ -95,6 +95,18 @@ func LookupJob(name string) (Job, error) {
 // holds exactly bucket r's key range and the driver's merge is a
 // concatenation (concatRuns); the result is byte-identical run to run.
 
+// KeyedSumGolden computes keyed-sum's expected result analytically.
+// The chaos judge checks the engine's and dist's keyed-sum against it,
+// as do the cluster chaos gate and the perf scenarios: any duplicated
+// or lost combined chunk corrupts a sum.
+func KeyedSumGolden(records, keys int64) map[int64]int64 {
+	golden := make(map[int64]int64, keys)
+	for i := int64(0); i < records; i++ {
+		golden[i%keys] += i
+	}
+	return golden
+}
+
 func keyedSumMap(spec JobSpec, part int) (MapOutput, error) {
 	lo := spec.Records * int64(part) / int64(spec.MapParts)
 	hi := spec.Records * int64(part+1) / int64(spec.MapParts)

@@ -112,14 +112,6 @@ type Config struct {
 	// times the median completed duration gets a second copy on another
 	// slot; the first finisher wins.
 	Speculation bool
-	// SchedAudit, when set, receives scheduler decision events (ELB
-	// pause/resume, CAD throttle adjustments, delay-scheduling waits)
-	// from every stage's policy, plus the runtime's fault/recovery
-	// decisions (Policy "fault": executor crashes, lost attempts,
-	// requeues, fetch retries) — the hook the trace subsystem uses for
-	// its decision audit. Callbacks run under the stage dispatcher and
-	// must be cheap.
-	SchedAudit sched.AuditFunc
 	// Faults, when set, replays a deterministic fault plan against the
 	// runtime (pass a *fault.Injector). Each stage's dispatcher takes
 	// hangs, injected failures and count-triggered crashes from it; the
@@ -168,26 +160,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// newPolicy instantiates the configured policy for one stage.
-func (c Config) newPolicy() sched.Policy {
+// newPolicy instantiates the configured policy for one stage, reporting
+// its decisions to audit.
+func (c Config) newPolicy(audit sched.AuditFunc) sched.Policy {
 	switch c.Policy {
 	case Locality:
 		return sched.NewLocalityPreferring()
 	case DelayScheduling:
 		p := sched.NewDelay(localityWaitSeconds)
-		p.Audit = c.SchedAudit
+		p.Audit = audit
 		return p
 	case ELB:
 		p := sched.NewELB(c.Executors, elbThreshold)
-		p.Audit = c.SchedAudit
+		p.Audit = audit
 		return p
 	case CADThrottled:
 		p := sched.NewCAD(sched.NewFIFO())
-		p.Audit = c.SchedAudit
+		p.Audit = audit
 		return p
 	case ShuffleLocality:
 		p := sched.NewShuffleLocality(c.Executors, elbThreshold)
-		p.Audit = c.SchedAudit
+		p.Audit = audit
 		return p
 	default:
 		return sched.NewFIFO()

@@ -87,18 +87,18 @@ func TestCrashMidStageRequeuesAndCompletes(t *testing.T) {
 		CoresPerExecutor: 2,
 		MaxTaskFailures:  1, // any burned budget fails the stage loudly
 		Faults:           fault.NewInjector(plan),
-		SchedAudit: func(e sched.AuditEvent) {
-			if e.Policy == "fault" {
-				auditMu.Lock()
-				audits = append(audits, e.Kind)
-				auditMu.Unlock()
-			}
-		},
 	}
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.AddListener(FuncListener{Decision: func(e sched.AuditEvent) {
+		if e.Policy == "fault" {
+			auditMu.Lock()
+			audits = append(audits, e.Kind)
+			auditMu.Unlock()
+		}
+	}})
 	var ran int64
 	tasks := make([]TaskSpec, 20)
 	for i := range tasks {
@@ -157,16 +157,16 @@ func TestFetchShuffleRetriesTransientLoss(t *testing.T) {
 		CoresPerExecutor: 1,
 		Faults:           fault.NewInjector(plan),
 		MaxFetchRetries:  3,
-		SchedAudit: func(e sched.AuditEvent) {
-			if e.Policy == "fault" && e.Kind == "fetch-retry" {
-				atomic.AddInt64(&retries, 1)
-			}
-		},
 	}
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.AddListener(FuncListener{Decision: func(e sched.AuditEvent) {
+		if e.Policy == "fault" && e.Kind == "fetch-retry" {
+			atomic.AddInt64(&retries, 1)
+		}
+	}})
 	id := rt.Shuffle().Register(1, 1)
 	if err := rt.Shuffle().PutChunksFrom(id, 0, -1, []any{[]string{"v"}}); err != nil {
 		t.Fatal(err)

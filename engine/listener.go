@@ -3,12 +3,15 @@ package engine
 import (
 	"sync"
 	"time"
+
+	"hpcmr/internal/sched"
 )
 
-// Listener receives runtime lifecycle events — the hook point for
-// progress UIs, structured logging, tracing, or custom metrics.
-// Callbacks run synchronously on runtime goroutines and must return
-// quickly; they must not call back into the runtime.
+// Listener receives runtime lifecycle events and decisions — the hook
+// point for progress UIs, structured logging, tracing, or custom
+// metrics. Callbacks run synchronously on runtime goroutines, some
+// under a stage's lock, and must return quickly; they must not call
+// back into the runtime.
 //
 // The runtime isolates itself from misbehaving listeners: a panic in
 // any callback is recovered and discarded, so an observer bug can
@@ -24,11 +27,24 @@ type Listener interface {
 	// executor slot. Only Stage, TaskID, Attempt, Executor, and Start
 	// are populated.
 	OnTaskStart(e TaskEvent)
-	// OnTaskEnd fires after every task attempt.
+	// OnTaskEnd fires after every task attempt, once the stage's
+	// dispatcher has decided it: Counted carries the verdict. Every
+	// counted end fires before its stage's OnStageEnd; an attempt the
+	// stage stopped waiting for — one that went down with its executor
+	// and outlived the stage — may end after it, never counted.
 	OnTaskEnd(e TaskEvent)
 	// OnFetch fires after every successful shuffle fetch, carrying the
 	// records and approximate bytes the reduce side pulled.
 	OnFetch(e FetchEvent)
+	// OnDecision fires for every scheduler and fault decision: the
+	// policies' (ELB pause/resume, CAD throttle adjustments,
+	// delay-scheduling waits, shuffle-locality preferences), the
+	// spill tier's (Policy "spill") and the runtime's fault and
+	// recovery decisions (Policy "fault": executor crashes, lost
+	// attempts, requeues, injected hangs and failures, fetch retries).
+	// A policy reports to the listeners subscribed when its stage
+	// started.
+	OnDecision(e sched.AuditEvent)
 }
 
 // TaskEvent describes one task attempt.
@@ -45,7 +61,13 @@ type TaskEvent struct {
 	ShuffleBytes float64
 	// ShuffleRecords is how many shuffle records the attempt wrote.
 	ShuffleRecords int64
-	Failed         bool
+	// Failed marks an attempt whose body returned an error or panicked.
+	Failed bool
+	// Counted says the stage's dispatcher counted the attempt — as a
+	// success or as a failure against the task's retry budget — rather
+	// than discarding it as lost with its executor or beaten by a
+	// sibling copy. Zero in OnTaskStart events.
+	Counted bool
 }
 
 // FetchEvent describes one successful shuffle fetch: the reduce-side
@@ -153,6 +175,17 @@ func (l *listeners) fetch(e FetchEvent) {
 	}
 }
 
+func (l *listeners) decision(e sched.AuditEvent) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	for _, s := range l.subs {
+		func() {
+			defer guard()
+			s.OnDecision(e)
+		}()
+	}
+}
+
 // AddListener subscribes a listener to runtime events. It is safe to
 // call concurrently with running stages.
 func (rt *Runtime) AddListener(l Listener) {
@@ -168,6 +201,7 @@ type FuncListener struct {
 	TaskStart  func(e TaskEvent)
 	TaskEnd    func(e TaskEvent)
 	Fetch      func(e FetchEvent)
+	Decision   func(e sched.AuditEvent)
 }
 
 // OnStageStart implements Listener.
@@ -202,5 +236,12 @@ func (f FuncListener) OnTaskEnd(e TaskEvent) {
 func (f FuncListener) OnFetch(e FetchEvent) {
 	if f.Fetch != nil {
 		f.Fetch(e)
+	}
+}
+
+// OnDecision implements Listener.
+func (f FuncListener) OnDecision(e sched.AuditEvent) {
+	if f.Decision != nil {
+		f.Decision(e)
 	}
 }

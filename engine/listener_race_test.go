@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hpcmr/internal/sched"
 )
 
 // panicker is a listener that panics in every callback — the
@@ -16,6 +18,7 @@ func (p *panicker) OnStageEnd(m StageMetrics)           { p.calls.Add(1); panic(
 func (p *panicker) OnTaskStart(e TaskEvent)             { p.calls.Add(1); panic("task start") }
 func (p *panicker) OnTaskEnd(e TaskEvent)               { p.calls.Add(1); panic("task end") }
 func (p *panicker) OnFetch(e FetchEvent)                { p.calls.Add(1); panic("fetch") }
+func (p *panicker) OnDecision(e sched.AuditEvent)       { p.calls.Add(1); panic("decision") }
 
 // TestListenerPanicDoesNotWedgeRuntime enforces the Listener contract:
 // a panicking listener is recovered, the stage still completes, and

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
+
+	"hpcmr/internal/sched"
 )
 
 // recorder captures listener events.
@@ -21,6 +24,8 @@ func (r *recorder) OnFetch(e FetchEvent) {
 	defer r.mu.Unlock()
 	r.fetches = append(r.fetches, e)
 }
+
+func (r *recorder) OnDecision(sched.AuditEvent) {}
 
 func (r *recorder) OnStageStart(name string, tasks int) {
 	r.mu.Lock()
@@ -145,5 +150,56 @@ func TestMultipleListeners(t *testing.T) {
 	}
 	if len(a.tasks) != 1 || len(b.tasks) != 1 {
 		t.Fatal("both listeners should receive events")
+	}
+}
+
+// TestLostAttemptEndIsNotCounted pins the verdict OnTaskEnd carries: an
+// attempt whose executor is failed while its body runs ends after its
+// requeued copy has won. Its end must say it was not counted, and the
+// copy's must be the task's one counted success.
+func TestLostAttemptEndIsNotCounted(t *testing.T) {
+	rt, err := New(Config{Executors: 2, CoresPerExecutor: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	// Two ends are expected; room for more lets a surplus be counted
+	// instead of blocking the stage.
+	ends := make(chan TaskEvent, 4)
+	rt.AddListener(FuncListener{TaskEnd: func(e TaskEvent) {
+		select {
+		case ends <- e:
+		default:
+		}
+	}})
+	started, release := make(chan int, 1), make(chan struct{})
+	tasks := []TaskSpec{{Run: func(tc *TaskContext) error {
+		if tc.Attempt == 0 {
+			started <- tc.Executor
+			<-release
+		}
+		return nil
+	}}}
+	done := make(chan error, 1)
+	go func() { done <- rt.RunStage("late", tasks) }()
+	lost := <-started
+	rt.FailExecutor(lost)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		select {
+		case e := <-ends:
+			if lostEnd := e.Executor == lost; e.Counted == lostEnd || e.Failed {
+				t.Errorf("attempt %d on executor %d (lost: %v): counted %v, failed %v; only the survivor's copy counts",
+					e.Attempt, e.Executor, lostEnd, e.Counted, e.Failed)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d task ends after 5 s, want the requeued copy's and the late one's", i)
+		}
+	}
+	if len(ends) != 0 {
+		t.Fatalf("%d task ends more than the two attempts", len(ends))
 	}
 }

@@ -89,8 +89,8 @@ func (rt *Runtime) ReducePreferences(shuffleIDs []int, reduceParts int) [][]int 
 			return prefs[i] < prefs[j]
 		})
 		out[r] = prefs
-		if rt.cfg.SchedAudit != nil {
-			rt.cfg.SchedAudit(sched.AuditEvent{
+		if rt.listeners.active() {
+			rt.listeners.decision(sched.AuditEvent{
 				Policy: "locality", Kind: "prefer", Node: prefs[0], Value: best,
 				Detail: fmt.Sprintf("part=%d owners=%v shuffles=%v", r, prefs, shuffleIDs),
 			})

@@ -111,14 +111,10 @@ func (rt *Runtime) Tier() *spill.Tier { return rt.tier }
 // runtime runs unbounded.
 func (rt *Runtime) SpillStats() (st spill.Stats, ok bool) { return rt.tier.Stats() }
 
-// auditSpill emits a spill decision through the SchedAudit hook under
-// Policy "spill" — how the trace subsystem sees spill/unspill events.
+// auditSpill reports a spill decision to the listeners under Policy
+// "spill" — how the trace subsystem sees spill/unspill events.
 func (rt *Runtime) auditSpill(kind string, value float64, detail string) {
-	if rt.cfg.SchedAudit != nil {
-		rt.cfg.SchedAudit(sched.AuditEvent{
-			Policy: "spill", Kind: kind, Node: -1, Value: value, Detail: detail,
-		})
-	}
+	rt.listeners.decision(sched.AuditEvent{Policy: "spill", Kind: kind, Node: -1, Value: value, Detail: detail})
 }
 
 // Config returns the effective configuration.
@@ -174,19 +170,15 @@ func (rt *Runtime) AliveExecutors() int {
 	return n
 }
 
-// auditFault emits a recovery decision through the SchedAudit hook
-// under Policy "fault".
+// auditFault reports a recovery decision to the listeners under Policy
+// "fault".
 func (rt *Runtime) auditFault(kind string, node int, value float64, detail string) {
-	if rt.cfg.SchedAudit != nil {
-		rt.cfg.SchedAudit(sched.AuditEvent{
-			Policy: "fault", Kind: kind, Node: node, Value: value, Detail: detail,
-		})
-	}
+	rt.listeners.decision(sched.AuditEvent{Policy: "fault", Kind: kind, Node: node, Value: value, Detail: detail})
 }
 
 // AuditRecovery lets higher layers (the rdd driver's lineage recovery)
-// emit their decisions through the same audit hook the runtime's own
-// fault handling uses, under Policy "fault".
+// report their decisions to the listeners as the runtime's own fault
+// handling does, under Policy "fault".
 func (rt *Runtime) AuditRecovery(kind string, node int, value float64, detail string) {
 	rt.auditFault(kind, node, value, detail)
 }
@@ -509,13 +501,19 @@ func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 			slots[i] = rt.cfg.CoresPerExecutor
 		}
 	}
+	// Without a listener the policy and the dispatcher audit nothing,
+	// so an unobserved stage assembles no decision events.
+	var audit sched.AuditFunc
+	if rt.listeners.active() {
+		audit = rt.listeners.decision
+	}
 	window := 0
 	if rt.cfg.RemoteBodies {
 		window = (windowPerCore - 1) * rt.cfg.CoresPerExecutor
 	}
 	st.m = sched.NewStage(sched.StageConfig{
 		Name:        name,
-		Policy:      rt.cfg.newPolicy(),
+		Policy:      rt.cfg.newPolicy(audit),
 		Slots:       slots,
 		Window:      window,
 		MaxFailures: rt.cfg.MaxTaskFailures,
@@ -523,7 +521,7 @@ func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 		Launch:      func(d sched.Decision, exec int) { rt.launchAttempt(st, d, exec) },
 		Timer:       st.scheduleRetry,
 		Faults:      rt.cfg.Faults,
-		Audit:       rt.cfg.SchedAudit,
+		Audit:       audit,
 	}, len(tasks))
 	rt.mu.Lock()
 	rt.stages[st] = struct{}{}
@@ -716,18 +714,6 @@ func (st *stageState) runTask(d sched.Decision, exec int, scratch *TaskContext) 
 			dur *= f
 		}
 	}
-	rt.listeners.taskEnd(TaskEvent{
-		Stage:          st.name,
-		TaskID:         d.TaskID,
-		Attempt:        attempt,
-		Executor:       exec,
-		Start:          start,
-		Duration:       dur,
-		ShuffleBytes:   tc.shuffleBytes,
-		ShuffleRecords: tc.shuffleRecords,
-		Failed:         err != nil,
-	})
-
 	st.mu.Lock()
 	out := sched.Success
 	switch {
@@ -743,6 +729,18 @@ func (st *stageState) runTask(d sched.Decision, exec int, scratch *TaskContext) 
 	if counted {
 		rt.metrics.recordTask(dur, tc.shuffleBytes, tc.shuffleRecords, d.Local, err != nil)
 	}
+	rt.listeners.taskEnd(TaskEvent{
+		Stage:          st.name,
+		TaskID:         d.TaskID,
+		Attempt:        attempt,
+		Executor:       exec,
+		Start:          start,
+		Duration:       dur,
+		ShuffleBytes:   tc.shuffleBytes,
+		ShuffleRecords: tc.shuffleRecords,
+		Failed:         err != nil,
+		Counted:        counted,
+	})
 	if len(crashed) > 0 {
 		st.crashChecks++
 	}

@@ -79,30 +79,30 @@ func TestWindowSlotsNeverSteal(t *testing.T) {
 	var windowSteals []string
 	rt, err := New(Config{
 		Executors: 2, CoresPerExecutor: cores, Policy: ShuffleLocality, RemoteBodies: true,
-		SchedAudit: func(e sched.AuditEvent) {
-			if e.Policy != "locality" || (e.Kind != "local" && e.Kind != "remote") {
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			// A body counts as finished before its slot is freed, so this
-			// undercounts what is in flight: it can miss a window steal,
-			// never invent one.
-			if e.Kind == "remote" {
-				remote[e.Node]++
-				if launched[e.Node]-finished[e.Node] >= cores {
-					windowSteals = append(windowSteals, fmt.Sprintf("node %d %s", e.Node, e.Detail))
-				}
-			} else {
-				local[e.Node]++
-			}
-			launched[e.Node]++
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	rt.AddListener(FuncListener{Decision: func(e sched.AuditEvent) {
+		if e.Policy != "locality" || (e.Kind != "local" && e.Kind != "remote") {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		// A body counts as finished before its slot is freed, so this
+		// undercounts what is in flight: it can miss a window steal,
+		// never invent one.
+		if e.Kind == "remote" {
+			remote[e.Node]++
+			if launched[e.Node]-finished[e.Node] >= cores {
+				windowSteals = append(windowSteals, fmt.Sprintf("node %d %s", e.Node, e.Detail))
+			}
+		} else {
+			local[e.Node]++
+		}
+		launched[e.Node]++
+	}})
 	specs := make([]TaskSpec, 40)
 	for i := range specs {
 		specs[i] = TaskSpec{Preferred: []int{0}, Run: func(tc *TaskContext) error {

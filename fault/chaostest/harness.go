@@ -1,21 +1,23 @@
 // Package chaostest is the property-based chaos harness: it replays
-// seeded fault plans against the simulator and checks job-level
-// invariants against a fault-free golden run of the same job on an
-// identically configured cluster.
+// seeded fault plans against a backend — the simulator, the engine or
+// dist — and judges each faulted run against a fault-free run of the
+// same job on the same backend.
 //
 // Invariants checked on every trial:
 //
-//  1. the job completes, and its result (task count, total intermediate
-//     volume) equals the fault-free golden;
-//  2. no task of a stage completes twice — the zombie-suppression
-//     contract of the stage runner;
-//  3. no task span overlaps the crash of the node it ran on (work on a
-//     dead node must never be recorded);
-//  4. metrics balance: per-node intermediate bytes are non-negative and
-//     sum to the golden total;
+//  1. the job completes, and its result equals the fault-free run's
+//     (on engine and dist also dist.KeyedSumGolden, exactly);
+//  2. no task is counted twice within one stage run — the
+//     zombie-suppression contract of sched.Stage;
+//  3. no counted task span ends on a node after its crash (work on a
+//     dead node must never count);
+//  4. metrics balance, as the backend's result defines it;
 //  5. under ELB, no healthy (never-crashed) node is starved of map
 //     tasks when the job has at least 4 tasks per node.
 //
+// Invariants 2, 3 and 5 read the run's trace, in the vocabulary every
+// backend shares: a task span is counted work unless its detail says
+// "failed" or "lost", and fault events are CatFault "fault:<kind>".
 // A failing seed reproduces from the seed alone; Shrink reduces its
 // plan to a locally minimal set of fault events that still violates.
 package chaostest
@@ -23,71 +25,43 @@ package chaostest
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
 	"hpcmr/fault"
-	"hpcmr/sim"
 	"hpcmr/trace"
 )
 
-// Config describes the cluster and job one chaos trial runs.
-type Config struct {
-	// Nodes is the simulated cluster size (default 8).
-	Nodes int
-	// CoresPerNode defaults to 4.
-	CoresPerNode int
-	// Tasks is the number of map tasks (default 32).
-	Tasks int
-	// Policy is the map-phase policy under test (default ELB — the
-	// paper's load balancer, whose starvation freedom is invariant 5).
-	Policy sim.Policy
+// Backend runs the chaos job once under a fault plan.
+type Backend interface {
+	// Plan generates seed's plan, shaped to the backend's cluster and
+	// job.
+	Plan(seed int64) fault.Plan
+	// Run runs the job under plan and returns its result, the tracer
+	// holding its trace, and the error that failed the job; the result
+	// counts only without an error.
+	Run(plan fault.Plan) (Result, *trace.Tracer, error)
+	// ELBNodes is how many nodes invariant 5 must see fed, or 0 when
+	// it does not apply.
+	ELBNodes() int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Nodes <= 0 {
-		c.Nodes = 8
-	}
-	if c.CoresPerNode <= 0 {
-		c.CoresPerNode = 4
-	}
-	if c.Tasks <= 0 {
-		c.Tasks = 32
-	}
-	if c.Policy == "" {
-		c.Policy = sim.ELB
-	}
-	return c
-}
-
-// splitBytes keeps trial jobs small: Tasks splits of 32 MB.
-const splitBytes = 32e6
-
-func (c Config) job() sim.Job {
-	return sim.Job{
-		Benchmark:  sim.GroupBy,
-		InputBytes: float64(c.Tasks) * splitBytes,
-		SplitBytes: splitBytes,
-		Policy:     c.Policy,
-	}
-}
-
-func (c Config) cluster() (*sim.Cluster, error) {
-	return sim.New(sim.Config{
-		Nodes:        c.Nodes,
-		CoresPerNode: c.CoresPerNode,
-		Device:       sim.RAMDisk,
-		Seed:         1,
-	})
+// Result is one run's result as its backend reports it.
+type Result interface {
+	// Diff lists how the result differs from the fault-free run's.
+	Diff(golden Result) []string
+	// Balance lists the run's metrics-balance breaches.
+	Balance() []string
+	// Summary describes a passing run against the fault-free one.
+	Summary(golden Result) string
 }
 
 // Report is the outcome of one chaos trial.
 type Report struct {
 	Plan   fault.Plan
-	Golden *sim.Result
+	Golden Result
 	// Result is nil when the faulted job failed outright.
-	Result *sim.Result
+	Result Result
 	// Events is the faulted run's full trace.
 	Events []trace.Event
 	// Violations lists every invariant breach; empty means the trial
@@ -101,102 +75,88 @@ func (r *Report) Failed() bool { return len(r.Violations) > 0 }
 // Summary formats the trial outcome as one line.
 func (r *Report) Summary() string {
 	if !r.Failed() {
-		return fmt.Sprintf("ok: %d events, job=%.2fs (golden %.2fs)",
-			len(r.Plan.Events), r.Result.JobTime, r.Golden.JobTime)
+		return fmt.Sprintf("ok: %d events, %s", len(r.Plan.Events), r.Result.Summary(r.Golden))
 	}
 	return fmt.Sprintf("FAIL: %d events, %d violations: %s",
 		len(r.Plan.Events), len(r.Violations), strings.Join(r.Violations, "; "))
 }
 
 // RunSeed generates the plan for seed and runs one trial with it.
-func RunSeed(cfg Config, seed int64) (*Report, error) {
-	cfg = cfg.withDefaults()
-	plan := fault.Generate(seed, fault.GenConfig{Nodes: cfg.Nodes, Tasks: cfg.Tasks})
-	return RunPlan(cfg, plan)
+func RunSeed(b Backend, seed int64) (*Report, error) {
+	return RunPlan(b, b.Plan(seed))
 }
 
-// RunPlan runs the golden job and the faulted job on fresh, identically
-// configured clusters and checks the invariants. The returned error
-// covers only setup problems (bad config, invalid plan); job failures
-// under faults are reported as violations.
-func RunPlan(cfg Config, plan fault.Plan) (*Report, error) {
-	cfg = cfg.withDefaults()
+// RunPlan runs the job fault-free and under plan on b and checks the
+// invariants. The returned error covers only setup problems (invalid
+// plan, failing fault-free run); job failures under faults are
+// reported as violations.
+func RunPlan(b Backend, plan fault.Plan) (*Report, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("chaostest: invalid plan: %w", err)
 	}
 	rep := &Report{Plan: plan}
-
-	gc, err := cfg.cluster()
-	if err != nil {
-		return nil, err
-	}
-	rep.Golden, err = gc.Run(cfg.job())
-	if err != nil {
+	var err error
+	if rep.Golden, _, err = b.Run(fault.Plan{}); err != nil {
 		return nil, fmt.Errorf("chaostest: golden run failed: %w", err)
 	}
-
-	fc, err := cfg.cluster()
-	if err != nil {
-		return nil, err
-	}
-	if err := fc.InjectFaults(plan); err != nil {
-		return nil, err
-	}
-	tr := fc.Trace(trace.Options{})
-	rep.Result, err = fc.Run(cfg.job())
+	res, tr, err := b.Run(plan)
 	rep.Events = tr.Events()
+	if err == nil && tr.Drops() > 0 {
+		err = fmt.Errorf("its trace overflowed by %d events", tr.Drops())
+	}
 	if err != nil {
 		rep.Violations = append(rep.Violations, fmt.Sprintf("job failed under faults: %v", err))
 		return rep, nil
 	}
-	rep.check(cfg)
+	rep.Result = res
+	rep.Violations = append(rep.Violations, rep.Result.Diff(rep.Golden)...)
+	crashes := map[int]float64{}
+	for _, e := range rep.Events {
+		if e.Cat == trace.CatFault && e.Name == "fault:crash" {
+			crashes[e.Node] = e.TS
+		}
+	}
+	tasks := countedTasks(rep.Events)
+	rep.checkNoDuplicateCompletion(tasks)
+	rep.checkNoWorkOnDeadNodes(tasks, crashes)
+	rep.Violations = append(rep.Violations, rep.Result.Balance()...)
+	rep.checkNoStarvation(tasks, b.ELBNodes(), crashes)
 	return rep, nil
 }
 
-// check evaluates all invariants on a completed faulted run.
-func (r *Report) check(cfg Config) {
-	r.checkGoldenEquivalence()
-	crashTimes := r.crashTimes()
-	r.checkNoDuplicateCompletion()
-	r.checkNoWorkOnDeadNodes(crashTimes)
-	r.checkMetricsBalance()
-	r.checkNoStarvation(cfg, crashTimes)
-}
-
-// crashTimes maps node -> virtual time of its injected crash.
-func (r *Report) crashTimes() map[int]float64 {
-	ct := map[int]float64{}
-	for _, e := range r.Events {
-		if e.Cat == trace.CatFault && e.Name == "fault:crash" {
-			ct[e.Node] = e.TS
+// countedTasks returns the trace's counted task spans, each with its
+// Stage renamed to its stage run ("name#run"): a recovering driver
+// re-runs a stage under the same name, and a task completes once per
+// run. A span belongs to the latest run of its stage that started at or
+// before it.
+func countedTasks(events []trace.Event) []trace.Event {
+	starts := map[string][]float64{}
+	for _, e := range events {
+		if e.Cat == trace.CatStage {
+			name := strings.TrimSuffix(e.Name, " (failed)")
+			starts[name] = append(starts[name], e.TS)
 		}
 	}
-	return ct
-}
-
-// Invariant 1: result equals the fault-free golden.
-func (r *Report) checkGoldenEquivalence() {
-	if r.Result.MapTasks != r.Golden.MapTasks {
-		r.Violations = append(r.Violations, fmt.Sprintf(
-			"map tasks completed = %d, golden = %d", r.Result.MapTasks, r.Golden.MapTasks))
+	for _, s := range starts {
+		sort.Float64s(s)
 	}
-	got := sumOf(r.Result.PerNodeIntermediate)
-	want := sumOf(r.Golden.PerNodeIntermediate)
-	if !approxEqual(got, want) {
-		r.Violations = append(r.Violations, fmt.Sprintf(
-			"intermediate bytes = %g, golden = %g", got, want))
-	}
-}
-
-// Invariant 2: each (stage, task) completes exactly once.
-func (r *Report) checkNoDuplicateCompletion() {
-	seen := map[string]int{}
-	for _, e := range r.Events {
-		if e.Cat != trace.CatTask {
+	var tasks []trace.Event
+	for _, e := range events {
+		if e.Cat != trace.CatTask || e.Detail == "failed" || e.Detail == "lost" {
 			continue
 		}
-		key := fmt.Sprintf("%s/%d", e.Stage, e.Task)
-		seen[key]++
+		run := sort.Search(len(starts[e.Stage]), func(i int) bool { return starts[e.Stage][i] > e.TS })
+		e.Stage = fmt.Sprintf("%s#%d", e.Stage, run)
+		tasks = append(tasks, e)
+	}
+	return tasks
+}
+
+// Invariant 2: each task of a stage run is counted once.
+func (r *Report) checkNoDuplicateCompletion(tasks []trace.Event) {
+	seen := map[string]int{}
+	for _, e := range tasks {
+		seen[fmt.Sprintf("%s/%d", e.Stage, e.Task)]++
 	}
 	var dups []string
 	for key, n := range seen {
@@ -210,13 +170,10 @@ func (r *Report) checkNoDuplicateCompletion() {
 	}
 }
 
-// Invariant 3: no recorded task span extends past the crash of its node.
-func (r *Report) checkNoWorkOnDeadNodes(crashTimes map[int]float64) {
-	for _, e := range r.Events {
-		if e.Cat != trace.CatTask {
-			continue
-		}
-		crash, crashed := crashTimes[e.Node]
+// Invariant 3: no counted task span extends past the crash of its node.
+func (r *Report) checkNoWorkOnDeadNodes(tasks []trace.Event, crashes map[int]float64) {
+	for _, e := range tasks {
+		crash, crashed := crashes[e.Node]
 		if crashed && e.End() > crash+1e-9 {
 			r.Violations = append(r.Violations, fmt.Sprintf(
 				"task %s/%d recorded on node %d past its crash at %.3fs (span end %.3fs)",
@@ -225,32 +182,18 @@ func (r *Report) checkNoWorkOnDeadNodes(crashTimes map[int]float64) {
 	}
 }
 
-// Invariant 4: per-node intermediate volumes are sane.
-func (r *Report) checkMetricsBalance() {
-	for node, b := range r.Result.PerNodeIntermediate {
-		if b < 0 || math.IsNaN(b) {
-			r.Violations = append(r.Violations, fmt.Sprintf(
-				"node %d intermediate bytes = %g", node, b))
-		}
-	}
-}
-
-// Invariant 5: under ELB with ≥4 tasks per node, every node that was
-// never crashed runs at least one map task — the load balancer must not
+// Invariant 5: every one of the nodes ELB must feed that was never
+// crashed runs at least one map task — the load balancer must not
 // starve healthy nodes while routing around dead ones.
-func (r *Report) checkNoStarvation(cfg Config, crashTimes map[int]float64) {
-	if cfg.Policy != sim.ELB || cfg.Tasks < 4*cfg.Nodes {
-		return
-	}
-	ran := make([]bool, cfg.Nodes)
-	for _, e := range r.Events {
-		if e.Cat == trace.CatTask && strings.HasPrefix(e.Stage, "map/") &&
-			e.Node >= 0 && e.Node < cfg.Nodes {
+func (r *Report) checkNoStarvation(tasks []trace.Event, nodes int, crashes map[int]float64) {
+	ran := make([]bool, nodes)
+	for _, e := range tasks {
+		if strings.HasPrefix(e.Stage, "map/") && e.Node >= 0 && e.Node < nodes {
 			ran[e.Node] = true
 		}
 	}
 	for node, ok := range ran {
-		if _, crashed := crashTimes[node]; !ok && !crashed {
+		if _, crashed := crashes[node]; !ok && !crashed {
 			r.Violations = append(r.Violations, fmt.Sprintf(
 				"healthy node %d ran no map tasks (ELB starvation)", node))
 		}
@@ -258,17 +201,16 @@ func (r *Report) checkNoStarvation(cfg Config, crashTimes map[int]float64) {
 }
 
 // Shrink greedily minimizes a failing plan: while removing any single
-// event still reproduces a violation, remove it. The result is locally
-// minimal — every remaining event is necessary for the failure.
-func Shrink(cfg Config, plan fault.Plan) (fault.Plan, error) {
-	cfg = cfg.withDefaults()
+// event still reproduces a violation on b, remove it. The result is
+// locally minimal — every remaining event is necessary for the failure.
+func Shrink(b Backend, plan fault.Plan) (fault.Plan, error) {
 	for {
 		removed := false
 		for i := 0; i < len(plan.Events); i++ {
 			cand := fault.Plan{Seed: plan.Seed}
 			cand.Events = append(cand.Events, plan.Events[:i]...)
 			cand.Events = append(cand.Events, plan.Events[i+1:]...)
-			rep, err := RunPlan(cfg, cand)
+			rep, err := RunPlan(b, cand)
 			if err != nil {
 				return plan, err
 			}
@@ -284,11 +226,13 @@ func Shrink(cfg Config, plan fault.Plan) (fault.Plan, error) {
 	}
 }
 
-// TraceJSONL runs plan on a fresh cluster and returns the faulted run's
-// trace as JSONL bytes — the determinism witness: the same plan on the
-// same config must produce byte-identical output on every run.
+// TraceJSONL runs plan on a fresh simulated cluster and returns the
+// faulted run's trace as JSONL bytes — the determinism witness: the
+// same plan on the same config must produce byte-identical output on
+// every run. Engine and dist traces run on wall time, so the witness is
+// the simulator's alone.
 func TraceJSONL(cfg Config, plan fault.Plan) ([]byte, error) {
-	rep, err := RunPlan(cfg, plan)
+	rep, err := RunPlan(Sim(cfg), plan)
 	if err != nil {
 		return nil, err
 	}
@@ -297,22 +241,4 @@ func TraceJSONL(cfg Config, plan fault.Plan) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-func sumOf(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// approxEqual compares volumes to one part in a million.
-func approxEqual(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= 1e-6*scale
 }

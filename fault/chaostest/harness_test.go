@@ -40,7 +40,7 @@ func TestCrashAtHalfMapsSimBackend(t *testing.T) {
 	plan := fault.Plan{Events: []fault.Event{
 		{Kind: fault.KindCrash, Node: 3, AfterTasks: 16},
 	}}
-	rep, err := RunPlan(cfg, plan)
+	rep, err := RunPlan(Sim(cfg), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func TestCrashAtHalfMapsSimBackend(t *testing.T) {
 	if !crashed {
 		t.Fatal("the planned crash never fired")
 	}
-	if rep.Result.MapTasks != rep.Golden.MapTasks {
-		t.Fatalf("MapTasks = %d, golden %d", rep.Result.MapTasks, rep.Golden.MapTasks)
+	if got, want := rep.Result.(simResult).MapTasks, rep.Golden.(simResult).MapTasks; got != want {
+		t.Fatalf("MapTasks = %d, golden %d", got, want)
 	}
 }
 
@@ -70,12 +70,12 @@ func TestRandomizedSeedsHoldInvariants(t *testing.T) {
 		seeds = seeds[:3]
 	}
 	for _, seed := range seeds {
-		rep, err := RunSeed(cfg, seed)
+		rep, err := RunSeed(Sim(cfg), seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if rep.Failed() {
-			min, serr := Shrink(cfg, rep.Plan)
+			min, serr := Shrink(Sim(cfg), rep.Plan)
 			if serr != nil {
 				t.Fatalf("seed %d failed (%v) and shrink errored: %v", seed, rep.Violations, serr)
 			}
@@ -94,7 +94,7 @@ func TestTotalClusterLossIsAViolationNotAHang(t *testing.T) {
 	for n := 0; n < 4; n++ {
 		evs = append(evs, fault.Event{Kind: fault.KindCrash, Node: n, AfterTasks: n + 1})
 	}
-	rep, err := RunPlan(cfg, fault.Plan{Events: evs})
+	rep, err := RunPlan(Sim(cfg), fault.Plan{Events: evs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +114,14 @@ func TestShrinkMinimizes(t *testing.T) {
 	for n := 0; n < 4; n++ {
 		evs = append(evs, fault.Event{Kind: fault.KindCrash, Node: n, AfterTasks: n + 1})
 	}
-	rep, err := RunPlan(cfg, fault.Plan{Events: evs})
+	rep, err := RunPlan(Sim(cfg), fault.Plan{Events: evs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Failed() {
 		t.Fatal("setup: the padded plan should fail")
 	}
-	min, err := Shrink(cfg, rep.Plan)
+	min, err := Shrink(Sim(cfg), rep.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestShrinkMinimizes(t *testing.T) {
 			t.Fatalf("shrunk plan still carries a harmless slow window: %v", min.Events)
 		}
 	}
-	minRep, err := RunPlan(cfg, min)
+	minRep, err := RunPlan(Sim(cfg), min)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestFaultEventsSurviveJSONLRoundTrip(t *testing.T) {
 	plan := fault.Plan{Events: []fault.Event{
 		{Kind: fault.KindCrash, Node: 2, AfterTasks: 8},
 	}}
-	rep, err := RunPlan(cfg, plan)
+	rep, err := RunPlan(Sim(cfg), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,15 +175,15 @@ func TestFaultEventsSurviveJSONLRoundTrip(t *testing.T) {
 // TestGoldenRunsAreFaultFree: without a plan the harness's two runs are
 // identical jobs; the report must be clean and carry no fault events.
 func TestGoldenRunsAreFaultFree(t *testing.T) {
-	rep, err := RunPlan(Config{Nodes: 8, Tasks: 32}, fault.Plan{})
+	rep, err := RunPlan(Sim(Config{Nodes: 8, Tasks: 32}), fault.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Failed() {
 		t.Fatalf("fault-free plan violated invariants: %v", rep.Violations)
 	}
-	if rep.Result.JobTime != rep.Golden.JobTime {
-		t.Fatalf("empty plan changed the job time: %v vs %v", rep.Result.JobTime, rep.Golden.JobTime)
+	if got, want := rep.Result.(simResult).JobTime, rep.Golden.(simResult).JobTime; got != want {
+		t.Fatalf("empty plan changed the job time: %v vs %v", got, want)
 	}
 	for _, e := range rep.Events {
 		if e.Cat == trace.CatFault {
@@ -199,8 +199,8 @@ func TestELBPolicyIsDefault(t *testing.T) {
 	if cfg.Policy != sim.ELB {
 		t.Fatalf("default policy = %q, want ELB", cfg.Policy)
 	}
-	if cfg.Tasks < 4*cfg.Nodes {
-		t.Fatalf("default Tasks (%d) must enable the starvation check (4x nodes = %d)",
-			cfg.Tasks, 4*cfg.Nodes)
+	if n := Sim(Config{}).ELBNodes(); n != cfg.Nodes {
+		t.Fatalf("default Tasks (%d) must enable the starvation check on all %d nodes, got %d",
+			cfg.Tasks, cfg.Nodes, n)
 	}
 }

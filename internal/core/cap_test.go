@@ -56,18 +56,18 @@ func TestInjectedFailureCap(t *testing.T) {
 		rt, err := engine.New(engine.Config{
 			Executors: 1, CoresPerExecutor: 1, MaxTaskFailures: sched.DefaultMaxFailures,
 			Faults: fault.NewInjector(plan),
-			SchedAudit: func(ev sched.AuditEvent) {
-				if ev.Kind == "task-fail" {
-					mu.Lock()
-					fails[int(ev.Value)]++
-					mu.Unlock()
-				}
-			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer rt.Close()
+		rt.AddListener(engine.FuncListener{Decision: func(ev sched.AuditEvent) {
+			if ev.Kind == "task-fail" {
+				mu.Lock()
+				fails[int(ev.Value)]++
+				mu.Unlock()
+			}
+		}})
 		specs := make([]engine.TaskSpec, tasks)
 		for i := range specs {
 			specs[i].Run = func(tc *engine.TaskContext) error {

@@ -67,9 +67,7 @@ func runStage(e *Engine, name string, policy sched.Policy, tasks []sched.TaskInf
 		MaxFailures: sched.DefaultMaxFailures,
 		Launch:      r.launch,
 		Timer:       r.timer,
-		Audit: func(ev sched.AuditEvent) {
-			e.Tracer.InstantEvent(trace.CatFault, "fault:"+ev.Kind, ev.Node, ev.Value, ev.Detail)
-		},
+		Audit:       trace.SchedAudit(e.Tracer),
 	}
 	if e.Faults != nil {
 		cfg.Faults = e.Faults

@@ -66,14 +66,6 @@ func (f *BruteFlow) Remaining() float64 {
 	return f.remaining
 }
 
-// Rate returns the flow's current transfer rate.
-func (f *BruteFlow) Rate() float64 {
-	if f.finished || f.canceled {
-		return 0
-	}
-	return f.rate
-}
-
 // NewBruteFluid returns an empty reference fluid system on sim.
 func NewBruteFluid(sim *Sim) *BruteFluid {
 	return &BruteFluid{sim: sim, lastT: sim.Now()}

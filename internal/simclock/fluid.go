@@ -74,14 +74,6 @@ func (f *Flow) Remaining() float64 {
 	return f.remaining
 }
 
-// Rate returns the flow's current transfer rate in work units per second.
-func (f *Flow) Rate() float64 {
-	if f.finished || f.canceled {
-		return 0
-	}
-	return f.rate
-}
-
 // Fluid is a processor-sharing fluid-flow system layered on a Sim. Flows
 // progress continuously at rates determined by equal sharing of every
 // resource they cross; the system schedules a wake-up at the earliest

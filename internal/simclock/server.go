@@ -50,47 +50,3 @@ func (s *Server) Served() int64 { return s.served }
 
 // BusyTime returns the cumulative service time accepted so far.
 func (s *Server) BusyTime() float64 { return s.busyTime }
-
-// Slots is a counting semaphore over virtual time: up to N holders at
-// once, FIFO granting. It models CPU core slots on a compute node.
-type Slots struct {
-	sim   *Sim
-	total int
-	inUse int
-	queue []func()
-}
-
-// NewSlots returns a semaphore with n slots.
-func NewSlots(sim *Sim, n int) *Slots {
-	if n < 1 {
-		n = 1
-	}
-	return &Slots{sim: sim, total: n}
-}
-
-// Acquire requests a slot; acquired runs (as a scheduled event) once one
-// is available. Callers release with Release.
-func (s *Slots) Acquire(acquired func()) {
-	if s.inUse < s.total {
-		s.inUse++
-		s.sim.After(0, acquired)
-		return
-	}
-	s.queue = append(s.queue, acquired)
-}
-
-// Release frees a slot, granting it to the oldest waiter if any.
-func (s *Slots) Release() {
-	if len(s.queue) > 0 {
-		next := s.queue[0]
-		s.queue = s.queue[1:]
-		s.sim.After(0, next)
-		return
-	}
-	if s.inUse > 0 {
-		s.inUse--
-	}
-}
-
-// Total returns the slot count.
-func (s *Slots) Total() int { return s.total }

@@ -20,9 +20,6 @@ type Event struct {
 	index int // heap position; -1 once fired, canceled, or unscheduled
 }
 
-// When returns the virtual time the event is scheduled for.
-func (e *Event) When() float64 { return e.at }
-
 // Cancel removes the event from the schedule so its callback never runs.
 // It reports whether the event was still pending; canceling a fired or
 // already-canceled event is a no-op.

@@ -171,51 +171,6 @@ func TestServerIdleGap(t *testing.T) {
 	}
 }
 
-func TestSlotsLimitConcurrency(t *testing.T) {
-	s := New()
-	slots := NewSlots(s, 2)
-	maxHeld := 0
-	held := 0
-	for i := 0; i < 6; i++ {
-		slots.Acquire(func() {
-			held++
-			if held > maxHeld {
-				maxHeld = held
-			}
-			s.After(1, func() {
-				held--
-				slots.Release()
-			})
-		})
-	}
-	s.Run()
-	if maxHeld != 2 {
-		t.Fatalf("max concurrent holders = %d, want 2", maxHeld)
-	}
-	if s.Now() != 3 {
-		t.Fatalf("finish time = %v, want 3 (6 unit tasks on 2 slots)", s.Now())
-	}
-}
-
-func TestSlotsFIFOGrant(t *testing.T) {
-	s := New()
-	slots := NewSlots(s, 1)
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		slots.Acquire(func() {
-			order = append(order, i)
-			s.After(1, slots.Release)
-		})
-	}
-	s.Run()
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("grant order = %v, want FIFO", order)
-		}
-	}
-}
-
 func TestFluidSingleFlow(t *testing.T) {
 	s := New()
 	fl := NewFluid(s)

@@ -6,7 +6,6 @@ import (
 
 	"hpcmr/dist"
 	"hpcmr/engine"
-	"hpcmr/fault/chaostest"
 )
 
 func init() {
@@ -123,7 +122,7 @@ func runDistDispatchFine(sc Scale) (Extras, error) {
 	if err != nil {
 		return nil, err
 	}
-	want := chaostest.KeyedSumGolden(records, keys)
+	want := dist.KeyedSumGolden(records, keys)
 	if int64(len(kvs)) != keys {
 		return nil, fmt.Errorf("dispatch-fine produced %d keys, want %d", len(kvs), keys)
 	}

@@ -130,7 +130,7 @@ func init() {
 			}
 			var events, planEvents int
 			for _, seed := range seeds {
-				rep, err := chaostest.RunSeed(cfg, seed)
+				rep, err := chaostest.RunSeed(chaostest.Sim(cfg), seed)
 				if err != nil {
 					return nil, err
 				}

@@ -35,7 +35,6 @@ func RunEngineWorkload(spec EngineWorkloadSpec) (seconds float64, events int, er
 		// workload emits one event per task plus one per stage; twice the
 		// task count per shard never drops even if one node ran them all.
 		tr = trace.NewWall(trace.Options{ShardCapacity: 2 * spec.Tasks})
-		cfg.SchedAudit = trace.SchedAudit(tr)
 	}
 	ctx, err := rdd.NewContext(cfg)
 	if err != nil {

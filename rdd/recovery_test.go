@@ -61,19 +61,19 @@ func TestLineageRecoveryAfterExecutorLoss(t *testing.T) {
 	var kinds []string
 	cfg := engine.Config{
 		Executors: 4, CoresPerExecutor: 2, MaxTaskFailures: 4,
-		SchedAudit: func(e sched.AuditEvent) {
-			if e.Policy == "fault" {
-				mu.Lock()
-				kinds = append(kinds, e.Kind)
-				mu.Unlock()
-			}
-		},
 	}
 	c, err := NewContext(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Stop()
+	c.Runtime().AddListener(engine.FuncListener{Decision: func(e sched.AuditEvent) {
+		if e.Policy == "fault" {
+			mu.Lock()
+			kinds = append(kinds, e.Kind)
+			mu.Unlock()
+		}
+	}})
 
 	var mapRuns int64
 	words := []string{"a", "b", "a", "c", "b", "a", "d", "e", "a", "b", "c", "f"}

@@ -205,16 +205,16 @@ func TestCacheSpillCorruptRecomputes(t *testing.T) {
 		var computed, corrupted atomic.Int64
 		ctx, err := NewContext(engine.Config{
 			Executors: 2, CoresPerExecutor: 2, MemoryBudget: budget, SpillDir: dir,
-			SchedAudit: func(e sched.AuditEvent) {
-				if e.Kind == "spill-corrupt" {
-					corrupted.Add(1)
-				}
-			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ctx.Stop()
+		ctx.Runtime().AddListener(engine.FuncListener{Decision: func(e sched.AuditEvent) {
+			if e.Kind == "spill-corrupt" {
+				corrupted.Add(1)
+			}
+		}})
 		cached := Map(Parallelize(ctx, in, parts), func(p Pair[int64, int64]) Pair[int64, int64] {
 			computed.Add(1)
 			return p

@@ -2,7 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 
 	"hpcmr/engine"
@@ -11,10 +11,12 @@ import (
 
 // SchedAudit adapts a tracer into a scheduler decision auditor: ELB
 // pause/resume, CAD throttle adjustments, and delay-scheduling waits
-// become CatSched instants named "policy:kind", stamped on the
-// tracer's clock (virtual time under the simulator, wall time under
-// the real engine). Wire it into engine.Config.SchedAudit or directly
-// onto a policy's Audit field.
+// become CatSched instants named "policy:kind", and fault and recovery
+// decisions (Policy "fault") CatFault instants named "fault:kind" —
+// the category the simulator, the engine and dist share — stamped on
+// the tracer's clock (virtual time under the simulator, wall time under
+// the real engine). Set it on a policy's or a sched.Stage's Audit
+// field; EngineListener routes a runtime's decisions through it.
 func SchedAudit(t *Tracer) sched.AuditFunc {
 	if t == nil {
 		return nil
@@ -22,20 +24,21 @@ func SchedAudit(t *Tracer) sched.AuditFunc {
 	return func(ev sched.AuditEvent) {
 		detail := ev.Detail
 		if len(ev.Loads) > 0 {
-			var b strings.Builder
-			b.WriteString(detail)
-			b.WriteString(" loads=[")
+			b := append([]byte(detail), " loads=["...)
 			for i, l := range ev.Loads {
 				if i > 0 {
-					b.WriteByte(' ')
+					b = append(b, ' ')
 				}
-				fmt.Fprintf(&b, "%.4g", l)
+				b = strconv.AppendFloat(b, l, 'g', 4, 64) // %.4g without boxing l
 			}
-			b.WriteByte(']')
-			detail = b.String()
+			detail = string(append(b, ']'))
+		}
+		cat := CatSched
+		if ev.Policy == "fault" {
+			cat = CatFault
 		}
 		t.Emit(Event{
-			TS: t.Now(), Kind: Instant, Cat: CatSched,
+			TS: t.Now(), Kind: Instant, Cat: cat,
 			Name: ev.Policy + ":" + ev.Kind,
 			Node: ev.Node, Peer: -1, Task: -1,
 			Bytes: ev.Value, Detail: detail,
@@ -43,20 +46,26 @@ func SchedAudit(t *Tracer) sched.AuditFunc {
 	}
 }
 
-// engineListener records real-engine lifecycle events as spans.
+// engineListener records real-engine lifecycle events as spans and its
+// decisions as instants.
 type engineListener struct {
-	t  *Tracer
-	mu sync.Mutex
+	t     *Tracer
+	audit sched.AuditFunc
+	mu    sync.Mutex
 	// stage start times by name; stages run sequentially per runtime
 	// but listeners may serve several runtimes, so keep it keyed.
 	starts map[string]float64
 }
 
-// EngineListener returns an engine.Listener that records stage and
-// task-attempt spans into t. Use a wall-clock tracer (NewWall): task
-// timestamps convert through the tracer's epoch.
+// EngineListener returns an engine.Listener that records stage,
+// task-attempt and fetch spans into t, and the runtime's decisions as
+// SchedAudit does. A task span is counted work, as the simulator
+// records it, unless its detail says "failed" or "lost" (discarded by
+// the dispatcher: gone with its executor, or beaten by a sibling). Use
+// a wall-clock tracer (NewWall): task timestamps convert through the
+// tracer's epoch.
 func EngineListener(t *Tracer) engine.Listener {
-	return &engineListener{t: t, starts: map[string]float64{}}
+	return &engineListener{t: t, audit: SchedAudit(t), starts: map[string]float64{}}
 }
 
 func (l *engineListener) OnStageStart(name string, tasks int) {
@@ -86,8 +95,11 @@ func (l *engineListener) OnTaskStart(e engine.TaskEvent) {}
 
 func (l *engineListener) OnTaskEnd(e engine.TaskEvent) {
 	detail := ""
-	if e.Failed {
+	switch {
+	case e.Failed:
 		detail = "failed"
+	case !e.Counted:
+		detail = "lost"
 	}
 	l.t.Emit(Event{
 		TS: l.t.Since(e.Start), Dur: e.Duration, Kind: Span, Cat: CatTask,
@@ -116,3 +128,5 @@ func (l *engineListener) OnFetch(e engine.FetchEvent) {
 		Bytes: e.Bytes, Records: float64(e.Records), Detail: detail,
 	})
 }
+
+func (l *engineListener) OnDecision(e sched.AuditEvent) { l.audit(e) }

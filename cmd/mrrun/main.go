@@ -71,7 +71,7 @@ func newContext() *rdd.Context {
 		Policy:           kind,
 	}
 	if *traceOut != "" || *traceJSONL != "" {
-		tracer = trace.NewWall(trace.Options{})
+		tracer = trace.NewWall()
 	}
 	ctx, err := rdd.NewContext(cfg)
 	if err != nil {

@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	var tracer *trace.Tracer
 	if *traceOut != "" || *traceJSONL != "" {
-		tracer = c.Trace(trace.Options{})
+		tracer = c.Trace()
 	}
 	// "local" keeps the workload's own store: LR stays storeless.
 	st := sim.Store(*store)

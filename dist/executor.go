@@ -367,7 +367,7 @@ func (e *Executor) gather(shuffle int, locations []Loc, part int, done *TaskDone
 		}
 		addr := locs[0].Addr
 		var fetched []any
-		err := engine.RetryFetch(defaultFetchRetries,
+		err := engine.RetryFetch(
 			func(attempt int, backoff time.Duration, last error) {
 				e.logf("executor %d fetch retry %d against executor %d (%s): %v",
 					e.cfg.ID, attempt, owner, addr, last)
@@ -447,10 +447,6 @@ func (q *runQueue) close() {
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
-
-// defaultFetchRetries bounds an executor's peer-fetch attempts,
-// mirroring the engine's MaxFetchRetries default.
-const defaultFetchRetries = 3
 
 // bucketVolumes measures each bucket chunk's in-memory volume — the
 // per-reduce-bucket weights the driver records against its placeholder

@@ -476,7 +476,7 @@ func TestPeerPoolKilledPeerUnreachable(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(retries) != defaultFetchRetries-1 || strings.Contains(retries[0], "dial") ||
+	if len(retries) != engine.FetchAttempts-1 || strings.Contains(retries[0], "dial") ||
 		!strings.Contains(retries[1], "dial") || !strings.Contains(err.Error(), "dial") {
 		t.Fatalf("want the pooled connection to fail, then dials to:\n%s\nfinal: %v", strings.Join(retries, "\n"), err)
 	}

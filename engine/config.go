@@ -29,8 +29,8 @@ const (
 	FIFO PolicyKind = iota
 	// Locality prefers slot-local tasks but never waits.
 	Locality
-	// DelayScheduling waits up to localityWaitSeconds for a local slot
-	// (Spark's default, shown harmful on HPC).
+	// DelayScheduling waits up to sched.SparkLocalityWait for a local
+	// slot (Spark's default, shown harmful on HPC).
 	DelayScheduling
 	// ELB is the paper's Enhanced Load Balancer.
 	ELB
@@ -62,15 +62,13 @@ func (k PolicyKind) String() string {
 	}
 }
 
-// Fixed runtime settings: one value serves every caller. The values are
-// the paper's and Spark's.
+// FetchAttempts is how many attempts RetryFetch makes against transient
+// shuffle-fetch faults, in the local runtime and in dist's executors
+// alike.
+const FetchAttempts = 3
+
+// Fixed runtime settings: one value serves every caller.
 const (
-	// localityWaitSeconds is delay scheduling's wait for a local slot:
-	// Spark's spark.locality.wait, the default the paper argues against.
-	localityWaitSeconds = 3.0
-	// elbThreshold is the load balancer's pause threshold: a node 25 %
-	// above the average intermediate volume stops taking tasks.
-	elbThreshold = 0.25
 	// speculationInterval is how often a speculating stage looks for
 	// stragglers (sched.Stage.Speculate).
 	speculationInterval = 50 * time.Millisecond
@@ -119,9 +117,6 @@ type Config struct {
 	// time-triggered crashes. A task absorbs at most MaxTaskFailures-1
 	// injected failures.
 	Faults FaultInjector
-	// MaxFetchRetries is how many attempts FetchShuffleChunks makes against
-	// transient fetch faults before giving up (default 3).
-	MaxFetchRetries int
 	// MemoryBudget caps the accounted resident bytes of shuffle output
 	// and cached partitions, in bytes; 0 means unbounded (everything
 	// stays in RAM, the pre-budget behavior). Over budget, the runtime
@@ -154,9 +149,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxTaskFailures <= 0 {
 		c.MaxTaskFailures = sched.DefaultMaxFailures
 	}
-	if c.MaxFetchRetries <= 0 {
-		c.MaxFetchRetries = 3
-	}
 	return c
 }
 
@@ -167,11 +159,11 @@ func (c Config) newPolicy(audit sched.AuditFunc) sched.Policy {
 	case Locality:
 		return sched.NewLocalityPreferring()
 	case DelayScheduling:
-		p := sched.NewDelay(localityWaitSeconds)
+		p := sched.NewDelay(sched.SparkLocalityWait)
 		p.Audit = audit
 		return p
 	case ELB:
-		p := sched.NewELB(c.Executors, elbThreshold)
+		p := sched.NewELB(c.Executors, sched.ELBThreshold)
 		p.Audit = audit
 		return p
 	case CADThrottled:
@@ -179,7 +171,7 @@ func (c Config) newPolicy(audit sched.AuditFunc) sched.Policy {
 		p.Audit = audit
 		return p
 	case ShuffleLocality:
-		p := sched.NewShuffleLocality(c.Executors, elbThreshold)
+		p := sched.NewShuffleLocality(c.Executors)
 		p.Audit = audit
 		return p
 	default:

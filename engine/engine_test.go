@@ -397,7 +397,7 @@ func TestManyStagesSequential(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Executors < 1 || c.CoresPerExecutor != 1 || c.MaxTaskFailures != 4 || c.MaxFetchRetries != 3 {
+	if c.Executors < 1 || c.CoresPerExecutor != 1 || c.MaxTaskFailures != 4 {
 		t.Fatalf("defaults: %+v", c)
 	}
 }

@@ -145,7 +145,7 @@ func TestAllExecutorsLostFailsStage(t *testing.T) {
 }
 
 // TestFetchShuffleRetriesTransientLoss: two injected fetch losses are
-// absorbed by the bounded retry (MaxFetchRetries = 3) and the third
+// absorbed by the bounded retry (FetchAttempts = 3) and the third
 // attempt returns the data; the retries are audited.
 func TestFetchShuffleRetriesTransientLoss(t *testing.T) {
 	plan := fault.Plan{Events: []fault.Event{
@@ -156,7 +156,6 @@ func TestFetchShuffleRetriesTransientLoss(t *testing.T) {
 		Executors:        2,
 		CoresPerExecutor: 1,
 		Faults:           fault.NewInjector(plan),
-		MaxFetchRetries:  3,
 	}
 	rt, err := New(cfg)
 	if err != nil {
@@ -192,7 +191,7 @@ func TestFetchShuffleExhaustsRetries(t *testing.T) {
 	}}
 	rt, err := New(Config{
 		Executors: 2, CoresPerExecutor: 1,
-		Faults: fault.NewInjector(plan), MaxFetchRetries: 3,
+		Faults: fault.NewInjector(plan),
 	})
 	if err != nil {
 		t.Fatal(err)

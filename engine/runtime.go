@@ -236,7 +236,7 @@ func (rt *Runtime) checkTimeCrashes() {
 // against transient injected fetch faults. Missing map output is
 // returned immediately (not transient; lineage must repair it).
 func (rt *Runtime) fetchRetrying(tc *TaskContext, shuffleID, reducePart int, fetch func() error) error {
-	err := RetryFetch(rt.cfg.MaxFetchRetries,
+	err := RetryFetch(
 		func(attempt int, backoff time.Duration, last error) {
 			rt.auditFault("fetch-retry", tc.Executor, float64(attempt),
 				fmt.Sprintf("shuffle=%d part=%d backoff=%s: %v", shuffleID, reducePart, backoff, last))
@@ -257,7 +257,7 @@ func (rt *Runtime) fetchRetrying(tc *TaskContext, shuffleID, reducePart int, fet
 		return err
 	}
 	return fmt.Errorf("engine: shuffle %d fetch for reduce partition %d failed after %d attempts: %w",
-		shuffleID, reducePart, rt.cfg.MaxFetchRetries, err)
+		shuffleID, reducePart, FetchAttempts, err)
 }
 
 // FetchShuffleChunks fetches one reduce partition as stored chunks (one

@@ -73,10 +73,7 @@ func (b simBackend) Run(plan fault.Plan) (Result, *trace.Tracer, error) {
 	if err := c.InjectFaults(plan); err != nil {
 		return nil, nil, err
 	}
-	// A trial records about two events per task plus one per fetch
-	// (nodes²); twice that per shard keeps every ring drop-free while
-	// sparing each run the default rings' 30 MB, which stay the cap.
-	tr := c.Trace(trace.Options{ShardCapacity: min(4*(b.Tasks+b.Nodes*b.Nodes), 1<<15)})
+	tr := c.Trace()
 	res, err := c.Run(sim.Job{
 		Benchmark:  sim.GroupBy,
 		InputBytes: float64(b.Tasks) * splitBytes,
@@ -167,7 +164,7 @@ func (keyedSum) Plan(seed int64) fault.Plan {
 func (keyedSum) ELBNodes() int { return 0 }
 
 func (b keyedSum) Run(plan fault.Plan) (Result, *trace.Tracer, error) {
-	tr := trace.NewWall(trace.Options{ShardCapacity: 1024})
+	tr := trace.NewWall()
 	s, err := b.run(plan, b.budget, tr)
 	return s, tr, err
 }
@@ -249,7 +246,6 @@ func runEngine(plan fault.Plan, budget int64, tr *trace.Tracer) (*keyedSums, err
 		Executors:        ksExecutors,
 		CoresPerExecutor: ksCores,
 		MaxTaskFailures:  8,
-		MaxFetchRetries:  5,
 		MemoryBudget:     budget,
 		Faults:           fault.NewInjector(plan),
 	})

@@ -15,9 +15,6 @@ type GenConfig struct {
 	// drawn from [1, Tasks] instead of time triggers — the form that
 	// replays identically across backends with different clock rates.
 	Tasks int
-	// MaxCrashes caps permanent node losses per plan so a plan cannot
-	// kill the whole cluster (default: Nodes/4, at least 1).
-	MaxCrashes int
 }
 
 func (c GenConfig) withDefaults() GenConfig {
@@ -26,12 +23,6 @@ func (c GenConfig) withDefaults() GenConfig {
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = 60
-	}
-	if c.MaxCrashes <= 0 {
-		c.MaxCrashes = c.Nodes / 4
-		if c.MaxCrashes < 1 {
-			c.MaxCrashes = 1
-		}
 	}
 	return c
 }
@@ -43,13 +34,15 @@ func Generate(seed int64, cfg GenConfig) Plan {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
 	p := Plan{Seed: seed}
-	crashes := 0
+	// Permanent node losses are capped so a plan cannot kill the whole
+	// cluster: a quarter of the nodes, at least one.
+	crashes, maxCrashes := 0, max(cfg.Nodes/4, 1)
 	for i := 0; i < cfg.Events; i++ {
 		node := rng.Intn(cfg.Nodes)
 		at := rng.Float64() * cfg.Horizon
 		switch rng.Intn(5) {
 		case 0:
-			if crashes >= cfg.MaxCrashes {
+			if crashes >= maxCrashes {
 				// Degrade instead of exceeding the crash budget.
 				p.Events = append(p.Events, slowEvent(rng, node, at, cfg))
 				continue

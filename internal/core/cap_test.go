@@ -31,7 +31,7 @@ func TestInjectedFailureCap(t *testing.T) {
 		cfg.CoresPerNode = 1
 		e := NewEngine(cluster.New(cfg), nil, nil)
 		e.Faults = fault.NewInjector(plan)
-		e.Tracer = trace.New(e.C.Sim.Now, trace.Options{})
+		e.Tracer = trace.New(e.C.Sim.Now)
 		runs := make([]int, tasks)
 		finished := false
 		runStage(e, "cap", sched.NewFIFO(), infos, func(id, _ int, _ float64, done func(sched.TaskStats)) {

@@ -51,7 +51,7 @@ type Engine struct {
 	HDFS   *dfs.FS
 	Lustre *lustre.FS
 	// Tracer, when set, captures job/stage/task/fetch spans on the
-	// simulator's virtual clock (build it with trace.New(C.Sim.Now, ...)).
+	// simulator's virtual clock (build it with trace.New(C.Sim.Now)).
 	// It records passively — tracing never perturbs simulated time.
 	Tracer *trace.Tracer
 	// Faults, when set, replays a deterministic fault plan against the

@@ -34,7 +34,7 @@ func TestOfferOrderMatchesEngine(t *testing.T) {
 		{engine.Locality, func() sched.Policy { return sched.NewLocalityPreferring() }},
 		{engine.ELB, func() sched.Policy { return sched.NewELB(nodes, 0.25) }},
 		{engine.CADThrottled, func() sched.Policy { return sched.NewCAD(sched.NewFIFO()) }},
-		{engine.ShuffleLocality, func() sched.Policy { return sched.NewShuffleLocality(nodes, 0.25) }},
+		{engine.ShuffleLocality, func() sched.Policy { return sched.NewShuffleLocality(nodes) }},
 	}
 	prefs := []struct {
 		name string

@@ -24,7 +24,7 @@ func AblationELBThreshold(o Options) *Experiment {
 	base := runELB(o, rigSpec, size, groupBySplit, false)
 	db := base.Dissection()
 	var best float64
-	for _, th := range []float64{0.10, 0.25, 0.50, 1.00} {
+	for _, th := range []float64{0.10, sched.ELBThreshold, 0.50, 1.00} {
 		rig := NewRig(o, rigSpec)
 		res := rig.MustRun(workload.GroupBy(size, o.Split(groupBySplit)), core.Policies{
 			Map: sched.NewELB(len(rig.Cluster.Nodes), th),
@@ -104,7 +104,7 @@ func AblationLocalityWait(o Options) *Experiment {
 	s := &metrics.Series{Label: "grep job", XLabel: "wait s", YLabel: "s"}
 	sz := fig9Input * o.DataScale()
 	spec := workload.Grep(sz, o.Split(32*workload.MB), core.InputHDFS)
-	for _, wait := range []float64{0, 1, 3, 5, 10} {
+	for _, wait := range []float64{0, 1, sched.SparkLocalityWait, 5, 10} {
 		var pol sched.Policy
 		if wait == 0 {
 			pol = sched.NewLocalityPreferring()

@@ -8,9 +8,6 @@ import (
 	"hpcmr/internal/workload"
 )
 
-// elbThreshold is the paper's imbalance threshold (25%).
-const elbThreshold = 0.25
-
 // runELB runs GroupBy on a skewed rig with the baseline or ELB map
 // policy.
 func runELB(o Options, spec RigSpec, size, split float64, elb bool) *core.Result {
@@ -18,7 +15,7 @@ func runELB(o Options, spec RigSpec, size, split float64, elb bool) *core.Result
 	job := workload.GroupBy(size, o.Split(split))
 	pol := core.Policies{}
 	if elb {
-		pol.Map = sched.NewELB(len(rig.Cluster.Nodes), elbThreshold)
+		pol.Map = sched.NewELB(len(rig.Cluster.Nodes), sched.ELBThreshold)
 	}
 	return rig.MustRun(job, pol)
 }

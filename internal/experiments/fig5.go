@@ -8,9 +8,6 @@ import (
 	"hpcmr/internal/workload"
 )
 
-// sparkLocalityWait is Spark's default delay-scheduling wait (seconds).
-const sparkLocalityWait = 3.0
-
 // grepInputSizes are the Fig 5 input sizes in bytes (before scaling).
 var fig5Sizes = []float64{50 * workload.GB, 100 * workload.GB, 200 * workload.GB, 400 * workload.GB}
 
@@ -22,7 +19,7 @@ func runGrepInput(o Options, input core.InputKind, size, split float64) *core.Re
 		spec := workload.Grep(size, o.Split(split), core.InputHDFS)
 		// Spark's default on the data-centric configuration: delay
 		// scheduling for locality.
-		return rig.MustRun(spec, core.Policies{Map: sched.NewDelay(sparkLocalityWait)})
+		return rig.MustRun(spec, core.Policies{Map: sched.NewDelay(sched.SparkLocalityWait)})
 	default:
 		rig := NewRig(o, RigSpec{Device: cluster.NoLocalDevice, Skew: true, SkewSigma: 0.30})
 		spec := workload.Grep(size, o.Split(split), core.InputLustre)
@@ -81,7 +78,7 @@ func runLRInput(o Options, input core.InputKind, size, split float64) *core.Resu
 	case core.InputHDFS:
 		rig := NewRig(o, RigSpec{Device: cluster.RAMDiskDevice, WithHDFS: true, Skew: true, SkewSigma: 0.30})
 		spec := workload.LogisticRegression(size, o.Split(split), core.InputHDFS)
-		return rig.MustRun(spec, core.Policies{Map: sched.NewDelay(sparkLocalityWait)})
+		return rig.MustRun(spec, core.Policies{Map: sched.NewDelay(sched.SparkLocalityWait)})
 	default:
 		rig := NewRig(o, RigSpec{Device: cluster.NoLocalDevice, Skew: true, SkewSigma: 0.30})
 		spec := workload.LogisticRegression(size, o.Split(split), core.InputLustre)

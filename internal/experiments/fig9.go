@@ -40,10 +40,10 @@ func Fig9(o Options) *Experiment {
 		sz := fig9Input * o.DataScale()
 		g := workload.Grep(sz, o.Split(split), core.InputHDFS)
 		gOff := runHDFSWithPolicy(o, g, sched.NewLocalityPreferring())
-		gOn := runHDFSWithPolicy(o, g, sched.NewDelay(sparkLocalityWait))
+		gOn := runHDFSWithPolicy(o, g, sched.NewDelay(sched.SparkLocalityWait))
 		l := workload.LogisticRegression(sz, o.Split(split), core.InputHDFS)
 		lOff := runHDFSWithPolicy(o, l, sched.NewLocalityPreferring())
-		lOn := runHDFSWithPolicy(o, l, sched.NewDelay(sparkLocalityWait))
+		lOn := runHDFSWithPolicy(o, l, sched.NewDelay(sched.SparkLocalityWait))
 
 		x := split / workload.MB
 		grepOff.Add(x, gOff.JobTime)

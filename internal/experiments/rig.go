@@ -150,8 +150,6 @@ type RigSpec struct {
 	FetchRequestBytes float64
 	// WithHDFS mounts the co-located DFS over the RAMDisks.
 	WithHDFS bool
-	// Replication overrides HDFS replication when > 0.
-	Replication int
 	// NodesOverride overrides the cluster size when > 0 (Fig 12 runs at
 	// 50/100/150 nodes).
 	NodesOverride int
@@ -217,9 +215,6 @@ func NewRig(o Options, spec RigSpec) *Rig {
 		// block locality a genuinely constrained resource, as the
 		// delay-scheduling study requires.
 		dcfg.Replication = 1
-		if spec.Replication > 0 {
-			dcfg.Replication = spec.Replication
-		}
 		devs := c.RAMDisks()
 		if spec.Device == cluster.NoLocalDevice {
 			panic("experiments: HDFS rig needs a local device")

@@ -67,8 +67,8 @@ func TestELBAuditDisabledByDefault(t *testing.T) {
 func TestCADAuditThrottleAndRelieve(t *testing.T) {
 	var events []AuditEvent
 	p := NewCAD(NewFIFO())
-	p.MinSamples = 4
-	p.Window = 4
+	p.minSamples = 4
+	p.window = 4
 	p.Audit = collectAudit(&events)
 
 	tasks := make([]TaskInfo, 64)

@@ -15,8 +15,8 @@ import (
 // Detection follows the paper: the recent moving average of task
 // durations is compared against the stage's typical regime (the running
 // median — robust against the fast early completions of Fig 8(d)). A
-// jump to JumpFactor times the median signals congestion; a fall back
-// to DropFactor of that threshold signals relief, a hysteresis band
+// jump to jumpFactor times the median signals congestion; a fall back
+// to dropFactor of that threshold signals relief, a hysteresis band
 // that keeps the throttle engaged while the device remains congested.
 //
 // Actuation adapts the paper's fixed 50 ms dispatch-delay quantum to
@@ -25,27 +25,28 @@ import (
 // idles the device, depending on where task durations sit), CAD bounds
 // the number of in-flight throttled-stage tasks per node — halving the
 // bound on each congestion signal and raising it by one on each relief
-// signal, at most once per Window completions. The device is therefore
+// signal, at most once per window completions. The device is therefore
 // throttled but never idled, and the bound converges onto the writer
 // count where aggregate device throughput recovers. DESIGN.md records
 // this substitution.
 type CAD struct {
 	// Inner chooses task placement; CAD only limits concurrency.
 	Inner Policy
-	// JumpFactor is the average-duration growth over the running median
-	// that signals congestion (paper: 2x).
-	JumpFactor float64
-	// DropFactor is the fraction of the congested peak at which
-	// throttling relaxes (paper: 0.5).
-	DropFactor float64
-	// Window is the moving-average width and the adjustment cooldown in
-	// completions.
-	Window int
-	// MinSamples is the minimum completions before the controller acts.
-	MinSamples int
 	// Audit, when set, receives a "throttle"/"relieve" event every time
 	// the in-flight bound changes.
 	Audit AuditFunc
+
+	// jumpFactor is the average-duration growth over the running median
+	// that signals congestion (paper: 2x).
+	jumpFactor float64
+	// dropFactor is the fraction of the congested peak at which
+	// throttling relaxes (paper: 0.5).
+	dropFactor float64
+	// window is the moving-average width and the adjustment cooldown in
+	// completions.
+	window int
+	// minSamples is the minimum completions before the controller acts.
+	minSamples int
 
 	limit       int // 0 = unlimited
 	inflight    map[int]int
@@ -61,7 +62,7 @@ type CAD struct {
 // NewCAD wraps inner with the paper's detection parameters: 2x jump,
 // 0.5 drop.
 func NewCAD(inner Policy) *CAD {
-	return &CAD{Inner: inner, JumpFactor: 2, DropFactor: 0.5, Window: 16, MinSamples: 16}
+	return &CAD{Inner: inner, jumpFactor: 2, dropFactor: 0.5, window: 16, minSamples: 16}
 }
 
 // StageStart implements Policy. Throttle state resets per stage: the
@@ -120,10 +121,10 @@ func (p *CAD) Completed(task, node int, now float64, stats TaskStats) {
 
 	p.all = append(p.all, stats.Duration)
 	p.recent = append(p.recent, stats.Duration)
-	if len(p.recent) > p.Window {
-		p.recent = p.recent[len(p.recent)-p.Window:]
+	if len(p.recent) > p.window {
+		p.recent = p.recent[len(p.recent)-p.window:]
 	}
-	if len(p.all) < p.MinSamples {
+	if len(p.all) < p.minSamples {
 		return
 	}
 	p.refreshMedian()
@@ -141,7 +142,7 @@ func (p *CAD) Completed(task, node int, now float64, stats TaskStats) {
 	}
 
 	switch {
-	case p.limit > 0 && avg <= p.median*p.JumpFactor*p.DropFactor:
+	case p.limit > 0 && avg <= p.median*p.jumpFactor*p.dropFactor:
 		// Congestion relieved: admit one more writer per node; fully
 		// lift the bound once it exceeds the most concurrency ever
 		// used.
@@ -151,9 +152,9 @@ func (p *CAD) Completed(task, node int, now float64, stats TaskStats) {
 			p.limit = 0
 		}
 		p.adjustments++
-		p.cooldown = p.Window
+		p.cooldown = p.window
 		p.audit("relieve", node, prev, avg, now)
-	case p.median > 0 && avg >= p.median*p.JumpFactor:
+	case p.median > 0 && avg >= p.median*p.jumpFactor:
 		// Task times far above the typical regime: halve the per-node
 		// writer bound.
 		prev := p.limit
@@ -165,7 +166,7 @@ func (p *CAD) Completed(task, node int, now float64, stats TaskStats) {
 			p.limit = 1
 		}
 		p.adjustments++
-		p.cooldown = p.Window
+		p.cooldown = p.window
 		p.audit("throttle", node, prev, avg, now)
 	}
 }

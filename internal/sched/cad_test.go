@@ -162,7 +162,7 @@ func TestCADAdjustmentCooldown(t *testing.T) {
 	before := p.Adjustments()
 	// A burst of congested completions within one window can trigger at
 	// most one adjustment.
-	for i := 0; i < p.Window; i++ {
+	for i := 0; i < p.window; i++ {
 		p.Completed(100+i, 0, 2, TaskStats{Duration: 50})
 	}
 	if got := p.Adjustments() - before; got > 2 {

@@ -2,6 +2,10 @@ package sched
 
 import "fmt"
 
+// ELBThreshold is the paper's ELB pause threshold (Fig 13): a node 25 %
+// above the cluster's average intermediate volume stops taking tasks.
+const ELBThreshold = 0.25
+
 // ELB is the paper's Enhanced Load Balancer (Section VI-A). The policy
 // records the intermediate data deposited by each completed task and
 // monitors the per-node average. A node whose accumulated volume exceeds
@@ -12,7 +16,7 @@ import "fmt"
 // preferences are ignored.
 type ELB struct {
 	// Threshold is the fractional excess over the cluster average at
-	// which a node is paused (the paper uses 0.25).
+	// which a node is paused (the paper uses ELBThreshold).
 	Threshold float64
 	// Audit, when set, receives a "pause"/"resume" event (with a
 	// per-node load snapshot) every time a node's exclusion state flips.
@@ -30,9 +34,6 @@ type ELB struct {
 // imbalance created by the map phase is what the storing/shuffle stages
 // must correct for.
 func NewELB(nodes int, threshold float64) *ELB {
-	if threshold <= 0 {
-		threshold = 0.25
-	}
 	return &ELB{Threshold: threshold, nodes: nodes, nodeBytes: make([]float64, nodes)}
 }
 

@@ -29,10 +29,11 @@ type LocalOfferer interface {
 }
 
 // NewShuffleLocality returns the locality+ELB composite for a cluster
-// of the given size. Like ELB, intermediate-data accounting persists
-// for the policy value's lifetime.
-func NewShuffleLocality(nodes int, threshold float64) *ShuffleLocality {
-	return &ShuffleLocality{ELB: NewELB(nodes, threshold)}
+// of the given size, pausing nodes at ELBThreshold. Like ELB,
+// intermediate-data accounting persists for the policy value's
+// lifetime.
+func NewShuffleLocality(nodes int) *ShuffleLocality {
+	return &ShuffleLocality{ELB: NewELB(nodes, ELBThreshold)}
 }
 
 // Offer implements Policy: ELB pause first, then local > no-pref > any.

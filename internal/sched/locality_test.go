@@ -16,7 +16,7 @@ func auditKinds(events []AuditEvent) map[string]int {
 // TestShuffleLocalityPrefersLocal: a slot offer takes the offering
 // node's own task even when an earlier-queued task prefers elsewhere.
 func TestShuffleLocalityPrefersLocal(t *testing.T) {
-	p := NewShuffleLocality(2, 0.25)
+	p := NewShuffleLocality(2)
 	p.StageStart([]TaskInfo{
 		{ID: 0, PreferredNodes: []int{0}},
 		{ID: 1, PreferredNodes: []int{1}},
@@ -34,7 +34,7 @@ func TestShuffleLocalityPrefersLocal(t *testing.T) {
 // TestShuffleLocalityNoPrefBeforeSteal: a node with no local work runs
 // preference-free tasks before stealing another node's preferred task.
 func TestShuffleLocalityNoPrefBeforeSteal(t *testing.T) {
-	p := NewShuffleLocality(2, 0.25)
+	p := NewShuffleLocality(2)
 	p.StageStart([]TaskInfo{
 		{ID: 0, PreferredNodes: []int{0}},
 		{ID: 1}, // no preference
@@ -54,7 +54,7 @@ func TestShuffleLocalityNoPrefBeforeSteal(t *testing.T) {
 // paper's no-wait rule — and the steal is audited as a remote launch.
 func TestShuffleLocalityNeverWaits(t *testing.T) {
 	var events []AuditEvent
-	p := NewShuffleLocality(2, 0.25)
+	p := NewShuffleLocality(2)
 	p.Audit = collectAudit(&events)
 	p.StageStart([]TaskInfo{{ID: 0, PreferredNodes: []int{0}}}, 0)
 	d := p.Offer(1, 0)
@@ -75,7 +75,7 @@ func TestShuffleLocalityNeverWaits(t *testing.T) {
 // audited; an unpaused peer still drains the queue.
 func TestShuffleLocalityELBVeto(t *testing.T) {
 	var events []AuditEvent
-	p := NewShuffleLocality(2, 0.25)
+	p := NewShuffleLocality(2)
 	p.Audit = collectAudit(&events)
 
 	// One completed task deposited all its bytes on node 0: load 100 vs
@@ -114,7 +114,7 @@ func TestShuffleLocalityELBVeto(t *testing.T) {
 // duplicates and no wedge under round-robin offers.
 func TestShuffleLocalityDrains(t *testing.T) {
 	const nodes = 4
-	p := NewShuffleLocality(nodes, 0.25)
+	p := NewShuffleLocality(nodes)
 	p.StageStart(tasks(40, func(i int) []int {
 		switch i % 3 {
 		case 0:
@@ -153,7 +153,7 @@ func TestOfferLocalNeverSteals(t *testing.T) {
 		want []int // what node 0's window slots take, in order
 	}{
 		{"fifo", NewFIFO(), []int{2}},
-		{"shuffle-locality", NewShuffleLocality(3, 0.25), []int{1, 4, 2}},
+		{"shuffle-locality", NewShuffleLocality(3), []int{1, 4, 2}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			c.p.StageStart(infos, 0)
@@ -178,7 +178,7 @@ func TestOfferLocalNeverSteals(t *testing.T) {
 // pauses nothing, not even its own task, so its window drains; once the
 // average catches up the node's window is filled again.
 func TestOfferLocalPausedDeclines(t *testing.T) {
-	p := NewShuffleLocality(2, 0.25)
+	p := NewShuffleLocality(2)
 	p.StageStart([]TaskInfo{{ID: 0}}, 0)
 	p.Offer(0, 0)
 	p.Completed(0, 0, 1, TaskStats{IntermediateBytes: 100})

@@ -224,14 +224,19 @@ func (p *LocalityPreferring) Offer(node int, now float64) Decision {
 	return Decision{TaskID: t.ID, Local: isLocal(t, node)}
 }
 
+// SparkLocalityWait is Spark's default spark.locality.wait in seconds:
+// the delay-scheduling wait the paper measures (Figs 9 and 10) and
+// argues against on HPC systems.
+const SparkLocalityWait = 3.0
+
 // Delay implements Spark's delay scheduling: a slot whose node holds no
 // pending local task is declined until the stage has gone Wait seconds
 // without a *local* launch, at which point locality is given up and
 // non-local tasks flow freely. A local launch restores the wait
 // (Zaharia et al.'s level-reset rule).
 type Delay struct {
-	// Wait is the locality wait in seconds (Spark's
-	// spark.locality.wait, 3 s by default).
+	// Wait is the locality wait in seconds (SparkLocalityWait in the
+	// paper's runs).
 	Wait float64
 	// Audit, when set, receives a "wait" event each time a slot is
 	// declined while the policy holds out for locality.

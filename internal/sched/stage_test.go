@@ -246,7 +246,7 @@ func TestStageSpeculativeSiblingFails(t *testing.T) {
 // every run slot and take only what OfferLocal gives — a node's window
 // never steals a task another node owns.
 func TestStageWindowTakesOnlyLocalWork(t *testing.T) {
-	p := NewShuffleLocality(2, 0.25)
+	p := NewShuffleLocality(2)
 	r := newRig(t, p, []int{1, 1}, 1, false, prefer([]int{1}, []int{1}, []int{1}, []int{0}))
 	// Run slots: node 0 its own task 3, node 1 its task 0. Windows:
 	// node 1 its task 1; node 0 declines task 2, which node 1 owns.
@@ -343,7 +343,7 @@ func FuzzStageMachine(f *testing.F) {
 			func() Policy { return NewLocalityPreferring() },
 			func() Policy { return NewPinned() },
 			func() Policy { return NewSpread(nodes) },
-			func() Policy { return NewShuffleLocality(nodes, 0.25) },
+			func() Policy { return NewShuffleLocality(nodes) },
 			func() Policy { return NewDelay(0.5) },
 			func() Policy { return NewCAD(NewFIFO()) },
 		}

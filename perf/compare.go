@@ -20,8 +20,7 @@ type Thresholds struct {
 	// AllocDelta is the relative median allocation-count change that
 	// matters (default 0.10 = 10%). The alloc judgement uses the same
 	// two-condition rule (delta threshold AND Mann-Whitney at Alpha)
-	// over the raw per-repetition malloc counts, and is skipped when
-	// either report predates SamplesAllocs.
+	// over the raw per-repetition malloc counts.
 	AllocDelta float64
 	// ExtraDelta is the relative growth of a gated Extra that fails the
 	// gate (default 0.10 = 10%). Gated extras are deterministic volume
@@ -52,8 +51,7 @@ var DefaultGatedExtras = []string{
 // volume counters. The judgement sign flips for these — growth is an
 // improvement, shrinkage past ExtraDelta fails the gate. Keys absent
 // from either report are still skipped, so baselines recorded before a
-// ratio existed never fail against it (the same rule alloc gating uses
-// for pre-SamplesAllocs baselines).
+// ratio existed never fail against it.
 var higherIsBetterExtras = map[string]bool{
 	"shuffle_local_fetch_ratio": true,
 }
@@ -96,13 +94,13 @@ type Verdict struct {
 	Delta float64 `json:"delta"`
 	// P is the two-sided Mann-Whitney p-value over the raw samples.
 	P float64 `json:"p"`
-	// Allocation dimension: zero-valued (AllocP == 1, AllocJudged
-	// false) when either side lacks SamplesAllocs.
-	AllocJudged bool    `json:"alloc_judged,omitempty"`
-	BaseAllocs  float64 `json:"base_allocs,omitempty"`
-	CurAllocs   float64 `json:"cur_allocs,omitempty"`
-	AllocDelta  float64 `json:"alloc_delta,omitempty"`
-	AllocP      float64 `json:"alloc_p,omitempty"`
+	// Allocation dimension: median malloc counts, their relative
+	// change and the Mann-Whitney p-value over SamplesAllocs (AllocP ==
+	// 1 for missing and new scenarios).
+	BaseAllocs float64 `json:"base_allocs,omitempty"`
+	CurAllocs  float64 `json:"cur_allocs,omitempty"`
+	AllocDelta float64 `json:"alloc_delta,omitempty"`
+	AllocP     float64 `json:"alloc_p,omitempty"`
 	// Extras holds the gated-extra judgements for keys both sides
 	// report (empty for most scenarios).
 	Extras []ExtraVerdict `json:"extras,omitempty"`
@@ -145,19 +143,15 @@ func Compare(base, cur *Report, th Thresholds) *Comparison {
 			wallSig := v.P < th.Alpha
 			wallReg := wallSig && v.Delta > th.MedianDelta
 			wallImp := wallSig && v.Delta < -th.MedianDelta
-			var allocReg, allocImp bool
-			if len(b.SamplesAllocs) > 0 && len(s.SamplesAllocs) > 0 {
-				v.AllocJudged = true
-				v.BaseAllocs = median(b.SamplesAllocs)
-				v.CurAllocs = median(s.SamplesAllocs)
-				if v.BaseAllocs > 0 {
-					v.AllocDelta = v.CurAllocs/v.BaseAllocs - 1
-				}
-				v.AllocP = MannWhitneyU(b.SamplesAllocs, s.SamplesAllocs)
-				allocSig := v.AllocP < th.Alpha
-				allocReg = allocSig && v.AllocDelta > th.AllocDelta
-				allocImp = allocSig && v.AllocDelta < -th.AllocDelta
+			v.BaseAllocs = median(b.SamplesAllocs)
+			v.CurAllocs = median(s.SamplesAllocs)
+			if v.BaseAllocs > 0 {
+				v.AllocDelta = v.CurAllocs/v.BaseAllocs - 1
 			}
+			v.AllocP = MannWhitneyU(b.SamplesAllocs, s.SamplesAllocs)
+			allocSig := v.AllocP < th.Alpha
+			allocReg := allocSig && v.AllocDelta > th.AllocDelta
+			allocImp := allocSig && v.AllocDelta < -th.AllocDelta
 			var extraReg, extraImp bool
 			for _, key := range th.GatedExtras {
 				bv, bok := b.Extra[key]
@@ -228,7 +222,7 @@ func (c *Comparison) Table() string {
 			mark = "  <-- FAIL"
 		}
 		allocs, allocP := "-", "-"
-		if v.AllocJudged {
+		if v.Status != StatusMissing && v.Status != StatusNew {
 			allocs = fmt.Sprintf("%+.1f%%", v.AllocDelta*100)
 			allocP = fmt.Sprintf("%.4f", v.AllocP)
 		}

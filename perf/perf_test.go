@@ -143,6 +143,14 @@ func TestReportRoundTripAndValidation(t *testing.T) {
 		t.Error("round trip changed the median")
 	}
 
+	// A scenario without one alloc sample per wall sample is invalid.
+	short := *rep
+	short.Scenarios = []ScenarioResult{rep.Scenarios[0]}
+	short.Scenarios[0].SamplesAllocs = short.Scenarios[0].SamplesAllocs[1:]
+	if err := short.Validate(); err == nil {
+		t.Error("scenario with fewer alloc samples than wall samples accepted")
+	}
+
 	// Wrong schema version refuses to load.
 	bad := *rep
 	bad.SchemaVersion = SchemaVersion + 1

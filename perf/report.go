@@ -29,11 +29,10 @@ type ScenarioResult struct {
 	// SamplesNs keeps the raw per-repetition wall times so compare can
 	// rank-test them, not just eyeball medians.
 	SamplesNs []float64 `json:"samples_ns"`
-	// SamplesAllocs keeps the raw per-repetition mallocs so compare can
-	// gate allocation-count regressions the same way it gates wall time.
-	// Absent from reports written before the allocation gate existed;
-	// compare skips the alloc judgement when either side lacks them.
-	SamplesAllocs []float64 `json:"samples_allocs,omitempty"`
+	// SamplesAllocs keeps the raw per-repetition mallocs, one per wall
+	// sample, so compare can gate allocation-count regressions the same
+	// way it gates wall time.
+	SamplesAllocs []float64 `json:"samples_allocs"`
 	Stats         Stats     `json:"stats"`
 	AllocsPerOp   float64   `json:"allocs_per_op"`
 	Extra         Extras    `json:"extra,omitempty"`
@@ -67,7 +66,7 @@ func (r *Report) Validate() error {
 				return fmt.Errorf("perf: scenario %q has non-positive sample %g", s.Name, v)
 			}
 		}
-		if len(s.SamplesAllocs) != 0 && len(s.SamplesAllocs) != len(s.SamplesNs) {
+		if len(s.SamplesAllocs) != len(s.SamplesNs) {
 			return fmt.Errorf("perf: scenario %q has %d alloc samples for %d wall samples",
 				s.Name, len(s.SamplesAllocs), len(s.SamplesNs))
 		}

@@ -424,7 +424,7 @@ func runFig13ELB(sc Scale) (Extras, error) {
 
 	elbRig := experiments.NewRig(o, spec)
 	eres := elbRig.MustRun(workload.GroupBy(size, split),
-		core.Policies{Map: sched.NewELB(len(elbRig.Cluster.Nodes), 0.25)})
+		core.Policies{Map: sched.NewELB(len(elbRig.Cluster.Nodes), sched.ELBThreshold)})
 
 	if eres.JobTime >= bres.JobTime {
 		return nil, fmt.Errorf("ELB (%.1fs) not faster than baseline (%.1fs)",

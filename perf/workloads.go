@@ -28,13 +28,7 @@ func RunEngineWorkload(spec EngineWorkloadSpec) (seconds float64, events int, er
 	cfg := engine.Config{Executors: spec.Executors, CoresPerExecutor: spec.Cores}
 	var tr *trace.Tracer
 	if spec.Traced {
-		// Size the rings to the workload instead of the 32k-events
-		// default: ring allocation is inside the timed region when perf
-		// scenarios run this, and the trace-overhead gate compares those
-		// times, so megabytes of zeroing would be charged to capture. The
-		// workload emits one event per task plus one per stage; twice the
-		// task count per shard never drops even if one node ran them all.
-		tr = trace.NewWall(trace.Options{ShardCapacity: 2 * spec.Tasks})
+		tr = trace.NewWall()
 	}
 	ctx, err := rdd.NewContext(cfg)
 	if err != nil {

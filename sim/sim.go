@@ -115,19 +115,12 @@ type Config struct {
 	Nodes int
 	// CoresPerNode defaults to 16.
 	CoresPerNode int
-	// Device is the node-local storage (default RAMDisk).
+	// Device is the node-local storage (default RAMDisk). A cluster
+	// with a device mounts the co-located DFS over it, which HDFS-input
+	// jobs read; NoDevice mounts none.
 	Device Device
-	// WithHDFS mounts the co-located DFS over the node-local devices
-	// (required for HDFS-input jobs). Enabled by default when Device is
-	// not NoDevice.
-	WithHDFS bool
 	// Skew enables node performance variation.
 	Skew bool
-	// SkewSigma overrides the skew spread (default 0.18).
-	SkewSigma float64
-	// FetchRequestBytes overrides the fabric's request granularity
-	// (the paper's network-bottleneck scenario uses 128 KiB).
-	FetchRequestBytes float64
 	// Seed drives the deterministic skew model (default 1).
 	Seed int64
 }
@@ -224,20 +217,13 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Seed != 0 {
 		ccfg.Seed = cfg.Seed
 	}
-	if cfg.Skew {
-		if cfg.SkewSigma > 0 {
-			ccfg.Skew.Sigma = cfg.SkewSigma
-		}
-	} else {
+	if !cfg.Skew {
 		ccfg.Skew = cluster.SkewConfig{}
-	}
-	if cfg.FetchRequestBytes > 0 {
-		ccfg.Net.RequestSize = cfg.FetchRequestBytes
 	}
 	c := cluster.New(ccfg)
 
 	var hd *dfs.FS
-	if cfg.WithHDFS || (ccfg.LocalDevice != cluster.NoLocalDevice) {
+	if ccfg.LocalDevice != cluster.NoLocalDevice {
 		devs := c.RAMDisks()
 		if ccfg.LocalDevice == cluster.SSDDevice {
 			devs = c.LocalDevices()
@@ -272,8 +258,8 @@ func (c *Cluster) InjectFaults(p fault.Plan) error {
 // subsequent jobs record job/stage/task/fetch spans, the ELB, CAD and
 // delay-scheduling decisions, and injected-fault events into it.
 // Tracing never perturbs simulated time.
-func (c *Cluster) Trace(o trace.Options) *trace.Tracer {
-	t := trace.New(c.eng.C.Sim.Now, o)
+func (c *Cluster) Trace() *trace.Tracer {
+	t := trace.New(c.eng.C.Sim.Now)
 	c.eng.Tracer = t
 	return t
 }
@@ -328,11 +314,11 @@ func (c *Cluster) Run(job Job) (*Result, error) {
 	case Locality:
 		pol.Map = sched.NewLocalityPreferring()
 	case DelayScheduling:
-		d := sched.NewDelay(3)
+		d := sched.NewDelay(sched.SparkLocalityWait)
 		d.Audit = audit
 		pol.Map = d
 	case ELB:
-		e := sched.NewELB(c.nodes, 0.25)
+		e := sched.NewELB(c.nodes, sched.ELBThreshold)
 		e.Audit = audit
 		pol.Map = e
 	default:

@@ -139,7 +139,7 @@ func TestTracedRunRecordsDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := c.Trace(trace.Options{})
+	tr := c.Trace()
 	res, err := c.Run(Job{InputBytes: 128e9, Input: HDFS, Policy: ELB, CAD: true})
 	if err != nil {
 		t.Fatal(err)
@@ -163,17 +163,25 @@ func TestTracedRunRecordsDecisions(t *testing.T) {
 	}
 }
 
+// TestSkewImbalance: node skew, not the job, unbalances the
+// intermediate data — the same job on an unskewed cluster stays even.
 func TestSkewImbalance(t *testing.T) {
-	c, err := New(Config{Nodes: 16, Skew: true, SkewSigma: 0.4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	ratio := func(skew bool) float64 {
+		c, err := New(Config{Nodes: 16, Skew: skew, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(Job{InputBytes: 50e9, SplitBytes: 64e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.ImbalanceRatio()
 	}
-	res, err := c.Run(Job{InputBytes: 50e9, SplitBytes: 64e6})
-	if err != nil {
-		t.Fatal(err)
+	if r := ratio(true); r < 1.1 {
+		t.Fatalf("skewed ImbalanceRatio = %v, want skew-induced imbalance", r)
 	}
-	if r := res.ImbalanceRatio(); r < 1.1 {
-		t.Fatalf("ImbalanceRatio = %v, want skew-induced imbalance", r)
+	if r := ratio(false); r >= 1.1 {
+		t.Fatalf("unskewed ImbalanceRatio = %v, want an even spread", r)
 	}
 }
 

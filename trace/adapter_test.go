@@ -11,7 +11,7 @@ import (
 // real-engine fetch spans: the distributed driver publishes one event
 // per locality class, and the trace must keep them distinguishable.
 func TestEngineListenerTagsFetchLocality(t *testing.T) {
-	tr := NewWall(Options{})
+	tr := NewWall()
 	l := EngineListener(tr)
 	start := time.Now()
 	l.OnFetch(engine.FetchEvent{

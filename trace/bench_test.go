@@ -15,7 +15,7 @@ func BenchmarkTaskSpanDisabled(b *testing.B) {
 
 func BenchmarkTaskSpanEnabled(b *testing.B) {
 	now := 0.0
-	tr := New(func() float64 { return now }, Options{})
+	tr := New(func() float64 { return now })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -24,7 +24,7 @@ func BenchmarkTaskSpanEnabled(b *testing.B) {
 }
 
 func BenchmarkEmitParallel(b *testing.B) {
-	tr := New(func() float64 { return 0 }, Options{Shards: 16})
+	tr := New(func() float64 { return 0 })
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		node := 0

@@ -30,7 +30,7 @@ func runTracedGroupBy(t *testing.T) (*trace.Tracer, *core.Result) {
 	c := cluster.New(cfg)
 	eng := core.NewEngine(c, nil, nil)
 
-	tr := trace.New(c.Sim.Now, trace.Options{})
+	tr := trace.New(c.Sim.Now)
 	eng.Tracer = tr
 	audit := trace.SchedAudit(tr)
 
@@ -190,7 +190,7 @@ func TestTracerDoesNotPerturbSimulation(t *testing.T) {
 		c := cluster.New(cfg)
 		eng := core.NewEngine(c, nil, nil)
 		if traced {
-			eng.Tracer = trace.New(c.Sim.Now, trace.Options{})
+			eng.Tracer = trace.New(c.Sim.Now)
 		}
 		res, err := eng.Run(workload.GroupBy(2*workload.GB, 64*workload.MB), core.Policies{})
 		if err != nil {

@@ -19,7 +19,7 @@
 // pause/resume with per-node load snapshots, CAD congestion throttle
 // adjustments, and delay-scheduling locality waits.
 //
-// Capture is concurrency-safe and cheap: events go into fixed-capacity
+// Capture is concurrency-safe and cheap: events go into bounded
 // per-shard rings guarded by per-shard mutexes (executors on different
 // shards never contend), and a disabled tracer — a nil *Tracer — costs
 // one branch and zero allocations on the task hot path.
@@ -145,29 +145,17 @@ type Event struct {
 // End returns the event's end time.
 func (e Event) End() float64 { return e.TS + e.Dur }
 
-// Options sizes a Tracer.
-type Options struct {
-	// Shards is the number of independent ring buffers; events shard by
-	// node ID. 0 means 8.
-	Shards int
-	// ShardCapacity is the event capacity of each ring; when a ring is
-	// full the oldest events are overwritten and counted as dropped.
-	// 0 means 32768.
-	ShardCapacity int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 8
-	}
-	if o.ShardCapacity <= 0 {
-		o.ShardCapacity = 32768
-	}
-	return o
-}
+// Ring sizing: events shard by node ID over numShards rings, and each
+// ring grows by append as it records, up to shardCap events; a full ring
+// overwrites its oldest events and counts them as dropped.
+const (
+	numShards = 8
+	shardCap  = 32768
+)
 
 // shard is one ring buffer. next counts writes forever; the ring holds
-// the last len(buf) of them.
+// the last len(buf) of them, and len(buf) == next until it reaches
+// shardCap.
 type shard struct {
 	mu   sync.Mutex
 	buf  []Event
@@ -181,25 +169,20 @@ type shard struct {
 type Tracer struct {
 	clock  func() float64
 	epoch  time.Time
-	shards []shard
+	shards [numShards]shard
 }
 
 // New returns a tracer reading time from clock — pass the simulator's
 // Sim.Now for virtual-time tracing, or any monotonic seconds source.
-func New(clock func() float64, o Options) *Tracer {
-	o = o.withDefaults()
-	t := &Tracer{clock: clock, shards: make([]shard, o.Shards)}
-	for i := range t.shards {
-		t.shards[i].buf = make([]Event, o.ShardCapacity)
-	}
-	return t
+func New(clock func() float64) *Tracer {
+	return &Tracer{clock: clock}
 }
 
 // NewWall returns a tracer on the monotonic wall clock, with its epoch
 // (time zero) at the call.
-func NewWall(o Options) *Tracer {
+func NewWall() *Tracer {
 	epoch := time.Now()
-	t := New(func() float64 { return time.Since(epoch).Seconds() }, o)
+	t := New(func() float64 { return time.Since(epoch).Seconds() })
 	t.epoch = epoch
 	return t
 }
@@ -236,7 +219,11 @@ func (t *Tracer) Emit(e Event) {
 	}
 	s := &t.shards[idx]
 	s.mu.Lock()
-	s.buf[s.next%len(s.buf)] = e
+	if len(s.buf) < shardCap {
+		s.buf = append(s.buf, e)
+	} else {
+		s.buf[s.next%shardCap] = e
+	}
 	s.next++
 	s.mu.Unlock()
 }
@@ -297,11 +284,7 @@ func (t *Tracer) Len() int {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		if s.next < len(s.buf) {
-			n += s.next
-		} else {
-			n += len(s.buf)
-		}
+		n += len(s.buf)
 		s.mu.Unlock()
 	}
 	return n
@@ -316,9 +299,7 @@ func (t *Tracer) Drops() int64 {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		if over := s.next - len(s.buf); over > 0 {
-			d += int64(over)
-		}
+		d += int64(s.next - len(s.buf))
 		s.mu.Unlock()
 	}
 	return d
@@ -335,13 +316,12 @@ func (t *Tracer) Events() []Event {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		if s.next < len(s.buf) {
-			out = append(out, s.buf[:s.next]...)
-		} else {
-			head := s.next % len(s.buf)
-			out = append(out, s.buf[head:]...)
-			out = append(out, s.buf[:head]...)
-		}
+		// Once the ring is full its oldest event sits at next %
+		// shardCap; before that head == len(buf), so the buffer comes
+		// out whole.
+		head := s.next % shardCap
+		out = append(out, s.buf[head:]...)
+		out = append(out, s.buf[:head]...)
 		s.mu.Unlock()
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })

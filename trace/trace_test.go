@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -25,8 +26,9 @@ func TestNilTracerIsSafeAndFree(t *testing.T) {
 
 // TestDisabledZeroAlloc pins the acceptance criterion: with tracing
 // disabled (nil tracer), the capture calls on the task hot path
-// allocate nothing. The enabled path is also allocation-free — events
-// are copied by value into preallocated rings.
+// allocate nothing. The enabled path is allocation-free too once its
+// ring has room — events are copied by value, and a ring's growth by
+// append amortizes to nothing per emit.
 func TestDisabledZeroAlloc(t *testing.T) {
 	var disabled *Tracer
 	if n := testing.AllocsPerRun(200, func() {
@@ -35,7 +37,10 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("disabled tracer allocates %v per op on the hot path", n)
 	}
-	enabled := New(func() float64 { return 0 }, Options{Shards: 2, ShardCapacity: 64})
+	enabled := New(func() float64 { return 0 })
+	for i := 0; i < 200; i++ {
+		enabled.TaskSpan("stage", 3, 0, 2, 1.0, 0.5, 4096, "")
+	}
 	if n := testing.AllocsPerRun(200, func() {
 		enabled.TaskSpan("stage", 3, 0, 2, 1.0, 0.5, 4096, "")
 	}); n != 0 {
@@ -45,7 +50,7 @@ func TestDisabledZeroAlloc(t *testing.T) {
 
 func TestVirtualClock(t *testing.T) {
 	now := 0.0
-	tr := New(func() float64 { return now }, Options{})
+	tr := New(func() float64 { return now })
 	now = 42.5
 	if got := tr.Now(); got != 42.5 {
 		t.Fatalf("Now() = %v", got)
@@ -57,34 +62,54 @@ func TestVirtualClock(t *testing.T) {
 	}
 }
 
+// TestFreshTracerAllocatesWhatItRecords: a tracer's rings grow with
+// what it records, so one event costs kilobytes, not the 8 × 32 768
+// slots (31.5 MB) a full tracer holds.
+func TestFreshTracerAllocatesWhatItRecords(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := New(func() float64 { return 0 })
+	tr.TaskSpan("stage", 3, 0, 2, 1.0, 0.5, 4096, "")
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a tracer recording one event allocated %d B, want < 1 MiB", got)
+	}
+	if tr.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", tr.Len())
+	}
+}
+
 func TestRingWraparoundCountsDrops(t *testing.T) {
-	tr := New(func() float64 { return 0 }, Options{Shards: 1, ShardCapacity: 4})
-	for i := 0; i < 10; i++ {
+	tr := New(func() float64 { return 0 })
+	for i := 0; i < shardCap+6; i++ {
 		tr.Emit(Event{TS: float64(i), Node: 0, Task: i})
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", tr.Len())
+	if tr.Len() != shardCap {
+		t.Fatalf("Len = %d, want %d", tr.Len(), shardCap)
 	}
 	if tr.Drops() != 6 {
 		t.Fatalf("Drops = %d, want 6", tr.Drops())
 	}
 	ev := tr.Events()
-	// The newest four survive, oldest-first.
-	want := []int{6, 7, 8, 9}
+	// The newest shardCap survive, oldest-first.
 	for i, e := range ev {
-		if e.Task != want[i] {
-			t.Fatalf("retained tasks = %v at %d, want %v", e.Task, i, want)
+		if e.Task != 6+i {
+			t.Fatalf("retained task %d at %d, want %d", e.Task, i, 6+i)
 		}
 	}
 }
 
 func TestEventsMergeSortedAcrossShards(t *testing.T) {
-	tr := New(func() float64 { return 0 }, Options{Shards: 4, ShardCapacity: 16})
-	// Interleave nodes so shards fill out of global order.
-	for i := 9; i >= 0; i-- {
+	tr := New(func() float64 { return 0 })
+	// Interleave nodes so shards fill out of global order, and wrap
+	// each ring so its oldest event sits mid-buffer.
+	for i := 4*shardCap + 9; i >= 0; i-- {
 		tr.Emit(Event{TS: float64(i), Node: i % 4, Task: i})
 	}
 	ev := tr.Events()
+	if len(ev) != 4*shardCap {
+		t.Fatalf("%d events retained, want %d", len(ev), 4*shardCap)
+	}
 	for i := 1; i < len(ev); i++ {
 		if ev[i].TS < ev[i-1].TS {
 			t.Fatalf("events not sorted by TS: %v after %v", ev[i].TS, ev[i-1].TS)
@@ -93,9 +118,10 @@ func TestEventsMergeSortedAcrossShards(t *testing.T) {
 }
 
 func TestConcurrentEmit(t *testing.T) {
-	tr := New(func() float64 { return 0 }, Options{Shards: 8, ShardCapacity: 4096})
+	tr := New(func() float64 { return 0 })
 	var wg sync.WaitGroup
-	const workers, per = 16, 1000
+	// Two workers share each of the 8 shards and overrun its cap.
+	const workers, per = 16, shardCap/2 + 100
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)

@@ -7,7 +7,7 @@
 //
 //	go run ./cmd/mrchaos -seed 42            # one simulator trial
 //	go run ./cmd/mrchaos -seed 1 -runs 100   # sweep seeds 1..100
-//	go run ./cmd/mrchaos -seed 7 -out t.jsonl  # also dump the trace
+//	go run ./cmd/mrchaos -seed 7 -out t.json   # also dump the Chrome trace
 //	go run ./cmd/mrchaos -backend engine -seed 1 -runs 25  # real runtime
 //	go run ./cmd/mrchaos -backend dist -seed 1 -runs 25 -budget 2048
 //
@@ -42,7 +42,7 @@ func main() {
 	tasks := flag.Int("tasks", 32, "map tasks per job")
 	policy := flag.String("policy", "elb", "map policy: fifo|locality|delay|elb")
 	shrink := flag.Bool("shrink", true, "minimize failing plans before reporting")
-	out := flag.String("out", "", "write the last trial's trace as JSONL to this file")
+	out := flag.String("out", "", "write the last trial's Chrome trace_event JSON to this file")
 	verbose := flag.Bool("v", false, "print every trial, not only failures")
 	backend := flag.String("backend", "sim", "sim|engine|dist: the simulator, the engine runtime, or an in-process dist cluster")
 	budget := flag.Int64("budget", 0, "engine and dist: resident memory budget in bytes; map outputs spill above it (0 = unbounded)")
@@ -96,7 +96,7 @@ func main() {
 		}
 	}
 	if *out != "" && lastEvents != nil {
-		if err := trace.WriteFile(*out, lastEvents, trace.WriteJSONL); err != nil {
+		if err := trace.WriteFile(*out, lastEvents); err != nil {
 			fmt.Fprintf(os.Stderr, "mrchaos: %v\n", err)
 			os.Exit(2)
 		}

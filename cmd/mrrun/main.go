@@ -12,14 +12,12 @@
 // Flags -executors, -cores, and -policy select the runtime shape.
 // -trace FILE captures a wall-clock Chrome trace of the run (stage,
 // task-attempt, and scheduler-decision spans) for chrome://tracing,
-// Perfetto, or mrtrace; -trace-jsonl FILE writes the same events as
-// JSONL.
+// Perfetto, or mrtrace.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -31,16 +29,15 @@ import (
 )
 
 var (
-	executors  = flag.Int("executors", 4, "number of executors")
-	cores      = flag.Int("cores", 2, "cores per executor")
-	policy     = flag.String("policy", "fifo", "scheduling policy: fifo | locality | delay | elb | cad")
-	top        = flag.Int("top", 20, "wordcount: show the N most frequent words")
-	parts      = flag.Int("parts", 0, "input partitions (0 = one per executor)")
-	traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
-	traceJSONL = flag.String("trace-jsonl", "", "write trace events as JSONL to this file")
+	executors = flag.Int("executors", 4, "number of executors")
+	cores     = flag.Int("cores", 2, "cores per executor")
+	policy    = flag.String("policy", "fifo", "scheduling policy: fifo | locality | delay | elb | cad")
+	top       = flag.Int("top", 20, "wordcount: show the N most frequent words")
+	parts     = flag.Int("parts", 0, "input partitions (0 = one per executor)")
+	traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
 )
 
-// tracer is non-nil when a -trace flag asked for capture.
+// tracer is non-nil when -trace asked for capture.
 var tracer *trace.Tracer
 
 func usage() {
@@ -70,7 +67,7 @@ func newContext() *rdd.Context {
 		CoresPerExecutor: *cores,
 		Policy:           kind,
 	}
-	if *traceOut != "" || *traceJSONL != "" {
+	if *traceOut != "" {
 		tracer = trace.NewWall()
 	}
 	ctx, err := rdd.NewContext(cfg)
@@ -83,7 +80,7 @@ func newContext() *rdd.Context {
 	return ctx
 }
 
-// flushTrace writes the captured events to the -trace destinations.
+// flushTrace writes the captured events to the -trace file.
 // Call it after the job's context stops so in-flight spans have landed.
 func flushTrace() {
 	if tracer == nil {
@@ -93,17 +90,10 @@ func flushTrace() {
 	if d := tracer.Drops(); d > 0 {
 		fmt.Fprintf(os.Stderr, "mrrun: trace ring overflowed, oldest %d events dropped\n", d)
 	}
-	write := func(path string, fn func(io.Writer, []trace.Event) error, what string) {
-		if path == "" {
-			return
-		}
-		if err := trace.WriteFile(path, events, fn); err != nil {
-			fatal("writing %s: %v", what, err)
-		}
-		fmt.Fprintf(os.Stderr, "# %s (%d events) written to %s\n", what, len(events), path)
+	if err := trace.WriteFile(*traceOut, events); err != nil {
+		fatal("writing Chrome trace: %v", err)
 	}
-	write(*traceOut, trace.WriteChrome, "Chrome trace")
-	write(*traceJSONL, trace.WriteJSONL, "JSONL trace")
+	fmt.Fprintf(os.Stderr, "# Chrome trace (%d events) written to %s\n", len(events), *traceOut)
 }
 
 func main() {

@@ -42,27 +42,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("mrsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		bench      = fs.String("bench", "groupby", "benchmark: groupby | grep | lr")
-		data       = fs.Float64("data", 100e9, "input size in bytes")
-		split      = fs.Float64("split", 256e6, "split size in bytes")
-		nodes      = fs.Int("nodes", 100, "worker nodes")
-		device     = fs.String("device", "ramdisk", "local device: ramdisk | ssd | none")
-		input      = fs.String("input", "generated", "input source: generated | hdfs | lustre")
-		store      = fs.String("store", "local", "intermediate store: local | lustre-local | lustre-shared | none")
-		policy     = fs.String("policy", "fifo", "map policy: fifo | locality | delay | elb")
-		cad        = fs.Bool("cad", false, "enable congestion-aware dispatching for the storing phase")
-		skew       = fs.Bool("skew", false, "enable node performance skew")
-		seed       = fs.Int64("seed", 1, "skew seed")
-		verbose    = fs.Bool("v", false, "print per-iteration dissections")
-		traceOut   = fs.String("trace", "", "write a Chrome trace_event JSON to this file ('-' = stdout)")
-		traceJSONL = fs.String("trace-jsonl", "", "write trace events as JSONL to this file ('-' = stdout)")
+		bench    = fs.String("bench", "groupby", "benchmark: groupby | grep | lr")
+		data     = fs.Float64("data", 100e9, "input size in bytes")
+		split    = fs.Float64("split", 256e6, "split size in bytes")
+		nodes    = fs.Int("nodes", 100, "worker nodes")
+		device   = fs.String("device", "ramdisk", "local device: ramdisk | ssd | none")
+		input    = fs.String("input", "generated", "input source: generated | hdfs | lustre")
+		store    = fs.String("store", "local", "intermediate store: local | lustre-local | lustre-shared | none")
+		policy   = fs.String("policy", "fifo", "map policy: fifo | locality | delay | elb")
+		cad      = fs.Bool("cad", false, "enable congestion-aware dispatching for the storing phase")
+		skew     = fs.Bool("skew", false, "enable node performance skew")
+		seed     = fs.Int64("seed", 1, "skew seed")
+		verbose  = fs.Bool("v", false, "print per-iteration dissections")
+		traceOut = fs.String("trace", "", "write a Chrome trace_event JSON to this file ('-' = stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	report := stdout
-	if *traceOut == "-" || *traceJSONL == "-" {
+	if *traceOut == "-" {
 		report = stderr
 	}
 
@@ -71,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	var tracer *trace.Tracer
-	if *traceOut != "" || *traceJSONL != "" {
+	if *traceOut != "" {
 		tracer = c.Trace()
 	}
 	// "local" keeps the workload's own store: LR stays storeless.
@@ -97,25 +96,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if d := tracer.Drops(); d > 0 {
 			fmt.Fprintf(stderr, "mrsim: trace ring overflowed, oldest %d events dropped\n", d)
 		}
-		for _, out := range []struct {
-			path, what string
-			write      func(io.Writer, []trace.Event) error
-		}{
-			{*traceOut, "Chrome trace", trace.WriteChrome},
-			{*traceJSONL, "JSONL trace", trace.WriteJSONL},
-		} {
-			switch out.path {
-			case "":
-			case "-":
-				if err := out.write(stdout, events); err != nil {
-					return fmt.Errorf("writing %s: %w", out.what, err)
-				}
-			default:
-				if err := trace.WriteFile(out.path, events, out.write); err != nil {
-					return fmt.Errorf("writing %s: %w", out.what, err)
-				}
-				fmt.Fprintf(report, "%s (%d events) written to %s\n", out.what, len(events), out.path)
-			}
+		if *traceOut == "-" {
+			err = trace.WriteChrome(stdout, events)
+		} else if err = trace.WriteFile(*traceOut, events); err == nil {
+			fmt.Fprintf(report, "Chrome trace (%d events) written to %s\n", len(events), *traceOut)
+		}
+		if err != nil {
+			return fmt.Errorf("writing Chrome trace: %w", err)
 		}
 	}
 

@@ -6,13 +6,16 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"hpcmr/engine"
 	"hpcmr/fault"
 	"hpcmr/internal/spill"
+	"hpcmr/rdd"
 )
 
 func testSpec() JobSpec {
@@ -344,6 +347,83 @@ func TestChunkVolume(t *testing.T) {
 		r, b := engine.ChunkVolume(c.ch)
 		if r != c.records || b != c.bytes {
 			t.Errorf("%s: ChunkVolume = (%d, %d), want (%d, %d)", c.name, r, b, c.records, c.bytes)
+		}
+	}
+}
+
+// TestEmptyGatherFetchEvents: a reduce task whose gather moved nothing
+// reports one zero-byte local fetch event, on the engine and on dist
+// alike, so every gather's time shows in a trace. Keyed-sum over one
+// key leaves three of four reduce partitions empty on both backends.
+func TestEmptyGatherFetchEvents(t *testing.T) {
+	const records, parts = 64, 4
+	type gather struct{ part, task, attempt int }
+	type volume struct {
+		remote         bool
+		records, bytes int64
+	}
+	record := func(rt *engine.Runtime) func() map[gather][]volume {
+		var mu sync.Mutex
+		events := map[gather][]volume{}
+		rt.AddListener(engine.FuncListener{Fetch: func(e engine.FetchEvent) {
+			mu.Lock()
+			g := gather{e.ReducePart, e.TaskID, e.Attempt}
+			events[g] = append(events[g], volume{e.Remote, e.Records, int64(e.Bytes)})
+			mu.Unlock()
+		}})
+		return func() map[gather][]volume { mu.Lock(); defer mu.Unlock(); return events }
+	}
+	// emptyGathers returns the events of every gather that moved nothing,
+	// and checks every reduce partition reported its gather.
+	emptyGathers := func(backend string, events map[gather][]volume) [][]volume {
+		var empty [][]volume
+		seen := map[int]bool{}
+		for g, vs := range events {
+			seen[g.part] = true
+			var moved int64
+			for _, v := range vs {
+				moved += v.records + v.bytes
+			}
+			if moved == 0 {
+				empty = append(empty, vs)
+			}
+		}
+		if len(seen) != parts {
+			t.Errorf("%s: fetch events for %d reduce partitions, want %d", backend, len(seen), parts)
+		}
+		return empty
+	}
+
+	ctx, err := rdd.NewContext(engine.Config{Executors: 2, CoresPerExecutor: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engineEvents := record(ctx.Runtime())
+	pairs := rdd.KeyBy(rdd.Range(ctx, 0, records, parts), func(int64) int64 { return 0 })
+	if _, err := rdd.CollectAsMap(rdd.ReduceByKey(pairs, func(a, b int64) int64 { return a + b }, parts)); err != nil {
+		t.Fatal(err)
+	}
+	ctx.Stop()
+
+	lc, err := StartLocal(LocalConfig{Executors: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	distEvents := record(lc.Driver.Runtime())
+	out, err := lc.Run(JobSpec{Job: "keyed-sum", MapParts: parts, ReduceParts: parts, Records: records, Keys: 1})
+	lc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkKeyedSum(t, out, records, 1)
+
+	want := [][]volume{{{}}, {{}}, {{}}} // three gathers, one zero-byte local event each
+	for _, b := range []struct {
+		name   string
+		events map[gather][]volume
+	}{{"engine", engineEvents()}, {"dist", distEvents()}} {
+		if got := emptyGathers(b.name, b.events); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: empty gathers reported %v, want %v", b.name, got, want)
 		}
 	}
 }

@@ -734,34 +734,17 @@ func (d *Driver) runTask(spec JobSpec, st stage, part int, tc *engine.TaskContex
 		tc.AddShuffleBytes(float64(done.Bytes))
 	}
 	if st.gather != noShuffle {
-		d.emitFetches(st.gather, part, tc, start, done)
+		d.rt.EmitFetch(engine.FetchEvent{
+			Shuffle:    st.gather,
+			ReducePart: part,
+			TaskID:     tc.TaskID,
+			Attempt:    tc.Attempt,
+			Executor:   tc.Executor,
+			Start:      start,
+			Duration:   done.FetchSeconds,
+		}, done.LocalRecords, done.LocalBytes, done.RemoteRecords, done.RemoteBytes)
 	}
 	return done.Result, nil
-}
-
-// emitFetches publishes the executor-reported fetch volumes as listener
-// events, split by path so traces distinguish zero-copy local reads
-// from network shuffle service pulls.
-func (d *Driver) emitFetches(id, part int, tc *engine.TaskContext, start time.Time, done *TaskDone) {
-	base := engine.FetchEvent{
-		Shuffle:    id,
-		ReducePart: part,
-		TaskID:     tc.TaskID,
-		Attempt:    tc.Attempt,
-		Executor:   tc.Executor,
-		Start:      start,
-		Duration:   done.FetchSeconds,
-	}
-	if done.LocalRecords > 0 || done.LocalBytes > 0 {
-		e := base
-		e.Records, e.Bytes = done.LocalRecords, float64(done.LocalBytes)
-		d.rt.EmitFetch(e)
-	}
-	if done.RemoteRecords > 0 || done.RemoteBytes > 0 {
-		e := base
-		e.Records, e.Bytes, e.Remote = done.RemoteRecords, float64(done.RemoteBytes), true
-		d.rt.EmitFetch(e)
-	}
 }
 
 // dropShuffle releases a shuffle on the driver and every live

@@ -106,9 +106,9 @@ type Config struct {
 	MaxTaskFailures int
 	// Speculation enables speculative re-execution of stragglers (the
 	// LATE/Mantri family the paper's related work discusses): once 75 %
-	// of a stage's tasks have completed, a task running longer than 1.5
-	// times the median completed duration gets a second copy on another
-	// slot; the first finisher wins.
+	// of a stage's tasks have completed, a task running longer than
+	// sched.SpeculationMultiplier times the median completed duration
+	// gets a second copy on another slot; the first finisher wins.
 	Speculation bool
 	// Faults, when set, replays a deterministic fault plan against the
 	// runtime (pass a *fault.Injector). Each stage's dispatcher takes

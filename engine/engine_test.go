@@ -301,46 +301,6 @@ func TestShuffleStoreErrors(t *testing.T) {
 	}
 }
 
-func TestShuffleVolumeAccounting(t *testing.T) {
-	s := NewShuffleStore()
-	id := s.Register(2, 2)
-	// Typed chunks: 3 int64 records = 24 bytes.
-	if err := s.PutChunksFrom(id, 0, 0, []any{[]int64{1, 2}, []int64{3}}); err != nil {
-		t.Fatal(err)
-	}
-	v := s.ShuffleVolume(id)
-	if v.Records != 3 || v.Bytes != 24 {
-		t.Fatalf("volume after put = %+v, want 3 records / 24 bytes", v)
-	}
-	// A record-boxed chunk counts one interface header (16 B) per record.
-	if err := s.PutChunksFrom(id, 1, 1, []any{[]any{1}, nil}); err != nil {
-		t.Fatal(err)
-	}
-	v = s.ShuffleVolume(id)
-	if v.Records != 4 || v.Bytes != 24+16 {
-		t.Fatalf("volume after boxed put = %+v", v)
-	}
-	// A re-put (task retry) is movement too: counters are cumulative.
-	if err := s.PutChunksFrom(id, 0, 2, []any{[]int64{1, 2}, []int64{3}}); err != nil {
-		t.Fatal(err)
-	}
-	v = s.ShuffleVolume(id)
-	if v.Records != 7 || v.Bytes != 48+16 {
-		t.Fatalf("volume after re-put = %+v, want cumulative movement", v)
-	}
-	// Store totals mirror the shuffle counters and survive Drop.
-	if tv := s.TotalVolume(); tv != v {
-		t.Fatalf("total volume %+v != shuffle volume %+v", tv, v)
-	}
-	s.Drop(id)
-	if tv := s.TotalVolume(); tv.Records != 7 {
-		t.Fatalf("total volume lost on Drop: %+v", tv)
-	}
-	if v := s.ShuffleVolume(id); v.Records != 0 {
-		t.Fatalf("dropped shuffle reports volume %+v", v)
-	}
-}
-
 func TestShuffleStoreDrop(t *testing.T) {
 	s := NewShuffleStore()
 	id := s.Register(1, 1)

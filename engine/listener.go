@@ -87,10 +87,10 @@ type FetchEvent struct {
 	// chunk element sizes).
 	Records int64
 	Bytes   float64
-	// Remote marks a fetch that crossed the network: the map output
-	// lived on another executor process and was pulled through the
-	// distributed shuffle service. The local runtime's in-memory fetches
-	// are always local (false).
+	// Remote marks the volume another executor produced: the
+	// distributed runtime pulled it through the shuffle service, and the
+	// local runtime reports the volume that would have crossed the
+	// network. Runtime.EmitFetch builds the local/remote pair.
 	Remote bool
 }
 

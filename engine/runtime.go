@@ -300,7 +300,7 @@ func (rt *Runtime) FetchShuffleChunks(tc *TaskContext, shuffleID, reducePart int
 				rr, rb = rr+r, rb+by
 			}
 		}
-		base := FetchEvent{
+		rt.EmitFetch(FetchEvent{
 			Shuffle:    shuffleID,
 			ReducePart: reducePart,
 			TaskID:     tc.TaskID,
@@ -308,28 +308,30 @@ func (rt *Runtime) FetchShuffleChunks(tc *TaskContext, shuffleID, reducePart int
 			Executor:   tc.Executor,
 			Start:      start,
 			Duration:   time.Since(start).Seconds(),
-		}
-		if lr > 0 || lb > 0 || (rr == 0 && rb == 0) {
-			e := base
-			e.Records, e.Bytes = lr, float64(lb)
-			rt.listeners.fetch(e)
-		}
-		if rr > 0 || rb > 0 {
-			e := base
-			e.Records, e.Bytes, e.Remote = rr, float64(rb), true
-			rt.listeners.fetch(e)
-		}
+		}, lr, lb, rr, rb)
 	}
 	return out, nil
 }
 
-// EmitFetch publishes an externally-observed shuffle fetch to the
-// runtime's listeners. The local runtime's own fetch paths report
-// through FetchShuffleChunks; this hook exists for the
-// distributed driver, whose reduce-side fetches happen on remote
-// executor processes and are reported back over the control channel.
-func (rt *Runtime) EmitFetch(e FetchEvent) {
-	if rt.listeners.active() {
+// EmitFetch publishes one gather to the runtime's listeners, split by
+// path: e carries the gather's identity and timing, and the local and
+// the remote volume each fill a copy of it. A path that moved nothing
+// is left out, but a gather that moved nothing at all still reports one
+// zero-byte local event, so every gather's time shows in a trace.
+// FetchShuffleChunks reports through it, and so does the distributed
+// driver, whose gathers run on executor processes and come back over
+// the control channel.
+func (rt *Runtime) EmitFetch(e FetchEvent, localRecords, localBytes, remoteRecords, remoteBytes int64) {
+	if !rt.listeners.active() {
+		return
+	}
+	if localRecords > 0 || localBytes > 0 || (remoteRecords == 0 && remoteBytes == 0) {
+		l := e
+		l.Records, l.Bytes = localRecords, float64(localBytes)
+		rt.listeners.fetch(l)
+	}
+	if remoteRecords > 0 || remoteBytes > 0 {
+		e.Records, e.Bytes, e.Remote = remoteRecords, float64(remoteBytes), true
 		rt.listeners.fetch(e)
 	}
 }

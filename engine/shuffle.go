@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"hpcmr/internal/spill"
 )
@@ -48,11 +47,6 @@ type ShuffleStore struct {
 	// tier holds the map outputs: nil keeps them in memory, a budgeted
 	// tier spills the least recently used past its budget.
 	tier *spill.Tier
-
-	// Store-wide movement totals, mirrored from the per-shuffle counters
-	// so they survive Drop.
-	totalRecords atomic.Int64
-	totalBytes   atomic.Int64
 }
 
 // shuffleData holds one shuffle: per map partition, a block holding its
@@ -71,21 +65,6 @@ type shuffleData struct {
 	// plus weight is mirrored here. nil per map partition when the row
 	// holds real chunks.
 	metaBytes [][]int64
-
-	// Cumulative movement through this shuffle: every record/byte ever
-	// put, including re-puts from retried or recovered map tasks — the
-	// write amplification a fault run actually paid, not just the
-	// surviving data.
-	putRecords atomic.Int64
-	putBytes   atomic.Int64
-}
-
-// Volume summarizes data movement through a shuffle (or a whole store):
-// records written and their approximate in-memory bytes, cumulative
-// across re-puts.
-type Volume struct {
-	Records int64
-	Bytes   int64
 }
 
 // ChunkVolume measures one chunk as the store accounts it
@@ -224,11 +203,6 @@ func (s *ShuffleStore) PutChunksFrom(shuffleID, mapPart, owner int, chunks []any
 	if len(chunks) != d.reduceParts {
 		return fmt.Errorf("engine: shuffle %d: got %d buckets, want %d", shuffleID, len(chunks), d.reduceParts)
 	}
-	var records, bytes int64
-	for _, ch := range chunks {
-		r, b := ChunkVolume(ch)
-		records, bytes = records+r, bytes+b
-	}
 	if err := s.lockPut(d, shuffleID, owner); err != nil {
 		return err
 	}
@@ -237,28 +211,8 @@ func (s *ShuffleStore) PutChunksFrom(shuffleID, mapPart, owner int, chunks []any
 		d.metaBytes[mapPart] = nil // real chunks supersede placeholder weights
 	}
 	d.mu.Unlock()
-	d.putRecords.Add(records)
-	d.putBytes.Add(bytes)
-	s.totalRecords.Add(records)
-	s.totalBytes.Add(bytes)
 	s.tier.Evict()
 	return nil
-}
-
-// ShuffleVolume returns the cumulative movement through one shuffle
-// (zero Volume for unknown IDs).
-func (s *ShuffleStore) ShuffleVolume(shuffleID int) Volume {
-	d, ok := s.get(shuffleID)
-	if !ok {
-		return Volume{}
-	}
-	return Volume{Records: d.putRecords.Load(), Bytes: d.putBytes.Load()}
-}
-
-// TotalVolume returns the cumulative movement through every shuffle the
-// store has ever held, including dropped ones.
-func (s *ShuffleStore) TotalVolume() Volume {
-	return Volume{Records: s.totalRecords.Load(), Bytes: s.totalBytes.Load()}
 }
 
 // PutChunkMetaFrom records ownership of a map partition without

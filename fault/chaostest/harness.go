@@ -226,18 +226,18 @@ func Shrink(b Backend, plan fault.Plan) (fault.Plan, error) {
 	}
 }
 
-// TraceJSONL runs plan on a fresh simulated cluster and returns the
-// faulted run's trace as JSONL bytes — the determinism witness: the
+// Trace runs plan on a fresh simulated cluster and returns the faulted
+// run's Chrome trace_event bytes — the determinism witness: the
 // same plan on the same config must produce byte-identical output on
 // every run. Engine and dist traces run on wall time, so the witness is
 // the simulator's alone.
-func TraceJSONL(cfg Config, plan fault.Plan) ([]byte, error) {
+func Trace(cfg Config, plan fault.Plan) ([]byte, error) {
 	rep, err := RunPlan(Sim(cfg), plan)
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf, rep.Events); err != nil {
+	if err := trace.WriteChrome(&buf, rep.Events); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -2,7 +2,6 @@ package chaostest
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"hpcmr/fault"
@@ -11,16 +10,16 @@ import (
 )
 
 // TestSimTraceDeterminism is the ISSUE's acceptance criterion: the same
-// fault-plan seed must produce byte-identical JSONL traces across two
+// fault-plan seed must produce byte-identical Chrome traces across two
 // independent simulator runs.
 func TestSimTraceDeterminism(t *testing.T) {
 	cfg := Config{Nodes: 8, Tasks: 32}
 	plan := fault.Generate(42, fault.GenConfig{Nodes: 8, Tasks: 32})
-	a, err := TraceJSONL(cfg, plan)
+	a, err := Trace(cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TraceJSONL(cfg, plan)
+	b, err := Trace(cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +141,9 @@ func TestShrinkMinimizes(t *testing.T) {
 	}
 }
 
-// TestFaultEventsSurviveJSONLRoundTrip: CatFault events written to JSONL
-// parse back with their category intact.
-func TestFaultEventsSurviveJSONLRoundTrip(t *testing.T) {
+// TestFaultEventsSurviveTraceRoundTrip: CatFault events written to a
+// Chrome trace parse back with their category intact.
+func TestFaultEventsSurviveTraceRoundTrip(t *testing.T) {
 	cfg := Config{Nodes: 8, Tasks: 32}
 	plan := fault.Plan{Events: []fault.Event{
 		{Kind: fault.KindCrash, Node: 2, AfterTasks: 8},
@@ -154,10 +153,10 @@ func TestFaultEventsSurviveJSONLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf, rep.Events); err != nil {
+	if err := trace.WriteChrome(&buf, rep.Events); err != nil {
 		t.Fatal(err)
 	}
-	back, err := trace.ReadJSONL(strings.NewReader(buf.String()))
+	back, err := trace.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

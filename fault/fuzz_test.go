@@ -7,23 +7,25 @@ import (
 )
 
 // FuzzFaultPlanRoundTrip checks two invariants over arbitrary seeds and
-// generator shapes: (1) Encode/Decode round-trips a generated plan to
-// identical bytes, and (2) replaying the same plan through two fresh
-// injectors with a fixed query script yields an identical decision
-// trace — the property the chaos harness's reproducibility rests on.
+// plan contents: (1) Encode/Decode round-trips a plan to identical
+// bytes, and (2) replaying the same plan through two fresh injectors
+// with a fixed query script yields an identical decision trace — the
+// property the chaos harness's reproducibility rests on. The plan is
+// seed's generated plan followed by the plans of the seeds mix names,
+// so the fuzzer picks which draws it holds, in which order and how many.
 func FuzzFaultPlanRoundTrip(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(8), uint8(20))
-	f.Add(int64(42), uint8(16), uint8(3), uint8(0))
-	f.Add(int64(-9), uint8(1), uint8(100), uint8(255))
-	f.Fuzz(func(t *testing.T, seed int64, events, nodes, tasks uint8) {
+	f.Add(int64(1), uint8(8), uint8(20), []byte{})
+	f.Add(int64(42), uint8(3), uint8(0), []byte{0, 1, 2, 3})
+	f.Add(int64(-9), uint8(100), uint8(255), []byte{255, 7, 7})
+	f.Fuzz(func(t *testing.T, seed int64, nodes, tasks uint8, mix []byte) {
 		if nodes == 0 {
 			nodes = 1
 		}
-		plan := Generate(seed, GenConfig{
-			Nodes:  int(nodes),
-			Events: int(events),
-			Tasks:  int(tasks),
-		})
+		cfg := GenConfig{Nodes: int(nodes), Tasks: int(tasks)}
+		plan := Generate(seed, cfg)
+		for _, b := range mix {
+			plan.Events = append(plan.Events, Generate(seed+1+int64(b), cfg).Events...)
+		}
 		if err := plan.Validate(); err != nil {
 			t.Fatalf("generated plan invalid: %v", err)
 		}

@@ -2,12 +2,13 @@ package fault
 
 import "math/rand"
 
+// planEvents is how many fault events Generate draws per plan.
+const planEvents = 4
+
 // GenConfig bounds the randomized plans Generate produces.
 type GenConfig struct {
 	// Nodes is the cluster size faults target (required).
 	Nodes int
-	// Events is how many fault events to draw (default 4).
-	Events int
 	// Horizon is the time window fault triggers land in, in backend
 	// clock seconds (default 60).
 	Horizon float64
@@ -17,33 +18,33 @@ type GenConfig struct {
 	Tasks int
 }
 
-func (c GenConfig) withDefaults() GenConfig {
-	if c.Events <= 0 {
-		c.Events = 4
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 60
-	}
-	return c
+// Generate derives a randomized fault plan of planEvents events
+// deterministically from seed: the same (seed, cfg) always yields the
+// same plan, so chaos failures reproduce from the seed alone.
+func Generate(seed int64, cfg GenConfig) Plan {
+	p, _ := generate(seed, cfg)
+	return p
 }
 
-// Generate derives a randomized fault plan deterministically from seed:
-// the same (seed, cfg) always yields the same plan, so chaos failures
-// reproduce from the seed alone.
-func Generate(seed int64, cfg GenConfig) Plan {
-	cfg = cfg.withDefaults()
+// generate is Generate, also counting the crash draws the crash budget
+// turned into slow events.
+func generate(seed int64, cfg GenConfig) (p Plan, refused int) {
+	if cfg.Horizon <= 0 {
+		cfg.Horizon = 60
+	}
 	rng := rand.New(rand.NewSource(seed))
-	p := Plan{Seed: seed}
+	p.Seed = seed
 	// Permanent node losses are capped so a plan cannot kill the whole
 	// cluster: a quarter of the nodes, at least one.
 	crashes, maxCrashes := 0, max(cfg.Nodes/4, 1)
-	for i := 0; i < cfg.Events; i++ {
+	for i := 0; i < planEvents; i++ {
 		node := rng.Intn(cfg.Nodes)
 		at := rng.Float64() * cfg.Horizon
 		switch rng.Intn(5) {
 		case 0:
 			if crashes >= maxCrashes {
 				// Degrade instead of exceeding the crash budget.
+				refused++
 				p.Events = append(p.Events, slowEvent(rng, node, at, cfg))
 				continue
 			}
@@ -74,7 +75,7 @@ func Generate(seed int64, cfg GenConfig) Plan {
 			})
 		}
 	}
-	return p
+	return p, refused
 }
 
 // slowEvent draws one SSD-depletion-style degradation window.

@@ -144,7 +144,7 @@ func decisionLog(in *Injector) []any {
 }
 
 func TestInjectorDeterministicReplay(t *testing.T) {
-	plan := Generate(123, GenConfig{Nodes: 5, Events: 16, Horizon: 20, Tasks: 30})
+	plan := everyKindPlan(t, 123, GenConfig{Nodes: 5, Horizon: 20, Tasks: 30}, 16)
 	a := decisionLog(NewInjector(plan))
 	b := decisionLog(NewInjector(plan))
 	if len(a) != len(b) {

@@ -61,33 +61,65 @@ func TestPlanValidate(t *testing.T) {
 	}
 }
 
+// everyKindPlan joins the plans of seeds from, from+1, ... until the
+// joined plan holds every fault kind and at least min events, so a
+// replay exercises every decision the injector makes.
+func everyKindPlan(t *testing.T, from int64, cfg GenConfig, min int) Plan {
+	t.Helper()
+	joined := Plan{Seed: from}
+	kinds := map[Kind]bool{}
+	for seed := from; len(kinds) < 5 || len(joined.Events) < min; seed++ {
+		if seed-from > 100 {
+			t.Fatalf("seeds %d..%d draw only kinds %v", from, seed, kinds)
+		}
+		for _, e := range Generate(seed, cfg).Events {
+			kinds[e.Kind] = true
+			joined.Events = append(joined.Events, e)
+		}
+	}
+	return joined
+}
+
 func TestGenerateDeterministic(t *testing.T) {
-	cfg := GenConfig{Nodes: 8, Events: 12, Horizon: 30, Tasks: 50}
-	a := Generate(7, cfg)
-	b := Generate(7, cfg)
+	cfg := GenConfig{Nodes: 8, Horizon: 30, Tasks: 50}
+	for seed := int64(7); seed < 12; seed++ {
+		a, b := Generate(seed, cfg), Generate(seed, cfg)
+		ab, _ := a.Encode()
+		bb, _ := b.Encode()
+		if !bytes.Equal(ab, bb) {
+			t.Fatalf("seed %d produced different plans:\n%s\n%s", seed, ab, bb)
+		}
+		if len(a.Events) != planEvents {
+			t.Fatalf("seed %d: generated %d events, want %d", seed, len(a.Events), planEvents)
+		}
+		cb, _ := Generate(seed+1, cfg).Encode()
+		if bytes.Equal(ab, cb) {
+			t.Fatalf("seeds %d and %d produced identical plans", seed, seed+1)
+		}
+	}
+	// Joined, the seeds' plans hold every kind: each kind's draw is
+	// deterministic and valid.
+	a, b := everyKindPlan(t, 7, cfg, 12), everyKindPlan(t, 7, cfg, 12)
 	ab, _ := a.Encode()
 	bb, _ := b.Encode()
 	if !bytes.Equal(ab, bb) {
-		t.Fatalf("same seed produced different plans:\n%s\n%s", ab, bb)
-	}
-	c := Generate(8, cfg)
-	cb, _ := c.Encode()
-	if bytes.Equal(ab, cb) {
-		t.Fatal("different seeds produced identical plans")
+		t.Fatalf("same seeds produced different plans:\n%s\n%s", ab, bb)
 	}
 	if err := a.Validate(); err != nil {
 		t.Fatalf("generated plan invalid: %v", err)
 	}
-	if len(a.Events) != cfg.Events {
-		t.Fatalf("generated %d events, want %d", len(a.Events), cfg.Events)
-	}
 }
 
+// TestGenerateCrashBudget: a quarter of 4 nodes allows one crash per
+// plan, and 2000 plans draw a crash past that cap 413 times — more than
+// the 234 that 20 plans of 64 events pressed it before every plan drew
+// four events.
 func TestGenerateCrashBudget(t *testing.T) {
-	// A quarter of 4 nodes: one crash at most.
-	cfg := GenConfig{Nodes: 4, Events: 64}
-	for seed := int64(0); seed < 20; seed++ {
-		p := Generate(seed, cfg)
+	cfg := GenConfig{Nodes: 4}
+	refusedTotal := 0
+	for seed := int64(0); seed < 2000; seed++ {
+		p, refused := generate(seed, cfg)
+		refusedTotal += refused
 		crashes := 0
 		for _, e := range p.Events {
 			if e.Kind == KindCrash {
@@ -97,6 +129,12 @@ func TestGenerateCrashBudget(t *testing.T) {
 		if crashes > 1 {
 			t.Fatalf("seed %d: %d crashes exceed the budget of 1", seed, crashes)
 		}
+		if refused > 0 && crashes != 1 {
+			t.Fatalf("seed %d: %d crash draws refused under a budget of 1 with %d crashes", seed, refused, crashes)
+		}
+	}
+	if refusedTotal < 234 {
+		t.Fatalf("the cap turned away %d crash draws, want at least 234", refusedTotal)
 	}
 }
 

@@ -20,7 +20,7 @@ func AblationELBThreshold(o Options) *Experiment {
 	}
 	s := &metrics.Series{Label: "storing+shuffle", XLabel: "threshold %", YLabel: "s"}
 	size := 1200 * workload.GB * o.DataScale()
-	rigSpec := RigSpec{Device: cluster.SSDDevice, Skew: true, SkewSigma: 0.22}
+	rigSpec := RigSpec{Device: cluster.SSDDevice, SkewSigma: 0.22}
 	base := runELB(o, rigSpec, size, groupBySplit, false)
 	db := base.Dissection()
 	var best float64

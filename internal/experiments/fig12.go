@@ -23,7 +23,6 @@ var fig12Runs = []struct {
 func runFig12(o Options, nTasks, nodes int) (tasks []float64, inter []float64) {
 	rig := NewRig(o, RigSpec{
 		Device:        cluster.RAMDiskDevice,
-		Skew:          true,
 		SkewSigma:     0.22,
 		NodesOverride: nodes,
 	})

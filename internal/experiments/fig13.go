@@ -27,7 +27,7 @@ func Fig13a(o Options) *Experiment {
 		Title: "ELB vs Spark, storage bottleneck on SSD (paper: similar <= 900 GB; ELB ~26% better for 1-1.5 TB; staging phase 2.2x)",
 	}
 	sizes := []float64{600 * workload.GB, 800 * workload.GB, 1000 * workload.GB, 1200 * workload.GB, 1500 * workload.GB}
-	rigSpec := RigSpec{Device: cluster.SSDDevice, Skew: true, SkewSigma: 0.22}
+	rigSpec := RigSpec{Device: cluster.SSDDevice, SkewSigma: 0.22}
 	mk := func(label string) *metrics.Series {
 		return &metrics.Series{Label: label, XLabel: "data GB", YLabel: "storing+shuffle s"}
 	}
@@ -66,7 +66,6 @@ func Fig13b(o Options) *Experiment {
 	sizes := []float64{400 * workload.GB, 600 * workload.GB, 800 * workload.GB, 1000 * workload.GB, 1200 * workload.GB}
 	rigSpec := RigSpec{
 		Device:            cluster.RAMDiskDevice,
-		Skew:              true,
 		SkewSigma:         0.22,
 		FetchRequestBytes: 128 * 1024,
 	}

@@ -15,13 +15,13 @@ var fig5Sizes = []float64{50 * workload.GB, 100 * workload.GB, 200 * workload.GB
 func runGrepInput(o Options, input core.InputKind, size, split float64) *core.Result {
 	switch input {
 	case core.InputHDFS:
-		rig := NewRig(o, RigSpec{Device: cluster.RAMDiskDevice, WithHDFS: true, Skew: true, SkewSigma: 0.30})
+		rig := NewRig(o, RigSpec{Device: cluster.RAMDiskDevice, WithHDFS: true, SkewSigma: 0.30})
 		spec := workload.Grep(size, o.Split(split), core.InputHDFS)
 		// Spark's default on the data-centric configuration: delay
 		// scheduling for locality.
 		return rig.MustRun(spec, core.Policies{Map: sched.NewDelay(sched.SparkLocalityWait)})
 	default:
-		rig := NewRig(o, RigSpec{Device: cluster.NoLocalDevice, Skew: true, SkewSigma: 0.30})
+		rig := NewRig(o, RigSpec{Device: cluster.NoLocalDevice, SkewSigma: 0.30})
 		spec := workload.Grep(size, o.Split(split), core.InputLustre)
 		// Compute-centric: no locality exists; intermediate (tiny) goes
 		// through Lustre in the local-serving fashion.
@@ -76,11 +76,11 @@ func Fig5a(o Options) *Experiment {
 func runLRInput(o Options, input core.InputKind, size, split float64) *core.Result {
 	switch input {
 	case core.InputHDFS:
-		rig := NewRig(o, RigSpec{Device: cluster.RAMDiskDevice, WithHDFS: true, Skew: true, SkewSigma: 0.30})
+		rig := NewRig(o, RigSpec{Device: cluster.RAMDiskDevice, WithHDFS: true, SkewSigma: 0.30})
 		spec := workload.LogisticRegression(size, o.Split(split), core.InputHDFS)
 		return rig.MustRun(spec, core.Policies{Map: sched.NewDelay(sched.SparkLocalityWait)})
 	default:
-		rig := NewRig(o, RigSpec{Device: cluster.NoLocalDevice, Skew: true, SkewSigma: 0.30})
+		rig := NewRig(o, RigSpec{Device: cluster.NoLocalDevice, SkewSigma: 0.30})
 		spec := workload.LogisticRegression(size, o.Split(split), core.InputLustre)
 		return rig.MustRun(spec, core.Policies{Map: sched.NewFIFO()})
 	}

@@ -19,7 +19,7 @@ const fig9Input = 400 * workload.GB
 // runHDFSWithPolicy runs a benchmark on the data-centric rig with skew
 // under the given map policy.
 func runHDFSWithPolicy(o Options, spec core.JobSpec, pol sched.Policy) *core.Result {
-	rig := NewRig(o, RigSpec{Device: cluster.RAMDiskDevice, WithHDFS: true, Skew: true, SkewSigma: 0.30})
+	rig := NewRig(o, RigSpec{Device: cluster.RAMDiskDevice, WithHDFS: true, SkewSigma: 0.30})
 	return rig.MustRun(spec, core.Policies{Map: pol})
 }
 

@@ -140,9 +140,8 @@ type Rig struct {
 type RigSpec struct {
 	// Device is the node-local storage kind.
 	Device cluster.DeviceKind
-	// Skew enables node performance variation.
-	Skew bool
-	// SkewSigma overrides the default skew spread when > 0.
+	// SkewSigma, when > 0, enables node performance variation with
+	// this spread.
 	SkewSigma float64
 	// FetchRequestBytes overrides the fabric's request granularity
 	// (the paper's network-bottleneck scenario shrinks it from 1 GB to
@@ -193,12 +192,8 @@ func NewRig(o Options, spec RigSpec) *Rig {
 	cfg.RAMDiskBytes = 32e9 * o.resScale()
 	cfg.SSD = ssdSpec(o)
 	cfg.Seed = o.seed()
-	if spec.Skew {
-		sigma := spec.SkewSigma
-		if sigma == 0 {
-			sigma = 0.18
-		}
-		cfg.Skew = cluster.SkewConfig{Sigma: sigma, DriftAmplitude: 0.10, DriftPeriod: 600}
+	if spec.SkewSigma > 0 {
+		cfg.Skew = cluster.SkewConfig{Sigma: spec.SkewSigma, DriftAmplitude: 0.10, DriftPeriod: 600}
 	} else {
 		cfg.Skew = cluster.SkewConfig{}
 	}

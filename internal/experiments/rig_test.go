@@ -16,7 +16,7 @@ import (
 func TestRigDeterminism(t *testing.T) {
 	o := Options{Quick: true, Seed: 3}
 	specs := map[string]RigSpec{
-		"ramdisk-skew": {Device: cluster.RAMDiskDevice, Skew: true},
+		"ramdisk-skew": {Device: cluster.RAMDiskDevice, SkewSigma: 0.18},
 		"ssd":          {Device: cluster.SSDDevice},
 	}
 	for name, spec := range specs {
@@ -46,7 +46,7 @@ func TestRigDeterminism(t *testing.T) {
 // seed must actually reach the skew model (a constant-output rig would
 // also pass the determinism test).
 func TestRigSeedChangesSkewedRun(t *testing.T) {
-	spec := RigSpec{Device: cluster.RAMDiskDevice, Skew: true}
+	spec := RigSpec{Device: cluster.RAMDiskDevice, SkewSigma: 0.18}
 	job := workload.GroupBy(200e9/25, 256e6/25)
 	a := NewRig(Options{Quick: true, Seed: 3}, spec).MustRun(job, core.Policies{})
 	b := NewRig(Options{Quick: true, Seed: 4}, spec).MustRun(job, core.Policies{})
@@ -59,7 +59,7 @@ func TestRigSeedChangesSkewedRun(t *testing.T) {
 // path Fig 13 and the perf suite measure.
 func TestRigPolicyDeterminism(t *testing.T) {
 	o := Options{Quick: true, Seed: 1}
-	spec := RigSpec{Device: cluster.SSDDevice, Skew: true, SkewSigma: 0.22}
+	spec := RigSpec{Device: cluster.SSDDevice, SkewSigma: 0.22}
 	job := workload.GroupBy(1000e9*o.DataScale(), o.Split(256e6))
 	run := func() *core.Result {
 		rig := NewRig(o, spec)

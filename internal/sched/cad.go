@@ -30,8 +30,8 @@ import (
 // count where aggregate device throughput recovers. DESIGN.md records
 // this substitution.
 type CAD struct {
-	// Inner chooses task placement; CAD only limits concurrency.
-	Inner Policy
+	// inner chooses task placement; CAD only limits concurrency.
+	inner Policy
 	// Audit, when set, receives a "throttle"/"relieve" event every time
 	// the in-flight bound changes.
 	Audit AuditFunc
@@ -62,13 +62,13 @@ type CAD struct {
 // NewCAD wraps inner with the paper's detection parameters: 2x jump,
 // 0.5 drop.
 func NewCAD(inner Policy) *CAD {
-	return &CAD{Inner: inner, jumpFactor: 2, dropFactor: 0.5, window: 16, minSamples: 16}
+	return &CAD{inner: inner, jumpFactor: 2, dropFactor: 0.5, window: 16, minSamples: 16}
 }
 
 // StageStart implements Policy. Throttle state resets per stage: the
 // congestion signal of one storing phase does not carry to the next.
 func (p *CAD) StageStart(tasks []TaskInfo, now float64) {
-	p.Inner.StageStart(tasks, now)
+	p.inner.StageStart(tasks, now)
 	p.limit = 0
 	p.inflight = make(map[int]int)
 	p.maxInflight = 0
@@ -90,7 +90,7 @@ func (p *CAD) Offer(node int, now float64) Decision {
 		// Re-offered on the next completion.
 		return Decline(0)
 	}
-	d := p.Inner.Offer(node, now)
+	d := p.inner.Offer(node, now)
 	if d.TaskID < 0 {
 		return d
 	}
@@ -114,7 +114,7 @@ func (p *CAD) refreshMedian() {
 // Completed implements Policy: update duration statistics and adjust
 // the in-flight bound.
 func (p *CAD) Completed(task, node int, now float64, stats TaskStats) {
-	p.Inner.Completed(task, node, now, stats)
+	p.inner.Completed(task, node, now, stats)
 	if p.inflight[node] > 0 {
 		p.inflight[node]--
 	}
@@ -187,7 +187,7 @@ func (p *CAD) audit(kind string, node, prev int, avg, now float64) {
 }
 
 // Pending implements Policy.
-func (p *CAD) Pending() int { return p.Inner.Pending() }
+func (p *CAD) Pending() int { return p.inner.Pending() }
 
 // Limit returns the current per-node in-flight bound (0 = unlimited).
 func (p *CAD) Limit() int { return p.limit }

@@ -9,15 +9,15 @@ const ELBThreshold = 0.25
 // ELB is the paper's Enhanced Load Balancer (Section VI-A). The policy
 // records the intermediate data deposited by each completed task and
 // monitors the per-node average. A node whose accumulated volume exceeds
-// the average by Threshold stops receiving tasks; pending tasks go to
+// the average by threshold stops receiving tasks; pending tasks go to
 // the least-loaded nodes instead. When the average catches up, the node
 // resumes. ELB deliberately trades locality for balance — Section V-A
 // shows locality is worth little on HPC systems — so task locality
 // preferences are ignored.
 type ELB struct {
-	// Threshold is the fractional excess over the cluster average at
+	// threshold is the fractional excess over the cluster average at
 	// which a node is paused (the paper uses ELBThreshold).
-	Threshold float64
+	threshold float64
 	// Audit, when set, receives a "pause"/"resume" event (with a
 	// per-node load snapshot) every time a node's exclusion state flips.
 	Audit AuditFunc
@@ -34,7 +34,7 @@ type ELB struct {
 // imbalance created by the map phase is what the storing/shuffle stages
 // must correct for.
 func NewELB(nodes int, threshold float64) *ELB {
-	return &ELB{Threshold: threshold, nodes: nodes, nodeBytes: make([]float64, nodes)}
+	return &ELB{threshold: threshold, nodes: nodes, nodeBytes: make([]float64, nodes)}
 }
 
 // average returns the mean intermediate volume per node.
@@ -51,7 +51,7 @@ func (p *ELB) Paused(node int) bool {
 	if avg <= 0 {
 		return false
 	}
-	return p.nodeBytes[node] > avg*(1+p.Threshold)
+	return p.nodeBytes[node] > avg*(1+p.threshold)
 }
 
 // Offer implements Policy.
@@ -108,7 +108,7 @@ func (p *ELB) auditTransitions(now float64) {
 			Value:  p.nodeBytes[n],
 			Loads:  append([]float64(nil), p.nodeBytes...),
 			Detail: fmt.Sprintf("load=%.4g avg=%.4g threshold=%.2f t=%.3f",
-				p.nodeBytes[n], avg, p.Threshold, now),
+				p.nodeBytes[n], avg, p.threshold, now),
 		})
 	}
 }

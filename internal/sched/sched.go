@@ -229,15 +229,21 @@ func (p *LocalityPreferring) Offer(node int, now float64) Decision {
 // argues against on HPC systems.
 const SparkLocalityWait = 3.0
 
+// SpeculationMultiplier is the straggler rule: once enough of a stage's
+// tasks have completed, a task running longer than SpeculationMultiplier
+// times the median completed duration gets a second copy (Spark's
+// spark.speculation.multiplier), and trace.Analyze counts it a straggler.
+const SpeculationMultiplier = 1.5
+
 // Delay implements Spark's delay scheduling: a slot whose node holds no
-// pending local task is declined until the stage has gone Wait seconds
+// pending local task is declined until the stage has gone wait seconds
 // without a *local* launch, at which point locality is given up and
 // non-local tasks flow freely. A local launch restores the wait
 // (Zaharia et al.'s level-reset rule).
 type Delay struct {
-	// Wait is the locality wait in seconds (SparkLocalityWait in the
+	// wait is the locality wait in seconds (SparkLocalityWait in the
 	// paper's runs).
-	Wait float64
+	wait float64
 	// Audit, when set, receives a "wait" event each time a slot is
 	// declined while the policy holds out for locality.
 	Audit AuditFunc
@@ -248,7 +254,7 @@ type Delay struct {
 
 // NewDelay returns a delay-scheduling policy with the given locality
 // wait.
-func NewDelay(wait float64) *Delay { return &Delay{Wait: wait} }
+func NewDelay(wait float64) *Delay { return &Delay{wait: wait} }
 
 // StageStart implements Policy.
 func (p *Delay) StageStart(tasks []TaskInfo, now float64) {
@@ -273,13 +279,13 @@ func (p *Delay) Offer(node int, now float64) Decision {
 		return Decline(0)
 	}
 	waited := now - p.lastLaunch
-	if waited < p.Wait {
+	if waited < p.wait {
 		p.Audit.emit(AuditEvent{
 			Policy: "delay", Kind: "wait", Node: node,
-			Value:  p.Wait - waited,
+			Value:  p.wait - waited,
 			Detail: fmt.Sprintf("pending=%d waited=%.3f t=%.3f", p.q.len(), waited, now),
 		})
-		return Decline(p.Wait - waited)
+		return Decline(p.wait - waited)
 	}
 	t, ok := p.q.popAny()
 	if !ok {

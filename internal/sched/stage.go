@@ -11,10 +11,9 @@ const (
 	// before its stage fails (Spark's spark.task.maxFailures).
 	DefaultMaxFailures = 4
 	// Speculation starts once speculationQuantile of a stage's tasks have
-	// completed; a task running longer than speculationMultiplier times
+	// completed; a task running longer than SpeculationMultiplier times
 	// the median completed duration then gets a second copy.
-	speculationQuantile   = 0.75
-	speculationMultiplier = 1.5
+	speculationQuantile = 0.75
 )
 
 // Outcome is how an attempt ended: Success settles its task, Failure
@@ -449,14 +448,14 @@ func (s *Stage) Tick(now float64) {
 }
 
 // Speculate queues a second copy of every task whose live attempt has
-// run longer than speculationMultiplier times the median completed
+// run longer than SpeculationMultiplier times the median completed
 // duration, once speculationQuantile of the tasks have completed, then
 // runs an offer pass. A no-op unless the stage speculates.
 func (s *Stage) Speculate(now float64) {
 	if s.since == nil || float64(len(s.durs)) < speculationQuantile*float64(len(s.done)) {
 		return
 	}
-	threshold := s.durs[len(s.durs)/2] * speculationMultiplier
+	threshold := s.durs[len(s.durs)/2] * SpeculationMultiplier
 	for id, since := range s.since {
 		if since < 0 || s.speculated[id] || s.queued[id] || now-since <= threshold {
 			continue

@@ -417,7 +417,7 @@ func runFig13ELB(sc Scale) (Extras, error) {
 	o := expOptions(sc)
 	size := 1000e9 * o.DataScale()
 	split := o.Split(256e6)
-	spec := experiments.RigSpec{Device: cluster.SSDDevice, Skew: true, SkewSigma: 0.22}
+	spec := experiments.RigSpec{Device: cluster.SSDDevice, SkewSigma: 0.22}
 
 	base := experiments.NewRig(o, spec)
 	bres := base.MustRun(workload.GroupBy(size, split), core.Policies{})

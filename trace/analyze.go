@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"hpcmr/internal/metrics"
+	"hpcmr/internal/sched"
 )
 
 // PhaseOf classifies a stage name into the paper's three phases:
@@ -74,18 +75,15 @@ type Analysis struct {
 	// Stragglers are task spans longer than StragglerThreshold,
 	// slowest first (capped at 20).
 	Stragglers []Event
-	// StragglerThreshold is mult × median task duration.
+	// StragglerThreshold is sched.SpeculationMultiplier × the median
+	// task duration.
 	StragglerThreshold float64
 }
 
-// Analyze reconstructs an Analysis from events. stragglerMult is the
-// multiple of the median task duration past which a task counts as a
-// straggler; values <= 1 default to 1.5 (the speculative-execution
-// threshold the engine itself uses).
-func Analyze(events []Event, stragglerMult float64) *Analysis {
-	if stragglerMult <= 1 {
-		stragglerMult = 1.5
-	}
+// Analyze reconstructs an Analysis from events. A task counts as a
+// straggler past sched.SpeculationMultiplier times the median task
+// duration — the rule the dispatcher itself speculates by.
+func Analyze(events []Event) *Analysis {
 	a := &Analysis{Events: len(events), Sched: map[string]int{}}
 	nodes := 0
 	minTS, maxEnd := 0.0, 0.0
@@ -193,7 +191,7 @@ func Analyze(events []Event, stragglerMult float64) *Analysis {
 		a.JobTime = maxEnd - minTS
 	}
 
-	a.StragglerThreshold = a.TaskDur.Median * stragglerMult
+	a.StragglerThreshold = a.TaskDur.Median * sched.SpeculationMultiplier
 	if a.StragglerThreshold > 0 {
 		for _, e := range tasks {
 			if e.Dur > a.StragglerThreshold {

@@ -45,7 +45,7 @@ func TestAnalyzeReconstructsTimeline(t *testing.T) {
 		{TS: 3, Kind: Instant, Cat: CatSched, Name: "elb:resume", Node: 0, Task: -1},
 		{TS: 5, Kind: Instant, Cat: CatSched, Name: "cad:throttle", Node: 1, Task: -1},
 	}
-	a := Analyze(events, 0)
+	a := Analyze(events)
 
 	if a.Events != len(events) {
 		t.Fatalf("Events = %d", a.Events)
@@ -104,7 +104,7 @@ func TestAnalyzeReconstructsTimeline(t *testing.T) {
 }
 
 func TestAnalyzeEmptyAndFallbacks(t *testing.T) {
-	a := Analyze(nil, 0)
+	a := Analyze(nil)
 	if a.Events != 0 || a.JobTime != 0 || a.SkewRatio != 0 || len(a.Stragglers) != 0 {
 		t.Fatalf("empty analysis = %+v", a)
 	}
@@ -113,7 +113,7 @@ func TestAnalyzeEmptyAndFallbacks(t *testing.T) {
 	a = Analyze([]Event{
 		{TS: 1, Dur: 2, Kind: Span, Cat: CatTask, Stage: "shufflemap-0", Node: 0, Bytes: 60},
 		{TS: 2, Dur: 3, Kind: Span, Cat: CatTask, Stage: "shufflemap-0", Node: 1, Bytes: 20},
-	}, 0)
+	})
 	if a.JobTime != 4 {
 		t.Fatalf("fallback job time = %v, want 4 (extent 1..5)", a.JobTime)
 	}
@@ -134,7 +134,7 @@ func TestAnalyzeLocalFetchSplit(t *testing.T) {
 		{TS: 1, Dur: 1, Kind: Span, Cat: CatFetch, Node: 1, Bytes: 300, Detail: "local"},
 		{TS: 2, Dur: 1, Kind: Span, Cat: CatFetch, Node: 1, Bytes: 400, Detail: "remote"},
 		{TS: 3, Dur: 1, Kind: Span, Cat: CatFetch, Node: 0, Bytes: 50}, // untagged
-	}, 0)
+	})
 	if a.LocalFetchBytes != 1200 || a.RemoteFetchBytes != 400 {
 		t.Fatalf("split = %v local / %v remote, want 1200/400", a.LocalFetchBytes, a.RemoteFetchBytes)
 	}
@@ -151,7 +151,7 @@ func TestAnalyzeLocalFetchSplit(t *testing.T) {
 	}
 
 	// No tagged spans: no ratio, no summary line.
-	a = Analyze([]Event{{TS: 0, Dur: 1, Kind: Span, Cat: CatFetch, Node: 0, Bytes: 50}}, 0)
+	a = Analyze([]Event{{TS: 0, Dur: 1, Kind: Span, Cat: CatFetch, Node: 0, Bytes: 50}})
 	if a.LocalFetchRatio != 0 {
 		t.Fatalf("untagged-only ratio = %v, want 0", a.LocalFetchRatio)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -110,10 +111,24 @@ func WriteChrome(w io.Writer, events []Event) error {
 	return enc.Encode(doc)
 }
 
-// ReadChrome parses a Chrome trace_event document (object or bare
-// array) previously written by WriteChrome back into events; metadata
-// entries are skipped.
-func ReadChrome(r io.Reader) ([]Event, error) {
+// WriteFile exports events as a Chrome trace_event document to a file
+// at path, creating or truncating it.
+func WriteFile(path string, events []Event) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteChrome(f, events); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// Read parses a Chrome trace_event document (object or bare array)
+// previously written by WriteChrome back into events; metadata entries
+// are skipped.
+func Read(r io.Reader) ([]Event, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err

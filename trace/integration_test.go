@@ -108,7 +108,7 @@ func TestSimulatorTraceCapturesAllSpanKinds(t *testing.T) {
 
 func TestAnalyzeMatchesSimulatorResult(t *testing.T) {
 	tr, res := runTracedGroupBy(t)
-	a := trace.Analyze(tr.Events(), 0)
+	a := trace.Analyze(tr.Events())
 
 	if math.Abs(a.JobTime-res.JobTime) > 1e-9 {
 		t.Fatalf("job time from trace %v != simulator %v", a.JobTime, res.JobTime)
@@ -145,35 +145,26 @@ func TestAnalyzeMatchesSimulatorResult(t *testing.T) {
 
 func TestTracedRunSurvivesExportRoundTrip(t *testing.T) {
 	tr, res := runTracedGroupBy(t)
-	direct := trace.Analyze(tr.Events(), 0)
+	direct := trace.Analyze(tr.Events())
 
-	for _, write := range []struct {
-		name string
-		fn   func(*bytes.Buffer) error
-	}{
-		{"chrome", func(b *bytes.Buffer) error { return trace.WriteChrome(b, tr.Events()) }},
-		{"jsonl", func(b *bytes.Buffer) error { return trace.WriteJSONL(b, tr.Events()) }},
-	} {
-		var buf bytes.Buffer
-		if err := write.fn(&buf); err != nil {
-			t.Fatalf("%s: %v", write.name, err)
-		}
-		loaded, err := trace.Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: %v", write.name, err)
-		}
-		a := trace.Analyze(loaded, 0)
-		if a.Events != direct.Events {
-			t.Fatalf("%s: %d events after round trip, want %d", write.name, a.Events, direct.Events)
-		}
-		if math.Abs(a.JobTime-res.JobTime) > 1e-6*res.JobTime {
-			t.Fatalf("%s: job time %v != %v", write.name, a.JobTime, res.JobTime)
-		}
-		for n := range direct.PerNodeBytes {
-			if math.Abs(a.PerNodeBytes[n]-direct.PerNodeBytes[n]) > 1 {
-				t.Fatalf("%s: node %d bytes drifted: %v != %v",
-					write.name, n, a.PerNodeBytes[n], direct.PerNodeBytes[n])
-			}
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, tr.Events()); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := trace.Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := trace.Analyze(loaded)
+	if a.Events != direct.Events {
+		t.Fatalf("%d events after round trip, want %d", a.Events, direct.Events)
+	}
+	if math.Abs(a.JobTime-res.JobTime) > 1e-6*res.JobTime {
+		t.Fatalf("job time %v != %v", a.JobTime, res.JobTime)
+	}
+	for n := range direct.PerNodeBytes {
+		if math.Abs(a.PerNodeBytes[n]-direct.PerNodeBytes[n]) > 1 {
+			t.Fatalf("node %d bytes drifted: %v != %v", n, a.PerNodeBytes[n], direct.PerNodeBytes[n])
 		}
 	}
 }

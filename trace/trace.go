@@ -3,8 +3,8 @@
 // scheduler decision events from both execution layers — the real
 // multi-executor engine (wall clock) and the discrete-event simulator
 // (virtual clock) — into sharded in-memory ring buffers, exports them
-// as Chrome trace_event JSON (loadable in Perfetto or chrome://tracing)
-// or JSONL, and reconstructs the paper's characterization diagnostics
+// as Chrome trace_event JSON (loadable in Perfetto or chrome://tracing),
+// and reconstructs the paper's characterization diagnostics
 // (per-node intermediate-data skew, phase dissection, shuffle-fetch
 // breakdown, stragglers) from a trace alone.
 //

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -136,36 +134,5 @@ func TestConcurrentEmit(t *testing.T) {
 	if tr.Len()+int(tr.Drops()) != workers*per {
 		t.Fatalf("retained %d + dropped %d != emitted %d",
 			tr.Len(), tr.Drops(), workers*per)
-	}
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	in := []Event{
-		{TS: 0, Dur: 10, Kind: Span, Cat: CatJob, Name: "groupby", Node: -1, Peer: -1, Task: -1},
-		{TS: 0.5, Dur: 2, Kind: Span, Cat: CatTask, Name: "task", Node: 3, Peer: -1,
-			Stage: "map/0", Task: 7, Attempt: 1, Bytes: 1e6, Detail: "failed"},
-		{TS: 3, Dur: 0.25, Kind: Span, Cat: CatFetch, Name: "fetch", Node: 2, Peer: 5,
-			Stage: "shuffle/0", Task: 2, Bytes: 4e5},
-		{TS: 4, Kind: Instant, Cat: CatSched, Name: "elb:pause", Node: 1, Peer: -1,
-			Task: -1, Bytes: 9e8, Detail: "load=9e8 avg=6e8"},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip diverged:\nin  %+v\nout %+v", in, out)
-	}
-	// Read() must sniff JSONL.
-	sniffed, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, sniffed) {
-		t.Fatal("Read() failed to sniff JSONL")
 	}
 }

@@ -283,12 +283,14 @@ func TestCodecSendErrorPoisons(t *testing.T) {
 		})
 	}
 	t.Run("over-limit", func(t *testing.T) {
+		// The result crosses as its own raw frame, so the frame over the
+		// limit is exactly the result.
 		conn := &memConn{}
 		c := NewCodec(conn, 1024)
 		err := c.Send(&TaskDone{Result: make([]byte, 4096)})
 		var tooBig *spill.ErrFrameTooLarge
-		if !errors.As(err, &tooBig) || tooBig.Max != 1024 || tooBig.Length <= 4096 {
-			t.Fatalf("got %v, want ErrFrameTooLarge over 4096/1024", err)
+		if !errors.As(err, &tooBig) || tooBig.Max != 1024 || tooBig.Length != 4096 {
+			t.Fatalf("got %v, want ErrFrameTooLarge of 4096/1024", err)
 		}
 		if conn.buf.Len() != 0 {
 			t.Errorf("an over-limit Send put %d bytes on the wire", conn.buf.Len())
@@ -298,14 +300,23 @@ func TestCodecSendErrorPoisons(t *testing.T) {
 }
 
 // TestCodecRecvRejectsMisframedStream: a frame holds exactly one
-// message. Anything else — bytes after the message, a second message,
-// a message cut across two frames, a tag with no message, an empty
-// frame, an unknown tag, a prefix over the limit — is a protocol error
-// that poisons the codec.
+// message, and a result is exactly the raw frame its message announces.
+// Anything else — bytes after the message, a second message, a message
+// cut across two frames, a tag with no message, an empty frame, an
+// unknown tag, a prefix over the limit, a result frame of another
+// length or missing, a result inside its message, an announcement over
+// the limit — is a protocol error that poisons the codec.
 func TestCodecRecvRejectsMisframedStream(t *testing.T) {
 	frames := splitFrames(t, encodeStream(t, &Hello{ID: 1, ShuffleAddr: "127.0.0.1:9"}, &Heartbeat{ID: 1, Seq: 7}))
 	hello, beat := frames[0], frames[1]
 	cut := len(hello) / 2
+	done := splitFrames(t, encodeStream(t, &TaskDone{Seq: 1, Result: []byte("result")}))[0]
+	bigResult := splitFrames(t, encodeStream(t, &JobResult{Result: make([]byte, 2048)}))[0]
+	conn := &memConn{}
+	if err := NewCodec(conn, 0).sendRaw(&TaskDone{Seq: 1, Result: []byte("result")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	inside := splitFrames(t, conn.buf.Bytes())[0]
 	cases := []struct {
 		name     string
 		payloads [][]byte
@@ -319,6 +330,11 @@ func TestCodecRecvRejectsMisframedStream(t *testing.T) {
 		{"empty frame", [][]byte{hello, nil}, 1, "no known message tag"},
 		{"unknown tag", [][]byte{hello, append([]byte{byte(len(messageTypes))}, beat[1:]...)}, 1, "no known message tag"},
 		{"over the limit", [][]byte{hello, make([]byte, 2048)}, 1, "exceeds limit"},
+		{"result frame shorter than announced", [][]byte{done, []byte("resul")}, 0, "differs from its announcement"},
+		{"result frame longer than announced", [][]byte{done, []byte("results")}, 0, "differs from its announcement"},
+		{"result frame missing", [][]byte{done}, 0, "unexpected EOF"},
+		{"result inside the message", [][]byte{inside}, 0, "result inside the message"},
+		{"result announced over the limit", [][]byte{bigResult, make([]byte, 2048)}, 0, "exceeds limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -242,14 +242,14 @@ func TestShutdownClusterStopsExecutors(t *testing.T) {
 
 func init() {
 	// oversize-result: a job whose every reduce partition is one byte
-	// too large for a TaskDone frame.
+	// too large for a raw frame.
 	RegisterJob(Job{
 		Name: "oversize-result",
 		Map: func(spec JobSpec, part int) (MapOutput, error) {
 			return MapOutput{Buckets: make([]any, spec.ReduceParts)}, nil
 		},
 		Reduce: func(spec JobSpec, part int, chunks []any) ([]byte, error) {
-			return make([]byte, spill.MaxFrame-taskDoneEnvelope+1), nil
+			return make([]byte, spill.MaxFrame+1), nil
 		},
 		Merge: func(spec JobSpec, parts [][]byte) ([]byte, error) {
 			return bytes.Join(parts, nil), nil

@@ -45,6 +45,17 @@ func FuzzCodecRecv(f *testing.F) {
 		sampleRunTask(1), sampleTaskDone(1), sampleTaskDone(2)))
 	f.Add(encodeStream(f, &ShuffleReq{Shuffle: 1, ReducePart: 2, MapParts: []int{0, 1}},
 		&ShuffleResp{MissMapPart: -1, Chunks: []any{kvs, nil}}))
+	// Results as raw frames: a TaskDone's and a JobResult's tails, a tail
+	// whose frame differs from the length its message announced, and a
+	// stream cut inside a tail.
+	done := sampleTaskDone(3)
+	done.Result = bytes.Repeat([]byte{7, 1}, 300)
+	tails := encodeStream(f, sampleTaskDone(1), done, &JobResult{Result: []byte("the job's result")})
+	f.Add(tails)
+	forged := encodeStream(f, done)
+	binary.BigEndian.PutUint32(forged[len(forged)-len(done.Result)-4:], uint32(len(done.Result)-1))
+	f.Add(forged)
+	f.Add(tails[:len(tails)-5])
 	f.Add([]byte{0, 0, 0, 3, 1, 2, 3})
 	f.Add([]byte{0, 0, 0, 0})
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
+	"sort"
 	"strings"
 )
 
@@ -110,14 +111,47 @@ func KeyedSumGolden(records, keys int64) map[int64]int64 {
 func keyedSumMap(spec JobSpec, part int) (MapOutput, error) {
 	lo := spec.Records * int64(part) / int64(spec.MapParts)
 	hi := spec.Records * int64(part+1) / int64(spec.MapParts)
-	// The partition holds hi-lo records, so at most that many keys: the
-	// table is sized by what the task sees, never by the key space.
-	sums := make(map[int64]int64, min(spec.Keys, hi-lo))
-	for i := lo; i < hi; i++ {
-		sums[i%spec.Keys] += i
+	out := MapOutput{Buckets: make([]any, spec.ReduceParts)}
+	// Record i has key i % Keys, so the partition holds exactly the d
+	// consecutive keys from first = lo % Keys, wrapping at Keys, and
+	// record i adds into acc[(i-lo) % d], the sum of key (first+j) %
+	// Keys: nothing is hashed or sorted, and the table is sized by what
+	// the task sees, never by the key space.
+	d := min(spec.Keys, hi-lo)
+	if d == 0 {
+		return out, nil
+	}
+	acc := make([]int64, d)
+	for i, j := lo, int64(0); i < hi; i++ {
+		acc[j] += i
+		if j++; j == d {
+			j = 0
+		}
+	}
+	// Ascending, the keys are the wrapped tail [0, wrap), summed in
+	// acc[d-wrap:], then [first, first+d-wrap) in acc[:d-wrap]; key
+	// returns the p-th and its sum. rangeBucket is monotone, so each
+	// bucket is one run of that order, found by binary search.
+	first := lo % spec.Keys
+	wrap := max(0, first+d-spec.Keys)
+	key := func(p int64) KV {
+		if p < wrap {
+			return KV{K: p, V: acc[d-wrap+p]}
+		}
+		return KV{K: first + p - wrap, V: acc[p-wrap]}
 	}
 	bucket := rangeBucket(min(spec.Keys, spec.Records), spec.ReduceParts)
-	return bucketRuns(sums, spec.ReduceParts, bucket, kvByKey, mkKV, func(int64) int64 { return 16 }), nil
+	for p := int64(0); p < d; {
+		r := bucket(key(p).K)
+		run := make([]KV, sort.Search(int(d-p), func(q int) bool { return bucket(key(p+int64(q)).K) > r }))
+		for q := range run {
+			run[q] = key(p + int64(q))
+		}
+		out.Buckets[r] = run
+		p += int64(len(run))
+	}
+	out.Records, out.Bytes = d, 16*d
+	return out, nil
 }
 
 // rangeBucket is keyed-sum's partitioner over the n keys [0, n) its

@@ -167,31 +167,23 @@ func TestKeyedSumMapTableBoundedByInput(t *testing.T) {
 // FuzzBucketRuns: bucketRuns itself against the oracle, on keys no
 // built-in Map makes. Input is read three bytes to a record: a key byte,
 // a byte that flips the int64 key's second byte (so a few hundred bytes
-// reach past radixMin distinct keys while keeping fuzzIntKey's sign and
-// extremes: negative keys, MinInt64 and MaxInt64 in one table, a span of
-// 2^64-1 and every radix pass) and a value byte. The string table keys
-// the same records by fuzzStrKey. Whether a bucket's run is
-// radix-sorted depends on its own length, so the seeds about the
-// cut-over put every key in one bucket.
+// make hundreds of distinct keys while keeping fuzzIntKey's sign and
+// extremes: negative keys, MinInt64 and MaxInt64 in one table) and a
+// value byte. The string table keys the same records by fuzzStrKey.
 func FuzzBucketRuns(f *testing.F) {
 	f.Add([]byte{}, uint8(3))
 	f.Add([]byte{0, 0, 9, 255, 0, 9, 128, 0, 1, 127, 0, 255}, uint8(0)) // both extremes, zero, -1; one bucket
-	// radixMin-1 and radixMin+1 distinct keys in one bucket, the int64
-	// extremes among them: a comparison sort, then eight radix passes.
-	f.Add(fuzzRecs(radixMin-1, func(j int) [3]byte { return [3]byte{byte(j), 0, byte(j)} }), uint8(0))
-	f.Add(fuzzRecs(radixMin+1, func(j int) [3]byte { return [3]byte{byte(j), byte(j / 256), byte(j)} }), uint8(0))
-	// 256 keys 256 apart, each twice: the first pass is skipped, the
-	// second leaves the records in the bucket, not in the run.
+	// 256 keys 256 apart, each twice; one bucket.
 	f.Add(fuzzRecs(512, func(j int) [3]byte { return [3]byte{5, byte(j), 7} }), uint8(0))
-	// 390 keys from -638 to 11, each twice: a span of two bytes whose
-	// largest key needs one.
+	// 390 keys from -638 to 11, each twice, negative and positive in
+	// one bucket.
 	f.Add(fuzzRecs(780, func(j int) [3]byte {
 		if j %= 390; j < 378 {
 			return [3]byte{byte(2 + j%126), byte(j / 126), byte(j)}
 		}
 		return [3]byte{byte(128 + j - 378), 0, byte(j)}
 	}), uint8(0))
-	// 1 500 keys in 3 buckets: every run radix-sorted into its bucket.
+	// 1 500 keys in 3 buckets.
 	f.Add(fuzzRecs(1500, func(j int) [3]byte { return [3]byte{byte(j), byte(j / 256), byte(j)} }), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, parts uint8) {
 		nParts := 1 + int(parts%32)

@@ -134,7 +134,8 @@ func prGather(spec JobSpec, part int, chunks []any) (rank, contrib []float64, er
 		if !ok {
 			return nil, nil, fmt.Errorf("dist: pagerank chunk %d is %T, want []PRRec", i, ch)
 		}
-		for _, rec := range recs {
+		for j := range recs {
+			rec := &recs[j]
 			if rec.Node < 0 || rec.Node >= spec.Records || rec.Node%parts != int64(part) {
 				return nil, nil, fmt.Errorf("%w: node %d in chunk %d of bucket %d", errForeignNode, rec.Node, i, part)
 			}
@@ -174,8 +175,16 @@ func pagerankStep(spec JobSpec, step, part int, chunks []any) (MapOutput, error)
 	buckets := make([][]PRRec, parts)
 	for r, c := range counts {
 		if c > 0 {
-			buckets[r] = make([]PRRec, 0, c)
+			buckets[r] = make([]PRRec, c)
 		}
+	}
+	// counts[r] is now where bucket r's next record goes. A record is
+	// written in place, field by field; its Load is already zero.
+	clear(counts)
+	emit := func(r int64, kind uint8, node int64, val float64) {
+		rec := &buckets[r][counts[r]]
+		rec.Kind, rec.Node, rec.Val = kind, node, val
+		counts[r]++
 	}
 	base := (1 - prDamping) / float64(nodes)
 	for i, n := 0, int64(part); n < nodes; i, n = i+1, n+int64(parts) {
@@ -185,12 +194,9 @@ func pagerankStep(spec JobSpec, step, part int, chunks []any) (MapOutput, error)
 			// initial ranks out.
 			newRank = rank[i]
 		}
-		buckets[part] = append(buckets[part], PRRec{Kind: prState, Node: n, Val: newRank})
+		emit(int64(part), prState, n, newRank)
 		share := newRank / prDegree(n)
-		prNeighbors(n, nodes, parts, func(m int64) {
-			r := m % int64(parts)
-			buckets[r] = append(buckets[r], PRRec{Kind: prFlow, Node: m, Val: share})
-		})
+		prNeighbors(n, nodes, parts, func(m int64) { emit(m%int64(parts), prFlow, m, share) })
 	}
 	return prOutput(buckets), nil
 }

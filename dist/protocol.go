@@ -143,8 +143,11 @@ type TaskDone struct {
 	RemoteRecords, RemoteBytes int64
 	// FetchSeconds is the task's total gather wall time.
 	FetchSeconds float64
-	// Result is a reduce task's encoded output partition.
-	Result []byte
+	// Result is a reduce task's encoded output partition. It crosses
+	// the wire as a raw frame after the message, which announces its
+	// length in ResultLen (Codec.Send).
+	Result    []byte
+	ResultLen int
 }
 
 // DropShuffle tells executors a shuffle's data is no longer needed.
@@ -158,10 +161,12 @@ type SubmitJob struct {
 	Spec JobSpec
 }
 
-// JobResult carries a submitted job's encoded result or failure.
+// JobResult carries a submitted job's encoded result or failure. As in
+// TaskDone, Result crosses as a raw frame of ResultLen bytes.
 type JobResult struct {
-	Err    string
-	Result []byte
+	Err       string
+	Result    []byte
+	ResultLen int
 }
 
 // ShutdownReq asks a running driver to tear the cluster down;
@@ -343,9 +348,9 @@ var messageTags = func() map[reflect.Type]byte {
 // executorGone; executor: Run returns; peer fetch: the retry redials).
 //
 // A message may be followed by raw frames: a 4-byte big-endian length
-// and that many bytes of a slab's memory, outside the gob stream
-// (sendRaw, recvSlab). They obey the same limit and the same poison
-// rule as message frames.
+// and that many bytes of a slab's memory or of a result, outside the
+// gob stream (sendRaw, recvSlab, Recv). They obey the same limit and
+// the same poison rule as message frames.
 //
 // Sends are serialized by an internal mutex — heartbeats and task
 // results share the control connection from several goroutines; Recv
@@ -398,9 +403,33 @@ func (c *Codec) poison(err error) error {
 }
 
 // Send encodes m — a pointer to one of messageTypes — as the stream's
-// next message, in one frame written with one Write. An error poisons
-// the codec.
-func (c *Codec) Send(m any) error { return c.sendRaw(m, nil) }
+// next message, in one frame written with one Write. A TaskDone's or a
+// JobResult's Result is not encoded: the message announces its length
+// in ResultLen and the bytes follow as one raw frame, written from
+// where they lie, so a result is never copied into gob's buffers. An
+// error poisons the codec.
+func (c *Codec) Send(m any) error {
+	switch msg := m.(type) {
+	case *TaskDone:
+		head := *msg
+		head.Result, head.ResultLen = nil, len(msg.Result)
+		return c.sendRaw(&head, resultFrame(msg.Result))
+	case *JobResult:
+		head := *msg
+		head.Result, head.ResultLen = nil, len(msg.Result)
+		return c.sendRaw(&head, resultFrame(msg.Result))
+	}
+	return c.sendRaw(m, nil)
+}
+
+// resultFrame is the raw frame a result crosses as: none for an empty
+// one, which ResultLen 0 announces.
+func resultFrame(result []byte) [][]byte {
+	if len(result) == 0 {
+		return nil
+	}
+	return [][]byte{result}
+}
 
 // sendRaw is Send followed by one raw frame per element of raw, all in
 // one vectored write: the raw bytes go to the connection from where
@@ -461,8 +490,9 @@ func (c *Codec) sendRaw(m any, raw [][]byte) error {
 }
 
 // Recv reads the next frame and decodes the one message it holds,
-// returning a pointer to one of messageTypes. An error — a clean
-// io.EOF between frames included — poisons the codec.
+// returning a pointer to one of messageTypes; a TaskDone's or a
+// JobResult's Result is read from the raw frame after it. An error — a
+// clean io.EOF between frames included — poisons the codec.
 func (c *Codec) Recv() (any, error) {
 	if err := c.failed(); err != nil {
 		return nil, err
@@ -490,20 +520,60 @@ func (c *Codec) Recv() (any, error) {
 	if left > 0 {
 		return nil, c.poison(fmt.Errorf("dist: decode frame: %d bytes after the message", left))
 	}
+	if result, n := resultOf(m); result != nil {
+		if err := c.recvResult(result, *n); err != nil {
+			return nil, err
+		}
+	}
 	return m, nil
 }
 
-// Named rejections of a raw slab frame and the header that announced
-// it, besides spill's unknown-name and element-size errors and the
+// resultOf returns the Result and ResultLen fields of a message whose
+// result crosses as a raw frame, nils for every other message.
+func resultOf(m any) (*[]byte, *int) {
+	switch msg := m.(type) {
+	case *TaskDone:
+		return &msg.Result, &msg.ResultLen
+	case *JobResult:
+		return &msg.Result, &msg.ResultLen
+	}
+	return nil, nil
+}
+
+// recvResult reads the raw frame of an announced n-byte result into
+// *result. A result inside the message, a negative or over-limit
+// announcement and a frame of any other length are protocol errors;
+// the frame grows as its bytes arrive (spill.ReadFrame), so a forged
+// length costs memory in proportion to the bytes that exist. Every
+// error poisons the codec.
+func (c *Codec) recvResult(result *[]byte, n int) error {
+	switch {
+	case *result != nil:
+		return c.poison(fmt.Errorf("%w: result inside the message", errRawFrame))
+	case n < 0:
+		return c.poison(fmt.Errorf("%w: result of %d bytes", errRawFrame, n))
+	case n > c.max:
+		return c.poison(&spill.ErrFrameTooLarge{Length: n, Max: c.max})
+	case n == 0:
+		return nil
+	}
+	b, err := spill.ReadFrame(c.r, c.max)
+	if err != nil {
+		return c.poison(truncated(err))
+	}
+	if len(b) != n {
+		return c.poison(fmt.Errorf("%w: %d bytes for a result of %d", errRawFrame, len(b), n))
+	}
+	*result = b
+	return nil
+}
+
+// Named rejections of a raw frame and the header that announced it, besides spill's unknown-name and element-size errors and the
 // frame limit's *spill.ErrFrameTooLarge.
 var (
 	errSlabCount = errors.New("dist: slab of no elements")
-	errRawFrame  = errors.New("dist: raw frame length differs from its slab")
+	errRawFrame  = errors.New("dist: raw frame length differs from its announcement")
 )
-
-// slabGrowth is how much a slab being received may grow per step once
-// its first spill.FrameGrowStep bytes have arrived.
-const slabGrowth = 4
 
 // recvSlab reads the next frame, a raw one, as count elements of the
 // registered slab type name with elem-byte elements, and returns the
@@ -549,7 +619,7 @@ func (c *Codec) recvSlab(name string, elem, count int) (any, error) {
 		if have = len(mem); have == n {
 			return ch, nil
 		}
-		next, nextMem := st.Make(min(count, slabGrowth*have/elem))
+		next, nextMem := st.Make(min(count, spill.FrameGrowth*have/elem))
 		copy(nextMem, mem)
 		ch, mem = next, nextMem
 	}

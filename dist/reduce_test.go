@@ -175,9 +175,9 @@ func TestReduceAllocsIndependentOfChunkCount(t *testing.T) {
 }
 
 // BenchmarkMap: map partition 0 of the same two jobs — shuffle-wide's
-// 31 250 records of as many keys, all in bucket 0 and radix-sorted as
-// one run; dispatch-fine's 250 records over 64 keys, 16 to a bucket —
-// and of spill-tight, shuffle-wide's data in 16 maps of 15 625 keys.
+// 31 250 records of as many keys, all in bucket 0; dispatch-fine's 250
+// records over 64 keys, 16 to a bucket — and of spill-tight,
+// shuffle-wide's data in 16 maps of 15 625 keys.
 func BenchmarkMap(b *testing.B) {
 	shapes := append(slices.Clone(reduceShapes), reduceShapes[0])
 	shapes[2].name, shapes[2].spec.MapParts = "tight-15625-distinct", 16
@@ -193,45 +193,31 @@ func BenchmarkMap(b *testing.B) {
 	}
 }
 
-// BenchmarkBucketRuns: bucketRuns alone on a 31 250-key table of keys
-// keyed-sum never makes — shuffled int64s over the whole span, negatives
-// included (eight radix passes), and as many distinct strings — into 4
-// buckets.
+// BenchmarkBucketRuns: bucketRuns alone on 31 250 distinct strings into
+// 4 buckets.
 func BenchmarkBucketRuns(b *testing.B) {
 	const n, parts = 31_250, 4
 	rng := rand.New(rand.NewPCG(7, 7))
-	ints, strs := make(map[int64]int64, n), make(map[string]int64, n)
-	for len(ints) < n {
-		ints[int64(rng.Uint64())] = int64(len(ints))
-	}
+	strs := make(map[string]int64, n)
 	for len(strs) < n {
 		strs[strconv.FormatUint(rng.Uint64N(1<<40), 36)] = int64(len(strs))
 	}
-	b.Run("int64", func(b *testing.B) {
-		b.ReportAllocs()
-		bucket := func(k int64) int { return int(uint64(k) % parts) }
-		for i := 0; i < b.N; i++ {
-			bucketRuns(ints, parts, bucket, kvByKey, mkKV, func(int64) int64 { return 16 })
-		}
-	})
-	b.Run("string", func(b *testing.B) {
-		b.ReportAllocs()
-		bucket := func(k string) int { return int(fnv32a(k) % parts) }
-		for i := 0; i < b.N; i++ {
-			bucketRuns(strs, parts, bucket, skvByKey, mkSKV, func(k string) int64 { return int64(len(k)) + 8 })
-		}
-	})
+	b.ReportAllocs()
+	bucket := func(k string) int { return int(fnv32a(k) % parts) }
+	for i := 0; i < b.N; i++ {
+		bucketRuns(strs, parts, bucket, skvByKey, mkSKV, func(k string) int64 { return int64(len(k)) + 8 })
+	}
 }
 
 // TestMapAllocsBoundedByInput: a map task allocates for the keys its
-// partition holds — a table, its records and one slice per bucket — not
-// for the key space. The wide task took 11.5 MB when the table was sized
-// by Keys (eight times what the partition holds); the fine task's 64
-// keys are its key space, and 4936 bytes is what it took then. The
-// wide task's one 31 250-record bucket is its own radix scratch: a
-// scratch of its own would take another 500 kB and pass the bound.
+// partition holds — its dense sums and one slice per bucket — not for
+// the key space. The wide task took 11.5 MB when a hash table was sized
+// by Keys (eight times what the partition holds) and 2.2 MB for a table
+// sized by the partition; the fine task's 64 keys are its key space,
+// and it took 4936 bytes through a table. The bounds are what the dense
+// sums take, so a table coming back fails.
 func TestMapAllocsBoundedByInput(t *testing.T) {
-	for i, limit := range []uint64{2_500_000, 4936} {
+	for i, limit := range []uint64{762_084, 1824} {
 		shape := reduceShapes[i]
 		got := allocBytes(func() {
 			if _, err := keyedSumMap(shape.spec, 0); err != nil {

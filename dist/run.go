@@ -115,16 +115,15 @@ func encodeRun[T any, K cmp.Ordered](kc *keyCodec[K], recs []T, rec func(T) (K, 
 	return out
 }
 
-// bucketRuns is the tail of the combining built-in Maps, reduceRuns'
-// counterpart: a task's combined sums become its MapOutput, key k in
-// bucket bucket(k), each strictly ascending by key. A counting pass
-// lays the buckets out back to back in one slice of records and a
-// second pass scatters the table into it; each bucket's run of records
-// is then sorted into the bucket — for KV runs a radix sort that uses
-// the run as its scratch, for others a comparison sort in place and a
-// copy. A bucket is allocated once, at its length, each its own
-// allocation, because the store decides how long each one lives
-// (DESIGN §7). size is what one record of key k adds to MapOutput.Bytes.
+// bucketRuns is the tail of wordcount's Map, reduceRuns' counterpart: a
+// task's combined sums become its MapOutput, key k in bucket bucket(k),
+// each strictly ascending by key. A counting pass lays the buckets out
+// back to back in one slice of records, a second pass scatters the
+// table into it, and each bucket's run of records is sorted in place
+// and copied into the bucket. A bucket is allocated once, at its
+// length, each its own allocation, because the store decides how long
+// each one lives (DESIGN §7). size is what one record of key k adds to
+// MapOutput.Bytes.
 func bucketRuns[T any, K cmp.Ordered](sums map[K]int64, parts int, bucket func(K) int, byKey func(T, T) int, mk func(K, int64) T, size func(K) int64) MapOutput {
 	// ends[r] is where bucket r's run starts in recs until the scatter,
 	// where it ends after.
@@ -151,64 +150,12 @@ func bucketRuns[T any, K cmp.Ordered](sums map[K]int64, parts int, bucket func(K
 		if len(run) == 0 {
 			continue
 		}
+		slices.SortFunc(run, byKey)
 		b := make([]T, len(run))
-		if kvs, ok := any(run).([]KV); ok && len(run) >= radixMin {
-			radixSort(kvs, any(b).([]KV))
-		} else {
-			slices.SortFunc(run, byKey)
-			copy(b, run)
-		}
+		copy(b, run)
 		out.Buckets[r] = b
 	}
 	return out
-}
-
-// radixMin is the run length from which bucketRuns radix-sorts KV runs:
-// where the worst case breaks even. A run spread over the whole int64
-// span takes eight passes, each clearing and summing 256 counts, and
-// matches slices.SortFunc at about 256 entries; a run of nearby keys
-// takes two and wins well below that (64 entries in half the time), but
-// no built-in job makes runs between dispatch-fine's 16 entries and
-// shuffle-wide's thousands.
-const radixMin = 256
-
-// radixSort sorts run's records by key into dst, as long as run, with
-// an LSD radix sort, one byte a pass, on each key's offset from the
-// smallest: uint64(k - lo) orders as k does over the whole int64 span,
-// and a run's keys, however large, take only as many passes as their
-// span has bytes. A pass whose byte is the same in every key is
-// skipped. The passes alternate between the two slices, so run is left
-// in no particular order.
-func radixSort(run, dst []KV) {
-	lo, hi := run[0].K, run[0].K
-	for _, e := range run {
-		lo, hi = min(lo, e.K), max(hi, e.K)
-	}
-	passes := (bits.Len64(uint64(hi)-uint64(lo)) + 7) / 8
-	src, out := run, dst
-	for p := range passes {
-		shift := 8 * p
-		var at [256]int
-		for _, e := range src {
-			at[byte((uint64(e.K)-uint64(lo))>>shift)]++
-		}
-		if at[byte((uint64(src[0].K)-uint64(lo))>>shift)] == len(src) {
-			continue
-		}
-		sum := 0
-		for d, n := range at {
-			at[d], sum = sum, sum+n
-		}
-		for _, e := range src {
-			d := byte((uint64(e.K) - uint64(lo)) >> shift)
-			out[at[d]] = e
-			at[d]++
-		}
-		src, out = out, src
-	}
-	if &src[0] != &dst[0] {
-		copy(dst, src)
-	}
 }
 
 // reduceRuns is the Reduce of the combining built-in jobs. A gathered

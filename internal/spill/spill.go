@@ -86,10 +86,15 @@ func (e *ErrFrameTooLarge) Error() string {
 // length-prefixed frame ReadFrame reads.
 const FrameHeaderLen = 4
 
-// FrameGrowStep caps how much ReadFrame allocates ahead of the bytes
-// actually arriving: a truncated stream whose prefix claims a huge
-// payload costs one step of memory, not the claim.
+// FrameGrowStep is the most ReadFrame allocates before a byte of the
+// payload has arrived; past it the buffer grows FrameGrowth-fold each
+// time it fills, so a truncated stream whose prefix claims a huge
+// payload costs memory in proportion to the bytes that arrived, not
+// the claim.
 const FrameGrowStep = 64 << 10
+
+// FrameGrowth is the factor by which a frame's buffer grows once full.
+const FrameGrowth = 4
 
 // ReadFrame reads one length-prefixed frame — a 4-byte big-endian
 // payload length, then the payload — allocating at most max bytes for
@@ -97,9 +102,9 @@ const FrameGrowStep = 64 << 10
 // corruption or an incompatible peer, returns *ErrFrameTooLarge
 // without reading (or allocating) the body; a truncated prefix or body
 // returns io.ErrUnexpectedEOF (io.EOF when the stream ends cleanly
-// between frames). The payload buffer grows incrementally as bytes
-// arrive, so a corrupt prefix claiming a large length against a short
-// stream cannot force a large allocation.
+// between frames). The payload buffer grows as bytes arrive, from
+// FrameGrowStep by FrameGrowth, so a corrupt prefix claiming a large
+// length against a short stream cannot force a large allocation.
 func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	if max <= 0 {
 		max = MaxFrame
@@ -115,18 +120,21 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	if length == 0 {
 		return nil, nil
 	}
-	payload := make([]byte, 0, min(length, FrameGrowStep))
-	for len(payload) < length {
-		off := len(payload)
-		payload = append(payload, make([]byte, min(length-off, FrameGrowStep))...)
-		if _, err := io.ReadFull(r, payload[off:]); err != nil {
+	payload := make([]byte, min(length, FrameGrowStep))
+	for have := 0; ; {
+		if _, err := io.ReadFull(r, payload[have:]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, err
 		}
+		if have = len(payload); have == length {
+			return payload, nil
+		}
+		next := make([]byte, min(length, FrameGrowth*have))
+		copy(next, payload)
+		payload = next
 	}
-	return payload, nil
 }
 
 // ErrChecksum reports a header or frame whose bytes do not match their

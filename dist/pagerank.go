@@ -14,22 +14,28 @@ import (
 // node n lives in bucket n % ReduceParts, has seven intra-bucket
 // out-edges (n + k*ReduceParts mod N, k = 1..7), and every fifth node
 // one cross-bucket edge to n+1. Because almost all edges stay inside
-// a node's bucket, each superstep's shuffle sends ~97% of its bytes
+// a node's bucket, each superstep's shuffle sends ~92% of its bytes
 // back to the bucket's own partition — the workload where
 // partition-stable placement turns the shuffle into executor-local
-// zero-copy hand-offs. Supersteps run the standard recurrence
-// rank'(n) = 0.15/N + 0.85 * sum over in-edges of rank(m)/deg(m),
-// starting uniform; step g emits the updated state to the node's own
-// bucket plus one flow record per out-edge, and the final reduce
-// applies the recurrence once more to the last flows.
+// zero-copy hand-offs. (It was ~97% while every edge had its own flow
+// record: combining shrank the local records, and the cross-bucket
+// ones, one per edge either way, stayed.) Supersteps run the standard
+// recurrence rank'(n) = 0.15/N + 0.85 * sum over in-edges of
+// rank(m)/deg(m), starting uniform; step g emits the updated state to
+// the node's own bucket plus, for each node its out-edges reach, one
+// flow record with the sum of the shares it sends there, and the final
+// reduce applies the recurrence once more to the last flows.
 //
-// Determinism: every emitted bucket is built in ascending node order,
-// and contributions accumulate in gathered chunk order (map partition
-// 0..R-1), so float summation order — and therefore the encoded result
-// — is identical run to run, including after lineage recovery.
+// Determinism: every emitted bucket is built in ascending node order.
+// A source task sums its shares to each node in node order, then
+// prNeighbors order, and the gather adds the per-source sums in chunk
+// order (map partition 0..R-1), so float summation order — and
+// therefore the encoded result — is identical run to run, including
+// after lineage recovery.
 
 // PRRec is pagerank's fixed-size shuffle record: Kind 0 carries a
-// node's rank (state), Kind 1 one edge's rank contribution (flow).
+// node's rank (state), Kind 1 the rank one source task sends the node
+// (flow).
 // Load pads the record to a realistic width so measured shuffle
 // volumes dominate fixed overheads; being an inline array (not a
 // slice) keeps engine.ChunkVolume's size-of-element accounting honest.
@@ -57,7 +63,11 @@ const prDamping = 0.85
 // ratio stays below 1, honestly.
 func prNeighbors(n, nodes int64, parts int, visit func(m int64)) {
 	for k := int64(1); k <= 7; k++ {
-		visit((n + k*int64(parts)) % nodes)
+		m := n + k*int64(parts)
+		if m >= nodes {
+			m %= nodes
+		}
+		visit(m)
 	}
 	if n%5 == 0 {
 		visit((n + 1) % nodes)
@@ -136,10 +146,10 @@ func prGather(spec JobSpec, part int, chunks []any) (rank, contrib []float64, er
 		}
 		for j := range recs {
 			rec := &recs[j]
-			if rec.Node < 0 || rec.Node >= spec.Records || rec.Node%parts != int64(part) {
+			at := rec.Node / parts
+			if rec.Node < 0 || rec.Node >= spec.Records || rec.Node-at*parts != int64(part) {
 				return nil, nil, fmt.Errorf("%w: node %d in chunk %d of bucket %d", errForeignNode, rec.Node, i, part)
 			}
-			at := (rec.Node - int64(part)) / parts
 			switch rec.Kind {
 			case prState:
 				rank[at] = rec.Val
@@ -155,48 +165,75 @@ func prGather(spec JobSpec, part int, chunks []any) (rank, contrib []float64, er
 
 // pagerankStep runs one superstep for bucket part: update each owned
 // node's rank from the gathered state and flows, emit the new state to
-// the own bucket and one flow per out-edge to the neighbors' buckets.
-// A counting pass over the edges sizes every bucket first — an edge
-// that wraps around N leaves the bucket when N % parts != 0 — so each
-// is allocated once, at its length, and a stored chunk carries no
-// append slack (DESIGN §7).
+// the own bucket and, to each bucket an out-edge reaches, one flow per
+// destination node: the sum of every share this task sends it.
+//
+// The combiner sums into a dense slice per destination bucket r,
+// indexed by (m-r)/parts and allocated when an edge first reaches r,
+// in node order and then prNeighbors order. An edge that wraps around N
+// leaves the bucket when N % parts != 0, so any bucket may be reached.
+// Each bucket is read out in ascending node order — the own bucket's
+// state records first — into a slice allocated once, at its length,
+// so a stored chunk carries no append slack (DESIGN §7).
 func pagerankStep(spec JobSpec, step, part int, chunks []any) (MapOutput, error) {
 	nodes := spec.Records
-	parts := spec.ReduceParts
+	parts := int64(spec.ReduceParts)
 	rank, contrib, err := prGather(spec, part, chunks)
 	if err != nil {
 		return MapOutput{}, err
 	}
-	counts := make([]int, parts)
-	counts[part] = len(rank)
-	for n := int64(part); n < nodes; n += int64(parts) {
-		prNeighbors(n, nodes, parts, func(m int64) { counts[m%int64(parts)]++ })
+	// flow[r][at] sums the shares to node r + at*parts, and hit[r][at]
+	// says an edge reached it.
+	flow := make([][]float64, parts)
+	hit := make([][]bool, parts)
+	base := (1 - prDamping) / float64(nodes)
+	for i, n := 0, int64(part); n < nodes; i, n = i+1, n+parts {
+		// The first superstep has no inbound flows yet: it fans the
+		// initial ranks out.
+		if step != 1 {
+			rank[i] = base + prDamping*contrib[i]
+		}
+		share := rank[i] / prDegree(n)
+		prNeighbors(n, nodes, int(parts), func(m int64) {
+			at := m / parts // (m-r)/parts, with one division
+			r := m - at*parts
+			if flow[r] == nil {
+				size := prBucketLen(nodes, int(parts), int(r))
+				flow[r], hit[r] = make([]float64, size), make([]bool, size)
+			}
+			flow[r][at] += share
+			hit[r][at] = true
+		})
 	}
 	buckets := make([][]PRRec, parts)
-	for r, c := range counts {
-		if c > 0 {
-			buckets[r] = make([]PRRec, c)
+	for r := range buckets {
+		states := 0
+		if r == part {
+			states = len(rank)
 		}
-	}
-	// counts[r] is now where bucket r's next record goes. A record is
-	// written in place, field by field; its Load is already zero.
-	clear(counts)
-	emit := func(r int64, kind uint8, node int64, val float64) {
-		rec := &buckets[r][counts[r]]
-		rec.Kind, rec.Node, rec.Val = kind, node, val
-		counts[r]++
-	}
-	base := (1 - prDamping) / float64(nodes)
-	for i, n := 0, int64(part); n < nodes; i, n = i+1, n+int64(parts) {
-		newRank := base + prDamping*contrib[i]
-		if step == 1 {
-			// The first superstep has no inbound flows yet: it fans the
-			// initial ranks out.
-			newRank = rank[i]
+		c := states
+		for _, ok := range hit[r] {
+			if ok {
+				c++
+			}
 		}
-		emit(int64(part), prState, n, newRank)
-		share := newRank / prDegree(n)
-		prNeighbors(n, nodes, parts, func(m int64) { emit(m%int64(parts), prFlow, m, share) })
+		if c == 0 {
+			continue
+		}
+		// A record is written in place, field by field; its Load is
+		// already zero.
+		b := make([]PRRec, c)
+		for i := range states {
+			b[i].Kind, b[i].Node, b[i].Val = prState, int64(part)+int64(i)*parts, rank[i]
+		}
+		k := states
+		for at, ok := range hit[r] {
+			if ok {
+				b[k].Kind, b[k].Node, b[k].Val = prFlow, int64(r)+int64(at)*parts, flow[r][at]
+				k++
+			}
+		}
+		buckets[r] = b
 	}
 	return prOutput(buckets), nil
 }

@@ -23,7 +23,6 @@
 package chaostest
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -224,21 +223,4 @@ func Shrink(b Backend, plan fault.Plan) (fault.Plan, error) {
 			return plan, nil
 		}
 	}
-}
-
-// Trace runs plan on a fresh simulated cluster and returns the faulted
-// run's Chrome trace_event bytes — the determinism witness: the
-// same plan on the same config must produce byte-identical output on
-// every run. Engine and dist traces run on wall time, so the witness is
-// the simulator's alone.
-func Trace(cfg Config, plan fault.Plan) ([]byte, error) {
-	rep, err := RunPlan(Sim(cfg), plan)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := trace.WriteChrome(&buf, rep.Events); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

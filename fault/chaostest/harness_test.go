@@ -9,17 +9,34 @@ import (
 	"hpcmr/trace"
 )
 
+// simTrace runs plan on a fresh simulated cluster and returns the faulted
+// run's Chrome trace_event bytes — the determinism witness: the
+// same plan on the same config must produce byte-identical output on
+// every run. Engine and dist traces run on wall time, so the witness is
+// the simulator's alone.
+func simTrace(cfg Config, plan fault.Plan) ([]byte, error) {
+	rep, err := RunPlan(Sim(cfg), plan)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, rep.Events); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // TestSimTraceDeterminism is the ISSUE's acceptance criterion: the same
 // fault-plan seed must produce byte-identical Chrome traces across two
 // independent simulator runs.
 func TestSimTraceDeterminism(t *testing.T) {
 	cfg := Config{Nodes: 8, Tasks: 32}
 	plan := fault.Generate(42, fault.GenConfig{Nodes: 8, Tasks: 32})
-	a, err := Trace(cfg, plan)
+	a, err := simTrace(cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Trace(cfg, plan)
+	b, err := simTrace(cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

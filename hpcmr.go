@@ -26,6 +26,3 @@
 // and figure of the evaluation; see bench_test.go, cmd/mrbench, and
 // EXPERIMENTS.md.
 package hpcmr
-
-// Version identifies this reproduction release.
-const Version = "1.0.0"

@@ -14,7 +14,7 @@ import (
 // bodies must all come back as errors — never a panic, never an
 // allocation sized by a claim (pinned by TestDecodeCorruptPrefix-
 // NoOverAllocation and TestIndexClaimsCheckedBeforeAllocation). For
-// anything Decode accepts, the whole-entry read is the oracle for the
+// anything decodeBytes accepts, the whole-entry read is the oracle for the
 // bucket read — ReadChunkFile of every bucket equals the decoded chunk,
 // nil-ness included — and the entry re-encodes byte-stably.
 func FuzzSpillFileRoundTrip(f *testing.F) {
@@ -51,10 +51,10 @@ func FuzzSpillFileRoundTrip(f *testing.F) {
 		for i, want := range e.Chunks {
 			ch, err := ReadChunkFile(path, e.Space, e.ID, e.Part, i)
 			if err != nil {
-				t.Fatalf("bucket %d of an entry Decode accepts: %v", i, err)
+				t.Fatalf("bucket %d of an entry decodeBytes accepts: %v", i, err)
 			}
 			if !reflect.DeepEqual(ch, want) {
-				t.Fatalf("bucket %d: ReadChunkFile %#v, Decode %#v", i, ch, want)
+				t.Fatalf("bucket %d: ReadChunkFile %#v, decodeBytes %#v", i, ch, want)
 			}
 		}
 		// The input may be a non-canonical gob of the same values, so

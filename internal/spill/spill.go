@@ -39,7 +39,7 @@
 // CRC32, and a bit-flipped body must surface as an error the engine can
 // repair through lineage, never as silently wrong data. Damage is
 // detected by the read that touches it — a flipped byte in one frame
-// fails that bucket's read (and a whole-entry Decode), not a read of
+// fails that bucket's read (and a whole-entry read), not a read of
 // its neighbours.
 package spill
 
@@ -647,19 +647,6 @@ func readEntry(r io.ReaderAt, h *header, off int64) (*Entry, error) {
 		off += fi.Len
 	}
 	return e, nil
-}
-
-// Decode reads the entry that occupies exactly size bytes of r.
-// Truncation, corrupt lengths, checksum mismatches, malformed gob,
-// out-of-order or out-of-range buckets, unknown slab types and trailing
-// bytes all return errors; Decode never panics and never allocates more
-// than the bytes actually present.
-func Decode(r io.ReaderAt, size int64) (*Entry, error) {
-	h, off, err := readHeader(r, size)
-	if err != nil {
-		return nil, err
-	}
-	return readEntry(r, h, off)
 }
 
 // gobDecode decodes one gob payload, converting any decoder panic into

@@ -63,8 +63,18 @@ func encodeEntry(t testing.TB, e *Entry) []byte {
 	return buf.Bytes()
 }
 
+// decodeBytes reads the entry that is exactly raw. Truncation, corrupt
+// lengths, checksum mismatches, malformed gob, out-of-order or
+// out-of-range buckets, unknown slab types and trailing bytes all
+// return errors; it never panics and never allocates more than the
+// bytes actually present.
 func decodeBytes(raw []byte) (*Entry, error) {
-	return Decode(bytes.NewReader(raw), int64(len(raw)))
+	r := bytes.NewReader(raw)
+	h, off, err := readHeader(r, int64(len(raw)))
+	if err != nil {
+		return nil, err
+	}
+	return readEntry(r, h, off)
 }
 
 // craft lays a file out from a hand-built header and frames, for index
@@ -296,7 +306,7 @@ func TestDecodeCorruptPrefixNoOverAllocation(t *testing.T) {
 	}
 }
 
-// TestIndexClaimsCheckedBeforeAllocation hands Decode well-formed
+// TestIndexClaimsCheckedBeforeAllocation hands decodeBytes well-formed
 // headers (valid CRC, every field parses) whose index lies about what follows.
 // Each is an error, and none allocates by the claim.
 func TestIndexClaimsCheckedBeforeAllocation(t *testing.T) {

@@ -21,7 +21,6 @@ import "hpcmr/internal/core"
 const (
 	MB = 1e6
 	GB = 1e9
-	TB = 1e12
 )
 
 // Per-core computation rates, bytes/s — calibrated to a JVM-era Spark

@@ -69,7 +69,7 @@ func TestComputeIntensityOrdering(t *testing.T) {
 }
 
 func TestUnits(t *testing.T) {
-	if MB != 1e6 || GB != 1e9 || TB != 1e12 {
+	if MB != 1e6 || GB != 1e9 {
 		t.Fatal("decimal units expected (the paper reports decimal sizes)")
 	}
 }

@@ -29,7 +29,9 @@ func init() {
 // iterative workload whose superstep gathers are almost entirely
 // bucket-local — on a single-node 4-executor cluster, with locality
 // placement on or off. With placement on, shuffle_local_fetch_ratio is
-// the gated outcome (~0.99; direction-aware, higher is better): a
+// the gated outcome (~0.92; direction-aware, higher is better; ~0.98
+// before supersteps combined their flows per node, which shrank the
+// local bytes and left the remote ones as they were): a
 // placement regression shows up as the ratio collapsing toward 1/4
 // long before wall time drifts. The disabled twin exports its split
 // ungated — its placement is FIFO happenstance — and exists as the

@@ -15,9 +15,7 @@
 // it, least-recently-used map outputs spill to local disk and are read
 // back (or recomputed via lineage) on demand. -spill-dir points the
 // spill files at a specific filesystem (each executor writes an
-// exec-<id> subdirectory); empty means a private temp dir. Both fall
-// back to the HPCMR_MEMORY_BUDGET and HPCMR_SPILL_DIR environment
-// variables.
+// exec-<id> subdirectory); empty means a private temp dir.
 //
 // `up` runs the cluster in the foreground and writes a JSON state file
 // with the client address and executor PIDs; `run` and `down` find the
@@ -115,36 +113,15 @@ func selfCommand(memoryBudget int64, spillDir string) func(id int, driverAddr st
 	}
 }
 
-// envInt64 reads an int64 from the environment; unset or malformed
-// values yield the default.
-func envInt64(name string, def int64) int64 {
-	if s := os.Getenv(name); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return v
-		}
-		logf("ignoring %s=%q: not an integer", name, s)
-	}
-	return def
-}
-
-func envString(name, def string) string {
-	if s := os.Getenv(name); s != "" {
-		return s
-	}
-	return def
-}
-
-// executor is the hidden subcommand the spawned processes run. The
-// -memory-budget and -spill-dir flags fall back to HPCMR_MEMORY_BUDGET
-// and HPCMR_SPILL_DIR, so site launchers can bound executors without
-// touching the argv the driver builds.
+// executor is the hidden subcommand the spawned processes run; `up`
+// forwards its -memory-budget and -spill-dir into each one's argv.
 func executor(args []string) {
 	fs := flag.NewFlagSet("executor", flag.ExitOnError)
 	id := fs.Int("id", -1, "executor ID")
 	driver := fs.String("driver", "", "driver control address")
-	memoryBudget := fs.Int64("memory-budget", envInt64("HPCMR_MEMORY_BUDGET", 0),
+	memoryBudget := fs.Int64("memory-budget", 0,
 		"resident shuffle bytes before spilling to disk (0 = unbounded)")
-	spillDir := fs.String("spill-dir", envString("HPCMR_SPILL_DIR", ""),
+	spillDir := fs.String("spill-dir", "",
 		"spill file directory; each executor uses an exec-<id> subdir (default: private temp)")
 	fs.Parse(args)
 	if *id < 0 || *driver == "" {
@@ -166,9 +143,9 @@ func up(args []string) {
 	cores := fs.Int("cores", 2, "cores per executor")
 	statePath := fs.String("state", defaultStatePath(), "cluster state file")
 	logDir := fs.String("logdir", "", "executor log directory (default: temp)")
-	memoryBudget := fs.Int64("memory-budget", envInt64("HPCMR_MEMORY_BUDGET", 0),
+	memoryBudget := fs.Int64("memory-budget", 0,
 		"per-executor resident shuffle bytes before spilling (0 = unbounded)")
-	spillDir := fs.String("spill-dir", envString("HPCMR_SPILL_DIR", ""),
+	spillDir := fs.String("spill-dir", "",
 		"shared spill directory; executors use exec-<id> subdirs (default: private temps)")
 	fs.Parse(args)
 
@@ -324,7 +301,7 @@ func chaos(args []string) {
 	afterTasks := fs.Int("after-tasks", 3, "SIGKILL one executor after this many completed tasks")
 	victim := fs.Int("victim", 1, "executor to SIGKILL")
 	logDir := fs.String("logdir", "", "executor log directory (default: temp)")
-	memoryBudget := fs.Int64("memory-budget", envInt64("HPCMR_MEMORY_BUDGET", 0),
+	memoryBudget := fs.Int64("memory-budget", 0,
 		"per-executor resident shuffle bytes before spilling (0 = unbounded)")
 	fs.Parse(args)
 

@@ -125,7 +125,23 @@ func init() {
 			return bytes.Join(parts, []byte{','}), nil
 		},
 	})
+	// phantom-miss: a reduce that reports missing map output of a
+	// shuffle it does not gather, so the driver's store never shows
+	// anything missing.
+	RegisterJob(Job{
+		Name: "phantom-miss",
+		Map: func(spec JobSpec, part int) (MapOutput, error) {
+			return MapOutput{Buckets: make([]any, spec.ReduceParts)}, nil
+		},
+		Reduce: func(JobSpec, int, []any) ([]byte, error) {
+			return nil, &engine.MapOutputMissingError{Shuffle: phantomShuffle, MapPart: 0}
+		},
+		Merge: func(JobSpec, [][]byte) ([]byte, error) { return nil, nil },
+	})
 }
+
+// phantomShuffle is a shuffle ID no test driver issues.
+const phantomShuffle = 1 << 30
 
 // echoOrderMap puts, per bucket, up to 200 records with keys repeating
 // and in random order; one bucket in four is nil.
@@ -204,6 +220,79 @@ func TestStageNameContract(t *testing.T) {
 	defer log.mu.Unlock()
 	if !reflect.DeepEqual(log.stages, want) {
 		t.Fatalf("stages:\n got %v\nwant %v", log.stages, want)
+	}
+}
+
+// TestRewindBoundIsJobWide: a miss the store never shows — here a
+// reduce that reports a shuffle it does not gather — rewinds the walk
+// to the failing stage itself, never below it, and the job fails after
+// maxJobRecoveries rewinds with an error that names the bound: exactly
+// maxJobRecoveries+1 runs of the reduce stage, and the map stage once.
+func TestRewindBoundIsJobWide(t *testing.T) {
+	lc, err := StartLocal(LocalConfig{Executors: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	log := watchStages(lc)
+	start := time.Now()
+	_, err = lc.Run(JobSpec{Job: "phantom-miss", MapParts: 2, ReduceParts: 2})
+	t.Logf("job failed after %s", time.Since(start))
+	if err == nil || !strings.Contains(err.Error(), "maxJobRecoveries") {
+		t.Fatalf("got %v, want an error naming maxJobRecoveries", err)
+	}
+	var maps, reduces int
+	log.mu.Lock()
+	for _, name := range log.stages {
+		switch {
+		case strings.Contains(name, "-map-"):
+			maps++
+		case strings.Contains(name, "-reduce-"):
+			reduces++
+		}
+	}
+	log.mu.Unlock()
+	if maps != 1 || reduces != maxJobRecoveries+1 {
+		t.Errorf("stage runs: %d map, %d reduce; want 1 and %d (stages %v)", maps, reduces, maxJobRecoveries+1, log.stages)
+	}
+}
+
+// TestPhasesSelectJobFunction: a task's phases say which job function
+// it calls — Map when it gathers nothing, Reduce when it puts nothing,
+// Step when it does both — and a task with both phases fails its
+// attempt on a job without a Step function.
+func TestPhasesSelectJobFunction(t *testing.T) {
+	var called string
+	withStep := Job{
+		Name:   "phases",
+		Map:    func(JobSpec, int) (MapOutput, error) { called = "map"; return MapOutput{}, nil },
+		Step:   func(JobSpec, int, int, []any) (MapOutput, error) { called = "step"; return MapOutput{}, nil },
+		Reduce: func(JobSpec, int, []any) ([]byte, error) { called = "reduce"; return nil, nil },
+	}
+	stepless := withStep
+	stepless.Step = nil
+	for _, tc := range []struct {
+		name         string
+		job          Job
+		gather, put  int
+		want, errSub string
+	}{
+		{name: "map", job: withStep, put: 2, want: "map"},
+		{name: "step", job: withStep, gather: 1, put: 2, want: "step"},
+		{name: "reduce", job: withStep, gather: 1, want: "reduce"},
+		{name: "step-without-Step", job: stepless, gather: 1, put: 2, errSub: "no step function"},
+	} {
+		called = ""
+		_, _, err := call(tc.job, &RunTask{Gather: tc.gather, Put: tc.put, Spec: JobSpec{Job: tc.job.Name}}, nil)
+		if tc.errSub != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.errSub) || called != "" {
+				t.Errorf("%s: called %q, err %v; want no call and an error with %q", tc.name, called, err, tc.errSub)
+			}
+			continue
+		}
+		if err != nil || called != tc.want {
+			t.Errorf("%s: called %q, err %v; want %q", tc.name, called, err, tc.want)
+		}
 	}
 }
 
@@ -457,8 +546,9 @@ func TestEmptyReduceOutputIsAResult(t *testing.T) {
 // is in the middle of an executor's loss path — the test parks that
 // path on its first log line and runs the reduce stage before letting
 // it go. Whatever runTask refuses as a dead owner must by then be
-// missing in the shuffle store; otherwise the repair finds nothing to
-// re-run and the stage spends every recovery round in microseconds.
+// missing in the shuffle store; otherwise the walk rewinds to the
+// reduce itself, re-runs nothing new, and spends the job's every rewind
+// in microseconds.
 func TestLossWindowCannotBurnRecoveries(t *testing.T) {
 	const victim = 2
 	parked, release := make(chan struct{}), make(chan struct{})
@@ -478,14 +568,7 @@ func TestLossWindowCannotBurnRecoveries(t *testing.T) {
 
 	spec := JobSpec{Job: "keyed-sum", MapParts: 12, ReduceParts: 3, Records: 20_000, Keys: 32}
 	gens := []int{d.rt.Shuffle().Register(spec.MapParts, spec.ReduceParts)}
-	parts := func(n int) []int {
-		p := make([]int, n)
-		for i := range p {
-			p[i] = i
-		}
-		return p
-	}
-	if _, err := d.runStage(spec, gens, 0, parts(spec.MapParts)); err != nil {
+	if _, err := d.runStage(spec, gens, 0); err != nil {
 		t.Fatal(err)
 	}
 	owned := 0
@@ -504,7 +587,7 @@ func TestLossWindowCannotBurnRecoveries(t *testing.T) {
 		d.executorGone(victim, "test")
 	}()
 	<-parked
-	results, err := d.runStage(spec, gens, 1, parts(spec.ReduceParts))
+	results, err := d.runChain(spec, gens, 1)
 	unpark.Do(func() { close(release) })
 	<-gone
 	if err != nil {
@@ -523,8 +606,8 @@ func TestLossWindowCannotBurnRecoveries(t *testing.T) {
 // spill file damaged after the map stage makes its (live) owner drop
 // the partition and answer the gather with a miss; the driver's
 // placeholder row still names that owner, so unless the miss takes the
-// row with it the repair finds nothing to re-run and the job dies after
-// maxJobRecoveries empty rounds. Truncated, bit-flipped or deleted, the
+// row with it the walk finds nothing to re-run and the job dies after
+// maxJobRecoveries empty rewinds. Truncated, bit-flipped or deleted, the
 // job must return the unbudgeted run's bytes, re-run exactly the one
 // map task, and the owner must log exactly one spill-corrupt.
 func TestCorruptSpillOnLiveExecutorRecomputes(t *testing.T) {

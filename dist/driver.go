@@ -11,8 +11,8 @@ import (
 	"hpcmr/fault"
 )
 
-// maxJobRecoveries bounds lineage-repair rounds per stage, mirroring
-// the rdd layer's ceiling.
+// maxJobRecoveries bounds the lineage rewinds of one job's chain walk,
+// mirroring the rdd layer's ceiling.
 const maxJobRecoveries = 8
 
 // DriverConfig configures the cluster driver.
@@ -327,7 +327,7 @@ func (d *Driver) monitor() {
 // executorGone runs the loss path for an executor, once. Order matters
 // twice. FailExecutor, which invalidates the executor's map outputs,
 // runs BEFORE the dead mark and under one lock with it: runTask refuses
-// a dead owner as a missing map output and the repair re-runs what
+// a dead owner as a missing map output and the rewind re-runs what
 // MissingParts reports, so no task may see the mark while the store
 // still lists the partitions as present. And both precede failing the
 // in-flight dispatches, so that the engine's dead-executor check
@@ -473,21 +473,6 @@ func (d *Driver) shuffleAddrOf(exec int) string {
 // gathers the last one. A map task is a task with an empty fetch phase,
 // a reduce task one with an empty store phase, and a job without a Step
 // function is the chain of length one.
-//
-// The chain holds a rolling window of two generations. Each generation
-// is registered as the stage writing it starts, and generation g-1 is
-// released — on the driver and on every live executor — as soon as
-// stage g has completed, before stage g+1 starts; the last one goes
-// after the reduce. Stage g therefore finds exactly the generation it
-// gathers and the one it writes resident. A loss that takes part of the
-// gathered generation is repaired from lineage by recomputation
-// (repairChain): the chain is rebuilt from the newest generation still
-// complete, which after the window has moved on is the map stage's
-// inputs. A loss late in a long chain therefore re-runs every superstep
-// below it: a SIGKILL in superstep 6 of 8 re-runs 50-58 tasks where
-// retaining every generation re-ran 20, at the same wall time on a
-// 2-vCPU host (DESIGN §7) — the cost, paid only after a loss, of
-// holding two generations instead of all of them.
 func (d *Driver) RunJob(spec JobSpec) ([]byte, error) {
 	spec, err := spec.withDefaults(d.cfg.Executors)
 	if err != nil {
@@ -511,17 +496,126 @@ func (d *Driver) RunJob(spec JobSpec) ([]byte, error) {
 		}
 	}()
 	d.logf("job %s: steps=%d mapParts=%d reduceParts=%d", spec.Job, steps, spec.MapParts, spec.ReduceParts)
-
-	var results [][]byte
-	for g := 0; g <= len(gens); g++ {
-		if results, err = d.runStage(spec, gens, g, allParts(spec.stageParts(g))); err != nil {
-			return nil, err
-		}
-		if g > 0 {
-			d.dropShuffle(gens[g-1])
-		}
+	results, err := d.runChain(spec, gens, 0)
+	if err != nil {
+		return nil, err
 	}
 	return job.Merge(spec, results)
+}
+
+// runChain walks the chain from stage from through the reduce, whose
+// encoded outputs it returns by partition. Stage 0 is the map stage,
+// stages 1..len(gens)-1 the supersteps, stage len(gens) the reduce.
+//
+// The walk holds a rolling window of two generations: generation g-1
+// is released — on the driver and on every live executor — as soon as
+// stage g has completed, before stage g+1 starts, and the last one goes
+// after the reduce. Stage g therefore finds exactly the generation it
+// gathers and the one it writes resident.
+//
+// A stage that reports a missing map output rewinds the walk, which is
+// how a lost generation is rebuilt from lineage. It resumes at the
+// stage above the newest generation below g that is still complete, or
+// at the map stage, which recomputes from the spec alone. A rewind
+// below g releases the generation stage g was writing, since it will
+// be written again in full; a resumed stage whose generation is still
+// registered re-runs only its missing partitions. A loss late in a
+// long chain therefore re-runs every superstep below it: a SIGKILL in
+// superstep 6 of 8 re-runs 50-58 tasks where retaining every
+// generation re-ran 20, at the same wall time on a 2-vCPU host (DESIGN
+// §7) — the cost, paid only after a loss, of holding two generations
+// instead of all of them.
+//
+// The rewind needs no wait. The loss path invalidates a dead
+// executor's outputs before it marks the executor dead, and a miss
+// from a live owner drops that owner's row (runTask), so the store
+// already shows every loss a task can report; a miss it does not show
+// means the partition changed owner after dispatch, and the immediate
+// re-run recomputes its locations. At most maxJobRecoveries rewinds
+// are taken per job.
+func (d *Driver) runChain(spec JobSpec, gens []int, from int) ([][]byte, error) {
+	rewinds := 0
+	for g := from; ; {
+		results, err := d.runStage(spec, gens, g)
+		if err == nil {
+			if g > 0 {
+				d.dropShuffle(gens[g-1])
+			}
+			if g == len(gens) {
+				return results, nil
+			}
+			g++
+			continue
+		}
+		var miss *engine.MapOutputMissingError
+		if !errors.As(err, &miss) {
+			return nil, err
+		}
+		if rewinds == maxJobRecoveries {
+			return nil, fmt.Errorf("dist: job %s still missing map output after %d lineage rewinds (maxJobRecoveries): %w", spec.Job, maxJobRecoveries, err)
+		}
+		rewinds++
+		d.logf("stage %d of job %s missing shuffle %d map partition %d; repairing generation chain", g, spec.Job, miss.Shuffle, miss.MapPart)
+		base := g - 1
+		for base >= 0 && !d.rt.Shuffle().Complete(gens[base]) {
+			base--
+		}
+		if base+1 < g {
+			if g < len(gens) {
+				d.dropShuffle(gens[g])
+			}
+			d.logf("job %s: rebuilding generations %d..%d from generation %d (-1: the map inputs)", spec.Job, base+1, g-1, base)
+		}
+		g = base + 1
+	}
+}
+
+// runStage runs chain stage g once. The generation the stage writes is
+// registered when the stage starts — and registered afresh, under a new
+// ID, when it is not registered any more. The reduce runs every
+// partition; any other stage runs the partitions its generation lacks,
+// which for a generation just registered is all of them. A stage that
+// gathers prefers, per partition, the executors owning most of the
+// gathered generation (Runtime.ReducePreferences), so under the
+// shuffle-locality policy a bucket stays where its data already is and
+// the fetch phase is the executor-local zero-copy path. The reduce
+// stage returns its tasks' encoded outputs by partition — RunStage
+// returning nil means every task succeeded, so an empty output is a
+// result, not a task that never ran; every other stage returns nil.
+func (d *Driver) runStage(spec JobSpec, gens []int, g int) ([][]byte, error) {
+	st := d.chainStage(spec, gens, g)
+	var parts []int
+	var results [][]byte
+	if g == len(gens) {
+		results, parts = make([][]byte, spec.ReduceParts), allParts(spec.ReduceParts)
+	} else {
+		parts = d.rt.Shuffle().MissingParts(gens[g])
+	}
+	var prefs [][]int
+	if st.gather != noShuffle {
+		prefs = d.rt.ReducePreferences([]int{st.gather}, spec.ReduceParts)
+	}
+	var resMu sync.Mutex
+	tasks := make([]engine.TaskSpec, len(parts))
+	for i, p := range parts {
+		if p < len(prefs) {
+			tasks[i].Preferred = prefs[p]
+		}
+		tasks[i].Run = func(tc *engine.TaskContext) error {
+			res, err := d.runTask(spec, st, p, tc)
+			if err != nil || results == nil {
+				return err
+			}
+			resMu.Lock()
+			results[p] = res
+			resMu.Unlock()
+			return nil
+		}
+	}
+	if err := d.rt.RunStage(st.name, tasks); err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // allParts is the partition list 0..n-1: a whole stage.
@@ -533,70 +627,11 @@ func allParts(n int) []int {
 	return parts
 }
 
-// runStage runs (or, under repair, re-runs) the given partitions of
-// chain stage g: stage 0 is the map stage, stages 1..len(gens)-1 the
-// supersteps, stage len(gens) the reduce. The generation the stage
-// writes is registered when its first attempt starts — and registered
-// afresh, under a new ID, when it is not registered any more. A stage
-// that gathers prefers, per partition, the executors owning most of the
-// gathered generation (Runtime.ReducePreferences), so under the
-// shuffle-locality policy a bucket stays where its data already is and
-// the fetch phase is the executor-local zero-copy path. A
-// missing-map-output failure repairs generation g-1 from lineage and
-// retries; a whole stage first releases what it wrote, because every
-// partition runs again. The reduce stage returns its tasks' encoded
-// outputs by partition — RunStage returning nil means every task
-// succeeded, so an empty output is a result, not a task that never
-// ran; every other stage returns nil.
-func (d *Driver) runStage(spec JobSpec, gens []int, g int, parts []int) ([][]byte, error) {
-	var results [][]byte
-	if g == len(gens) {
-		results = make([][]byte, spec.ReduceParts)
-	}
-	var resMu sync.Mutex
-	err := engine.RunStageRecovering(maxJobRecoveries,
-		func() error {
-			st := d.chainStage(spec, gens, g)
-			var prefs [][]int
-			if st.gather != noShuffle {
-				prefs = d.rt.ReducePreferences([]int{st.gather}, spec.ReduceParts)
-			}
-			tasks := make([]engine.TaskSpec, len(parts))
-			for i, p := range parts {
-				if p < len(prefs) {
-					tasks[i].Preferred = prefs[p]
-				}
-				tasks[i].Run = func(tc *engine.TaskContext) error {
-					res, err := d.runTask(spec, st, p, tc)
-					if err != nil || results == nil {
-						return err
-					}
-					resMu.Lock()
-					results[p] = res
-					resMu.Unlock()
-					return nil
-				}
-			}
-			return d.rt.RunStage(st.name, tasks)
-		},
-		func(miss *engine.MapOutputMissingError) error {
-			d.logf("stage %d of job %s missing shuffle %d map partition %d; repairing generation chain", g, spec.Job, miss.Shuffle, miss.MapPart)
-			if g < len(gens) && len(parts) == spec.stageParts(g) {
-				d.dropShuffle(gens[g])
-			}
-			return d.repairChain(spec, gens, g-1)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// stage is one link of a job's chain as its tasks see it: which job
-// function they call, and which generations they gather and put.
+// stage is one link of a job's chain as its tasks see it: its position
+// and the generations it gathers and puts, which also say which job
+// function its tasks call.
 type stage struct {
 	name   string
-	kind   string
 	index  int
 	gather int
 	put    int
@@ -605,64 +640,22 @@ type stage struct {
 // chainStage builds stage g of the chain from the generations as they
 // are now, registering the one it writes if that is not registered.
 func (d *Driver) chainStage(spec JobSpec, gens []int, g int) stage {
-	st := stage{kind: KindStep, index: g}
+	st := stage{index: g}
 	if g < len(gens) && d.rt.Shuffle().Owners(gens[g]) == nil {
 		gens[g] = d.rt.Shuffle().Register(spec.stageParts(g), spec.ReduceParts)
 	}
 	switch {
 	case g == 0:
-		st.kind, st.put = KindMap, gens[0]
+		st.put = gens[0]
 		st.name = fmt.Sprintf("%s-map-%d", spec.Job, st.put)
 	case g == len(gens):
-		st.kind, st.gather = KindReduce, gens[g-1]
+		st.gather = gens[g-1]
 		st.name = fmt.Sprintf("%s-reduce-%d", spec.Job, st.gather)
 	default:
 		st.gather, st.put = gens[g-1], gens[g]
 		st.name = fmt.Sprintf("%s-step%d-%d", spec.Job, g, st.put)
 	}
 	return st
-}
-
-// repairChain rebuilds the missing partitions of generation upto from
-// lineage, by recomputation. They need every partition of generation
-// upto-1, which the rolling window has usually released, so the repair
-// starts from the newest generation at or below upto that is still
-// registered and complete — or, with none, from the map stage, which
-// recomputes from the spec alone. Above that base it rebuilds forward:
-// a released generation is registered afresh and all of its partitions
-// re-run (a step gathers every map partition), a registered one re-runs
-// only what is missing, and each rebuilt generation releases the one
-// below it, so the repair holds no more generations than the forward
-// pass. Re-running may itself trip over a further loss; each repaired
-// stage recovers recursively through runStage, bounded by
-// maxJobRecoveries per stage. A repair that finds nothing missing
-// answers a miss the driver's store does not show yet (an executor's
-// view of a peer): it waits a moment for the loss path to catch up, so
-// the recovery rounds are not all spent in one microsecond.
-func (d *Driver) repairChain(spec JobSpec, gens []int, upto int) error {
-	base := upto
-	for base >= 0 && !d.rt.Shuffle().Complete(gens[base]) {
-		base--
-	}
-	if base == upto {
-		time.Sleep(20 * time.Millisecond)
-		return nil
-	}
-	d.logf("job %s: rebuilding generations %d..%d from generation %d (-1: the map inputs)", spec.Job, base+1, upto, base)
-	for g := base + 1; g <= upto; g++ {
-		parts := d.rt.Shuffle().MissingParts(gens[g])
-		if d.rt.Shuffle().Owners(gens[g]) == nil {
-			parts = allParts(spec.stageParts(g))
-		}
-		d.logf("repairing generation %d (shuffle %d): partitions %v", g, gens[g], parts)
-		if _, err := d.runStage(spec, gens, g, parts); err != nil {
-			return err
-		}
-		if g > 0 {
-			d.dropShuffle(gens[g-1])
-		}
-	}
-	return nil
 }
 
 // runTask proxies one task attempt to the executor the engine picked:
@@ -698,7 +691,7 @@ func (d *Driver) runTask(spec JobSpec, st stage, part int, tc *engine.TaskContex
 	}
 	start := time.Now()
 	done, err := d.dispatch(tc.Executor, &RunTask{
-		Kind: st.kind, Spec: spec, Gather: st.gather, Put: st.put, Part: part, Attempt: tc.Attempt,
+		Spec: spec, Gather: st.gather, Put: st.put, Part: part, Attempt: tc.Attempt,
 		Step: st.index, Locations: locs,
 	})
 	if err != nil {
@@ -715,7 +708,7 @@ func (d *Driver) runTask(spec JobSpec, st stage, part int, tc *engine.TaskContex
 		// The owner this attempt was sent to does not have the partition.
 		// A dead owner's rows are swept by the loss path; a live one has
 		// dropped a corrupt spill file, and the driver's row would go on
-		// crediting it — the repair would find nothing missing — unless
+		// crediting it — the rewind would find nothing missing — unless
 		// the miss takes the row with it.
 		if m := done.MissMapPart; done.MissShuffle == st.gather && m >= 0 && m < len(locs) &&
 			d.rt.Shuffle().InvalidatePart(st.gather, m, locs[m].Exec) {

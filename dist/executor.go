@@ -223,8 +223,8 @@ func (e *Executor) runTask(t *RunTask) {
 	done.Seq = t.Seq
 	if len(done.Result) > e.codec.max {
 		done = &TaskDone{Seq: t.Seq, MissMapPart: -1, UnreachableExec: -1,
-			Err: fmt.Sprintf("dist: %s task %d of job %q: result of %d bytes exceeds frame limit %d",
-				t.Kind, t.Part, t.Spec.Job, len(done.Result), e.codec.max)}
+			Err: fmt.Sprintf("dist: reduce task %d of job %q: result of %d bytes exceeds frame limit %d",
+				t.Part, t.Spec.Job, len(done.Result), e.codec.max)}
 	}
 	if err := e.codec.Send(done); err != nil {
 		e.logf("executor %d task seq=%d report failed, control connection closed: %v", e.cfg.ID, t.Seq, err)
@@ -294,11 +294,13 @@ func (e *Executor) runBody(t *RunTask, done *TaskDone) error {
 	return nil
 }
 
-// call invokes the job function t.Kind names — the only place job code
-// runs on an executor. A panic there is the attempt's failure, in the
-// engine's wording for in-process tasks: unrecovered it would kill the
-// executor process, the driver would requeue the task as a loss, and a
-// deterministic bug in one job would take down every executor in turn.
+// call invokes the job function t's phases select — Map for a task
+// that gathers nothing, Reduce for one that puts nothing, Step for one
+// that does both — the only place job code runs on an executor. A
+// panic there is the attempt's failure, in the engine's wording for
+// in-process tasks: unrecovered it would kill the executor process, the
+// driver would requeue the task as a loss, and a deterministic bug in
+// one job would take down every executor in turn.
 func call(job Job, t *RunTask, chunks []any) (out MapOutput, result []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -306,14 +308,14 @@ func call(job Job, t *RunTask, chunks []any) (out MapOutput, result []byte, err 
 		}
 	}()
 	switch {
-	case t.Kind == KindMap:
+	case t.Gather == noShuffle:
 		out, err = job.Map(t.Spec, t.Part)
-	case t.Kind == KindStep && job.Step != nil:
-		out, err = job.Step(t.Spec, t.Step, t.Part, chunks)
-	case t.Kind == KindReduce:
+	case t.Put == noShuffle:
 		result, err = job.Reduce(t.Spec, t.Part, chunks)
+	case job.Step != nil:
+		out, err = job.Step(t.Spec, t.Step, t.Part, chunks)
 	default:
-		err = fmt.Errorf("dist: job %q has no %q function", t.Spec.Job, t.Kind)
+		err = fmt.Errorf("dist: job %q has no step function", t.Spec.Job)
 	}
 	return out, result, err
 }

@@ -89,11 +89,10 @@ type Loc struct {
 // shuffle the call's buckets are stored into as map partition Part
 // (noShuffle: none, a reduce task — its output is TaskDone.Result).
 // Step is the stage's position in the job's chain: 0 the map stage, g
-// superstep g, one past the last superstep the reduce. Kind only
-// selects the job function called between the two phases.
+// superstep g, one past the last superstep the reduce. The phases
+// also select the job function called between them (executor's call).
 type RunTask struct {
 	Seq       uint64
-	Kind      string
 	Spec      JobSpec
 	Gather    int
 	Put       int
@@ -106,13 +105,6 @@ type RunTask struct {
 // noShuffle is the Gather or Put of a task without that phase; real
 // IDs start at 1 (engine.ShuffleStore.Register).
 const noShuffle = 0
-
-// Task kinds: which job function a task calls.
-const (
-	KindMap    = "map"
-	KindReduce = "reduce"
-	KindStep   = "step"
-)
 
 // TaskDone reports one task attempt's outcome back to the driver.
 type TaskDone struct {

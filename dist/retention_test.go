@@ -66,13 +66,13 @@ func TestGatherFromReleasedGenerationRebuilds(t *testing.T) {
 
 	spec := JobSpec{Job: "keyed-sum", MapParts: 6, ReduceParts: 3, Records: 20_000, Keys: 32}
 	gens := make([]int, 1)
-	if _, err := d.runStage(spec, gens, 0, allParts(spec.MapParts)); err != nil {
+	if _, err := d.runStage(spec, gens, 0); err != nil {
 		t.Fatal(err)
 	}
 	released := gens[0]
 	d.dropShuffle(released)
 
-	results, err := d.runStage(spec, gens, 1, allParts(spec.ReduceParts))
+	results, err := d.runChain(spec, gens, 1)
 	if err != nil {
 		t.Fatalf("reduce over a released generation: %v", err)
 	}
@@ -298,7 +298,7 @@ func TestLateAttemptCannotResurrectReleasedGeneration(t *testing.T) {
 	}
 	const released = 7
 	e.store.Drop(released)
-	err = e.runBody(&RunTask{Kind: KindMap, Spec: spec, Put: released, Part: 0}, &TaskDone{})
+	err = e.runBody(&RunTask{Spec: spec, Put: released, Part: 0}, &TaskDone{})
 	if err == nil || !strings.Contains(err.Error(), "dropped") {
 		t.Errorf("put into a released generation: err %v, want a refusal", err)
 	}

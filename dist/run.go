@@ -222,49 +222,49 @@ func reduceRuns[T any, K cmp.Ordered](kc *keyCodec[K], chunks []any, rec func(T)
 	return encodeRun(kc, out, rec), nil
 }
 
-// mergeRuns is the Merge of every built-in job. Parts whose key ranges
-// are ordered and disjoint — keyed-sum's, which range-partitions — are
-// concatenated (concatRuns); any others go through heapMergeRuns. Both
-// write the same bytes for the same parts, so which one ran cannot show.
-func mergeRuns[K cmp.Ordered](kc *keyCodec[K], parts [][]byte) ([]byte, error) {
-	if out, ok := concatRuns(kc, parts); ok {
+// mergeKVRuns is the Merge of the int64-keyed jobs. Parts whose key
+// ranges are ordered and disjoint — keyed-sum's, which range-partitions
+// — are concatenated (concatRuns); any others go through heapMergeRuns.
+// Both write the same bytes for the same parts, so which one ran cannot
+// show. String keys (mergeSKVRuns) always take the heap: wordcount's
+// parts are hash-partitioned, so they interleave.
+func mergeKVRuns(_ JobSpec, parts [][]byte) ([]byte, error) {
+	if out, ok := concatRuns(parts); ok {
 		return out, nil
 	}
-	return heapMergeRuns(kc, parts)
+	return heapMergeRuns(&intKeys, parts)
 }
+
+func mergeSKVRuns(_ JobSpec, parts [][]byte) ([]byte, error) { return heapMergeRuns(&strKeys, parts) }
 
 // runSpan is what scanning a part learns of it: its record count, its
 // first and last keys, and where its first key's encoding ends.
-type runSpan[K cmp.Ordered] struct {
+type runSpan struct {
 	count       uint64
-	first, last K
+	first, last int64
 	rest        int
 }
 
-// concatRuns is mergeRuns on parts that need no merging. It scans each
-// non-empty part in order and gives up (ok false) at the first one that
-// is not a run of canonical varints with strictly ascending keys, or
-// whose first key is not above the previous part's last key; it stops
-// at that first key, so interleaved parts cost the scan of one part.
-// Those inputs are the heap's work: a shared key must be summed, a
-// non-canonical varint re-encoded, damage reported. Otherwise it writes
-// the summed count, each part's first key against the previous part's
-// last key, and the rest of each part as it came, which is what the
-// heap would write, byte for byte.
-func concatRuns[K cmp.Ordered](kc *keyCodec[K], parts [][]byte) ([]byte, bool) {
-	scan := func(p []byte, floor K, bounded bool) (runSpan[K], bool) { return scanRun(kc, p, floor, bounded) }
-	if s, ok := any(scanIntRun).(func([]byte, K, bool) (runSpan[K], bool)); ok { // K is int64
-		scan = s
-	}
-	spans := make([]runSpan[K], len(parts))
+// concatRuns is mergeKVRuns on parts that need no merging. It scans
+// each non-empty part in order and gives up (ok false) at the first one
+// that is not a run of canonical varints with strictly ascending keys,
+// or whose first key is not above the previous part's last key; it
+// stops at that first key, so interleaved parts cost the scan of one
+// part. Those inputs are the heap's work: a shared key must be summed,
+// a non-canonical varint re-encoded, damage reported. Otherwise it
+// writes the summed count, each part's first key against the previous
+// part's last key, and the rest of each part as it came, which is what
+// the heap would write, byte for byte.
+func concatRuns(parts [][]byte) ([]byte, bool) {
+	spans := make([]runSpan, len(parts))
 	var count uint64
 	total := 0
-	floor, bounded := kc.min, false // the last key of the parts before, if they hold one
+	floor, bounded := int64(math.MinInt64), false // the last key of the parts before, if they hold one
 	for i, p := range parts {
 		if len(p) == 0 {
 			continue
 		}
-		s, ok := scan(p, floor, bounded)
+		s, ok := scanIntRun(p, floor, bounded)
 		if !ok {
 			return nil, false
 		}
@@ -274,10 +274,10 @@ func concatRuns[K cmp.Ordered](kc *keyCodec[K], parts [][]byte) ([]byte, bool) {
 		}
 	}
 	out := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+total), count)
-	prev := kc.min
+	prev := int64(math.MinInt64)
 	for i, s := range spans {
 		if s.count > 0 {
-			out = append(kc.put(out, prev, s.first), parts[i][s.rest:]...)
+			out = append(intKeys.put(out, prev, s.first), parts[i][s.rest:]...)
 			prev = s.last
 		}
 	}
@@ -295,41 +295,12 @@ func canonUvarint(b []byte) (uint64, int) {
 	return x, n
 }
 
-// scanRun scans a part for concatRuns: ok is false unless it is a run
-// whose every varint is canonical, whose keys strictly ascend from
+// scanIntRun scans a part for concatRuns: ok is false unless it is a
+// run whose every varint is canonical, whose keys strictly ascend from
 // above floor if bounded, and which ends where its last record does.
-// Both key encodings start with a uvarint (a delta, a length), which is
-// what is held canonical.
-func scanRun[K cmp.Ordered](kc *keyCodec[K], p []byte, floor K, bounded bool) (s runSpan[K], ok bool) {
-	n, at := canonUvarint(p)
-	if at == 0 {
-		return s, false
-	}
-	s.count, s.last = n, kc.min
-	for j := uint64(0); j < n; j++ {
-		k, kw := kc.get(p[at:], s.last)
-		if _, w := canonUvarint(p[at:]); w == 0 || kw == 0 || j > 0 && k <= s.last {
-			return s, false
-		}
-		_, vw := canonUvarint(p[at+kw:])
-		if vw == 0 {
-			return s, false
-		}
-		if j == 0 {
-			if bounded && k <= floor {
-				return s, false
-			}
-			s.first, s.rest = k, at+kw
-		}
-		s.last, at = k, at+kw+vw
-	}
-	return s, at == len(p)
-}
-
-// scanIntRun is scanRun for int64 keys with the codec inlined: the scan
-// reads every record of the job's result on the driver, between the
-// last reduce and the client.
-func scanIntRun(p []byte, floor int64, bounded bool) (s runSpan[int64], ok bool) {
+// The key codec is inlined: the scan reads every record of the job's
+// result on the driver, between the last reduce and the client.
+func scanIntRun(p []byte, floor int64, bounded bool) (s runSpan, ok bool) {
 	n, at := canonUvarint(p)
 	if at == 0 {
 		return s, false
@@ -450,6 +421,3 @@ func mkKV(k, v int64) KV           { return KV{K: k, V: v} }
 func mkSKV(k string, v int64) SKV  { return SKV{K: k, V: v} }
 func kvByKey(a, b KV) int          { return cmp.Compare(a.K, b.K) }
 func skvByKey(a, b SKV) int        { return cmp.Compare(a.K, b.K) }
-
-func mergeKVRuns(_ JobSpec, parts [][]byte) ([]byte, error)  { return mergeRuns(&intKeys, parts) }
-func mergeSKVRuns(_ JobSpec, parts [][]byte) ([]byte, error) { return mergeRuns(&strKeys, parts) }

@@ -532,9 +532,13 @@ func checkMergeRuns[K cmp.Ordered](t *testing.T, m mergeCase, data []byte, kc *k
 	if err != nil || !bytes.Equal(got, ref(sums)) {
 		t.Fatalf("%+v: merge gave % x, %v; want % x", m, got, err, ref(sums))
 	}
-	// Ordered, disjoint, canonical parts are concatenated; a key shared
-	// across a boundary or repeated within a part never is.
-	_, concat := concatRuns(kc, in)
+	// Ordered, disjoint, canonical int64 parts are concatenated; a key
+	// shared across a boundary or repeated within a part never is.
+	// String parts always take the heap.
+	if _, intKeyed := any(kc).(*keyCodec[int64]); !intKeyed {
+		return
+	}
+	_, concat := concatRuns(in)
 	if m.shape == 0 && !padded && !concat {
 		t.Fatalf("%+v: contiguous parts were not concatenated", m)
 	}

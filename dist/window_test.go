@@ -124,7 +124,7 @@ func TestShutdownBehindFullWindow(t *testing.T) {
 	}
 	spec := JobSpec{Job: "block-map", MapParts: window, ReduceParts: 1}
 	for p := 0; p < window; p++ {
-		if err := c.Send(&RunTask{Seq: uint64(p + 1), Kind: KindMap, Spec: spec, Part: p}); err != nil {
+		if err := c.Send(&RunTask{Seq: uint64(p + 1), Spec: spec, Part: p}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"time"
 )
 
@@ -36,32 +35,4 @@ func RetryFetch(onRetry func(attempt int, backoff time.Duration, last error), fe
 		last = err
 	}
 	return last
-}
-
-// RunStageRecovering runs a stage under a bounded lineage-repair loop:
-// when run fails with a *MapOutputMissingError (an executor loss
-// invalidated map output a fetch needed), repair is invoked to
-// re-materialize the missing partitions and run is retried, at most
-// maxRecoveries times. Any other failure — including a repair failure —
-// returns as-is. This is the driver-side recovery discipline shared by
-// the rdd lineage layer and the distributed driver.
-func RunStageRecovering(maxRecoveries int, run func() error, repair func(miss *MapOutputMissingError) error) error {
-	if maxRecoveries < 0 {
-		maxRecoveries = 0
-	}
-	var err error
-	for attempt := 0; attempt <= maxRecoveries; attempt++ {
-		err = run()
-		if err == nil {
-			return nil
-		}
-		var miss *MapOutputMissingError
-		if !errors.As(err, &miss) {
-			return err
-		}
-		if rerr := repair(miss); rerr != nil {
-			return rerr
-		}
-	}
-	return fmt.Errorf("engine: stage still failing after %d lineage recoveries: %w", maxRecoveries, err)
 }

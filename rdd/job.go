@@ -1,6 +1,7 @@
 package rdd
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -153,14 +154,25 @@ func (c *Context) recoverMissing(miss *engine.MapOutputMissingError, depth int) 
 	return c.runStageRecovering(fmt.Sprintf("shufflemap-%d-recovery", miss.Shuffle), tasks, depth)
 }
 
-// runStageRecovering runs a stage under the engine's shared
-// lineage-repair loop: a missing-map-output failure (executor loss)
-// re-executes the invalidated partitions through recoverMissing and
-// retries the stage; any other failure is returned as-is.
+// runStageRecovering runs a stage under a bounded lineage-repair loop:
+// a missing-map-output failure (executor loss) re-executes the
+// invalidated partitions through recoverMissing and retries the stage,
+// at most maxStageRecoveries times. Any other failure — a repair
+// failure included — returns as-is.
 func (c *Context) runStageRecovering(name string, tasks []engine.TaskSpec, depth int) error {
-	return engine.RunStageRecovering(maxStageRecoveries,
-		func() error { return c.rt.RunStage(name, tasks) },
-		func(miss *engine.MapOutputMissingError) error { return c.recoverMissing(miss, depth+1) })
+	for recoveries := 0; ; recoveries++ {
+		err := c.rt.RunStage(name, tasks)
+		var miss *engine.MapOutputMissingError
+		if !errors.As(err, &miss) {
+			return err
+		}
+		if recoveries == maxStageRecoveries {
+			return fmt.Errorf("rdd: stage %s still failing after %d lineage recoveries: %w", name, maxStageRecoveries, err)
+		}
+		if err := c.recoverMissing(miss, depth+1); err != nil {
+			return err
+		}
+	}
 }
 
 // runJob materializes n's lineage and runs the result stage, delivering

@@ -226,8 +226,10 @@ func TestStageNameContract(t *testing.T) {
 // TestRewindBoundIsJobWide: a miss the store never shows — here a
 // reduce that reports a shuffle it does not gather — rewinds the walk
 // to the failing stage itself, never below it, and the job fails after
-// maxJobRecoveries rewinds with an error that names the bound: exactly
-// maxJobRecoveries+1 runs of the reduce stage, and the map stage once.
+// engine.MaxJobRecoveries rewinds with an error that names the bound:
+// exactly MaxJobRecoveries+1 runs of the reduce stage, and the map
+// stage once. Each run ends at its first miss, so no reduce task fails
+// more than once a run.
 func TestRewindBoundIsJobWide(t *testing.T) {
 	lc, err := StartLocal(LocalConfig{Executors: 2, Logf: t.Logf})
 	if err != nil {
@@ -235,11 +237,12 @@ func TestRewindBoundIsJobWide(t *testing.T) {
 	}
 	defer lc.Close()
 	log := watchStages(lc)
+	spec := JobSpec{Job: "phantom-miss", MapParts: 2, ReduceParts: 2}
 	start := time.Now()
-	_, err = lc.Run(JobSpec{Job: "phantom-miss", MapParts: 2, ReduceParts: 2})
+	_, err = lc.Run(spec)
 	t.Logf("job failed after %s", time.Since(start))
-	if err == nil || !strings.Contains(err.Error(), "maxJobRecoveries") {
-		t.Fatalf("got %v, want an error naming maxJobRecoveries", err)
+	if err == nil || !strings.Contains(err.Error(), "MaxJobRecoveries") {
+		t.Fatalf("got %v, want an error naming engine.MaxJobRecoveries", err)
 	}
 	var maps, reduces int
 	log.mu.Lock()
@@ -252,8 +255,12 @@ func TestRewindBoundIsJobWide(t *testing.T) {
 		}
 	}
 	log.mu.Unlock()
-	if maps != 1 || reduces != maxJobRecoveries+1 {
-		t.Errorf("stage runs: %d map, %d reduce; want 1 and %d (stages %v)", maps, reduces, maxJobRecoveries+1, log.stages)
+	if maps != 1 || reduces != engine.MaxJobRecoveries+1 {
+		t.Errorf("stage runs: %d map, %d reduce; want 1 and %d (stages %v)", maps, reduces, engine.MaxJobRecoveries+1, log.stages)
+	}
+	limit := int64(spec.ReduceParts * (engine.MaxJobRecoveries + 1))
+	if got := lc.Driver.Runtime().Metrics().TaskFailures(); got > limit {
+		t.Errorf("%d failed attempts, want at most %d: a missing output must end its stage, not be retried", got, limit)
 	}
 }
 
@@ -607,9 +614,10 @@ func TestLossWindowCannotBurnRecoveries(t *testing.T) {
 // the partition and answer the gather with a miss; the driver's
 // placeholder row still names that owner, so unless the miss takes the
 // row with it the walk finds nothing to re-run and the job dies after
-// maxJobRecoveries empty rewinds. Truncated, bit-flipped or deleted, the
-// job must return the unbudgeted run's bytes, re-run exactly the one
-// map task, and the owner must log exactly one spill-corrupt.
+// engine.MaxJobRecoveries empty rewinds. Truncated, bit-flipped or
+// deleted, the job must return the unbudgeted run's bytes, re-run
+// exactly the one map task, and the owner must log exactly one
+// spill-corrupt.
 func TestCorruptSpillOnLiveExecutorRecomputes(t *testing.T) {
 	spec := JobSpec{Job: "keyed-sum", MapParts: 4, ReduceParts: 2, Records: 20_000, Keys: 32}
 	clean, err := StartLocal(LocalConfig{Executors: 2, Logf: t.Logf})

@@ -11,10 +11,6 @@ import (
 	"hpcmr/fault"
 )
 
-// maxJobRecoveries bounds the lineage rewinds of one job's chain walk,
-// mirroring the rdd layer's ceiling.
-const maxJobRecoveries = 8
-
 // DriverConfig configures the cluster driver.
 type DriverConfig struct {
 	// Executors is the cluster size the driver waits for.
@@ -531,8 +527,8 @@ func (d *Driver) RunJob(spec JobSpec) ([]byte, error) {
 // from a live owner drops that owner's row (runTask), so the store
 // already shows every loss a task can report; a miss it does not show
 // means the partition changed owner after dispatch, and the immediate
-// re-run recomputes its locations. At most maxJobRecoveries rewinds
-// are taken per job.
+// re-run recomputes its locations. At most engine.MaxJobRecoveries
+// rewinds are taken per job.
 func (d *Driver) runChain(spec JobSpec, gens []int, from int) ([][]byte, error) {
 	rewinds := 0
 	for g := from; ; {
@@ -551,8 +547,8 @@ func (d *Driver) runChain(spec JobSpec, gens []int, from int) ([][]byte, error) 
 		if !errors.As(err, &miss) {
 			return nil, err
 		}
-		if rewinds == maxJobRecoveries {
-			return nil, fmt.Errorf("dist: job %s still missing map output after %d lineage rewinds (maxJobRecoveries): %w", spec.Job, maxJobRecoveries, err)
+		if rewinds == engine.MaxJobRecoveries {
+			return nil, fmt.Errorf("dist: job %s still missing map output after %d lineage rewinds (engine.MaxJobRecoveries): %w", spec.Job, engine.MaxJobRecoveries, err)
 		}
 		rewinds++
 		d.logf("stage %d of job %s missing shuffle %d map partition %d; repairing generation chain", g, spec.Job, miss.Shuffle, miss.MapPart)

@@ -27,6 +27,19 @@ func allocBytes(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// leastAllocBytes is the least allocBytes over five runs of f, for an f
+// that does the same work every run. TotalAlloc is process-wide, so one
+// run can also count what other goroutines allocate meanwhile (a
+// previous test's executors winding down, the runtime's own); the least
+// of five runs is what f itself allocates.
+func leastAllocBytes(f func()) uint64 {
+	least := allocBytes(f)
+	for i := 1; i < 5; i++ {
+		least = min(least, allocBytes(f))
+	}
+	return least
+}
+
 // FuzzCodecRecv pushes arbitrary bytes through a real Codec as a
 // multi-frame stream, so mutated frames meet a decoder that already
 // holds type state from the frames before them — the position hostile

@@ -476,7 +476,7 @@ func TestPagerankCombinerMatchesPerEdge(t *testing.T) {
 func TestPagerankStepAllocsBounded(t *testing.T) {
 	spec := JobSpec{Job: "pagerank", ReduceParts: 8, Records: 20_000}
 	chunks := prStepInput(t, spec, 2, 0)
-	got := allocBytes(func() {
+	got := leastAllocBytes(func() {
 		if _, err := pagerankStep(spec, 2, 0, chunks); err != nil {
 			t.Fatal(err)
 		}

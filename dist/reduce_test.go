@@ -219,7 +219,7 @@ func BenchmarkBucketRuns(b *testing.B) {
 func TestMapAllocsBoundedByInput(t *testing.T) {
 	for i, limit := range []uint64{762_084, 1824} {
 		shape := reduceShapes[i]
-		got := allocBytes(func() {
+		got := leastAllocBytes(func() {
 			if _, err := keyedSumMap(shape.spec, 0); err != nil {
 				t.Fatal(err)
 			}

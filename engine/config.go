@@ -102,7 +102,8 @@ type Config struct {
 	// Policy selects task placement.
 	Policy PolicyKind
 	// MaxTaskFailures is how many attempts a task gets before the stage
-	// fails (default 4, as in Spark).
+	// fails (default 4, as in Spark). A missing map output is not
+	// retried: it fails the stage on its first report (RunStage).
 	MaxTaskFailures int
 	// Speculation enables speculative re-execution of stragglers (the
 	// LATE/Mantri family the paper's related work discusses): once 75 %

@@ -114,6 +114,40 @@ func TestStageFailsAfterMaxAttempts(t *testing.T) {
 	}
 }
 
+// TestMissingMapOutputEndsStage: a missing map output is not retried —
+// every retry would fetch the same lost locations — so the stage fails
+// on its first report once the attempts already in flight drain: at
+// most one attempt per slot, not MaxTaskFailures per task, and the
+// error still wraps the miss for the caller's lineage walk.
+func TestMissingMapOutputEndsStage(t *testing.T) {
+	cfg := Config{Executors: 2, CoresPerExecutor: 1, MaxTaskFailures: 4}
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	var attempts int64
+	tasks := make([]TaskSpec, 6)
+	for i := range tasks {
+		tasks[i].Run = func(tc *TaskContext) error {
+			atomic.AddInt64(&attempts, 1)
+			return fmt.Errorf("gather: %w", &MapOutputMissingError{Shuffle: 7, MapPart: 1})
+		}
+	}
+	err = rt.RunStage("lost-input", tasks)
+	var miss *MapOutputMissingError
+	if !errors.As(err, &miss) || miss.Shuffle != 7 || miss.MapPart != 1 {
+		t.Fatalf("got %v, want the stage to fail with the miss", err)
+	}
+	slots := int64(cfg.Executors * cfg.CoresPerExecutor)
+	if got := atomic.LoadInt64(&attempts); got < 1 || got > slots {
+		t.Errorf("%d attempts, want 1..%d: one per task in flight", got, slots)
+	}
+	if got := rt.Metrics().TaskFailures(); got != atomic.LoadInt64(&attempts) {
+		t.Errorf("%d failures counted, want every attempt (%d)", got, atomic.LoadInt64(&attempts))
+	}
+}
+
 func TestOtherTasksDrainAfterFailure(t *testing.T) {
 	rt, _ := New(testCfg())
 	var good int64

@@ -114,77 +114,33 @@ func (l *listeners) active() bool {
 	return len(l.subs) > 0
 }
 
-// guard recovers a panicking listener so observers cannot take down
+// each calls f for every subscribed listener under the read lock,
+// recovering a panicking listener so observers cannot take down
 // runtime goroutines (the contract documented on Listener).
-func guard() {
-	_ = recover()
+func (l *listeners) each(f func(Listener)) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	for _, s := range l.subs {
+		func() {
+			defer func() { _ = recover() }()
+			f(s)
+		}()
+	}
 }
 
 func (l *listeners) stageStart(name string, tasks int) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	for _, s := range l.subs {
-		func() {
-			defer guard()
-			s.OnStageStart(name, tasks)
-		}()
-	}
+	l.each(func(s Listener) { s.OnStageStart(name, tasks) })
 }
 
-func (l *listeners) stageEnd(m StageMetrics) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	for _, s := range l.subs {
-		func() {
-			defer guard()
-			s.OnStageEnd(m)
-		}()
-	}
-}
+func (l *listeners) stageEnd(m StageMetrics) { l.each(func(s Listener) { s.OnStageEnd(m) }) }
 
-func (l *listeners) taskStart(e TaskEvent) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	for _, s := range l.subs {
-		func() {
-			defer guard()
-			s.OnTaskStart(e)
-		}()
-	}
-}
+func (l *listeners) taskStart(e TaskEvent) { l.each(func(s Listener) { s.OnTaskStart(e) }) }
 
-func (l *listeners) taskEnd(e TaskEvent) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	for _, s := range l.subs {
-		func() {
-			defer guard()
-			s.OnTaskEnd(e)
-		}()
-	}
-}
+func (l *listeners) taskEnd(e TaskEvent) { l.each(func(s Listener) { s.OnTaskEnd(e) }) }
 
-func (l *listeners) fetch(e FetchEvent) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	for _, s := range l.subs {
-		func() {
-			defer guard()
-			s.OnFetch(e)
-		}()
-	}
-}
+func (l *listeners) fetch(e FetchEvent) { l.each(func(s Listener) { s.OnFetch(e) }) }
 
-func (l *listeners) decision(e sched.AuditEvent) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	for _, s := range l.subs {
-		func() {
-			defer guard()
-			s.OnDecision(e)
-		}()
-	}
-}
+func (l *listeners) decision(e sched.AuditEvent) { l.each(func(s Listener) { s.OnDecision(e) }) }
 
 // AddListener subscribes a listener to runtime events. It is safe to
 // call concurrently with running stages.

@@ -5,6 +5,13 @@ import (
 	"time"
 )
 
+// MaxJobRecoveries bounds the lineage repairs of one job: a job whose
+// stages report a missing map output more often than this fails with
+// an error that names the bound. Both job walks share it — rdd's over
+// its lineage DAG and dist's over its generation chain — so it only
+// turns a repair bug into an error instead of an endless loop.
+const MaxJobRecoveries = 8
+
 // RetryFetch runs fetch up to FetchAttempts times with doubling backoff
 // from 2 ms — the shuffle-fetch retry discipline shared by the local
 // runtime (FetchShuffleChunks) and the distributed executor's network

@@ -39,9 +39,10 @@ type TaskSpec struct {
 	// Preferred lists executor IDs holding the task's input, if any.
 	Preferred []int
 	// Run executes the task body; returning an error (or panicking)
-	// triggers a retry up to MaxTaskFailures attempts. The TaskContext
-	// is only valid for the duration of the call — executor workers
-	// reuse it across attempts.
+	// triggers a retry up to MaxTaskFailures attempts, except that an
+	// error wrapping a *MapOutputMissingError ends the stage at once
+	// (RunStage). The TaskContext is only valid for the duration of the
+	// call — executor workers reuse it across attempts.
 	Run func(tc *TaskContext) error
 }
 
@@ -472,9 +473,13 @@ type stageState struct {
 // RunStage executes tasks to completion and returns the first fatal
 // error. Tasks that error or panic are retried (on any executor) until
 // MaxTaskFailures real failures are spent; exhausting the budget fails
-// the stage after in-flight tasks drain. Attempts lost to executor
-// failure do not count against the budget — the task is requeued on the
-// surviving executors.
+// the stage after in-flight tasks drain. An attempt that reports a
+// *MapOutputMissingError fails the stage on its first report: nothing
+// new launches, in-flight attempts drain, and the returned error wraps
+// the miss so the caller can rebuild the lost map output from lineage
+// and run the stage again. Attempts lost to executor failure do not
+// count against the budget — the task is requeued on the surviving
+// executors.
 func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 	rt.mu.Lock()
 	if rt.closed {
@@ -728,6 +733,15 @@ func (st *stageState) runTask(d sched.Decision, exec int, scratch *TaskContext) 
 	}
 	counted, crashed := st.m.Finished(d.TaskID, exec, rt.elapsed(), out,
 		sched.TaskStats{Duration: dur, IntermediateBytes: tc.shuffleBytes}, err)
+	if counted && err != nil {
+		// A missing map output is not transient: every retry would fetch
+		// the same lost locations, so the stage ends at once and the
+		// caller's lineage walk repairs the shuffle.
+		var miss *MapOutputMissingError
+		if errors.As(err, &miss) {
+			st.m.Abort(err)
+		}
+	}
 	if counted {
 		rt.metrics.recordTask(dur, tc.shuffleBytes, tc.shuffleRecords, d.Local, err != nil)
 	}

@@ -126,8 +126,9 @@ func combiningWriter[K comparable, V any](c *Context, parts int, f func(V, V) V)
 // node: for each reduce partition, the executors owning the most map
 // output across the node's dependencies, from
 // Runtime.ReducePreferences. Resolved lazily on first use and cached —
-// reduce tasks are built only after their dependencies materialize, so
-// the engine shuffle IDs are known by then. Dead owners are already
+// reduce tasks are built only after their dependencies' map stages
+// have run (runPass), so the engine shuffle IDs and owners are known by
+// then. Dead owners are already
 // excluded by the scorer; preferences are hints, never requirements,
 // so a stale cache after a later executor loss degrades to remote
 // placement rather than wedging a stage.
@@ -138,11 +139,9 @@ func shufflePrefs(c *Context, deps []*shuffleDep, parts int) func(int) []int {
 		once.Do(func() {
 			ids := make([]int, 0, len(deps))
 			for _, d := range deps {
-				d.mu.Lock()
-				if d.materialized {
+				if d.engineID != 0 {
 					ids = append(ids, d.engineID)
 				}
-				d.mu.Unlock()
 			}
 			if len(ids) > 0 {
 				prefs = c.rt.ReducePreferences(ids, parts)

@@ -44,9 +44,6 @@ type Context struct {
 
 	mu     sync.Mutex // serializes jobs and ID allocation
 	nextID int
-
-	depMu          sync.Mutex // guards the recovery registry
-	depsByEngineID map[int]*shuffleDep
 }
 
 // NewContext starts a context over a fresh runtime.
@@ -92,9 +89,10 @@ type shuffleDep struct {
 	// on.
 	write func(chunks []any) (buckets []any, records int, bytes int64)
 
-	mu           sync.Mutex
-	engineID     int
-	materialized bool
+	// engineID is the dependency's shuffle in the runtime's store, 0
+	// until its first map stage registers it. Only the job goroutine
+	// writes it, under Context.mu, before the stages that read it.
+	engineID int
 }
 
 // node is the untyped plan node beneath every RDD.

@@ -1,7 +1,10 @@
 package rdd
 
 import (
+	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -167,10 +170,10 @@ func TestJobSurvivesMixedFaultPlan(t *testing.T) {
 	assertGolden(t, counts)
 }
 
-// TestRecoveryMultiStageChain: two chained shuffles; crashing after both
-// materialized forces recovery to walk the chain (the reduce over
-// shuffle B re-executes B's missing maps, which may in turn fetch from
-// shuffle A).
+// TestRecoveryMultiStageChain: two chained shuffles; crashing two
+// executors after both ran leaves both incomplete, so the next job's
+// walk re-executes, parents first, A's lost maps and then B's (which
+// fetch from the repaired A) before its result stage.
 func TestRecoveryMultiStageChain(t *testing.T) {
 	c, err := NewContext(engine.Config{Executors: 4, CoresPerExecutor: 2, MaxTaskFailures: 4})
 	if err != nil {
@@ -212,5 +215,197 @@ func TestRecoveryMultiStageChain(t *testing.T) {
 				t.Fatalf("group %d = %v, want %v", k, g, ws)
 			}
 		}
+	}
+}
+
+// jobLog records the stages a context runs, as "name:tasks", how many
+// task attempts failed and how many shuffle-locality prefer decisions
+// were made.
+type jobLog struct {
+	mu     sync.Mutex
+	stages []string
+	failed int
+	prefer int
+}
+
+func watchJobs(c *Context) *jobLog {
+	l := &jobLog{}
+	c.Runtime().AddListener(engine.FuncListener{
+		StageStart: func(name string, tasks int) {
+			l.mu.Lock()
+			l.stages = append(l.stages, fmt.Sprintf("%s:%d", name, tasks))
+			l.mu.Unlock()
+		},
+		TaskEnd: func(e engine.TaskEvent) {
+			if e.Failed {
+				l.mu.Lock()
+				l.failed++
+				l.mu.Unlock()
+			}
+		},
+		Decision: func(e sched.AuditEvent) {
+			if e.Policy == "locality" && e.Kind == "prefer" {
+				l.mu.Lock()
+				l.prefer++
+				l.mu.Unlock()
+			}
+		},
+	})
+	return l
+}
+
+// mapStages lists the recorded shuffle map stages.
+func (l *jobLog) mapStages() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for _, s := range l.stages {
+		if strings.HasPrefix(s, "shufflemap-") {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+func wordCountRDD(c *Context, parts int) *RDD[Pair[string, int]] {
+	words := []string{"a", "b", "a", "c", "b", "a", "d", "e", "a", "b", "c", "f"}
+	pairs := Map(Parallelize(c, words, 6), func(w string) Pair[string, int] {
+		return Pair[string, int]{Key: w, Value: 1}
+	})
+	return ReduceByKey(pairs, func(a, b int) int { return a + b }, parts)
+}
+
+// TestLossBetweenJobsRerunsOnlyLostMaps: an executor lost between two
+// jobs leaves the shuffle incomplete, so the second job's walk runs
+// exactly the lost map partitions before its result stage, and none of
+// its attempts fails on the missing output.
+func TestLossBetweenJobsRerunsOnlyLostMaps(t *testing.T) {
+	c, err := NewContext(engine.Config{Executors: 4, CoresPerExecutor: 2, MaxTaskFailures: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	reduced := wordCountRDD(c, 4)
+	if _, err := reduced.Count(); err != nil {
+		t.Fatal(err)
+	}
+	id := reduced.n.deps[0].engineID
+	lost := c.Runtime().FailExecutor(c.Runtime().Shuffle().Owners(id)[0])
+	if len(lost) == 0 {
+		t.Fatal("the owner of map partition 0 lost nothing")
+	}
+
+	log := watchJobs(c)
+	counts, err := CollectAsMap(reduced)
+	if err != nil {
+		t.Fatalf("job after executor loss: %v", err)
+	}
+	assertGolden(t, counts)
+	want := []string{fmt.Sprintf("shufflemap-%d-recovery:%d", id, len(lost)), "collectAsMap:4"}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if !reflect.DeepEqual(log.stages, want) || log.failed != 0 {
+		t.Errorf("stages %v with %d failed attempts; want %v and none", log.stages, log.failed, want)
+	}
+}
+
+// TestLossBehindCompleteShuffleRunsNoMaps: a complete shuffle is a
+// boundary of the walk. A map output lost upstream of it is never read
+// again, so the next job recomputes nothing and runs only its result
+// stage.
+func TestLossBehindCompleteShuffleRunsNoMaps(t *testing.T) {
+	c, err := NewContext(engine.Config{Executors: 4, CoresPerExecutor: 2, MaxTaskFailures: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	counted := wordCountRDD(c, 4)
+	byCount := GroupByKey(Map(counted, func(p Pair[string, int]) Pair[int, string] {
+		return Pair[int, string]{Key: p.Value, Value: p.Key}
+	}), 3)
+	if _, err := byCount.Count(); err != nil {
+		t.Fatal(err)
+	}
+	upstream := counted.n.deps[0].engineID
+	store := c.Runtime().Shuffle()
+	if !store.InvalidatePart(upstream, 0, store.Owners(upstream)[0]) {
+		t.Fatal("InvalidatePart dropped nothing")
+	}
+
+	log := watchJobs(c)
+	got, err := CollectAsMap(byCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 4 || len(got[1]) != 3 || len(got[4]) != 1 {
+		t.Fatalf("groups = %v", got)
+	}
+	if maps := log.mapStages(); len(maps) != 0 {
+		t.Errorf("map stages %v ran behind a complete shuffle", maps)
+	}
+}
+
+// TestResultMissBoundIsJobWide: a result task that always reports a
+// missing map output — one no repair can bring back — makes the walk
+// plan again each time, finds nothing to rebuild, and fails the job
+// after engine.MaxJobRecoveries repairs with an error that names the
+// bound: the map stage once, the result stage MaxJobRecoveries+1 times.
+func TestResultMissBoundIsJobWide(t *testing.T) {
+	c, err := NewContext(engine.Config{Executors: 2, CoresPerExecutor: 1, MaxTaskFailures: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	reduced := wordCountRDD(c, 2)
+	phantom := newNode(c, 2, []*node{reduced.n}, nil,
+		func(int, *engine.TaskContext, func(any)) error {
+			return &engine.MapOutputMissingError{Shuffle: 999, MapPart: 0}
+		}, nil)
+
+	log := watchJobs(c)
+	err = phantom.runJob("phantom", func(int, []any) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "MaxJobRecoveries") {
+		t.Fatalf("got %v, want an error naming engine.MaxJobRecoveries", err)
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	var maps, results int
+	for _, s := range log.stages {
+		switch {
+		case strings.HasPrefix(s, "shufflemap-"):
+			maps++
+		case strings.HasPrefix(s, "phantom:"):
+			results++
+		}
+	}
+	if maps != 1 || results != engine.MaxJobRecoveries+1 {
+		t.Errorf("stage runs: %d map, %d result; want 1 and %d (stages %v)", maps, results, engine.MaxJobRecoveries+1, log.stages)
+	}
+}
+
+// TestFirstJobResultStagePrefersMapOwners: under shuffle locality the
+// first job's result stage is placed by its shuffle's map outputs — one
+// prefer decision per reduce partition — which holds only while the
+// result tasks are built after the map stage has run.
+func TestFirstJobResultStagePrefersMapOwners(t *testing.T) {
+	c, err := NewContext(engine.Config{Executors: 4, CoresPerExecutor: 2, Policy: engine.ShuffleLocality})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	log := watchJobs(c)
+	keys := make([]int, 200)
+	for i := range keys {
+		keys[i] = i
+	}
+	pairs := Map(Parallelize(c, keys, 4), func(k int) Pair[int, int] { return Pair[int, int]{Key: k, Value: 1} })
+	n, err := ReduceByKey(pairs, func(a, b int) int { return a + b }, 4).Count()
+	if err != nil || n != int64(len(keys)) {
+		t.Fatalf("count = %d, %v; want %d", n, err, len(keys))
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if log.prefer != 4 {
+		t.Errorf("%d prefer decisions, want one per reduce partition (4)", log.prefer)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func testCfg() Config {
@@ -148,22 +149,29 @@ func TestMissingMapOutputEndsStage(t *testing.T) {
 	}
 }
 
+// TestOtherTasksDrainAfterFailure: a stage with a failing task returns
+// that task's error, and only once every good attempt that started has
+// finished. How many good tasks start is timing: a failed stage launches
+// nothing new, and the bad task's retries take freed slots.
 func TestOtherTasksDrainAfterFailure(t *testing.T) {
 	rt, _ := New(testCfg())
-	var good int64
+	bad := errors.New("bad")
+	var started, finished atomic.Int64
 	tasks := make([]TaskSpec, 10)
-	tasks[0] = TaskSpec{Run: func(tc *TaskContext) error { return errors.New("bad") }}
+	tasks[0] = TaskSpec{Run: func(tc *TaskContext) error { return bad }}
 	for i := 1; i < 10; i++ {
 		tasks[i] = TaskSpec{Run: func(tc *TaskContext) error {
-			atomic.AddInt64(&good, 1)
+			started.Add(1)
+			time.Sleep(3 * time.Millisecond)
+			finished.Add(1)
 			return nil
 		}}
 	}
-	if err := rt.RunStage("mixed", tasks); err == nil {
-		t.Fatal("expected failure")
+	if err := rt.RunStage("mixed", tasks); !errors.Is(err, bad) {
+		t.Fatalf("got %v, want the failing task's error", err)
 	}
-	if good != 9 {
-		t.Fatalf("good tasks ran = %d, want 9", good)
+	if s, f := started.Load(), finished.Load(); s == 0 || f != s {
+		t.Fatalf("%d good attempts finished of %d started, want all of at least one", f, s)
 	}
 }
 

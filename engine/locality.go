@@ -5,21 +5,9 @@ import (
 	"sort"
 
 	"hpcmr/internal/sched"
-	"hpcmr/internal/spill"
-	"hpcmr/internal/storage"
 )
 
-// SpillFetchDiscount is the weight of a spilled byte relative to a
-// resident one in locality scoring: a co-located read of spilled data
-// is an SSD restore, not a pointer hand-off, so it is worth only the
-// ratio of disk read bandwidth to memory bandwidth (~0.17 with the
-// default device specs). A small resident owner can therefore outrank
-// a larger owner whose partition went to disk.
-func SpillFetchDiscount() float64 {
-	return spill.DefaultCostModel().ReadBps / storage.MemoryBandwidth
-}
-
-// preferShare is the fraction of the top owner's effective bytes an
+// preferShare is the fraction of the top owner's bytes an
 // executor must hold to be listed as a preferred location. 1.0 would
 // admit exact ties only; 0.5 also admits near-peers, so a stage can
 // spread over co-owners instead of serializing on one executor.
@@ -28,13 +16,12 @@ const preferShare = 0.5
 // ReducePreferences computes, for each reduce partition fed by the
 // given shuffles, the executors that own the most map-output bytes —
 // the placement preference the shuffle-locality policy consumes.
-// Effective bytes follow ShuffleStore.OwnerReduceBytes (resident at
-// full weight, spilled at SpillFetchDiscount, driver placeholders at
-// their recorded weights), summed across shuffles. Dead executors are
+// Bytes are the weights ShuffleStore.OwnerReduceBytes recorded when
+// each row was put, summed across shuffles. Dead executors are
 // excluded — a dead preferred owner must fall back to any-node
 // placement and lineage recovery, never wedge a stage. An entry is nil
 // when no live executor holds data for that partition. Owners are
-// ordered by descending effective bytes (ties by ascending ID) and cut
+// ordered by descending bytes (ties by ascending ID) and cut
 // at preferShare of the leader. Each computed preference is audited
 // under Policy "locality", Kind "prefer".
 func (rt *Runtime) ReducePreferences(shuffleIDs []int, reduceParts int) [][]int {
@@ -46,9 +33,8 @@ func (rt *Runtime) ReducePreferences(shuffleIDs []int, reduceParts int) [][]int 
 	for r := range score {
 		score[r] = make([]float64, execs)
 	}
-	discount := SpillFetchDiscount()
 	for _, id := range shuffleIDs {
-		for r, row := range rt.shuffle.OwnerReduceBytes(id, execs, discount) {
+		for r, row := range rt.shuffle.OwnerReduceBytes(id, execs) {
 			if r >= reduceParts {
 				break
 			}

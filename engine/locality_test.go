@@ -2,13 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
 
 // putOwned writes one map partition's output for owner, with each of
 // the reduceParts buckets holding an []int64 chunk of elems elements
-// (8 bytes each), so effective-byte scores are exact.
+// (8 bytes each), so byte scores are exact.
 func putOwned(t *testing.T, rt *Runtime, shuffle, mapPart, owner, reduceParts int, elems int) {
 	t.Helper()
 	chunks := make([]any, reduceParts)
@@ -86,9 +87,9 @@ func TestReducePreferencesDeadOwner(t *testing.T) {
 	}
 }
 
-// TestReducePreferencesSpilledOwner: a spilled partition is scored at
-// disk cost, so a smaller resident owner outranks a larger owner whose
-// bytes went to disk.
+// TestReducePreferencesSpilledOwner: a spilled partition scores the
+// bytes it was put with, like a resident one, so the larger owner leads
+// though its bytes went to disk.
 func TestReducePreferencesSpilledOwner(t *testing.T) {
 	cfg := testCfg()
 	// Budget fits owner 1's 8000 resident bytes but not owner 0's
@@ -108,14 +109,70 @@ func TestReducePreferencesSpilledOwner(t *testing.T) {
 	if !ok || st.Spills == 0 {
 		t.Fatalf("expected owner 0's partition to spill; stats %+v ok=%v", st, ok)
 	}
-	// Effective bytes: owner 0 ≈ 12000×discount (~2000), owner 1 = 8000.
-	// The resident owner leads and the spilled owner is below the 50% cut.
-	if d := SpillFetchDiscount(); 12000*d >= 8000*preferShare {
-		t.Fatalf("test geometry broken: discount %v makes spilled owner a near-peer", d)
-	}
 	prefs := rt.ReducePreferences([]int{id}, 1)
-	if len(prefs[0]) != 1 || prefs[0][0] != 1 {
-		t.Fatalf("prefs %v, want [1]: resident owner must outrank larger spilled owner", prefs[0])
+	if len(prefs[0]) != 2 || prefs[0][0] != 0 || prefs[0][1] != 1 {
+		t.Fatalf("prefs %v, want [0 1]: the spilled 12000 bytes lead the resident 8000", prefs[0])
+	}
+}
+
+// TestOwnerReduceBytesOneRule: the same skewed per-bucket bytes, put as
+// resident chunks, as a row the memory budget spills and as driver
+// placeholders, score identically — each row counts the bytes it was
+// put with, wherever they now live.
+func TestOwnerReduceBytesOneRule(t *testing.T) {
+	buckets := [][]int64{{12000, 80}, {80, 8000}} // [owner][bucket] bytes
+	want := [][]float64{{12000, 80, 0, 0}, {80, 8000, 0, 0}}
+	putChunks := func(t *testing.T, rt *Runtime, id int) {
+		for o, row := range buckets {
+			chunks := make([]any, len(row))
+			for r, b := range row {
+				chunks[r] = make([]int64, b/8)
+			}
+			if err := rt.Shuffle().PutChunksFrom(id, o, o, chunks); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	putMeta := func(t *testing.T, rt *Runtime, id int) {
+		for o, row := range buckets {
+			if err := rt.Shuffle().PutChunkMetaFrom(id, o, o, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ways := []struct {
+		name   string
+		budget int64
+		put    func(*testing.T, *Runtime, int)
+	}{
+		{"resident", 0, putChunks},
+		// Owner 0's 12080 bytes exceed the budget and spill; owner 1's
+		// 8080 fit and stay resident.
+		{"spilled", 8100, putChunks},
+		{"placeholder", 0, putMeta},
+	}
+	for _, w := range ways {
+		t.Run(w.name, func(t *testing.T) {
+			cfg := testCfg()
+			if w.budget > 0 {
+				cfg.MemoryBudget, cfg.SpillDir = w.budget, t.TempDir()
+			}
+			rt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := rt.Shuffle().Register(2, 2)
+			w.put(t, rt, id)
+			if st, ok := rt.Shuffle().SpillStats(); ok && st.Spills != 1 {
+				t.Fatalf("spills = %d, want owner 0's row alone", st.Spills)
+			}
+			if got := rt.Shuffle().OwnerReduceBytes(id, cfg.Executors); !reflect.DeepEqual(got, want) {
+				t.Fatalf("OwnerReduceBytes = %v, want %v", got, want)
+			}
+			if got, want := rt.ReducePreferences([]int{id}, 2), [][]int{{0}, {1}}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("ReducePreferences = %v, want %v", got, want)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -59,12 +58,14 @@ type shuffleData struct {
 	reduceParts int
 	rows        []spill.Block
 
-	// metaBytes holds per-reduce-bucket byte weights for placeholder
-	// rows written with PutChunkMetaFrom — the distributed driver's
-	// form, where the chunks live in executor stores and only ownership
-	// plus weight is mirrored here. nil per map partition when the row
-	// holds real chunks.
-	metaBytes [][]int64
+	// weights is the locality ledger: per map partition, the bytes of
+	// each reduce bucket as they were put — the chunks' volumes, or the
+	// executor-reported weights of a PutChunkMetaFrom placeholder. It is
+	// recorded once, so a row scores the same resident, spilled or held
+	// by a remote executor. nil per map partition when unwritten or put
+	// without weights; an entry counts only while its row has an owner,
+	// so a row a failed spill read dropped scores nothing.
+	weights [][]int64
 }
 
 // ChunkVolume measures one chunk as the store accounts it
@@ -112,7 +113,7 @@ func (s *ShuffleStore) SpillStats() (st spill.Stats, ok bool) { return s.tier.St
 
 // newShuffleData allocates shuffle id's storage.
 func (s *ShuffleStore) newShuffleData(id, mapParts, reduceParts int) *shuffleData {
-	return &shuffleData{mapParts: mapParts, reduceParts: reduceParts, rows: s.tier.Blocks("shuffle", id, mapParts)}
+	return &shuffleData{mapParts: mapParts, reduceParts: reduceParts, rows: s.tier.Blocks("shuffle", id, mapParts), weights: make([][]int64, mapParts)}
 }
 
 // Register allocates a shuffle with the given geometry and returns its
@@ -188,7 +189,8 @@ func (s *ShuffleStore) lockPut(d *shuffleData, shuffleID, owner int) error {
 
 // PutChunksFrom stores a map partition's output produced by owner: one
 // chunk per reduce partition (nil for empty buckets), each a typed
-// slice boxed once. Writes from an executor that has been invalidated
+// slice boxed once. Each bucket's ChunkVolume is recorded as its
+// locality weight. Writes from an executor that has been invalidated
 // are rejected with ErrExecutorLost, so a zombie attempt racing its
 // executor's loss cannot resurrect dropped output. Re-puts (task
 // retries) overwrite the previous attempt wherever it lives.
@@ -203,13 +205,15 @@ func (s *ShuffleStore) PutChunksFrom(shuffleID, mapPart, owner int, chunks []any
 	if len(chunks) != d.reduceParts {
 		return fmt.Errorf("engine: shuffle %d: got %d buckets, want %d", shuffleID, len(chunks), d.reduceParts)
 	}
+	weights := make([]int64, len(chunks))
+	for r, ch := range chunks {
+		_, weights[r] = ChunkVolume(ch)
+	}
 	if err := s.lockPut(d, shuffleID, owner); err != nil {
 		return err
 	}
 	d.rows[mapPart].Put(owner, chunks)
-	if d.metaBytes != nil {
-		d.metaBytes[mapPart] = nil // real chunks supersede placeholder weights
-	}
+	d.weights[mapPart] = weights
 	d.mu.Unlock()
 	s.tier.Evict()
 	return nil
@@ -220,7 +224,8 @@ func (s *ShuffleStore) PutChunksFrom(shuffleID, mapPart, owner int, chunks []any
 // when the chunks stay in the producing executor's local store.
 // bucketBytes, when non-nil, carries the partition's per-reduce-bucket
 // byte weights (len reduceParts) so locality scoring sees the same
-// volumes the owning executor accounted; nil records ownership only.
+// volumes the owning executor accounted; nil records ownership only,
+// which gives the owner no locality preference.
 // Banned-writer and re-put semantics match PutChunksFrom. Placeholder
 // rows contribute nothing to the store's movement counters — the data
 // never moved through this store.
@@ -239,25 +244,19 @@ func (s *ShuffleStore) PutChunkMetaFrom(shuffleID, mapPart, owner int, bucketByt
 		return err
 	}
 	d.rows[mapPart].Put(owner, nil)
-	if d.metaBytes == nil {
-		d.metaBytes = make([][]int64, d.mapParts)
-	}
-	d.metaBytes[mapPart] = bucketBytes
+	d.weights[mapPart] = bucketBytes
 	d.mu.Unlock()
 	return nil
 }
 
 // OwnerReduceBytes scores, for every reduce partition of a shuffle, the
-// effective map-output bytes each executor holds — the input to
-// locality placement. Resident chunks count their accounted volume; a
-// placeholder row (PutChunkMetaFrom) counts its recorded bucket
-// weights, or one nominal byte per bucket when ownership was recorded
-// without weights; a spilled partition's per-bucket share is multiplied
-// by spillDiscount, since a co-located read of it is a disk restore,
-// not a pointer hand-off. Executors outside [0, executors) and
-// unwritten partitions contribute nothing. The result is
-// [reducePart][executor].
-func (s *ShuffleStore) OwnerReduceBytes(shuffleID, executors int, spillDiscount float64) [][]float64 {
+// map-output bytes each executor holds — the input to locality
+// placement. Every written row counts the bucket weights recorded when
+// it was put, at weight 1 whether it is resident, spilled or a
+// placeholder; a row put without weights counts nothing. Executors
+// outside [0, executors) and unwritten partitions contribute nothing.
+// The result is [reducePart][executor].
+func (s *ShuffleStore) OwnerReduceBytes(shuffleID, executors int) [][]float64 {
 	d, ok := s.get(shuffleID)
 	if !ok || executors <= 0 {
 		return nil
@@ -268,36 +267,10 @@ func (s *ShuffleStore) OwnerReduceBytes(shuffleID, executors int, spillDiscount 
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	for m := range d.rows {
-		o := d.rows[m].Owner()
-		if o < 0 || o >= executors {
-			continue
-		}
-		if d.metaBytes != nil && d.metaBytes[m] != nil {
-			for r, b := range d.metaBytes[m] {
+	for m, w := range d.weights {
+		if o := d.rows[m].Owner(); o >= 0 && o < executors {
+			for r, b := range w {
 				out[r][o] += float64(b)
-			}
-			continue
-		}
-		chunks, spilled, bytes := d.rows[m].Peek()
-		switch {
-		case spilled:
-			share := float64(bytes) / float64(d.reduceParts) * spillDiscount
-			for r := range out {
-				out[r][o] += share
-			}
-		case !slices.ContainsFunc(chunks, func(ch any) bool { return ch != nil }):
-			// Ownership-only row (weightless placeholder, or a map
-			// partition that genuinely produced nothing): one nominal
-			// byte per bucket, so a sole owner still outranks nobody.
-			for r := range out {
-				out[r][o]++
-			}
-		default:
-			for r, ch := range chunks {
-				if _, b := ChunkVolume(ch); b > 0 {
-					out[r][o] += float64(b)
-				}
 			}
 		}
 	}
@@ -417,14 +390,12 @@ func (s *ShuffleStore) InvalidateOwner(owner int) []LostPart {
 	return lost
 }
 
-// invalidate drops map partition m and its placeholder weights. The
-// spill file goes with the block: it is the owner's local disk, and a
-// crashed executor's disk is gone. Called with d.mu held for writing.
+// invalidate drops map partition m and its weights. The spill file
+// goes with the block: it is the owner's local disk, and a crashed
+// executor's disk is gone. Called with d.mu held for writing.
 func (d *shuffleData) invalidate(m int) {
 	d.rows[m].Drop()
-	if d.metaBytes != nil {
-		d.metaBytes[m] = nil
-	}
+	d.weights[m] = nil
 }
 
 // InvalidatePart drops one map partition if owner still holds it, so

@@ -21,8 +21,12 @@
 //
 // The paper's contributed scheduler policies — delay scheduling as the
 // studied baseline, the Enhanced Load Balancer (ELB), and
-// Congestion-Aware Dispatching (CAD) — live in internal/sched and are
-// shared by both systems. internal/experiments regenerates every table
-// and figure of the evaluation; see bench_test.go, cmd/mrbench, and
-// EXPERIMENTS.md.
+// Congestion-Aware Dispatching (CAD) — live in internal/sched, the only
+// package the two systems share (fault, trace and internal/metrics are
+// the tools both are judged and observed with). The real runtime —
+// engine, rdd, dist and their commands — links no package of the
+// simulator and decides with what it holds and measures, never with the
+// simulated devices' constants. internal/experiments regenerates every
+// table and figure of the evaluation; see bench_test.go, cmd/mrbench,
+// and EXPERIMENTS.md.
 package hpcmr

@@ -3,27 +3,7 @@ package spill
 import (
 	"container/list"
 	"sync"
-
-	"hpcmr/internal/storage"
 )
-
-// CostModel estimates the wall-clock price of moving bytes through the
-// spill device. The default derives from the simulator's SSD spec
-// (internal/storage.DefaultSSDSpec), so the engine's spill accounting
-// and the sim's two-level storage hierarchy price the same device the
-// same way.
-type CostModel struct {
-	// WriteBps / ReadBps are peak sequential bandwidths, bytes/s.
-	WriteBps float64
-	ReadBps  float64
-}
-
-// DefaultCostModel prices spills with the paper's Hyperion-like SATA
-// SSD parameters.
-func DefaultCostModel() CostModel {
-	spec := storage.DefaultSSDSpec()
-	return CostModel{WriteBps: spec.WriteBandwidth, ReadBps: spec.ReadBandwidth}
-}
 
 // Stats is a snapshot of an accountant's counters.
 type Stats struct {
@@ -44,10 +24,6 @@ type Stats struct {
 	// EncodeFailures counts entries whose eviction failed (unencodable
 	// chunk type or disk error); they stay resident, pinned.
 	EncodeFailures int64
-	// EstSpillSeconds / EstRestoreSeconds price the byte movement with
-	// the cost model's device bandwidths.
-	EstSpillSeconds   float64
-	EstRestoreSeconds float64
 }
 
 // handle lifecycle states, guarded by the accountant's mutex.
@@ -84,7 +60,6 @@ type Accountant struct {
 	resident int64
 	peak     int64
 	lru      *list.List // front = most recent, back = eviction victim
-	cost     CostModel
 
 	spills, restores         int64
 	spillBytes, restoreBytes int64
@@ -93,12 +68,12 @@ type Accountant struct {
 
 // NewAccountant returns an accountant enforcing budget bytes (<= 0
 // means unbounded: entries are tracked, peak is recorded, nothing is
-// evicted), priced with the default SSD cost model.
+// evicted).
 func NewAccountant(budget int64) *Accountant {
 	if budget < 0 {
 		budget = 0
 	}
-	return &Accountant{budget: budget, lru: list.New(), cost: DefaultCostModel()}
+	return &Accountant{budget: budget, lru: list.New()}
 }
 
 // admit registers an entry of the given size, most-recently-used. evict
@@ -203,7 +178,7 @@ func (a *Accountant) noteRestore(n int64) {
 func (a *Accountant) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Budget:         a.budget,
 		Resident:       a.resident,
 		Peak:           a.peak,
@@ -213,11 +188,4 @@ func (a *Accountant) Stats() Stats {
 		RestoreBytes:   a.restoreBytes,
 		EncodeFailures: a.encodeFailures,
 	}
-	if a.cost.WriteBps > 0 {
-		st.EstSpillSeconds = float64(a.spillBytes) / a.cost.WriteBps
-	}
-	if a.cost.ReadBps > 0 {
-		st.EstRestoreSeconds = float64(a.restoreBytes) / a.cost.ReadBps
-	}
-	return st
 }

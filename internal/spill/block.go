@@ -90,14 +90,6 @@ func (b *Block) Owner() int {
 	return b.owner
 }
 
-// Peek returns, without touching it, the resident chunk list, or for a
-// spilled block isSpilled and the bytes it accounted.
-func (b *Block) Peek() (chunks []any, isSpilled bool, bytes int64) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.chunks, b.state == spilled, b.bytes
-}
-
 // Path is where the block's spill file lives while it is spilled.
 func (b *Block) Path() string {
 	return filepath.Join(b.tier.dir, fmt.Sprintf("%s-%d-part-%d.spill", b.space, b.id, b.part))

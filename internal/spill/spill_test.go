@@ -533,19 +533,6 @@ func TestAccountantUnboundedTracksPeak(t *testing.T) {
 	}
 }
 
-func TestAccountantCostModel(t *testing.T) {
-	a := NewAccountant(1)
-	a.noteSpill(387e6) // exactly one second of the default SSD's write bandwidth
-	a.noteRestore(507e6)
-	st := a.Stats()
-	if st.EstSpillSeconds < 0.99 || st.EstSpillSeconds > 1.01 {
-		t.Fatalf("spill seconds %v, want ~1", st.EstSpillSeconds)
-	}
-	if st.EstRestoreSeconds < 0.99 || st.EstRestoreSeconds > 1.01 {
-		t.Fatalf("restore seconds %v, want ~1", st.EstRestoreSeconds)
-	}
-}
-
 // allocBytes measures heap bytes allocated while f runs.
 func allocBytes(f func()) uint64 {
 	var before, after runtime.MemStats
